@@ -115,24 +115,20 @@ def gmb_budget_partitions(n_out: int, n_in: int, r: int) -> tuple[int, int]:
 
 
 def gmb_decompose(m, n_o: int, n_i: int) -> GmbFactors:
-    """Top singular pair of every block in an n_o x n_i partition of ``m``."""
+    """Top singular pair of every block in an n_o x n_i partition of ``m``.
+
+    All blocks go through one batched ``top_singular_pair`` call; each
+    block's triple is bit-identical to the call on that block alone, and a
+    zero block gets sigma 0 with canonical unit vectors.
+    """
     m = as_matrix(m)
     rows, cols = m.shape
     if n_o < 1 or n_i < 1 or rows % n_o or cols % n_i:
         raise InvalidPartitionError(
             f"partition {n_o} x {n_i} does not divide shape {m.shape}"
         )
-    b_o, b_i = rows // n_o, cols // n_i
-    sigma = np.zeros((n_o, n_i))
-    u = np.zeros((n_o, n_i, b_o))
-    v = np.zeros((n_o, n_i, b_i))
-    for j in range(n_o):
-        for k in range(n_i):
-            block = m[j * b_o : (j + 1) * b_o, k * b_i : (k + 1) * b_i]
-            s, bu, bv = top_singular_pair(block)
-            sigma[j, k] = s
-            u[j, k] = bu
-            v[j, k] = bv
+    blocks = m.reshape(n_o, rows // n_o, n_i, cols // n_i).transpose(0, 2, 1, 3)
+    sigma, u, v = top_singular_pair(blocks)
     return GmbFactors(n_o=n_o, n_i=n_i, sigma=sigma, u=u, v=v)
 
 
@@ -213,6 +209,17 @@ class QuantizedLinear:
         return None
 
 
+def lrb_fitted_first(
+    r_gmb: int, *, use_gmb: bool = True, order: str = "lrb_first", placement: str = "post"
+) -> bool:
+    """Whether branch_decomposition fits the LRB on W_H itself, before any GMB.
+
+    Such an LRB depends only on the weight and its rank, so one fit can
+    serve every GMB rank.
+    """
+    return not (use_gmb and r_gmb > 0) or (order == "lrb_first" and placement == "post")
+
+
 def branch_decomposition(
     w,
     r_lrb: int,
@@ -222,13 +229,16 @@ def branch_decomposition(
     use_gmb: bool = True,
     order: str = "lrb_first",
     placement: str = "post",
+    lrb: LrbFactors | None = None,
 ):
     """Fit the branches of one weight; independent of any bit-width.
 
     Default pipeline: W_H = W @ H, LRB fitted on W_H, GMB fitted on
     W_H - LRB.  ``order`` swaps which branch is fitted first; ``placement``
     "pre" fits the GMB on the raw weight W instead (its output then feeds
-    on x, not H^T x).  Returns (lrb, gmb, w_res) with w_res the leftover
+    on x, not H^T x).  ``lrb`` may carry an earlier rank-``r_lrb`` fit of
+    W_H; it replaces the refit where ``lrb_fitted_first`` holds and is
+    ignored otherwise.  Returns (lrb, gmb, w_res) with w_res the leftover
     handed to the residual quantizer.
     """
     w = as_matrix(w)
@@ -241,28 +251,34 @@ def branch_decomposition(
         raise InvalidDimensionError(
             f"Hadamard shape {h.shape} does not match weight {w.shape}"
         )
-    w_h = matmul(w, h)
-    gmb = None
-    if use_gmb and r_gmb > 0:
+    with_gmb = use_gmb and r_gmb > 0
+    if with_gmb:
         n_o, n_i = gmb_budget_partitions(w.shape[0], w.shape[1], r_gmb)
-        if placement == "pre":
-            # branch lives outside the rotation; fit on the raw weight,
-            # then remove its rotated image from the residual
-            gmb = gmb_decompose(w, n_o, n_i)
-            shadow = matmul(gmb_reconstruct_blocks(gmb), h)
-            lrb = init_lrb(w_h - shadow, r_lrb)
-            w_res = w_h - shadow - lrb.product()
-        elif order == "lrb_first":
+    w_h = matmul(w, h)
+    if lrb_fitted_first(r_gmb, use_gmb=use_gmb, order=order, placement=placement):
+        if lrb is None:
             lrb = init_lrb(w_h, r_lrb)
-            gmb = gmb_decompose(w_h - lrb.product(), n_o, n_i)
-            w_res = w_h - lrb.product() - gmb_reconstruct_blocks(gmb)
-        else:
-            gmb = gmb_decompose(w_h, n_o, n_i)
-            lrb = init_lrb(w_h - gmb_reconstruct_blocks(gmb), r_lrb)
-            w_res = w_h - gmb_reconstruct_blocks(gmb) - lrb.product()
-    else:
-        lrb = init_lrb(w_h, r_lrb)
+        elif lrb.rank != r_lrb or lrb.a.shape[0] != w.shape[0] or lrb.b.shape[1] != w.shape[1]:
+            raise InvalidRankError(
+                f"given LRB {lrb.a.shape} @ {lrb.b.shape} is not rank {r_lrb} on {w.shape}"
+            )
+    gmb = None
+    if not with_gmb:
         w_res = w_h - lrb.product()
+    elif placement == "pre":
+        # branch lives outside the rotation; fit on the raw weight,
+        # then remove its rotated image from the residual
+        gmb = gmb_decompose(w, n_o, n_i)
+        shadow = matmul(gmb_reconstruct_blocks(gmb), h)
+        lrb = init_lrb(w_h - shadow, r_lrb)
+        w_res = w_h - shadow - lrb.product()
+    elif order == "lrb_first":
+        gmb = gmb_decompose(w_h - lrb.product(), n_o, n_i)
+        w_res = w_h - lrb.product() - gmb_reconstruct_blocks(gmb)
+    else:
+        gmb = gmb_decompose(w_h, n_o, n_i)
+        lrb = init_lrb(w_h - gmb_reconstruct_blocks(gmb), r_lrb)
+        w_res = w_h - gmb_reconstruct_blocks(gmb) - lrb.product()
     return lrb, gmb, w_res
 
 

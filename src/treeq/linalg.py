@@ -1,14 +1,19 @@
 """Deterministic dense linear algebra: Hadamard transforms and truncated SVD.
 
-Every routine here is bit-reproducible across runs and thread counts.
-Matrix products go through ``np.einsum`` so the accumulation order is fixed
-(no BLAS kernel dispatch), and the SVD uses one-sided cyclic Jacobi, which
-needs no start vector and visits column pairs in a fixed order.
+Every routine here is a pure function of its input: on one build (numpy
+version and CPU) it returns the same bits on every run.  Products and
+reductions go through ``np.einsum``, which fixes the accumulation order and
+calls no BLAS, so a BLAS thread setting never enters.  The SVD is one-sided
+Jacobi in Brent-Luk round-robin order (Brent & Luk, SIAM J. Sci. Stat.
+Comput. 1985): it needs no start vector, visits column pairs in a fixed
+order, and solves a whole stack of matrices at once, each bit-identical to
+solving it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,99 +116,146 @@ class SvdTriple:
         return matmul(self.u * self.sigma[None, :], self.v.T)
 
 
-def _jacobi_columns(a):
-    """One-sided cyclic Jacobi on the columns of a tall-or-square matrix.
+@lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple:
+    """Brent-Luk round-robin schedule: one sweep over all column pairs of n.
 
-    Rotates column pairs in a fixed (p, q) order until every pair is
-    orthogonal to relative tolerance JACOBI_TOL, then reads off
-    sigma_j = |col_j|, u_j = col_j / sigma_j.  Returns (b, v) with
-    a @ v = b and b's columns mutually orthogonal.
+    Returns n-1 rounds (n even) of n/2 disjoint pairs (p, q), p < q, each
+    round as one index array: the p's, then the q's in the same order.
+    Index 0 stays put while the others rotate one place per round.  Odd n
+    gets a dummy index n; its pairs are dropped, so each column sits out
+    one round per sweep.
     """
-    b = a.copy()
-    n = a.shape[1]
-    v = np.eye(n)
-    worst = 0.0
+    slots = n + n % 2
+    pos = list(range(slots))
+    rounds = []
+    for _ in range(slots - 1):
+        pairs = [
+            (min(pos[k], pos[-1 - k]), max(pos[k], pos[-1 - k]))
+            for k in range(slots // 2)
+        ]
+        pairs = [pq for pq in pairs if pq[1] < n]
+        if pairs:
+            pq = np.array([p for p, _ in pairs] + [q for _, q in pairs])
+            pq.setflags(write=False)
+            rounds.append(pq)
+        pos = [pos[0], pos[-1]] + pos[1:-1]
+    return tuple(rounds)
+
+
+def _jacobi_columns(a):
+    """One-sided Jacobi on every matrix of a (B, m, n) stack with m >= n.
+
+    Each sweep runs the round-robin rounds; a round rotates its disjoint
+    column pairs in all problems at once.  A pair is left alone when
+    either column is zero or the pair is orthogonal to relative tolerance
+    JACOBI_TOL.  A problem is done after a sweep that rotates nothing, and
+    drops out of later sweeps, so each problem's result is bit-identical
+    to solving it alone.
+
+    Returns (b, v) as row stacks: b[k, j] is column j of a[k] @ V_k and
+    v[k, j] is column j of V_k, with b[k]'s rows mutually orthogonal.
+    """
+    count, m, n = a.shape
+    # row j of a problem holds column j of b followed by column j of v, so
+    # one gather and one rotation move both
+    w = np.concatenate(
+        [np.swapaxes(a, 1, 2), np.broadcast_to(np.eye(n), (count, n, n))], axis=2
+    )
+    todo = np.arange(count)
     for _ in range(JACOBI_SWEEP_CAP):
-        worst = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = np.dot(b[:, p], b[:, p])
-                beta = np.dot(b[:, q], b[:, q])
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                gamma = np.dot(b[:, p], b[:, q])
-                rel = abs(gamma) / np.sqrt(alpha * beta)
-                if rel > worst:
-                    worst = rel
-                if rel <= JACOBI_TOL:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bp = c * b[:, p] - s * b[:, q]
-                bq = s * b[:, p] + c * b[:, q]
-                b[:, p], b[:, q] = bp, bq
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-        if worst <= JACOBI_TOL:
-            return b, v
+        sub = w[todo]
+        worst = np.zeros(todo.size)
+        for pq in _round_robin(n):
+            h = pq.size // 2
+            pair = sub[:, pq]
+            b = pair[..., :m]
+            norms = np.einsum("bki,bki->bk", b, b)
+            alpha, beta = norms[:, :h], norms[:, h:]
+            gamma = np.einsum("bki,bki->bk", b[:, :h], b[:, h:])
+            live = (alpha != 0.0) & (beta != 0.0)
+            rel = np.abs(gamma) / np.sqrt(np.where(live, alpha * beta, 1.0))
+            rel = np.where(live, rel, 0.0)
+            np.maximum(worst, rel.max(axis=1), out=worst)
+            turn = rel > JACOBI_TOL
+            if not turn.any():
+                continue
+            zeta = (beta - alpha) / (2.0 * np.where(turn, gamma, 1.0))
+            t = np.where(
+                zeta == 0.0,
+                1.0,
+                np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)),
+            )
+            c = (1.0 / np.sqrt(1.0 + t * t))[..., None]
+            s = c * t[..., None]
+            wp, wq = pair[:, :h], pair[:, h:]
+            turned = np.empty_like(pair)
+            np.subtract(c * wp, s * wq, out=turned[:, :h])
+            np.add(s * wp, c * wq, out=turned[:, h:])
+            if not turn.all():
+                turn = np.concatenate([turn, turn], axis=1)[..., None]
+                turned = np.where(turn, turned, pair)
+            sub[:, pq] = turned
+        w[todo] = sub
+        busy = worst > JACOBI_TOL
+        if not busy.any():
+            return w[..., :m], w[..., m:]
+        todo = todo[busy]
     raise ConvergenceError(
-        f"Jacobi SVD did not converge in {JACOBI_SWEEP_CAP} sweeps", residual=worst
+        f"Jacobi SVD did not converge in {JACOBI_SWEEP_CAP} sweeps",
+        residual=float(worst.max()),
     )
 
 
-def _canonical_unit(dim: int, prev) -> np.ndarray:
-    """Deterministic unit vector orthogonal to ``prev``; prev must leave room."""
+def _canonical_unit(prev) -> np.ndarray:
+    """Deterministic unit vector orthogonal to the rows of ``prev`` (j x dim)."""
+    dim = prev.shape[1]
     for i in range(dim):
         w = np.zeros(dim)
         w[i] = 1.0
         for p in prev:
-            w -= np.dot(p, w) * p
-        nrm = np.sqrt(np.dot(w, w))
+            w -= np.einsum("i,i->", p, w) * p
+        nrm = np.sqrt(np.einsum("i,i->", w, w))
         if nrm > 1e-6:
             return w / nrm
     raise InvalidRankError("no direction left orthogonal to previous vectors")
 
 
 def _fix_sign(u, v):
-    """Flip signs so the first entry of u with |u_i| > 1e-12 is positive."""
-    for ui in u:
-        if abs(ui) > 1e-12:
-            if ui < 0.0:
-                return -u, -v
-            return u, v
-    return u, v
+    """Flip row pairs so the first entry of each u row with |u_i| > 1e-12 is positive."""
+    big = np.abs(u) > 1e-12
+    lead = np.take_along_axis(u, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
+    sign = np.where(big.any(axis=-1) & (lead < 0.0), -1.0, 1.0)[..., None]
+    return u * sign, v * sign
 
 
-def _svd_full(a):
-    """Full SVD sorted by descending sigma, sign-normalized per column."""
-    m, n = a.shape
-    transposed = n > m
-    work = a.T.copy() if transposed else a
-    b, v = _jacobi_columns(work)
-    norms = np.sqrt(np.einsum("ij,ij->j", b, b))
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    v = v[:, order]
-    u = np.zeros_like(b)
-    filled = []
-    for j, col in enumerate(order):
-        if norms[col] > 0.0:
-            u[:, j] = b[:, col] / norms[col]
-        else:
-            u[:, j] = _canonical_unit(b.shape[0], filled)
-        filled.append(u[:, j])
-    for j in range(u.shape[1]):
-        uj, vj = _fix_sign(u[:, j], v[:, j])
-        u[:, j], v[:, j] = uj, vj
+def _svd(a, r: int):
+    """Top-r SVD of each matrix of a (B, m, n) stack, sorted by descending sigma.
+
+    Returns u (B, m, r), sigma (B, r) and v (B, n, r), all C-contiguous.
+    Exact sigma ties keep column order.  A zero sigma gets a canonical unit
+    u orthogonal to the ones before it.  Signs follow ``_fix_sign`` on the
+    Jacobi's left vectors, which are v for a wide (n > m) stack.
+    """
+    transposed = a.shape[2] > a.shape[1]
+    b, v = _jacobi_columns(np.swapaxes(a, 1, 2) if transposed else a)
+    norms = np.sqrt(np.einsum("bji,bji->bj", b, b))
+    order = np.argsort(-norms, axis=1, kind="stable")[:, :r]
+    sigma = np.take_along_axis(norms, order, axis=1)
+    b = np.take_along_axis(b, order[..., None], axis=1)
+    v = np.take_along_axis(v, order[..., None], axis=1)
+    with np.errstate(invalid="ignore"):
+        u = b / sigma[..., None]
+    for k, j in zip(*np.nonzero(sigma == 0.0)):
+        u[k, j] = _canonical_unit(u[k, :j])
+    u, v = _fix_sign(u, v)
     if transposed:
         u, v = v, u
-    return u, sigma, v
+    return (
+        np.ascontiguousarray(np.swapaxes(u, 1, 2)),
+        sigma,
+        np.ascontiguousarray(np.swapaxes(v, 1, 2)),
+    )
 
 
 def truncated_svd(m, r: int) -> SvdTriple:
@@ -218,26 +270,39 @@ def truncated_svd(m, r: int) -> SvdTriple:
         raise InvalidDimensionError("matrix must be at least 1 x 1")
     if not isinstance(r, (int, np.integer)) or r < 1 or r > min(a.shape):
         raise InvalidRankError(f"rank {r} invalid for shape {a.shape}")
-    u, sigma, v = _svd_full(a)
-    r = int(r)
-    return SvdTriple(u=u[:, :r].copy(), sigma=sigma[:r].copy(), v=v[:, :r].copy())
+    u, sigma, v = _svd(a[None], int(r))
+    return SvdTriple(u=u[0], sigma=sigma[0], v=v[0])
 
 
 def top_singular_pair(m):
-    """Leading singular triple ``(sigma, u, v)`` of a matrix.
+    """Leading singular triple ``(sigma, u, v)`` of a matrix or a stack of them.
 
-    The sign convention makes the first significant entry of ``u``
-    positive, so results are reproducible across runs.  A zero matrix
-    yields sigma 0 with canonical basis vectors.
+    A 2-D input gives a float sigma and vectors u (m,), v (n,).  An input
+    of shape (..., m, n) is solved in one batched Jacobi call and gives
+    sigma (...), u (..., m) and v (..., n); each entry is bit-identical to
+    the 2-D call on that matrix.  The sign convention makes the first
+    significant entry of u positive (of v when n > m), so results are
+    reproducible across runs.  A zero matrix yields sigma 0 with u and v
+    the first canonical basis vectors.
     """
-    a = as_matrix(m)
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2:
+        raise InvalidDimensionError(f"expected a matrix or a stack, got ndim={a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise InvalidDimensionError("matrix contains non-finite entries")
+    *batch, rows, cols = a.shape
+    if rows < 1 or cols < 1:
         raise InvalidDimensionError("matrix must be at least 1 x 1")
-    if not a.any():
-        u = np.zeros(a.shape[0])
-        u[0] = 1.0
-        v = np.zeros(a.shape[1])
-        v[0] = 1.0
-        return 0.0, u, v
-    t = truncated_svd(a, 1)
-    return float(t.sigma[0]), t.u[:, 0].copy(), t.v[:, 0].copy()
+    stack = a.reshape(-1, rows, cols)
+    sigma = np.zeros(stack.shape[0])
+    u = np.zeros((stack.shape[0], rows))
+    u[:, 0] = 1.0
+    v = np.zeros((stack.shape[0], cols))
+    v[:, 0] = 1.0
+    live = stack.any(axis=(1, 2))
+    if live.any():
+        lu, ls, lv = _svd(stack[live], 1)
+        sigma[live], u[live], v[live] = ls[:, 0], lu[..., 0], lv[..., 0]
+    if not batch:
+        return float(sigma[0]), u[0], v[0]
+    return sigma.reshape(batch), u.reshape(*batch, rows), v.reshape(*batch, cols)

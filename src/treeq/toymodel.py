@@ -20,13 +20,18 @@ Box-Muller on consecutive uniform pairs (u1, u2):
     r = sqrt(-2 ln(1 - u1)),  z0 = r cos(2 pi u2),  z1 = r sin(2 pi u2)
 
 emitted in (z0, z1) order.  Substreams are indexed as
-gen(seed, (tag << 32) | i) with documented tags, so any language can
-reproduce the exact streams from the integers alone.
+gen(seed, (tag << 32) | i) with documented tags.  The integer streams and
+the uniforms are exact in any language.  The Gaussians are exact only up
+to the rounding of log1p, cos and sin: numpy's SIMD routines and libm
+differ in the last bit for a few percent of inputs, and recomputing the
+Box-Muller pairs with libm moves the frozen end-to-end MSE by 7.4e-16
+relative.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -38,6 +43,7 @@ from .branches import (
     assemble_layer,
     branch_decomposition,
     forward_quantized_batch,
+    lrb_fitted_first,
 )
 from .errors import InvalidBitsError, InvalidDimensionError
 from .linalg import as_matrix, as_vector, hadamard
@@ -167,6 +173,7 @@ class ToyModel:
     _layer_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _branch_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _mse_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _fit_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def n_layers(self) -> int:
@@ -270,31 +277,47 @@ def _effective_ranks(ctx: QuantContext, n_out: int, n_in: int) -> tuple[int, int
     return r_l, r_g
 
 
+def _decomposition(model: ToyModel, i: int, ctx: QuantContext):
+    """Branch fit of layer ``i`` under ``ctx``; bit-independent, cached on the model."""
+    w = model.weights[i]
+    r_l, r_g = _effective_ranks(ctx, w.shape[0], w.shape[1])
+    bkey = (i, r_l, r_g, ctx.use_gmb, ctx.gmb_order, ctx.gmb_placement)
+    decomp = model._branch_cache.get(bkey)
+    if decomp is None:
+        # an LRB fitted on W @ H alone serves every GMB rank
+        lkey = ("lrb", i, r_l)
+        decomp = branch_decomposition(
+            w,
+            r_l,
+            r_g,
+            hadamard(w.shape[1]),
+            use_gmb=ctx.use_gmb,
+            order=ctx.gmb_order,
+            placement=ctx.gmb_placement,
+            lrb=model._branch_cache.get(lkey),
+        )
+        model._branch_cache[bkey] = decomp
+        if lrb_fitted_first(
+            r_g, use_gmb=ctx.use_gmb, order=ctx.gmb_order, placement=ctx.gmb_placement
+        ):
+            model._branch_cache[lkey] = decomp[0]
+    return decomp
+
+
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
     key = (i, bits, ctx.cache_key())
     layer = model._layer_cache.get(key)
-    if layer is None:
-        w = model.weights[i]
-        r_l, r_g = _effective_ranks(ctx, w.shape[0], w.shape[1])
-        # the branch fit is bit-independent; share it across bit-widths
-        bkey = (i, r_l, r_g, ctx.use_gmb, ctx.gmb_order, ctx.gmb_placement)
-        decomp = model._branch_cache.get(bkey)
-        if decomp is None:
-            decomp = branch_decomposition(
-                w,
-                r_l,
-                r_g,
-                hadamard(w.shape[1]),
-                use_gmb=ctx.use_gmb,
-                order=ctx.gmb_order,
-                placement=ctx.gmb_placement,
+    if layer is not None:
+        return layer
+    # concurrent evaluations of a cold model must not fit one layer twice
+    with model._fit_lock:
+        layer = model._layer_cache.get(key)
+        if layer is None:
+            lrb, gmb, w_res = _decomposition(model, i, ctx)
+            layer = assemble_layer(
+                w_res, lrb, gmb, bits, bits, model.dims[i], ctx.gmb_placement, ctx.deltas
             )
-            model._branch_cache[bkey] = decomp
-        lrb, gmb, w_res = decomp
-        layer = assemble_layer(
-            w_res, lrb, gmb, bits, bits, w.shape[1], ctx.gmb_placement, ctx.deltas
-        )
-        model._layer_cache[key] = layer
+            model._layer_cache[key] = layer
     return layer
 
 

@@ -21,6 +21,7 @@ from treeq.branches import (
     gmb_permutation,
     gmb_reconstruct_blocks,
     init_lrb,
+    lrb_fitted_first,
     permutation_matrix,
     qlinear_from_json,
     qlinear_to_json,
@@ -31,7 +32,7 @@ from treeq.errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from treeq.linalg import hadamard, matmul
+from treeq.linalg import hadamard, matmul, top_singular_pair
 from treeq.quantizer import default_delta_table, quantize_rotated_batch
 
 from conftest import seeded_matrix
@@ -127,6 +128,24 @@ class TestGmbDecompose:
         with pytest.raises(InvalidPartitionError):
             gmb_decompose(np.ones((6, 6)), 4, 2)
 
+    @pytest.mark.parametrize("shape,grid", [((12, 8), (4, 2)), ((8, 16), (2, 2)), ((9, 9), (3, 3))])
+    def test_equals_per_block_loop_bit_for_bit(self, shape, grid):
+        m = seeded_matrix(*shape, seed=shape[1] + 13)
+        n_o, n_i = grid
+        b_o, b_i = shape[0] // n_o, shape[1] // n_i
+        m[:b_o, b_i : 2 * b_i] = 0.0  # a zero block among live ones
+        f = gmb_decompose(m, n_o, n_i)
+        for j in range(n_o):
+            for k in range(n_i):
+                block = m[j * b_o : (j + 1) * b_o, k * b_i : (k + 1) * b_i]
+                s, u, v = top_singular_pair(block)
+                assert f.sigma[j, k].tobytes() == np.float64(s).tobytes()
+                assert f.u[j, k].tobytes() == u.tobytes()
+                assert f.v[j, k].tobytes() == v.tobytes()
+        assert f.sigma[0, 1] == 0.0
+        assert np.array_equal(f.u[0, 1], np.eye(b_o)[0])
+        assert np.array_equal(f.v[0, 1], np.eye(b_i)[0])
+
 
 class TestGmbFactored:
     def test_permutation_formula(self):
@@ -196,6 +215,34 @@ class TestBranchDecomposition:
         a = branch_decomposition(w, 2, 2, h, order="lrb_first")
         b = branch_decomposition(w, 2, 2, h, order="gmb_first")
         assert not np.allclose(a[0].product(), b[0].product())
+
+    @pytest.mark.parametrize(
+        "kwargs,first",
+        [
+            ({"use_gmb": False}, True),
+            ({"order": "lrb_first"}, True),
+            ({"order": "gmb_first"}, False),
+            ({"placement": "pre"}, False),
+        ],
+    )
+    def test_given_lrb_replaces_the_first_fit(self, kwargs, first):
+        w = seeded_matrix(16, 16, seed=14)
+        h = hadamard(16)
+        r_gmb = 0 if kwargs.get("use_gmb") is False else 4
+        assert lrb_fitted_first(r_gmb, **kwargs) is first
+        fresh = branch_decomposition(w, 4, r_gmb, h, **kwargs)
+        shared = init_lrb(matmul(w, h), 4)
+        reused = branch_decomposition(w, 4, r_gmb, h, lrb=shared, **kwargs)
+        assert (reused[0] is shared) is first
+        assert np.array_equal(fresh[0].a, reused[0].a)
+        assert np.array_equal(fresh[0].b, reused[0].b)
+        assert np.array_equal(fresh[2], reused[2])
+
+    def test_rejects_lrb_of_wrong_rank(self):
+        w = seeded_matrix(8, 8, seed=15)
+        h = hadamard(8)
+        with pytest.raises(InvalidRankError):
+            branch_decomposition(w, 2, 2, h, lrb=init_lrb(matmul(w, h), 3))
 
     def test_rejects_unknown_order(self):
         with pytest.raises(InvalidPartitionError):

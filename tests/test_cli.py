@@ -8,6 +8,7 @@ precedence, and the shape of each output document.
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -264,3 +265,31 @@ class TestAblate:
     def test_requires_axis(self, cfg_path):
         with pytest.raises(SystemExit):
             main(["ablate", "--config", cfg_path])
+
+
+class TestJobs:
+    def test_parallel_search_fits_each_layer_once(self, cfg_path, tmp_path, monkeypatch):
+        import treeq.toymodel as toymodel
+
+        fits = []
+        fit = toymodel.branch_decomposition
+        monkeypatch.setattr(
+            toymodel, "branch_decomposition", lambda *a, **k: fits.append(1) or fit(*a, **k)
+        )
+        docs, counts = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often so a racy fit would show
+        try:
+            for jobs in (1, 2):
+                fits.clear()
+                out = tmp_path / f"jobs{jobs}"
+                argv = ["search", "--config", cfg_path, "--jobs", str(jobs), "--out", str(out)]
+                assert main(argv) == 0
+                counts.append(len(fits))
+                doc = json.loads((out / "search.json").read_text())
+                doc.pop("wall_ms")
+                docs.append(doc)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [SMALL_CFG["model"]["n_layers"]] * 2
+        assert docs[0] == docs[1]

@@ -1,14 +1,19 @@
 """Linear-algebra kernel tests.
 
-The SVD here is hand-rolled (one-sided Jacobi), so it is checked against
-numpy's LAPACK-backed ``np.linalg.svd`` and ``eigh`` as independent oracles.
-Those oracles are allowed in tests only; the package itself never calls them.
+The SVD here is hand-rolled (one-sided Jacobi, batched over a stack of
+matrices), so it is checked against numpy's LAPACK-backed ``np.linalg.svd``
+and ``eigh`` as independent oracles.  Those oracles are allowed in tests
+only; the package itself never calls them.
 """
+
+import itertools
+
 
 import numpy as np
 import pytest
 
-from treeq.errors import InvalidDimensionError
+from treeq import linalg
+from treeq.errors import ConvergenceError, InvalidDimensionError
 from treeq.linalg import (
     MAX_HADAMARD,
     as_matrix,
@@ -220,3 +225,84 @@ class TestSvd:
         assert sigma == 0.0
         assert np.linalg.norm(u) == pytest.approx(1.0)
         assert np.linalg.norm(v) == pytest.approx(1.0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedJacobi:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
+    def test_round_robin_visits_each_pair_once(self, n):
+        rounds = [np.split(pq, 2) for pq in linalg._round_robin(n)]
+        pairs = [(int(p), int(q)) for ps, qs in rounds for p, q in zip(ps, qs)]
+        assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+        for ps, qs in rounds:
+            assert np.all(ps < qs)
+            assert len(set(ps) | set(qs)) == 2 * len(ps)  # disjoint within a round
+
+    @pytest.mark.parametrize("shape", [(9, 6), (6, 9), (8, 8), (5, 1)])
+    def test_each_problem_matches_solving_alone(self, shape):
+        stack = np.stack([seeded_matrix(*shape, seed=40 + k) for k in range(7)])
+        stack[2] *= 1e-3  # converges in its own number of sweeps
+        stack[4][:, 0] = 0.0
+        r = min(shape)
+        u, sigma, v = linalg._svd(stack, r)
+        for k in range(stack.shape[0]):
+            uk, sk, vk = linalg._svd(stack[k : k + 1], r)
+            assert same_bits(u[k], uk[0]) and same_bits(sigma[k], sk[0])
+            assert same_bits(v[k], vk[0])
+            alone = truncated_svd(stack[k], r)
+            assert same_bits(alone.u, uk[0]) and same_bits(alone.v, vk[0])
+
+    def test_top_pair_stack_matches_2d_calls(self):
+        stack = np.stack([seeded_matrix(6, 4, seed=60 + k) for k in range(6)])
+        stack = stack.reshape(2, 3, 6, 4)
+        sigma, u, v = top_singular_pair(stack)
+        assert sigma.shape == (2, 3) and u.shape == (2, 3, 6) and v.shape == (2, 3, 4)
+        for j in range(2):
+            for k in range(3):
+                s1, u1, v1 = top_singular_pair(stack[j, k])
+                assert same_bits(sigma[j, k], s1)
+                assert same_bits(u[j, k], u1) and same_bits(v[j, k], v1)
+
+    def test_zero_problems_in_a_batch_get_canonical_vectors(self):
+        stack = np.stack([seeded_matrix(5, 3, seed=70 + k) for k in range(4)])
+        stack[1] = 0.0
+        stack[3] = 0.0
+        sigma, u, v = top_singular_pair(stack)
+        e0_u, e0_v = np.eye(5)[0], np.eye(3)[0]
+        for k in (1, 3):
+            assert sigma[k] == 0.0
+            assert same_bits(u[k], e0_u) and same_bits(v[k], e0_v)
+        for k in (0, 2):
+            want = np.linalg.svd(stack[k], compute_uv=False)[0]
+            assert sigma[k] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name,m",
+        [
+            ("odd", seeded_matrix(7, 7, seed=80)),
+            ("n=1", seeded_matrix(6, 1, seed=81)),
+            ("m=1", seeded_matrix(1, 6, seed=82)),
+            ("tall", seeded_matrix(11, 4, seed=83)),
+            ("wide", seeded_matrix(4, 11, seed=84)),
+            ("rank-deficient", seeded_matrix(8, 2, seed=85) @ seeded_matrix(2, 6, seed=86)),
+            ("duplicate-columns", seeded_matrix(6, 5, seed=87)[:, [0, 1, 1, 2, 0]]),
+        ],
+    )
+    def test_sigma_matches_lapack(self, name, m):
+        r = min(m.shape)
+        tri = truncated_svd(m, r)
+        want = np.linalg.svd(m, compute_uv=False)
+        assert np.allclose(tri.sigma, want, atol=1e-10)
+        assert np.allclose(tri.product(), m, atol=1e-10)
+        assert np.allclose(tri.u.T @ tri.u, np.eye(r), atol=1e-12)
+        assert np.allclose(tri.v.T @ tri.v, np.eye(r), atol=1e-12)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_SWEEP_CAP", 1)
+        with pytest.raises(ConvergenceError) as err:
+            truncated_svd(seeded_matrix(8, 8, seed=90), 8)
+        assert err.value.residual > linalg.JACOBI_TOL

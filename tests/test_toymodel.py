@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from treeq import branches
 from treeq.errors import InvalidBitsError, InvalidDimensionError
 from treeq.quantizer import QUANT_BITS, DeltaTable
 from treeq.suite import exhaustive_spec
@@ -211,6 +212,28 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         with pytest.raises(InvalidDimensionError):
             quantized_layer(m, 4, 3)
+
+    def test_lrb_fit_shared_across_gmb_ranks(self, monkeypatch):
+        # the settings of `treeq ablate gmb`: the lrb_first rows and the
+        # no-GMB row all fit the same LRB on W @ H
+        settings = [
+            QuantContext(r_gmb=0, use_gmb=False, scale_ranks=False),
+            QuantContext(r_gmb=2, scale_ranks=False),
+            QuantContext(r_gmb=4, scale_ranks=False),
+            QuantContext(r_gmb=8, scale_ranks=False),
+            QuantContext(gmb_order="gmb_first"),
+            QuantContext(gmb_placement="pre"),
+        ]
+        calls = []
+        fit = branches.truncated_svd
+        monkeypatch.setattr(branches, "truncated_svd", lambda *a: calls.append(1) or fit(*a))
+        shared = gen_model(exhaustive_spec(7))
+        layers = [quantized_layer(shared, 0, 3, ctx) for ctx in settings]
+        assert len(calls) == 3  # W @ H once, then gmb_first and pre
+        for ctx, layer in zip(settings, layers):
+            alone = quantized_layer(gen_model(exhaustive_spec(7)), 0, 3, ctx)
+            assert np.array_equal(layer.q_res, alone.q_res)
+            assert np.array_equal(layer.branch_h, alone.branch_h)
 
 
 class TestCalibration:
