@@ -60,12 +60,16 @@ class SensitivityTable:
 
 def layer_sensitivity(model: ToyModel, layer: int, bits: int, metric: str,
                       calib: CalibrationSet, ctx: QuantContext | None = None) -> float:
-    """Mean output distance when only ``layer`` is quantized (rest at FP)."""
+    """Mean output distance when only ``layer`` is quantized (rest at FP).
+
+    The forward runs through the model's ``EvalCache``, so consecutive
+    calls on one calibration set resume after the dense prefix they share.
+    """
     if metric not in METRICS:
         raise InvalidBitsError(f"metric must be one of {METRICS}")
     alloc = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
     alloc[layer] = bits
-    out = forward_batch(model, alloc, calib.input_matrix, ctx)
+    out = forward_batch(model, alloc, calib.input_matrix, ctx, cache=model.eval_cache)
     diff = out - calib.output_matrix
     if metric == "L1":
         return float(np.mean(np.sum(np.abs(diff), axis=1)))

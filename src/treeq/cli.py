@@ -40,7 +40,7 @@ DEFAULT_MODEL = {
     "outlier_fraction": 0.02,
     "outlier_scale": 8.0,
 }
-DEFAULT_SEARCH = {"candidates": [2, 3, 4, 5], "k": 16, "target": 3.0, "env_bits": 3, "jobs": 1}
+DEFAULT_SEARCH = {"candidates": [2, 3, 4, 5], "k": 16, "target": 3.0, "env_bits": 3}
 DEFAULT_QUANT = {"r_lrb": 16, "r_gmb": 4, "use_gmb": True}
 DEFAULT_CALIB = {"count": 64, "seed": 77}
 DEFAULT_OUT = "runs"
@@ -58,7 +58,6 @@ _SCHEMA = {
         "k": int,
         "target": (int, float),
         "env_bits": int,
-        "jobs": int,
     },
     "quant": {"r_lrb": int, "r_gmb": int, "use_gmb": bool},
     "calib": {"count": int, "seed": int},
@@ -142,8 +141,6 @@ def load_run_config(args) -> RunConfig:
         search_cfg["env_bits"] = args.env
     if getattr(args, "k", None) is not None:
         search_cfg["k"] = args.k
-    if getattr(args, "jobs", None) is not None:
-        search_cfg["jobs"] = args.jobs
     if getattr(args, "out", None) is not None:
         output_dir = args.out
 
@@ -220,7 +217,6 @@ def _run_search(cfg: RunConfig, model, calib, ctx, k=None, calib_override=None):
         k=k if k is not None else cfg.search["k"],
         target=float(cfg.search["target"]),
         env_bits=cfg.search["env_bits"],
-        jobs=cfg.search["jobs"],
         eval_counter=EvalCounter(),
     )
     return tss_search(model, params, ctx)
@@ -457,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--target", type=float, help="target mean bit-width")
     common.add_argument("--env", type=int, help="environment bit-width")
     common.add_argument("--k", type=int, help="max Pareto queue length")
-    common.add_argument("--jobs", type=int, help="evaluation worker threads")
     common.add_argument("--out", help="output directory")
 
     parser = argparse.ArgumentParser(

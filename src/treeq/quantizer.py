@@ -25,8 +25,6 @@ from .linalg import as_matrix, as_vector, matvec_t
 
 QUANT_BITS = (2, 3, 4, 5, 6, 7, 8)
 PASSTHROUGH_BITS = 32
-QUAD_TAIL = 8.0
-QUAD_MIN_NODES = 2048
 _DELTA_BRACKET = (1e-4, 4.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -73,45 +71,6 @@ def quantize_uniform(x, spec: QuantizerSpec):
         return arr.copy()
     q = np.clip(round_half_away(arr / spec.delta), spec.qmin, spec.qmax)
     return q * spec.delta
-
-
-def _mse_quadrature(delta: float, bits: int) -> float:
-    """E[(x - Q(x))^2] for x ~ N(0,1), by composite Gauss-Legendre on [-8, 8].
-
-    The integrand has kinks where the quantizer switches cells, at
-    (l + 1/2) * delta for integer l.  Panels are aligned to those cell
-    boundaries (then subdivided until there are at least QUAD_MIN_NODES
-    nodes total), so each panel integrates a smooth function and the MSE
-    is a smooth function of delta.  A fixed uniform panel grid would
-    instead produce spurious kinks as boundaries drift across panel edges.
-    Calibration does not use this route; it solves ``_stationarity``.
-    """
-    qmin = -(1 << (bits - 1))
-    qmax = (1 << (bits - 1)) - 1
-    bounds = (np.arange(qmin, qmax, dtype=np.float64) + 0.5) * delta
-    edges = np.unique(
-        np.concatenate(
-            [[-QUAD_TAIL], bounds[(bounds > -QUAD_TAIL) & (bounds < QUAD_TAIL)], [QUAD_TAIL]]
-        )
-    )
-    order = 8
-    panels = edges.shape[0] - 1
-    # subdivide every panel evenly until order * total panels >= QUAD_MIN_NODES
-    per = int(np.ceil(QUAD_MIN_NODES / (order * panels)))
-    if per > 1:
-        pieces = [
-            np.linspace(edges[i], edges[i + 1], per + 1)[:-1] for i in range(panels)
-        ]
-        edges = np.concatenate(pieces + [[QUAD_TAIL]])
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo) + half * nodes[None, :]
-    q = np.clip(round_half_away(x / delta), qmin, qmax) * delta
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    vals = (x - q) ** 2 * pdf
-    return float(np.sum(vals * weights[None, :] * half))
 
 
 def _stationarity(delta: float, bits: int) -> float:

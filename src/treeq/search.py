@@ -13,9 +13,7 @@ and the entry closest to the target wins.
 from __future__ import annotations
 
 import json
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import InvalidBitsError, InvalidSpanError
@@ -29,15 +27,13 @@ from .toymodel import (
 
 
 class EvalCounter:
-    """Monotone count of indicator evaluations; safe to bump from workers."""
+    """Monotone count of indicator evaluations."""
 
     def __init__(self):
         self._value = 0
-        self._lock = threading.Lock()
 
     def add(self, n: int = 1):
-        with self._lock:
-            self._value += n
+        self._value += n
 
     @property
     def value(self) -> int:
@@ -51,7 +47,6 @@ class SearchParams:
     k: int = 16
     target: float = 3.0
     env_bits: int = 3
-    jobs: int = 1
     eval_counter: EvalCounter = field(default_factory=EvalCounter)
 
     def __post_init__(self):
@@ -71,8 +66,6 @@ class SearchParams:
             )
         if self.env_bits not in ALLOWED_BITS:
             raise InvalidBitsError(f"env_bits {self.env_bits} not in {ALLOWED_BITS}")
-        if self.jobs < 1:
-            raise InvalidBitsError("jobs must be >= 1")
 
 
 @dataclass
@@ -144,14 +137,14 @@ def apply_eng(alloc: dict, env_bits: int, n: int) -> dict:
 
 
 def _evaluate_configs(configs, params: SearchParams, model: ToyModel, ctx: QuantContext):
-    """Indicator of each module config under the environment, in input order."""
+    """Indicator of each module config under the environment, in input order.
+
+    Consecutive configs of a leaf or merge share their leading layers, so
+    evaluating them in order lets each forward resume from the previous
+    one's activations (see ``end_to_end_mse``).
+    """
     allocs = [apply_eng(c, params.env_bits, model.n_layers) for c in configs]
     params.eval_counter.add(len(configs))
-    if params.jobs > 1 and len(allocs) > 1:
-        with ThreadPoolExecutor(max_workers=params.jobs) as pool:
-            return list(
-                pool.map(lambda a: end_to_end_mse(model, a, params.calib, ctx), allocs)
-            )
     return [end_to_end_mse(model, a, params.calib, ctx) for a in allocs]
 
 

@@ -31,7 +31,6 @@ relative.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -166,14 +165,48 @@ class ModelSpec:
         )
 
 
+class EvalCache:
+    """Prefix activations and the MSE memo of one evaluation scope.
+
+    A scope is one calibration input matrix (compared by identity, so two
+    calibration sets that share ``key()`` never alias) under one context
+    (``ctx.cache_key()`` and ``fp32_dense``).  For it the cache keeps the
+    activations entering each layer of the last forward (``acts[0]`` is the
+    input matrix itself, ``acts[j + 1]`` the output of layer j after the
+    leaky rectifier), the bits of the layers that produced them
+    (``bits[j]`` for ``acts[j + 1]``, so ``len(acts) == len(bits) + 1``
+    holds even if a forward raises part way), and the MSE of every
+    allocation evaluated, keyed by bit tuple.  Entering a new scope drops
+    all of it, so the cache never holds more than one scope.  ``hits`` and
+    ``misses`` count memo lookups over the cache's life.
+    """
+
+    def __init__(self):
+        self.ctx_key = None
+        self.bits = []
+        self.acts = []
+        self.mse = {}
+        self.hits = 0
+        self.misses = 0
+
+    def enter(self, xs: np.ndarray, ctx: QuantContext) -> None:
+        """Make (``xs``, ``ctx``) the scope, dropping any other one."""
+        ctx_key = (ctx.cache_key(), ctx.fp32_dense)
+        if self.acts and self.acts[0] is xs and self.ctx_key == ctx_key:
+            return
+        self.ctx_key = ctx_key
+        self.bits = []
+        self.acts = [xs]
+        self.mse = {}
+
+
 @dataclass
 class ToyModel:
     spec: ModelSpec
     weights: list
     _layer_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _branch_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _mse_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _fit_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    eval_cache: EvalCache = field(default_factory=EvalCache, repr=False, compare=False)
 
     @property
     def n_layers(self) -> int:
@@ -307,17 +340,12 @@ def _decomposition(model: ToyModel, i: int, ctx: QuantContext):
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
     key = (i, bits, ctx.cache_key())
     layer = model._layer_cache.get(key)
-    if layer is not None:
-        return layer
-    # concurrent evaluations of a cold model must not fit one layer twice
-    with model._fit_lock:
-        layer = model._layer_cache.get(key)
-        if layer is None:
-            lrb, gmb, w_res = _decomposition(model, i, ctx)
-            layer = assemble_layer(
-                w_res, lrb, gmb, bits, bits, model.dims[i], ctx.gmb_placement, ctx.deltas
-            )
-            model._layer_cache[key] = layer
+    if layer is None:
+        lrb, gmb, w_res = _decomposition(model, i, ctx)
+        layer = assemble_layer(
+            w_res, lrb, gmb, bits, bits, model.dims[i], ctx.gmb_placement, ctx.deltas
+        )
+        model._layer_cache[key] = layer
     return layer
 
 
@@ -345,8 +373,20 @@ def _validate_alloc(model: ToyModel, alloc: Mapping[int, int]):
             raise InvalidBitsError(f"allocation names unknown layer {key}")
 
 
-def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None) -> np.ndarray:
-    """Quantized forward, one input per row; layers at 32 bits run dense."""
+def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
+                  cache: EvalCache | None = None) -> np.ndarray:
+    """Quantized forward, one input per row; layers at 32 bits run dense.
+
+    ``cache`` is the model's own ``eval_cache`` or None.  With it, (``xs``,
+    ``ctx``) becomes the cache's scope and the forward resumes from the
+    longest prefix of layers whose bits match the cache's last forward: it
+    starts from the cached activation entering the first differing layer
+    (the last layer's output is not cached, so that layer always runs) and
+    caches the activations of the layers it runs.  A cached activation is
+    the very array an earlier forward in the same scope computed from the
+    same input through the same layers, so every layer sees the inputs a
+    full forward would give it and the result is bit-identical.
+    """
     if ctx is None:
         ctx = default_context()
     xs = as_matrix(xs)
@@ -355,14 +395,26 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None) -
             f"input width {xs.shape[1]} does not match model width {model.dims[0]}"
         )
     _validate_alloc(model, alloc)
-    for i in range(model.n_layers):
-        bits = alloc[i]
-        if bits == PASSTHROUGH_BITS and ctx.fp32_dense:
+    n = model.n_layers
+    bits = tuple(alloc[i] for i in range(n))
+    start = 0
+    if cache is not None:
+        cache.enter(xs, ctx)
+        while start < len(cache.bits) and bits[start] == cache.bits[start]:
+            start += 1
+        xs = cache.acts[start]
+        del cache.acts[start + 1:]
+        del cache.bits[start:]
+    for i in range(start, n):
+        if bits[i] == PASSTHROUGH_BITS and ctx.fp32_dense:
             xs = np.einsum("nd,od->no", xs, model.weights[i])
         else:
-            xs = forward_quantized_batch(_layer_for(model, i, bits, ctx), xs, ctx.deltas)
-        if i < model.n_layers - 1:
+            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs, ctx.deltas)
+        if i < n - 1:
             xs = np.where(xs > 0.0, xs, LEAKY_SLOPE * xs)
+            if cache is not None:
+                cache.acts.append(xs)
+                cache.bits.append(bits[i])
     return xs
 
 
@@ -397,20 +449,28 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     """Mean over the calibration set of |out - fp|^2 / output_dim.
 
     This is the search's performance indicator once environment bits are
-    folded into ``alloc``.  Results are memoized on the model keyed by
-    (allocation, calibration identity, context).
+    folded into ``alloc``.  Results are memoized in the model's
+    ``EvalCache`` by bit tuple, for the current scope only: the
+    calibration's input matrix (by identity) and ``ctx``.  A miss runs
+    ``forward_batch`` through the same cache, so it resumes from the
+    longest layer prefix shared with the previous evaluation and gives
+    the value a full forward gives, bit for bit.
     """
     if ctx is None:
         ctx = default_context()
     _validate_alloc(model, alloc)
-    key = (tuple(sorted(alloc.items())), calib.key(), ctx.cache_key(), ctx.fp32_dense)
-    hit = model._mse_cache.get(key)
+    cache = model.eval_cache
+    cache.enter(calib.input_matrix, ctx)
+    key = tuple(alloc[i] for i in range(model.n_layers))
+    hit = cache.mse.get(key)
     if hit is not None:
+        cache.hits += 1
         return hit
-    out = forward_batch(model, alloc, calib.input_matrix, ctx)
+    cache.misses += 1
+    out = forward_batch(model, alloc, calib.input_matrix, ctx, cache=cache)
     diff = out - calib.output_matrix
     mse = float(np.mean(diff * diff))
-    model._mse_cache[key] = mse
+    cache.mse[key] = mse
     return mse
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately takes a different route from the package code:
-closed-form normal integrals instead of quadrature, per-cell scipy ``ndtr``
+closed-form normal integrals (with a cell-aligned Gauss-Legendre
+quadrature as a second route to the same MSE), per-cell scipy ``ndtr``
 sums and Brent's method instead of the summed-by-parts stdlib bisection,
 exhaustive grids as a second check on the optimal step, O(n^2) dominance
 filtering instead of the sorted sweep, full enumeration instead of tree
@@ -14,7 +15,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from treeq.quantizer import round_half_away
 from treeq.toymodel import end_to_end_mse, mean_bitwidth
+
+QUAD_TAIL = 8.0
+QUAD_MIN_NODES = 2048
 
 
 def _phi(x):
@@ -54,6 +59,46 @@ def gaussian_quant_mse(delta, bits):
     )
     total = np.sum(cell, axis=0)
     return total if total.shape[0] > 1 else float(total[0])
+
+
+def mse_quadrature(delta: float, bits: int) -> float:
+    """E[(x - Q(x))^2] for x ~ N(0,1), by composite Gauss-Legendre on [-8, 8].
+
+    The integrand has kinks where the quantizer switches cells, at
+    (l + 1/2) * delta for integer l.  Panels are aligned to those cell
+    boundaries (then subdivided until there are at least QUAD_MIN_NODES
+    nodes total), so each panel integrates a smooth function and the MSE
+    is a smooth function of delta.  A fixed uniform panel grid would
+    instead produce spurious kinks as boundaries drift across panel edges.
+    The package calibrates by solving ``quantizer._stationarity`` instead,
+    so this route serves only as a second check on the closed form.
+    """
+    qmin = -(1 << (bits - 1))
+    qmax = (1 << (bits - 1)) - 1
+    bounds = (np.arange(qmin, qmax, dtype=np.float64) + 0.5) * delta
+    edges = np.unique(
+        np.concatenate(
+            [[-QUAD_TAIL], bounds[(bounds > -QUAD_TAIL) & (bounds < QUAD_TAIL)], [QUAD_TAIL]]
+        )
+    )
+    order = 8
+    panels = edges.shape[0] - 1
+    # subdivide every panel evenly until order * total panels >= QUAD_MIN_NODES
+    per = int(np.ceil(QUAD_MIN_NODES / (order * panels)))
+    if per > 1:
+        pieces = [
+            np.linspace(edges[i], edges[i + 1], per + 1)[:-1] for i in range(panels)
+        ]
+        edges = np.concatenate(pieces + [[QUAD_TAIL]])
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    lo = edges[:-1][:, None]
+    hi = edges[1:][:, None]
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (hi + lo) + half * nodes[None, :]
+    q = np.clip(round_half_away(x / delta), qmin, qmax) * delta
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    vals = (x - q) ** 2 * pdf
+    return float(np.sum(vals * weights[None, :] * half))
 
 
 def grid_optimal_delta(bits, step=1e-4, hi=4.0):

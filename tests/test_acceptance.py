@@ -345,7 +345,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             "outlier_scale": 8.0,
         },
         "calib": {"count": 8, "seed": 5},
-        "search": {"k": 8, "target": 3.0, "env_bits": 3, "candidates": [2, 3, 4, 5], "jobs": 1},
+        "search": {"k": 8, "target": 3.0, "env_bits": 3, "candidates": [2, 3, 4, 5]},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

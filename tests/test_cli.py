@@ -8,7 +8,6 @@ precedence, and the shape of each output document.
 
 import json
 import os
-import sys
 
 import pytest
 
@@ -26,7 +25,7 @@ SMALL_CFG = {
         "outlier_scale": 8.0,
     },
     "calib": {"count": 8, "seed": 5},
-    "search": {"k": 8, "target": 3.0, "env_bits": 3, "candidates": [2, 3, 4, 5], "jobs": 1},
+    "search": {"k": 8, "target": 3.0, "env_bits": 3, "candidates": [2, 3, 4, 5]},
 }
 
 
@@ -266,30 +265,3 @@ class TestAblate:
         with pytest.raises(SystemExit):
             main(["ablate", "--config", cfg_path])
 
-
-class TestJobs:
-    def test_parallel_search_fits_each_layer_once(self, cfg_path, tmp_path, monkeypatch):
-        import treeq.toymodel as toymodel
-
-        fits = []
-        fit = toymodel.branch_decomposition
-        monkeypatch.setattr(
-            toymodel, "branch_decomposition", lambda *a, **k: fits.append(1) or fit(*a, **k)
-        )
-        docs, counts = [], []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often so a racy fit would show
-        try:
-            for jobs in (1, 2):
-                fits.clear()
-                out = tmp_path / f"jobs{jobs}"
-                argv = ["search", "--config", cfg_path, "--jobs", str(jobs), "--out", str(out)]
-                assert main(argv) == 0
-                counts.append(len(fits))
-                doc = json.loads((out / "search.json").read_text())
-                doc.pop("wall_ms")
-                docs.append(doc)
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts == [SMALL_CFG["model"]["n_layers"]] * 2
-        assert docs[0] == docs[1]

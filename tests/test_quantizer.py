@@ -25,7 +25,7 @@ from treeq.quantizer import (
     round_half_away,
 )
 
-from oracles import gaussian_quant_mse, grid_optimal_delta, stationary_delta
+from oracles import gaussian_quant_mse, grid_optimal_delta, mse_quadrature, stationary_delta
 
 
 class TestRounding:
@@ -115,10 +115,8 @@ class TestCalibration:
     @pytest.mark.parametrize("bits", QUANT_BITS)
     def test_quadrature_agrees_with_closed_form(self, bits):
         # Same MSE surface by two unrelated integration routes.
-        from treeq.quantizer import _mse_quadrature
-
         for delta in (0.05, 0.2, 0.7, 1.3):
-            assert _mse_quadrature(delta, bits) == pytest.approx(
+            assert mse_quadrature(delta, bits) == pytest.approx(
                 gaussian_quant_mse(delta, bits), abs=1e-9
             )
 

@@ -6,7 +6,6 @@ search is checked against exhaustive enumeration on a 2-layer model (the
 """
 
 import itertools
-import threading
 import warnings
 
 import numpy as np
@@ -55,17 +54,12 @@ def small_calib(small_model):
 
 
 class TestEvalCounter:
-    def test_concurrent_adds(self):
+    def test_counts_adds(self):
         c = EvalCounter()
-        threads = [
-            threading.Thread(target=lambda: [c.add() for _ in range(1000)])
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value == 8000
+        for _ in range(1000):
+            c.add()
+        c.add(7)
+        assert c.value == 1007
 
 
 class TestParams:
@@ -94,10 +88,6 @@ class TestParams:
     def test_rejects_bad_env(self, small_calib):
         with pytest.raises(InvalidBitsError):
             SearchParams(calib=small_calib, env_bits=16)
-
-    def test_rejects_bad_jobs(self, small_calib):
-        with pytest.raises(InvalidBitsError):
-            SearchParams(calib=small_calib, jobs=0)
 
 
 class TestDominates:
@@ -346,18 +336,6 @@ class TestTssSearch:
         assert a.final == b.final
         assert a.indicator == b.indicator
         assert a.merge_trace == b.merge_trace
-
-    def test_parallel_equals_serial(self, small_model, small_calib):
-        ctx = default_context()
-        a = tss_search(
-            small_model, SearchParams(calib=small_calib, target=3.0, jobs=1), ctx
-        )
-        b = tss_search(
-            small_model, SearchParams(calib=small_calib, target=3.0, jobs=4), ctx
-        )
-        assert a.final == b.final
-        assert a.indicator == b.indicator
-        assert [e.config for e in a.root.entries] == [e.config for e in b.root.entries]
 
 
 class TestResultJson:

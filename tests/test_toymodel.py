@@ -7,20 +7,23 @@ same code at freeze time and detect change.  The end-to-end MSE pin is also
 reproduced from independently computed step sizes.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from treeq import branches
+from treeq import branches, toymodel
 from treeq.errors import InvalidBitsError, InvalidDimensionError
 from treeq.quantizer import QUANT_BITS, DeltaTable
+from treeq.search import SearchParams, tss_search
 from treeq.suite import exhaustive_spec
 from treeq.toymodel import (
     TAG_CALIB,
     TAG_WEIGHT,
     ModelSpec,
     QuantContext,
+    ToyModel,
     _gen_block,
     end_to_end_mse,
     forward,
@@ -276,10 +279,10 @@ class TestEndToEndMse:
         m = gen_model(exhaustive_spec(9))
         c = gen_calibration(m, 8, 2)
         alloc = {0: 2, 1: 3, 2: 4, 3: 5}
-        end_to_end_mse(m, alloc, c)
-        n = len(m._mse_cache)
-        end_to_end_mse(m, dict(reversed(alloc.items())), c)
-        assert len(m._mse_cache) == n
+        first = end_to_end_mse(m, alloc, c)
+        assert (m.eval_cache.hits, m.eval_cache.misses) == (0, 1)
+        assert end_to_end_mse(m, dict(reversed(alloc.items())), c) == first
+        assert (m.eval_cache.hits, m.eval_cache.misses) == (1, 1)
 
     def test_more_bits_lower_error(self):
         m = gen_model(exhaustive_spec(9))
@@ -309,6 +312,114 @@ class TestEndToEndMse:
         table = DeltaTable(deltas={b: stationary_delta(b) for b in QUANT_BITS})
         got = end_to_end_mse(m, {0: 3, 1: 4, 2: 2, 3: 5}, c, QuantContext(deltas=table))
         assert got == pytest.approx(0.4514087110541004, rel=1e-13)
+
+
+def _fresh(model):
+    """A model sharing ``model``'s weights and layer fits but not its EvalCache."""
+    return ToyModel(
+        spec=model.spec,
+        weights=model.weights,
+        _layer_cache=model._layer_cache,
+        _branch_cache=model._branch_cache,
+    )
+
+
+def _shared_prefix(a, b):
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+class TestEvalCache:
+    def test_bit_identical_to_fresh_model(self):
+        m = gen_model(exhaustive_spec(2))
+        calibs = [gen_calibration(m, 8, 3), gen_calibration(m, 8, 4)]
+        ctxs = [
+            QuantContext(),
+            QuantContext(fp32_dense=False),
+            QuantContext(r_gmb=0, use_gmb=False),
+            QuantContext(r_gmb=0, use_gmb=False, fp32_dense=False),
+        ]
+        rng = np.random.default_rng(0)
+        alloc = {i: 3 for i in range(4)}
+        calib, ctx = calibs[0], ctxs[0]
+        for _ in range(80):
+            # one layer changes per step, so consecutive evaluations share
+            # prefixes; now and then the calibration or the context switches
+            alloc[int(rng.integers(4))] = int(rng.choice((2, 3, 4, 32)))
+            if rng.random() < 0.2:
+                calib = calibs[int(rng.integers(2))]
+            if rng.random() < 0.2:
+                ctx = ctxs[int(rng.integers(4))]
+            got = end_to_end_mse(m, dict(alloc), calib, ctx)
+            assert got == end_to_end_mse(_fresh(m), dict(alloc), calib, ctx)
+        assert m.eval_cache.hits > 0
+
+    def test_runs_only_layers_after_shared_prefix(self, monkeypatch):
+        m = gen_model(exhaustive_spec(2))
+        c = gen_calibration(m, 8, 3)
+        calls = []
+        run = toymodel.forward_quantized_batch
+        monkeypatch.setattr(
+            toymodel, "forward_quantized_batch", lambda *a: calls.append(1) or run(*a)
+        )
+        rng = np.random.default_rng(1)
+        last, seen = (), set()
+        for _ in range(60):
+            bits = tuple(int(b) for b in rng.choice((2, 3, 4, 5), size=4))
+            calls.clear()
+            end_to_end_mse(m, dict(enumerate(bits)), c)
+            if bits in seen:
+                assert calls == []  # a memo hit runs no layer
+            else:
+                assert len(calls) == 4 - _shared_prefix(bits, last)
+                last = bits
+            seen.add(bits)
+
+    def test_forward_that_raises_leaves_cache_consistent(self, monkeypatch):
+        m = gen_model(exhaustive_spec(2))
+        c = gen_calibration(m, 8, 3)
+        a, b = {0: 2, 1: 3, 2: 4, 3: 5}, {0: 2, 1: 3, 2: 5, 3: 5}
+        end_to_end_mse(m, a, c)
+        run = toymodel.forward_quantized_batch
+
+        def fail_at_layer_2(layer, xs, table):
+            if layer is quantized_layer(m, 2, 5):
+                raise RuntimeError("fit failed")
+            return run(layer, xs, table)
+
+        monkeypatch.setattr(toymodel, "forward_quantized_batch", fail_at_layer_2)
+        with pytest.raises(RuntimeError):
+            end_to_end_mse(m, b, c)
+        monkeypatch.undo()
+        assert len(m.eval_cache.acts) == len(m.eval_cache.bits) + 1
+        for alloc in (b, a):
+            assert end_to_end_mse(m, alloc, c) == end_to_end_mse(_fresh(m), alloc, c)
+
+    def test_holds_one_scope_after_searches(self):
+        m = gen_model(ModelSpec(n_layers=3, dims=(16,) * 4, seed=1))
+        cache = m.eval_cache
+        for seed in range(5):
+            calib = gen_calibration(m, 8, seed)
+            misses = cache.misses
+            tss_search(m, SearchParams(calib=calib, k=4))
+            assert cache.acts[0] is calib.input_matrix
+            assert len(cache.acts) <= m.n_layers
+            # the memo holds this search's evaluations and nothing older
+            assert len(cache.mse) == cache.misses - misses > 0
+
+    def test_equal_calibration_keys_do_not_alias(self):
+        m = gen_model(exhaustive_spec(2))
+        a = gen_calibration(m, 8, 3)
+        b = dataclasses.replace(gen_calibration(m, 8, 4), seed=3)
+        assert a.key() == b.key()
+        alloc = {i: 3 for i in range(4)}
+        got_a = end_to_end_mse(m, alloc, a)
+        got_b = end_to_end_mse(m, alloc, b)
+        assert got_a != got_b
+        assert got_a == end_to_end_mse(_fresh(m), alloc, a)
+        assert got_b == end_to_end_mse(_fresh(m), alloc, b)
 
 
 class TestMeanBitwidth:
