@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidPartitionError, InvalidRankError
-from .linalg import as_matrix, hadamard, matmul, matvec, top_singular_pair, truncated_svd
+from .linalg import as_matrix, as_stack, hadamard, matmul, top_singular_pair, truncated_svd
 from .quantizer import (
     DeltaTable,
     PASSTHROUGH_BITS,
@@ -51,21 +51,26 @@ class LrbFactors:
         return matmul(self.a, self.b)
 
 
+def _fit_lrbs(w_h, r: int) -> list:
+    """Rank-r LRB of every matrix of a (B, m, n) stack, one truncated SVD call."""
+    count, rows, cols = w_h.shape
+    if r == 0:
+        return [LrbFactors(a=np.zeros((rows, 0)), b=np.zeros((0, cols)))] * count
+    if r < 0 or r > min(rows, cols):
+        raise InvalidRankError(f"LRB rank {r} invalid for shape {(rows, cols)}")
+    t = truncated_svd(w_h, r)
+    a = t.u * t.sigma[:, None, :]
+    b = np.swapaxes(t.v, 1, 2).copy()
+    return [LrbFactors(a=a[k], b=b[k]) for k in range(count)]
+
+
 def init_lrb(w_h, r: int) -> LrbFactors:
     """Rank-r factors of a rotated weight via truncated SVD.
 
     a absorbs the singular values (a = U_r diag(s_r), b = V_r^T).  r = 0
     returns empty factors whose product is the zero matrix.
     """
-    w_h = as_matrix(w_h)
-    if r == 0:
-        return LrbFactors(
-            a=np.zeros((w_h.shape[0], 0)), b=np.zeros((0, w_h.shape[1]))
-        )
-    if r < 0 or r > min(w_h.shape):
-        raise InvalidRankError(f"LRB rank {r} invalid for shape {w_h.shape}")
-    t = truncated_svd(w_h, r)
-    return LrbFactors(a=t.u * t.sigma[None, :], b=t.v.T.copy())
+    return _fit_lrbs(as_matrix(w_h)[None], r)[0]
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,20 @@ def gmb_budget_partitions(n_out: int, n_in: int, r: int) -> tuple[int, int]:
     return (r, r)
 
 
+def _fit_gmbs(m, n_o: int, n_i: int) -> list:
+    """GMB of every matrix of a (B, rows, cols) stack, one top_singular_pair call."""
+    count, rows, cols = m.shape
+    if n_o < 1 or n_i < 1 or rows % n_o or cols % n_i:
+        raise InvalidPartitionError(
+            f"partition {n_o} x {n_i} does not divide shape {(rows, cols)}"
+        )
+    blocks = m.reshape(count, n_o, rows // n_o, n_i, cols // n_i).transpose(0, 1, 3, 2, 4)
+    sigma, u, v = top_singular_pair(blocks)
+    return [
+        GmbFactors(n_o=n_o, n_i=n_i, sigma=sigma[k], u=u[k], v=v[k]) for k in range(count)
+    ]
+
+
 def gmb_decompose(m, n_o: int, n_i: int) -> GmbFactors:
     """Top singular pair of every block in an n_o x n_i partition of ``m``.
 
@@ -121,15 +140,7 @@ def gmb_decompose(m, n_o: int, n_i: int) -> GmbFactors:
     block's triple is bit-identical to the call on that block alone, and a
     zero block gets sigma 0 with canonical unit vectors.
     """
-    m = as_matrix(m)
-    rows, cols = m.shape
-    if n_o < 1 or n_i < 1 or rows % n_o or cols % n_i:
-        raise InvalidPartitionError(
-            f"partition {n_o} x {n_i} does not divide shape {m.shape}"
-        )
-    blocks = m.reshape(n_o, rows // n_o, n_i, cols // n_i).transpose(0, 2, 1, 3)
-    sigma, u, v = top_singular_pair(blocks)
-    return GmbFactors(n_o=n_o, n_i=n_i, sigma=sigma, u=u, v=v)
+    return _fit_gmbs(as_matrix(m)[None], n_o, n_i)[0]
 
 
 def gmb_reconstruct_blocks(f: GmbFactors) -> np.ndarray:
@@ -189,7 +200,7 @@ class QuantizedLinear:
     n: int
     gmb_placement: str = "post"
 
-    @cached_property
+    @property
     def h(self) -> np.ndarray:
         return hadamard(self.n)
 
@@ -229,9 +240,9 @@ def branch_decomposition(
     use_gmb: bool = True,
     order: str = "lrb_first",
     placement: str = "post",
-    lrb: LrbFactors | None = None,
+    lrb: LrbFactors | list | None = None,
 ):
-    """Fit the branches of one weight; independent of any bit-width.
+    """Fit the branches of one weight or a stack; independent of any bit-width.
 
     Default pipeline: W_H = W @ H, LRB fitted on W_H, GMB fitted on
     W_H - LRB.  ``order`` swaps which branch is fitted first; ``placement``
@@ -240,46 +251,72 @@ def branch_decomposition(
     W_H; it replaces the refit where ``lrb_fitted_first`` holds and is
     ignored otherwise.  Returns (lrb, gmb, w_res) with w_res the leftover
     handed to the residual quantizer.
+
+    ``w`` may also be a (B, m, n) stack of same-shape weights, with ``lrb``
+    then a list of B fits or None.  Every variant fits all LRBs of the
+    stack in one ``truncated_svd`` call and all GMB blocks in one
+    ``top_singular_pair`` call, and returns a list of B triples, each
+    bit-identical to fitting that weight alone.
     """
-    w = as_matrix(w)
+    stack = as_stack(w)
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
+        lrb = None if lrb is None else [lrb]
+    if stack.ndim != 3:
+        raise InvalidDimensionError(f"expected a weight or a stack of them, got ndim={stack.ndim}")
     h = as_matrix(h)
     if order not in GMB_ORDERS:
         raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
     if placement not in GMB_PLACEMENTS:
         raise InvalidPartitionError(f"placement must be one of {GMB_PLACEMENTS}")
-    if h.shape[0] != h.shape[1] or h.shape[0] != w.shape[1]:
+    count, rows, cols = stack.shape
+    if h.shape[0] != h.shape[1] or h.shape[0] != cols:
         raise InvalidDimensionError(
-            f"Hadamard shape {h.shape} does not match weight {w.shape}"
+            f"Hadamard shape {h.shape} does not match weight {(rows, cols)}"
         )
     with_gmb = use_gmb and r_gmb > 0
     if with_gmb:
-        n_o, n_i = gmb_budget_partitions(w.shape[0], w.shape[1], r_gmb)
-    w_h = matmul(w, h)
+        n_o, n_i = gmb_budget_partitions(rows, cols, r_gmb)
+    w_h = np.stack([matmul(wk, h) for wk in stack])
     if lrb_fitted_first(r_gmb, use_gmb=use_gmb, order=order, placement=placement):
         if lrb is None:
-            lrb = init_lrb(w_h, r_lrb)
-        elif lrb.rank != r_lrb or lrb.a.shape[0] != w.shape[0] or lrb.b.shape[1] != w.shape[1]:
+            lrb = _fit_lrbs(w_h, r_lrb)
+        elif len(lrb) != count or any(
+            f.rank != r_lrb or f.a.shape[0] != rows or f.b.shape[1] != cols for f in lrb
+        ):
             raise InvalidRankError(
-                f"given LRB {lrb.a.shape} @ {lrb.b.shape} is not rank {r_lrb} on {w.shape}"
+                f"given LRBs are not {count} of rank {r_lrb} on {(rows, cols)}"
             )
-    gmb = None
+    gmb = [None] * count
     if not with_gmb:
-        w_res = w_h - lrb.product()
+        w_res = w_h - _lrb_products(lrb)
     elif placement == "pre":
         # branch lives outside the rotation; fit on the raw weight,
         # then remove its rotated image from the residual
-        gmb = gmb_decompose(w, n_o, n_i)
-        shadow = matmul(gmb_reconstruct_blocks(gmb), h)
-        lrb = init_lrb(w_h - shadow, r_lrb)
-        w_res = w_h - shadow - lrb.product()
+        gmb = _fit_gmbs(stack, n_o, n_i)
+        shadow = np.stack([matmul(gmb_reconstruct_blocks(g), h) for g in gmb])
+        lrb = _fit_lrbs(w_h - shadow, r_lrb)
+        w_res = w_h - shadow - _lrb_products(lrb)
     elif order == "lrb_first":
-        gmb = gmb_decompose(w_h - lrb.product(), n_o, n_i)
-        w_res = w_h - lrb.product() - gmb_reconstruct_blocks(gmb)
+        lrb_h = _lrb_products(lrb)
+        gmb = _fit_gmbs(w_h - lrb_h, n_o, n_i)
+        w_res = w_h - lrb_h - _gmb_products(gmb)
     else:
-        gmb = gmb_decompose(w_h, n_o, n_i)
-        lrb = init_lrb(w_h - gmb_reconstruct_blocks(gmb), r_lrb)
-        w_res = w_h - gmb_reconstruct_blocks(gmb) - lrb.product()
-    return lrb, gmb, w_res
+        gmb = _fit_gmbs(w_h, n_o, n_i)
+        gmb_h = _gmb_products(gmb)
+        lrb = _fit_lrbs(w_h - gmb_h, r_lrb)
+        w_res = w_h - gmb_h - _lrb_products(lrb)
+    fits = list(zip(lrb, gmb, w_res))
+    return fits[0] if single else fits
+
+
+def _lrb_products(lrbs) -> np.ndarray:
+    return np.stack([f.product() for f in lrbs])
+
+
+def _gmb_products(gmbs) -> np.ndarray:
+    return np.stack([gmb_reconstruct_blocks(g) for g in gmbs])
 
 
 def assemble_layer(w_res, lrb, gmb, bits_w: int, bits_a: int, n: int,

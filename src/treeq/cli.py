@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .baselines import build_sensitivity_table, ip_allocate, uniform_allocate
 from .branches import qlinear_to_json
+from .errors import ConvergenceError
 from .quantizer import default_delta_table
 from .search import EvalCounter, SearchParams, result_to_json, tss_search
 from .toymodel import (
@@ -485,6 +486,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ConvergenceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except Exception as e:  # pragma: no cover - internal failure path
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -25,10 +25,12 @@ class InvalidSpanError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge within its iteration cap.
 
-    Carries the last observed residual so callers can decide whether the
-    partial answer is usable.
+    Carries the message without the residual and the last observed
+    residual, so callers can decide whether the partial answer is usable
+    or re-raise with more context.
     """
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual={residual:.3e})")
+        self.message = message
         self.residual = float(residual)

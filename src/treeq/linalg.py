@@ -8,6 +8,15 @@ Jacobi in Brent-Luk round-robin order (Brent & Luk, SIAM J. Sci. Stat.
 Comput. 1985): it needs no start vector, visits column pairs in a fixed
 order, and solves a whole stack of matrices at once, each bit-identical to
 solving it alone.
+
+The Jacobi rotates only the columns of A @ V and does not accumulate V (de
+Rijk, SIAM J. Sci. Stat. Comput. 1989).  Sigma and the Jacobi's left
+vectors (u, or v for a wide matrix) are exactly the bits a Jacobi that
+also rotated V would give.  The other side is recovered afterwards as
+V_r = A^T U_r / sigma_r and re-orthonormalised in descending-sigma order;
+it carries an error of about eps * sigma_1 / sigma_r, about 1e-14 on this
+package's weights.  No routine here writes its input: the Jacobi rotates
+its own copy, and ``hadamard`` hands out one shared read-only array.
 """
 
 from __future__ import annotations
@@ -43,6 +52,18 @@ def as_vector(x) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise InvalidDimensionError("vector contains non-finite entries")
     return m
+
+
+def as_stack(m) -> np.ndarray:
+    """Coerce ``m`` to a finite float64 array of shape (..., rows, cols), both >= 1."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2:
+        raise InvalidDimensionError(f"expected a matrix or a stack, got ndim={a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise InvalidDimensionError("matrix contains non-finite entries")
+    if a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise InvalidDimensionError("matrix must be at least 1 x 1")
+    return a
 
 
 def matmul(a, b) -> np.ndarray:
@@ -82,8 +103,8 @@ def hadamard(n: int) -> np.ndarray:
     """Normalized Sylvester Hadamard matrix of order ``n``.
 
     ``n`` must be a power of two, at most 4096.  Entries are +-1/sqrt(n) and
-    the matrix is symmetric and orthogonal.  Results are cached; callers get
-    a fresh writable copy each time.
+    the matrix is symmetric and orthogonal.  Results are cached and shared:
+    every caller gets the same read-only array, so no layer holds a copy.
     """
     if not isinstance(n, (int, np.integer)) or n < 1 or (n & (n - 1)) != 0:
         raise InvalidDimensionError(f"Hadamard order must be a power of two, got {n}")
@@ -97,12 +118,16 @@ def hadamard(n: int) -> np.ndarray:
         cached = h / np.sqrt(n)
         cached.setflags(write=False)
         _hadamard_cache[n] = cached
-    return cached.copy()
+    return cached
 
 
 @dataclass(frozen=True)
 class SvdTriple:
-    """Rank-r factorization: u (m x r), sigma (r,) non-increasing, v (n x r)."""
+    """Rank-r factorization: u (m x r), sigma (r,) non-increasing, v (n x r).
+
+    From a stack every field carries the stack's leading axes; ``product``
+    takes a single matrix's triple.
+    """
 
     u: np.ndarray
     sigma: np.ndarray
@@ -143,8 +168,10 @@ def _round_robin(n: int) -> tuple:
     return tuple(rounds)
 
 
-def _jacobi_columns(a):
-    """One-sided Jacobi on every matrix of a (B, m, n) stack with m >= n.
+def _jacobi_columns(cols):
+    """One-sided Jacobi on a (B, n, m) stack of column sets, n <= m.
+
+    cols[k, j] is column j of problem k, an m x n matrix A_k.
 
     Each sweep runs the round-robin rounds; a round rotates its disjoint
     column pairs in all problems at once.  A pair is left alone when
@@ -153,15 +180,15 @@ def _jacobi_columns(a):
     drops out of later sweeps, so each problem's result is bit-identical
     to solving it alone.
 
-    Returns (b, v) as row stacks: b[k, j] is column j of a[k] @ V_k and
-    v[k, j] is column j of V_k, with b[k]'s rows mutually orthogonal.
+    Only the columns of A_k @ V_k are rotated; V_k itself is not
+    accumulated (de Rijk, SIAM J. Sci. Stat. Comput. 1989).  The rotation
+    works on its own copy, so ``cols`` is never written.  Returns b of the
+    same shape: b[k, j] is column j of A_k @ V_k, and b[k]'s rows are
+    mutually orthogonal.
     """
-    count, m, n = a.shape
-    # row j of a problem holds column j of b followed by column j of v, so
-    # one gather and one rotation move both
-    w = np.concatenate(
-        [np.swapaxes(a, 1, 2), np.broadcast_to(np.eye(n), (count, n, n))], axis=2
-    )
+    count, n, m = cols.shape
+    # the scatter below writes in place, so never into the caller's buffer
+    w = cols.copy()
     todo = np.arange(count)
     for _ in range(JACOBI_SWEEP_CAP):
         sub = w[todo]
@@ -169,10 +196,9 @@ def _jacobi_columns(a):
         for pq in _round_robin(n):
             h = pq.size // 2
             pair = sub[:, pq]
-            b = pair[..., :m]
-            norms = np.einsum("bki,bki->bk", b, b)
+            norms = np.einsum("bki,bki->bk", pair, pair)
             alpha, beta = norms[:, :h], norms[:, h:]
-            gamma = np.einsum("bki,bki->bk", b[:, :h], b[:, h:])
+            gamma = np.einsum("bki,bki->bk", pair[:, :h], pair[:, h:])
             live = (alpha != 0.0) & (beta != 0.0)
             rel = np.abs(gamma) / np.sqrt(np.where(live, alpha * beta, 1.0))
             rel = np.where(live, rel, 0.0)
@@ -199,7 +225,7 @@ def _jacobi_columns(a):
         w[todo] = sub
         busy = worst > JACOBI_TOL
         if not busy.any():
-            return w[..., :m], w[..., m:]
+            return w
         todo = todo[busy]
     raise ConvergenceError(
         f"Jacobi SVD did not converge in {JACOBI_SWEEP_CAP} sweeps",
@@ -221,34 +247,68 @@ def _canonical_unit(prev) -> np.ndarray:
     raise InvalidRankError("no direction left orthogonal to previous vectors")
 
 
-def _fix_sign(u, v):
-    """Flip row pairs so the first entry of each u row with |u_i| > 1e-12 is positive."""
+def _fix_sign(u):
+    """Flip rows so the first entry of each u row with |u_i| > 1e-12 is positive."""
     big = np.abs(u) > 1e-12
     lead = np.take_along_axis(u, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
     sign = np.where(big.any(axis=-1) & (lead < 0.0), -1.0, 1.0)[..., None]
-    return u * sign, v * sign
+    return u * sign
+
+
+def _right_vectors(cols, u, sigma):
+    """Right singular vectors V_r = A^T U_r / sigma_r as a (B, r, n) row stack.
+
+    ``cols`` is the (B, n, m) column stack of the problems and ``u`` their
+    left vectors as (B, r, m) rows.  Recovered this way, v_j is off by
+    about eps * sigma_1 / sigma_j, so the rows are re-orthonormalised in
+    descending-sigma order: classical Gram-Schmidt against the rows before,
+    applied twice.  A row with no direction of its own (sigma 0, or
+    nothing left after the projection) gets a canonical unit instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.einsum("bpi,bji->bjp", cols, u) / sigma[..., None]
+    v[(sigma == 0.0) | ~np.isfinite(v).all(axis=-1)] = 0.0
+    for j in range(v.shape[1]):
+        w = v[:, j]
+        before = np.sqrt(np.einsum("bp,bp->b", w, w))
+        if j:
+            prev = v[:, :j]
+            for _ in range(2):
+                w = w - np.einsum("bkp,bk->bp", prev, np.einsum("bkp,bp->bk", prev, w))
+        nrm = np.sqrt(np.einsum("bp,bp->b", w, w))
+        lost = ~(nrm > 1e-6 * before)
+        v[:, j] = w / np.where(lost, 1.0, nrm)[:, None]
+        for k in np.nonzero(lost)[0]:
+            v[k, j] = _canonical_unit(v[k, :j])
+    return v
 
 
 def _svd(a, r: int):
     """Top-r SVD of each matrix of a (B, m, n) stack, sorted by descending sigma.
 
-    Returns u (B, m, r), sigma (B, r) and v (B, n, r), all C-contiguous.
-    Exact sigma ties keep column order.  A zero sigma gets a canonical unit
-    u orthogonal to the ones before it.  Signs follow ``_fix_sign`` on the
-    Jacobi's left vectors, which are v for a wide (n > m) stack.
+    Returns u (B, m, r), sigma (B, r) and v (B, n, r), all C-contiguous,
+    and never writes ``a``.  The Jacobi runs on the tall form of each
+    problem (a[k], or a[k]^T for a wide stack) and gives sigma and that
+    form's left vectors; exact sigma ties keep column order, and a zero
+    sigma gets a canonical unit orthogonal to the vectors before it.  Signs
+    follow ``_fix_sign`` on those left vectors, which are v for a wide
+    stack.  The other side is recovered by ``_right_vectors``.
     """
     transposed = a.shape[2] > a.shape[1]
-    b, v = _jacobi_columns(np.swapaxes(a, 1, 2) if transposed else a)
+    # cols[k, j] is column j of the tall form; for a C-contiguous wide
+    # stack this is ``a``'s own buffer, read here and copied by the Jacobi
+    cols = np.ascontiguousarray(a if transposed else np.swapaxes(a, 1, 2))
+    b = _jacobi_columns(cols)
     norms = np.sqrt(np.einsum("bji,bji->bj", b, b))
     order = np.argsort(-norms, axis=1, kind="stable")[:, :r]
     sigma = np.take_along_axis(norms, order, axis=1)
     b = np.take_along_axis(b, order[..., None], axis=1)
-    v = np.take_along_axis(v, order[..., None], axis=1)
     with np.errstate(invalid="ignore"):
         u = b / sigma[..., None]
     for k, j in zip(*np.nonzero(sigma == 0.0)):
         u[k, j] = _canonical_unit(u[k, :j])
-    u, v = _fix_sign(u, v)
+    u = _fix_sign(u)
+    v = _right_vectors(cols, u, sigma)
     if transposed:
         u, v = v, u
     return (
@@ -259,19 +319,24 @@ def _svd(a, r: int):
 
 
 def truncated_svd(m, r: int) -> SvdTriple:
-    """Best rank-``r`` factorization via one-sided Jacobi.
+    """Best rank-``r`` factorization of a matrix or of each matrix of a stack.
 
-    The full factorization is computed (the matrices here are small) and
-    the top r triples are returned.  Deterministic: fixed rotation order,
-    no random starts; exact singular-value ties keep column order.
+    A 2-D input gives u (m, r), sigma (r,) and v (n, r); an input of shape
+    (..., m, n) is solved in one batched Jacobi call and gives u (..., m,
+    r), sigma (..., r) and v (..., n, r), each entry bit-identical to the
+    2-D call on that matrix.  Deterministic: fixed rotation order, no
+    random starts; exact singular-value ties keep column order.
     """
-    a = as_matrix(m)
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidDimensionError("matrix must be at least 1 x 1")
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > min(a.shape):
+    a = as_stack(m)
+    *batch, rows, cols = a.shape
+    if not isinstance(r, (int, np.integer)) or r < 1 or r > min(rows, cols):
         raise InvalidRankError(f"rank {r} invalid for shape {a.shape}")
-    u, sigma, v = _svd(a[None], int(r))
-    return SvdTriple(u=u[0], sigma=sigma[0], v=v[0])
+    u, sigma, v = _svd(a.reshape(-1, rows, cols), int(r))
+    return SvdTriple(
+        u=u.reshape(*batch, rows, r),
+        sigma=sigma.reshape(*batch, r),
+        v=v.reshape(*batch, cols, r),
+    )
 
 
 def top_singular_pair(m):
@@ -285,14 +350,8 @@ def top_singular_pair(m):
     reproducible across runs.  A zero matrix yields sigma 0 with u and v
     the first canonical basis vectors.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim < 2:
-        raise InvalidDimensionError(f"expected a matrix or a stack, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise InvalidDimensionError("matrix contains non-finite entries")
+    a = as_stack(m)
     *batch, rows, cols = a.shape
-    if rows < 1 or cols < 1:
-        raise InvalidDimensionError("matrix must be at least 1 x 1")
     stack = a.reshape(-1, rows, cols)
     sigma = np.zeros(stack.shape[0])
     u = np.zeros((stack.shape[0], rows))

@@ -44,7 +44,7 @@ from .branches import (
     forward_quantized_batch,
     lrb_fitted_first,
 )
-from .errors import InvalidBitsError, InvalidDimensionError
+from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
 from .linalg import as_matrix, as_vector, hadamard
 from .quantizer import PASSTHROUGH_BITS, DeltaTable, default_delta_table
 
@@ -61,6 +61,10 @@ TAG_WEIGHT = 1
 TAG_OUTLIER = 2
 TAG_CALIB = 3
 TAG_DERIVE = 4
+
+# bytes of weights per stacked branch fit: a shape group of layers larger
+# than this is fitted in several calls (a layer alone if it is larger)
+FIT_STACK_BYTES = 1 << 24
 
 
 def gen(seed: int, index: int) -> int:
@@ -200,12 +204,34 @@ class EvalCache:
         self.mse = {}
 
 
+class FitCache:
+    """Every branch fit and quantized layer of one model.
+
+    Fits are eager and stacked: the first time a branch context needs any
+    layer, every layer is fitted under it, with one ``branch_decomposition``
+    call per group of same-shape layers (split to stay within
+    FIT_STACK_BYTES).  A layer's branch key is its effective ranks, GMB
+    switch, order and placement, so contexts that agree on them share one
+    fit.  The cache holds:
+
+    * ``decomps[(i,) + branch key]``: layer i's (lrb, gmb, w_res);
+    * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
+      alone, which every pipeline for which ``lrb_fitted_first`` holds
+      reuses, whatever its GMB rank;
+    * ``layers[(i, bits, ctx.cache_key())]``: the quantized layer.
+    """
+
+    def __init__(self):
+        self.decomps = {}
+        self.lrbs = {}
+        self.layers = {}
+
+
 @dataclass
 class ToyModel:
     spec: ModelSpec
     weights: list
-    _layer_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _branch_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    fit_cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
     eval_cache: EvalCache = field(default_factory=EvalCache, repr=False, compare=False)
 
     @property
@@ -310,47 +336,71 @@ def _effective_ranks(ctx: QuantContext, n_out: int, n_in: int) -> tuple[int, int
     return r_l, r_g
 
 
-def _decomposition(model: ToyModel, i: int, ctx: QuantContext):
-    """Branch fit of layer ``i`` under ``ctx``; bit-independent, cached on the model."""
-    w = model.weights[i]
-    r_l, r_g = _effective_ranks(ctx, w.shape[0], w.shape[1])
-    bkey = (i, r_l, r_g, ctx.use_gmb, ctx.gmb_order, ctx.gmb_placement)
-    decomp = model._branch_cache.get(bkey)
-    if decomp is None:
-        # an LRB fitted on W @ H alone serves every GMB rank
-        lkey = ("lrb", i, r_l)
-        decomp = branch_decomposition(
-            w,
-            r_l,
-            r_g,
-            hadamard(w.shape[1]),
-            use_gmb=ctx.use_gmb,
-            order=ctx.gmb_order,
-            placement=ctx.gmb_placement,
-            lrb=model._branch_cache.get(lkey),
-        )
-        model._branch_cache[bkey] = decomp
-        if lrb_fitted_first(
+def _branch_key(ctx: QuantContext, shape) -> tuple:
+    return _effective_ranks(ctx, *shape) + (ctx.use_gmb, ctx.gmb_order, ctx.gmb_placement)
+
+
+def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
+    """Fit every layer that has no fit under ``ctx`` yet, stacked by shape."""
+    cache = model.fit_cache
+    groups = {}
+    for i, w in enumerate(model.weights):
+        if (i,) + _branch_key(ctx, w.shape) not in cache.decomps:
+            groups.setdefault(w.shape, []).append(i)
+    for (n_out, n_in), layers in groups.items():
+        key = _branch_key(ctx, (n_out, n_in))
+        r_l, r_g = key[:2]
+        first = lrb_fitted_first(
             r_g, use_gmb=ctx.use_gmb, order=ctx.gmb_order, placement=ctx.gmb_placement
-        ):
-            model._branch_cache[lkey] = decomp[0]
-    return decomp
+        )
+        per_call = max(1, FIT_STACK_BYTES // (8 * n_out * n_in))
+        for start in range(0, len(layers), per_call):
+            chunk = layers[start : start + per_call]
+            lrbs = [cache.lrbs.get((i, r_l)) for i in chunk]
+            try:
+                decomps = branch_decomposition(
+                    np.stack([model.weights[i] for i in chunk]),
+                    r_l,
+                    r_g,
+                    hadamard(n_in),
+                    use_gmb=ctx.use_gmb,
+                    order=ctx.gmb_order,
+                    placement=ctx.gmb_placement,
+                    lrb=lrbs if first and all(f is not None for f in lrbs) else None,
+                )
+            except ConvergenceError as e:
+                names = ", ".join(map(str, chunk))
+                raise ConvergenceError(
+                    f"branch fit of layers {names}: {e.message}", e.residual
+                ) from e
+            for i, decomp in zip(chunk, decomps):
+                cache.decomps[(i,) + key] = decomp
+                if first:
+                    cache.lrbs[(i, r_l)] = decomp[0]
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
+    cache = model.fit_cache
     key = (i, bits, ctx.cache_key())
-    layer = model._layer_cache.get(key)
+    layer = cache.layers.get(key)
     if layer is None:
-        lrb, gmb, w_res = _decomposition(model, i, ctx)
+        dkey = (i,) + _branch_key(ctx, model.weights[i].shape)
+        if dkey not in cache.decomps:
+            _fit_all(model, ctx)
+        lrb, gmb, w_res = cache.decomps[dkey]
         layer = assemble_layer(
             w_res, lrb, gmb, bits, bits, model.dims[i], ctx.gmb_placement, ctx.deltas
         )
-        model._layer_cache[key] = layer
+        cache.layers[key] = layer
     return layer
 
 
 def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext | None = None) -> QuantizedLinear:
-    """Build (or fetch from cache) one layer's quantized form at ``bits``."""
+    """Build (or fetch from the model's ``fit_cache``) one layer's quantized form.
+
+    The first layer asked for under a branch context fits every layer of
+    the model under it (see ``FitCache``).
+    """
     if ctx is None:
         ctx = default_context()
     if not (0 <= i < model.n_layers):

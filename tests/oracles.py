@@ -6,7 +6,8 @@ quadrature as a second route to the same MSE), per-cell scipy ``ndtr``
 sums and Brent's method instead of the summed-by-parts stdlib bisection,
 exhaustive grids as a second check on the optimal step, O(n^2) dominance
 filtering instead of the sorted sweep, full enumeration instead of tree
-search.  scipy is a test-only dependency.
+search, LAPACK's SVD instead of one-sided Jacobi.  scipy is a test-only
+dependency.
 """
 
 import itertools
@@ -201,3 +202,20 @@ def brute_force_selection(frontier, target):
         frontier,
         key=lambda e: (abs(e.mean_bits - target), e.indicator, e.mean_bits),
     )
+
+
+def lapack_svd(m, r):
+    """Top-r SVD (u, sigma, v) of one matrix from LAPACK via ``np.linalg.svd``.
+
+    Each singular pair is flipped to treeq's sign convention: the first
+    entry above 1e-12 in magnitude of u (of v for a wide matrix) is
+    positive.  Meaningful only for singular values that are well separated.
+    """
+    u, sigma, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
+    u, sigma, v = u[:, :r], sigma[:r], vt[:r].T
+    lead = v if m.shape[1] > m.shape[0] else u
+    for j in range(r):
+        col = lead[:, j]
+        if col[np.abs(col) > 1e-12][0] < 0:
+            u[:, j], v[:, j] = -u[:, j], -v[:, j]
+    return u, sigma, v

@@ -7,6 +7,7 @@ the factored form is checked against the dense block assembly it must equal.
 import numpy as np
 import pytest
 
+from treeq import branches
 from treeq.branches import (
     GmbFactors,
     LrbFactors,
@@ -251,6 +252,58 @@ class TestBranchDecomposition:
     def test_rejects_mismatched_hadamard(self):
         with pytest.raises(InvalidDimensionError):
             branch_decomposition(np.ones((4, 8)), 1, 1, hadamard(4))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PIPELINES = [{"use_gmb": False}, {"order": "lrb_first"}, {"order": "gmb_first"}, {"placement": "pre"}]
+
+
+class TestStackedDecomposition:
+    @pytest.mark.parametrize("kwargs", PIPELINES)
+    def test_stack_equals_each_weight_alone(self, kwargs):
+        stack = np.stack([seeded_matrix(16, 32, seed=30 + k) for k in range(5)])
+        stack[3] *= 1e-3  # its own number of sweeps
+        h = hadamard(32)
+        r_gmb = 0 if kwargs.get("use_gmb") is False else 4
+        fits = branch_decomposition(stack, 4, r_gmb, h, **kwargs)
+        assert len(fits) == 5
+        placement = kwargs.get("placement", "post")
+        for k, (lrb, gmb, w_res) in enumerate(fits):
+            a_lrb, a_gmb, a_res = branch_decomposition(stack[k], 4, r_gmb, h, **kwargs)
+            assert same_bits(lrb.a, a_lrb.a) and same_bits(lrb.b, a_lrb.b)
+            assert same_bits(w_res, a_res)
+            assert (gmb is None) == (a_gmb is None) == (r_gmb == 0)
+            if gmb is not None:
+                assert same_bits(gmb.sigma, a_gmb.sigma)
+                assert same_bits(gmb.u, a_gmb.u) and same_bits(gmb.v, a_gmb.v)
+            layer = assemble_layer(w_res, lrb, gmb, 3, 3, 32, placement)
+            alone = assemble_layer(a_res, a_lrb, a_gmb, 3, 3, 32, placement)
+            assert same_bits(layer.q_res, alone.q_res)
+            assert same_bits(layer.branch_h, alone.branch_h)
+
+    def test_one_svd_call_per_branch_type(self, monkeypatch):
+        calls = []
+        for name in ("truncated_svd", "top_singular_pair"):
+            fit = getattr(branches, name)
+            monkeypatch.setattr(
+                branches, name, lambda m, *a, _f=fit, _n=name: calls.append((_n, m.shape)) or _f(m, *a)
+            )
+        stack = np.stack([seeded_matrix(16, 16, seed=50 + k) for k in range(3)])
+        branch_decomposition(stack, 4, 4, hadamard(16), order="gmb_first")
+        assert calls == [("top_singular_pair", (3, 4, 4, 4, 4)), ("truncated_svd", (3, 16, 16))]
+
+    def test_given_lrbs_must_match_the_stack(self):
+        stack = np.stack([seeded_matrix(8, 8, seed=60 + k) for k in range(2)])
+        h = hadamard(8)
+        lrbs = [init_lrb(matmul(w, h), 2) for w in stack]
+        with pytest.raises(InvalidRankError):
+            branch_decomposition(stack, 2, 2, h, lrb=lrbs[:1])
+        reused = branch_decomposition(stack, 2, 2, h, lrb=lrbs)
+        assert all(fit[0] is given for fit, given in zip(reused, lrbs))
 
 
 class TestQuantizedLayer:

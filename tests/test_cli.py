@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from treeq import linalg
 from treeq.cli import main
 from treeq.quantizer import default_delta_table
 from treeq.toymodel import ModelSpec
@@ -157,6 +158,14 @@ class TestSearch:
         b = json.loads(open(os.path.join(out_b, "search.json")).read())
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+    def test_non_convergence_exits_1_naming_the_layers(self, cfg_path, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "JACOBI_SWEEP_CAP", 1)
+        assert main(["search", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: branch fit of layers 0, 1, 2, 3: ")
+        assert "did not converge in 1 sweeps (residual=" in err
+        assert "internal error" not in err
 
 
 class TestQuantize:

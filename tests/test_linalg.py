@@ -1,7 +1,8 @@
 """Linear-algebra kernel tests.
 
 The SVD here is hand-rolled (one-sided Jacobi, batched over a stack of
-matrices), so it is checked against numpy's LAPACK-backed ``np.linalg.svd``
+matrices, with the right vectors recovered afterwards), so it is checked
+against numpy's LAPACK-backed ``np.linalg.svd`` (``oracles.lapack_svd``)
 and ``eigh`` as independent oracles.  Those oracles are allowed in tests
 only; the package itself never calls them.
 """
@@ -27,6 +28,7 @@ from treeq.linalg import (
 )
 
 from conftest import seeded_matrix
+from oracles import lapack_svd
 
 
 def matmul_ref(a, b):
@@ -109,10 +111,13 @@ class TestHadamard:
         with pytest.raises(InvalidDimensionError):
             hadamard(MAX_HADAMARD * 2)
 
-    def test_cache_returns_fresh_copies(self):
+    def test_cache_is_shared_and_read_only(self):
         a = hadamard(8)
-        a[0, 0] = 99.0
-        assert hadamard(8)[0, 0] != 99.0
+        want = a.copy()
+        with pytest.raises(ValueError):
+            a[0, 0] = 99.0
+        assert hadamard(8) is a
+        assert np.array_equal(hadamard(8), want)
 
     def test_sylvester_recursion(self):
         # H_{2n} = [[H_n, H_n], [H_n, -H_n]] / sqrt(2)
@@ -301,8 +306,54 @@ class TestBatchedJacobi:
         assert np.allclose(tri.u.T @ tri.u, np.eye(r), atol=1e-12)
         assert np.allclose(tri.v.T @ tri.v, np.eye(r), atol=1e-12)
 
+    def test_truncated_svd_stack_matches_2d_calls(self):
+        stack = np.stack([seeded_matrix(9, 5, seed=100 + k) for k in range(6)])
+        stack = stack.reshape(2, 3, 9, 5)
+        tri = truncated_svd(stack, 3)
+        assert tri.u.shape == (2, 3, 9, 3) and tri.v.shape == (2, 3, 5, 3)
+        for j in range(2):
+            for k in range(3):
+                alone = truncated_svd(stack[j, k], 3)
+                assert same_bits(tri.sigma[j, k], alone.sigma)
+                assert same_bits(tri.u[j, k], alone.u) and same_bits(tri.v[j, k], alone.v)
+
+    @pytest.mark.parametrize(
+        "shape,r", [((12, 8), 8), ((8, 12), 8), ((16, 16), 16), ((64, 64), 16)]
+    )
+    def test_vectors_match_lapack(self, shape, r):
+        # v is recovered as A^T u / sigma, not rotated along with u
+        m = seeded_matrix(*shape, seed=sum(shape) + r)
+        tri = truncated_svd(m, r)
+        u, sigma, v = lapack_svd(m, r)
+        assert np.allclose(tri.sigma, sigma, atol=1e-10)
+        assert np.allclose(tri.u, u, atol=1e-10)
+        assert np.allclose(tri.v, v, atol=1e-10)
+
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "JACOBI_SWEEP_CAP", 1)
         with pytest.raises(ConvergenceError) as err:
             truncated_svd(seeded_matrix(8, 8, seed=90), 8)
         assert err.value.residual > linalg.JACOBI_TOL
+
+
+class TestInputsUntouched:
+    """No SVD entry point writes the array it is given.
+
+    A C-contiguous wide stack is the case to watch: its tall form's
+    columns are the input's own rows, so a Jacobi that rotated in place
+    would rotate the caller's matrix.
+    """
+
+    @pytest.mark.parametrize(
+        "shape", [(9, 6), (6, 9), (1, 5, 12), (4, 12, 5), (4, 5, 12), (2, 3, 4, 9)]
+    )
+    def test_entry_points_never_write(self, shape):
+        a = seeded_matrix(int(np.prod(shape[:-1])), shape[-1], seed=120).reshape(shape)
+        want = a.copy()
+        r = min(shape[-2:])
+        linalg._svd(a.reshape(-1, *shape[-2:]), r)
+        assert same_bits(a, want)
+        truncated_svd(a, r)
+        assert same_bits(a, want)
+        top_singular_pair(a)
+        assert same_bits(a, want)

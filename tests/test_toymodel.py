@@ -13,8 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from treeq import branches, toymodel
-from treeq.errors import InvalidBitsError, InvalidDimensionError
+from treeq import branches, linalg, toymodel
+from treeq.errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
 from treeq.quantizer import QUANT_BITS, DeltaTable
 from treeq.search import SearchParams, tss_search
 from treeq.suite import exhaustive_spec
@@ -204,12 +204,17 @@ class TestLayerCache:
         b = quantized_layer(m, 0, 3)
         assert a is b
 
-    def test_branch_fit_shared_across_bits(self):
+    def test_branch_fit_shared_across_bits(self, monkeypatch):
+        calls = []
+        fit = toymodel.branch_decomposition
+        monkeypatch.setattr(
+            toymodel, "branch_decomposition", lambda *a, **k: calls.append(1) or fit(*a, **k)
+        )
         m = gen_model(exhaustive_spec(7))
         quantized_layer(m, 1, 2)
-        n_after_first = len(m._branch_cache)
+        n_fits = (len(calls), len(m.fit_cache.decomps))
         quantized_layer(m, 1, 5)
-        assert len(m._branch_cache) == n_after_first
+        assert (len(calls), len(m.fit_cache.decomps)) == n_fits
 
     def test_range_check(self):
         m = gen_model(exhaustive_spec(7))
@@ -237,6 +242,56 @@ class TestLayerCache:
             alone = quantized_layer(gen_model(exhaustive_spec(7)), 0, 3, ctx)
             assert np.array_equal(layer.q_res, alone.q_res)
             assert np.array_equal(layer.branch_h, alone.branch_h)
+
+
+def two_group_spec(seed):
+    # layer shapes alternate (64, 32) and (32, 64): two shape groups of two
+    return ModelSpec(n_layers=4, dims=(32, 64, 32, 64, 32), seed=seed,
+                     outlier_fraction=0.02, outlier_scale=8.0)
+
+
+class TestStackedFit:
+    CONTEXTS = [QuantContext(), QuantContext(gmb_order="gmb_first"), QuantContext(gmb_placement="pre")]
+
+    def _count_svds(self, monkeypatch):
+        shapes = []
+        fit = branches.truncated_svd
+        monkeypatch.setattr(branches, "truncated_svd", lambda *a: shapes.append(a[0].shape) or fit(*a))
+        return shapes
+
+    def test_one_lrb_stack_per_shape_group(self, monkeypatch):
+        shapes = self._count_svds(monkeypatch)
+        m = gen_model(two_group_spec(5))
+        quantized_layer(m, 2, 3)
+        # the first use fits every layer, stacked by shape
+        assert sorted(shapes) == [(2, 32, 64), (2, 64, 32)]
+        assert len(m.fit_cache.decomps) == 4
+        for i in range(4):
+            quantized_layer(m, i, 4)
+        assert len(shapes) == 2
+
+    def test_split_stacks_give_the_same_bits(self, monkeypatch):
+        whole = gen_model(two_group_spec(6))
+        want = [[quantized_layer(whole, i, 3, ctx) for i in range(4)] for ctx in self.CONTEXTS]
+        monkeypatch.setattr(toymodel, "FIT_STACK_BYTES", 1)
+        shapes = self._count_svds(monkeypatch)
+        split = gen_model(two_group_spec(6))
+        for ctx, layers in zip(self.CONTEXTS, want):
+            for i, layer in enumerate(layers):
+                got = quantized_layer(split, i, 3, ctx)
+                assert got.q_res.tobytes() == layer.q_res.tobytes()
+                assert got.branch_h.tobytes() == layer.branch_h.tobytes()
+                assert got.lrb.a.tobytes() == layer.lrb.a.tobytes()
+                assert got.gmb.u.tobytes() == layer.gmb.u.tobytes()
+        assert all(shape[0] == 1 for shape in shapes) and len(shapes) == 4 * 3
+
+    def test_non_convergence_names_the_layers(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_SWEEP_CAP", 1)
+        m = gen_model(two_group_spec(7))
+        with pytest.raises(ConvergenceError, match=r"^branch fit of layers 0, 2: ") as err:
+            quantized_layer(m, 3, 3)
+        assert err.value.residual > linalg.JACOBI_TOL
+        assert m.fit_cache.decomps == {}
 
 
 class TestCalibration:
@@ -319,8 +374,7 @@ def _fresh(model):
     return ToyModel(
         spec=model.spec,
         weights=model.weights,
-        _layer_cache=model._layer_cache,
-        _branch_cache=model._branch_cache,
+        fit_cache=model.fit_cache,
     )
 
 
