@@ -10,7 +10,6 @@ from .branches import (
     GmbFactors,
     LrbFactors,
     QuantizedLinear,
-    forward_quantized,
     gmb_build_factored,
     gmb_decompose,
     gmb_reconstruct_blocks,
@@ -23,7 +22,6 @@ from .quantizer import (
     QuantizerSpec,
     calibrate_delta,
     default_delta_table,
-    quantize_activation,
     quantize_uniform,
     quantize_weight_channelwise,
 )
@@ -53,7 +51,6 @@ from .toymodel import (
     QuantContext,
     ToyModel,
     end_to_end_mse,
-    forward,
     forward_batch,
     gen_calibration,
     gen_model,

@@ -10,7 +10,14 @@ Two branch types capture weight structure that survives quantization badly:
   grid-transpose permutation P.
 
 Both branches stay in floating point; only the residual left after
-subtracting them gets quantized.
+subtracting them gets quantized, to an int8 grid with one scale per row.
+The forward multiplies that grid with the activation's integer grid in one
+BLAS ``matmul``.  Every term of that product is an integer of magnitude at
+most 2^14 (8-bit grids) and every partial sum of a row of at most 1024
+terms at most 2^24, far inside float64's exact integer range, so the sum is
+exact in any order: the product does not depend on the BLAS build, its
+thread count or the SIMD target.  All other products are fixed-order
+``einsum`` calls, as in ``linalg``.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .linalg import as_matrix, as_stack, hadamard, matmul, top_singular_pair, tr
 from .quantizer import (
     DeltaTable,
     PASSTHROUGH_BITS,
+    WeightGrid,
     quantize_rotated_batch,
     quantize_weight_channelwise,
 )
@@ -182,6 +190,34 @@ def gmb_build_factored(f: GmbFactors):
 
 
 @dataclass(frozen=True)
+class Branches:
+    """One layer's fitted side branches and their dense matrices.
+
+    The dense matrices are built on first use and kept here, so every
+    bit-width quantized from one fit shares them.
+    """
+
+    lrb: LrbFactors
+    gmb: GmbFactors | None
+    placement: str = "post"
+
+    @cached_property
+    def post(self) -> np.ndarray:
+        """Combined branch matrix applied to the rotated activation."""
+        total = self.lrb.product()
+        if self.gmb is not None and self.placement == "post":
+            total = total + gmb_reconstruct_blocks(self.gmb)
+        return total
+
+    @cached_property
+    def pre(self) -> np.ndarray | None:
+        """Branch applied to the raw activation (pre-rotation placement only)."""
+        if self.gmb is not None and self.placement == "pre":
+            return gmb_reconstruct_blocks(self.gmb)
+        return None
+
+
+@dataclass(frozen=True)
 class QuantizedLinear:
     """One quantized layer: integer-grid residual plus floating branches.
 
@@ -189,35 +225,48 @@ class QuantizedLinear:
         y = q_res @ Q_act(x) + branch_h @ (H^T x) [+ branch_pre @ x]
     where Q_act rotates and quantizes the activation at ``bits_a``.  With
     the default post-rotation placement every branch acts on H^T x and
-    ``branch_pre`` is absent.
+    ``branch_pre`` is absent.  The layer holds only its residual grid
+    (``weight``) and a reference to the shared ``branches``; ``q_res`` is
+    derived from the grid on each access.
     """
 
-    q_res: np.ndarray
-    lrb: LrbFactors
-    gmb: GmbFactors | None
-    bits_w: int
+    weight: WeightGrid
+    branches: Branches
     bits_a: int
     n: int
-    gmb_placement: str = "post"
+
+    @property
+    def bits_w(self) -> int:
+        return self.weight.bits
+
+    @property
+    def lrb(self) -> LrbFactors:
+        return self.branches.lrb
+
+    @property
+    def gmb(self) -> GmbFactors | None:
+        return self.branches.gmb
+
+    @property
+    def gmb_placement(self) -> str:
+        return self.branches.placement
 
     @property
     def h(self) -> np.ndarray:
         return hadamard(self.n)
 
-    @cached_property
-    def branch_h(self) -> np.ndarray:
-        """Combined branch matrix applied to the rotated activation."""
-        total = self.lrb.product()
-        if self.gmb is not None and self.gmb_placement == "post":
-            total = total + gmb_reconstruct_blocks(self.gmb)
-        return total
+    @property
+    def q_res(self) -> np.ndarray:
+        """The quantized residual as float64, scale * (q * delta) per row."""
+        return self.weight.dense()
 
-    @cached_property
+    @property
+    def branch_h(self) -> np.ndarray:
+        return self.branches.post
+
+    @property
     def branch_pre(self) -> np.ndarray | None:
-        """Branch applied to the raw activation (pre-rotation placement only)."""
-        if self.gmb is not None and self.gmb_placement == "pre":
-            return gmb_reconstruct_blocks(self.gmb)
-        return None
+        return self.branches.pre
 
 
 def lrb_fitted_first(
@@ -319,17 +368,14 @@ def _gmb_products(gmbs) -> np.ndarray:
     return np.stack([gmb_reconstruct_blocks(g) for g in gmbs])
 
 
-def assemble_layer(w_res, lrb, gmb, bits_w: int, bits_a: int, n: int,
-                   placement: str = "post", table: DeltaTable | None = None) -> QuantizedLinear:
+def assemble_layer(w_res, branches: Branches, bits_w: int, bits_a: int, n: int,
+                   table: DeltaTable | None = None) -> QuantizedLinear:
     """Quantize a decomposition's residual and package the layer."""
     return QuantizedLinear(
-        q_res=quantize_weight_channelwise(w_res, bits_w, table),
-        lrb=lrb,
-        gmb=gmb,
-        bits_w=int(bits_w),
+        weight=quantize_weight_channelwise(w_res, bits_w, table),
+        branches=branches,
         bits_a=int(bits_a),
         n=int(n),
-        gmb_placement=placement,
     )
 
 
@@ -358,28 +404,47 @@ def quantize_layer(
         w, r_lrb, r_gmb, h, use_gmb=use_gmb, order=order, placement=placement
     )
     return assemble_layer(
-        w_res, lrb, gmb, bits_w, bits_a, as_matrix(w).shape[1], placement, table
+        w_res, Branches(lrb, gmb, placement), bits_w, bits_a, as_matrix(w).shape[1], table
     )
 
 
-def forward_quantized(layer: QuantizedLinear, x, table: DeltaTable | None = None):
-    """Quantized forward for one activation vector."""
-    return forward_quantized_batch(layer, np.asarray(x, dtype=np.float64)[None, :], table)[0]
+def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
+    """(grid @ weight.q^T) * step[:, None] * weight.step, the grid product exact.
+
+    ``grid`` holds the activations' integers (one token per row) and
+    ``step`` their per-token steps.  The integer product runs as one BLAS
+    ``matmul`` on float64 copies of both grids, which is exact (see the
+    module docstring), so the result is the same bits on every BLAS build,
+    thread count and SIMD target.
+    """
+    out = np.matmul(grid, weight.q.astype(np.float64).T)
+    out *= step[:, None]
+    out *= weight.step
+    return out
 
 
 def forward_quantized_batch(layer: QuantizedLinear, xs, table: DeltaTable | None = None):
-    """Quantized forward, one token per row of ``xs``."""
+    """Quantized forward, one token per row of ``xs``.
+
+    The residual product multiplies the two integer grids exactly (see the
+    module docstring) and then scales row i, column c by
+    step_a[i] * step_w[c].  A layer with either width at 32 bits multiplies
+    the float activation and residual with ``einsum`` instead.
+    """
     xs = as_matrix(xs)
     if xs.shape[1] != layer.n:
         raise InvalidDimensionError(
             f"activation width {xs.shape[1]} does not match layer width {layer.n}"
         )
     rotated = np.einsum("nj,ji->ni", xs, layer.h)
-    qact = quantize_rotated_batch(rotated, layer.bits_a, table)
-    out = np.einsum("nd,od->no", qact, layer.q_res)
-    out = out + np.einsum("nd,od->no", rotated, layer.branch_h)
+    grid, step = quantize_rotated_batch(rotated, layer.bits_a, table)
+    if PASSTHROUGH_BITS in (layer.bits_a, layer.bits_w):
+        out = np.einsum("nd,od->no", grid * step[:, None], layer.q_res)
+    else:
+        out = residual_product(grid, step, layer.weight)
+    out += np.einsum("nd,od->no", rotated, layer.branch_h)
     if layer.branch_pre is not None:
-        out = out + np.einsum("nd,od->no", xs, layer.branch_pre)
+        out += np.einsum("nd,od->no", xs, layer.branch_pre)
     return out
 
 
@@ -387,7 +452,7 @@ def _matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [float(v) for v in m.ravel()],
+        "data": m.ravel().tolist(),
     }
 
 
@@ -407,6 +472,9 @@ def qlinear_to_json(layer: QuantizedLinear) -> str:
         },
         "gmb": None,
         "q_res": _matrix_to_json(layer.q_res),
+        "w_grid": _matrix_to_json(layer.weight.q),
+        "w_scale": [float(v) for v in layer.weight.scale],
+        "w_delta": layer.weight.delta,
     }
     if layer.gmb is not None:
         doc["gmb"] = {
@@ -433,15 +501,21 @@ def qlinear_from_json(text: str) -> QuantizedLinear:
             u=np.asarray(g["u"], dtype=np.float64),
             v=np.asarray(g["v"], dtype=np.float64),
         )
+    bits_w = int(doc["bits_w"])
+    grid = _matrix_from_json(doc["w_grid"])
+    weight = WeightGrid(
+        q=grid if bits_w == PASSTHROUGH_BITS else grid.astype(np.int8),
+        scale=np.asarray(doc["w_scale"], dtype=np.float64),
+        delta=float(doc["w_delta"]),
+        bits=bits_w,
+    )
+    lrb = LrbFactors(
+        a=_matrix_from_json(doc["lrb"]["a"]),
+        b=_matrix_from_json(doc["lrb"]["b"]),
+    )
     return QuantizedLinear(
-        q_res=_matrix_from_json(doc["q_res"]),
-        lrb=LrbFactors(
-            a=_matrix_from_json(doc["lrb"]["a"]),
-            b=_matrix_from_json(doc["lrb"]["b"]),
-        ),
-        gmb=gmb,
-        bits_w=int(doc["bits_w"]),
+        weight=weight,
+        branches=Branches(lrb, gmb, doc.get("gmb_placement", "post")),
         bits_a=int(doc["bits_a"]),
         n=int(doc["n"]),
-        gmb_placement=doc.get("gmb_placement", "post"),
     )

@@ -3,7 +3,11 @@
 Every routine here is a pure function of its input: on one build (numpy
 version and CPU) it returns the same bits on every run.  Products and
 reductions go through ``np.einsum``, which fixes the accumulation order and
-calls no BLAS, so a BLAS thread setting never enters.  The SVD is one-sided
+calls no BLAS, so a BLAS thread setting never enters.  The package's one
+BLAS product is the quantized layer's residual product
+(``branches.residual_product``): it multiplies two integer grids whose
+row sums stay below 2^24 in magnitude, so float64 holds every partial sum
+exactly and the result is the same in any accumulation order.  The SVD is one-sided
 Jacobi in Brent-Luk round-robin order (Brent & Luk, SIAM J. Sci. Stat.
 Comput. 1985): it needs no start vector, visits column pairs in a fixed
 order, and solves a whole stack of matrices at once, each bit-identical to
@@ -75,28 +79,6 @@ def matmul(a, b) -> np.ndarray:
             f"inner dimensions differ: {a.shape} x {b.shape}"
         )
     return np.einsum("ij,jk->ik", a, b)
-
-
-def matvec(a, x) -> np.ndarray:
-    """Matrix-vector product, bit-identical to the matching row of matmul."""
-    a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise InvalidDimensionError(
-            f"inner dimensions differ: {a.shape} x ({x.shape[0]},)"
-        )
-    return np.einsum("ij,j->i", a, x)
-
-
-def matvec_t(a, x) -> np.ndarray:
-    """Product A^T x without materialising the transpose."""
-    a = as_matrix(a)
-    x = as_vector(x)
-    if a.shape[0] != x.shape[0]:
-        raise InvalidDimensionError(
-            f"inner dimensions differ: {a.shape}^T x ({x.shape[0]},)"
-        )
-    return np.einsum("ji,j->i", a, x)
 
 
 def hadamard(n: int) -> np.ndarray:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidBitsError, InvalidDimensionError
-from .linalg import as_matrix, as_vector, matvec_t
+from .errors import InvalidBitsError
+from .linalg import as_matrix
 
 QUANT_BITS = (2, 3, 4, 5, 6, 7, 8)
 PASSTHROUGH_BITS = 32
@@ -55,9 +55,20 @@ class QuantizerSpec:
 
 
 def round_half_away(y):
-    """Round to nearest integer, halves away from zero (unlike banker's rounding)."""
+    """Round to nearest integer, halves away from zero (unlike banker's rounding).
+
+    Computed as trunc(y + copysign(1/2, y)); a zero, or anything that rounds
+    to zero, keeps its sign.
+    """
     y = np.asarray(y, dtype=np.float64)
-    return np.sign(y) * np.floor(np.abs(y) + 0.5)
+    return np.trunc(y + np.copysign(0.5, y))
+
+
+def _grid(t, spec: QuantizerSpec):
+    """clamp(round_half_away(t)) onto ``spec``'s integers, overwriting ``t``."""
+    t += np.copysign(0.5, t)
+    np.trunc(t, out=t)
+    return np.clip(t, spec.qmin, spec.qmax, out=t)
 
 
 def quantize_uniform(x, spec: QuantizerSpec):
@@ -69,8 +80,7 @@ def quantize_uniform(x, spec: QuantizerSpec):
     arr = np.asarray(x, dtype=np.float64)
     if spec.bits == PASSTHROUGH_BITS:
         return arr.copy()
-    q = np.clip(round_half_away(arr / spec.delta), spec.qmin, spec.qmax)
-    return q * spec.delta
+    return _grid(arr / spec.delta, spec) * spec.delta
 
 
 def _stationarity(delta: float, bits: int) -> float:
@@ -165,70 +175,77 @@ def default_delta_table() -> DeltaTable:
     return DeltaTable(deltas={b: calibrate_delta(b) for b in QUANT_BITS})
 
 
-def quantize_activation(x, bits: int, h, table: DeltaTable | None = None):
-    """Rotate an activation vector into the Hadamard domain and quantize it.
-
-    Computes y = H^T x, then sigma * Q(y / sigma) with the per-token scale
-    sigma = RMS(y).  Bit-width 32 skips quantization (rotation only); an
-    all-zero vector quantizes to zeros.
-    """
-    h = as_matrix(h)
-    x = as_vector(x)
-    if x.shape[0] != h.shape[0]:
-        raise InvalidDimensionError(
-            f"vector length {x.shape[0]} does not match Hadamard order {h.shape[0]}"
-        )
-    y = matvec_t(h, x)
-    if bits == PASSTHROUGH_BITS:
-        return y
-    if table is None:
-        table = default_delta_table()
-    sigma = np.sqrt(np.mean(y * y))
-    if sigma == 0.0:
-        return np.zeros_like(y)
-    return sigma * quantize_uniform(y / sigma, table.spec(bits))
-
-
 def quantize_rotated_batch(y, bits: int, table: DeltaTable | None = None):
-    """Per-row dynamic quantization of already-rotated activations.
+    """Per-token dynamic quantization of already-rotated activations.
 
-    ``y`` has one token per row.  Row scales are RMS values; zero rows stay
-    zero.  Row i of the result is bit-identical to the vector path in
-    ``quantize_activation`` applied to that token.
+    ``y`` has one token per row.  Returns ``(grid, step)``: the integer grid
+    clamp(round(y / sigma / delta)) as float64, and the per-token step
+    sigma * delta, with sigma the row's RMS (1 for a zero row, whose grid
+    is zero).  The quantized activation is ``grid * step[:, None]``; the
+    integer forward never forms it.  Bit-width 32 returns a copy of ``y``
+    with unit steps.
     """
     y = as_matrix(y)
     if bits == PASSTHROUGH_BITS:
-        return y.copy()
+        return y.copy(), np.ones(y.shape[0])
     if table is None:
         table = default_delta_table()
-    sigma = np.sqrt(np.mean(y * y, axis=1))
+    spec = table.spec(bits)
+    # np.mean's own sum and division, without its Python-level wrapper
+    sigma = np.sqrt(np.add.reduce(y * y, axis=1) / y.shape[1])
     safe = np.where(sigma == 0.0, 1.0, sigma)
-    out = safe[:, None] * quantize_uniform(y / safe[:, None], table.spec(bits))
-    out[sigma == 0.0] = 0.0
-    return out
+    t = y / safe[:, None]
+    t /= spec.delta
+    return _grid(t, spec), safe * spec.delta
 
 
-def quantize_weight_channelwise(w, bits: int, table: DeltaTable | None = None):
+@dataclass(frozen=True)
+class WeightGrid:
+    """A weight quantized row by row: an integer grid plus one scale per row.
+
+    Entry (c, j) stands for ``scale[c] * (q[c, j] * delta)``.  ``q`` is int8,
+    which holds every grid from 2 to 8 bits.  At bit-width 32 ``q`` is the
+    float64 weight itself, with unit scales and delta 1.
+    """
+
+    q: np.ndarray
+    scale: np.ndarray
+    delta: float
+    bits: int
+
+    def dense(self) -> np.ndarray:
+        """The quantized weight as float64, scale * (q * delta) row by row."""
+        return self.scale[:, None] * (self.q * self.delta)
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        """Per-row step scale * delta, which multiplies the grid product."""
+        return self.scale * self.delta
+
+
+def quantize_weight_channelwise(w, bits: int, table: DeltaTable | None = None) -> WeightGrid:
     """Quantize a weight matrix row by row with per-row scales.
 
     Each output row c uses sigma_c = population std of that row; rows that
     are constant to within relative tolerance 1e-12 fall back to the
-    absolute row value as the scale (zero rows quantize to zeros).
-    Bit-width 32 copies the input through.
+    absolute row value as the scale, and zero rows get scale 1 and a zero
+    grid.  Bit-width 32 copies the input through.
     """
     w = as_matrix(w)
     if bits == PASSTHROUGH_BITS:
-        return w.copy()
+        return WeightGrid(q=w.copy(), scale=np.ones(w.shape[0]), delta=1.0, bits=bits)
     if table is None:
         table = default_delta_table()
     spec = table.spec(bits)
     if w.size == 0:
-        return w.copy()
+        return WeightGrid(q=np.zeros(w.shape, dtype=np.int8), scale=np.ones(w.shape[0]),
+                          delta=spec.delta, bits=spec.bits)
     sigma = np.std(w, axis=1)
     peak = np.max(np.abs(w), axis=1)
     constant = sigma <= _CONST_ROW_RTOL * peak
     scale = np.where(constant, peak, sigma)
     safe = np.where(scale == 0.0, 1.0, scale)
-    out = safe[:, None] * quantize_uniform(w / safe[:, None], spec)
-    out[scale == 0.0] = 0.0
-    return out
+    t = w / safe[:, None]
+    t /= spec.delta
+    return WeightGrid(q=_grid(t, spec).astype(np.int8), scale=safe, delta=spec.delta,
+                      bits=spec.bits)

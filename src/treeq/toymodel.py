@@ -38,6 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .branches import (
+    Branches,
     QuantizedLinear,
     assemble_layer,
     branch_decomposition,
@@ -45,7 +46,7 @@ from .branches import (
     lrb_fitted_first,
 )
 from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
-from .linalg import as_matrix, as_vector, hadamard
+from .linalg import as_matrix, hadamard
 from .quantizer import PASSTHROUGH_BITS, DeltaTable, default_delta_table
 
 LEAKY_SLOPE = 0.1
@@ -214,11 +215,17 @@ class FitCache:
     switch, order and placement, so contexts that agree on them share one
     fit.  The cache holds:
 
-    * ``decomps[(i,) + branch key]``: layer i's (lrb, gmb, w_res);
+    * ``decomps[(i,) + branch key]``: layer i's (branches, w_res), the
+      fitted ``Branches`` and the float residual left for the quantizer.
+      The branch matrices are built once on the ``Branches`` and shared by
+      every bit-width;
     * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
       alone, which every pipeline for which ``lrb_fitted_first`` holds
       reuses, whatever its GMB rank;
-    * ``layers[(i, bits, ctx.cache_key())]``: the quantized layer.
+    * ``layers[(i, bits, ctx.cache_key())]``: the quantized layer.  It
+      holds the residual's int8 grid (n_out x n_in bytes), its row scales
+      and row steps (2 n_out floats), and a reference to the shared
+      ``Branches``: nothing else dense.
     """
 
     def __init__(self):
@@ -373,10 +380,10 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
                 raise ConvergenceError(
                     f"branch fit of layers {names}: {e.message}", e.residual
                 ) from e
-            for i, decomp in zip(chunk, decomps):
-                cache.decomps[(i,) + key] = decomp
+            for i, (lrb, gmb, w_res) in zip(chunk, decomps):
+                cache.decomps[(i,) + key] = (Branches(lrb, gmb, ctx.gmb_placement), w_res)
                 if first:
-                    cache.lrbs[(i, r_l)] = decomp[0]
+                    cache.lrbs[(i, r_l)] = lrb
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
@@ -387,10 +394,8 @@ def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> Quantiz
         dkey = (i,) + _branch_key(ctx, model.weights[i].shape)
         if dkey not in cache.decomps:
             _fit_all(model, ctx)
-        lrb, gmb, w_res = cache.decomps[dkey]
-        layer = assemble_layer(
-            w_res, lrb, gmb, bits, bits, model.dims[i], ctx.gmb_placement, ctx.deltas
-        )
+        branches, w_res = cache.decomps[dkey]
+        layer = assemble_layer(w_res, branches, bits, bits, model.dims[i], ctx.deltas)
         cache.layers[key] = layer
     return layer
 
@@ -461,17 +466,11 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
         else:
             xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs, ctx.deltas)
         if i < n - 1:
-            xs = np.where(xs > 0.0, xs, LEAKY_SLOPE * xs)
+            xs = np.maximum(xs, LEAKY_SLOPE * xs)  # the leaky rectifier, 0 < slope < 1
             if cache is not None:
                 cache.acts.append(xs)
                 cache.bits.append(bits[i])
     return xs
-
-
-def forward(model: ToyModel, alloc, x, ctx: QuantContext | None = None) -> np.ndarray:
-    """Single-vector forward; bit-identical to the matching forward_batch row."""
-    x = as_vector(x)
-    return forward_batch(model, alloc, x[None, :], ctx)[0]
 
 
 def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:

@@ -4,17 +4,21 @@ Per-block correctness is checked against numpy's SVD (test-only oracle);
 the factored form is checked against the dense block assembly it must equal.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from treeq import branches
 from treeq.branches import (
+    Branches,
     GmbFactors,
     LrbFactors,
     QuantizedLinear,
     assemble_layer,
     branch_decomposition,
-    forward_quantized,
     forward_quantized_batch,
     gmb_budget_partitions,
     gmb_build_factored,
@@ -27,6 +31,7 @@ from treeq.branches import (
     qlinear_from_json,
     qlinear_to_json,
     quantize_layer,
+    residual_product,
 )
 from treeq.errors import (
     InvalidDimensionError,
@@ -34,7 +39,7 @@ from treeq.errors import (
     InvalidRankError,
 )
 from treeq.linalg import hadamard, matmul, top_singular_pair
-from treeq.quantizer import default_delta_table, quantize_rotated_batch
+from treeq.quantizer import WeightGrid, default_delta_table, quantize_rotated_batch
 
 from conftest import seeded_matrix
 
@@ -280,8 +285,8 @@ class TestStackedDecomposition:
             if gmb is not None:
                 assert same_bits(gmb.sigma, a_gmb.sigma)
                 assert same_bits(gmb.u, a_gmb.u) and same_bits(gmb.v, a_gmb.v)
-            layer = assemble_layer(w_res, lrb, gmb, 3, 3, 32, placement)
-            alone = assemble_layer(a_res, a_lrb, a_gmb, 3, 3, 32, placement)
+            layer = assemble_layer(w_res, Branches(lrb, gmb, placement), 3, 3, 32)
+            alone = assemble_layer(a_res, Branches(a_lrb, a_gmb, placement), 3, 3, 32)
             assert same_bits(layer.q_res, alone.q_res)
             assert same_bits(layer.branch_h, alone.branch_h)
 
@@ -308,26 +313,29 @@ class TestStackedDecomposition:
 
 class TestQuantizedLayer:
     def test_forward_reference(self):
-        # Hand-compute the three-term forward for one token.
+        # Hand-compute the three-term forward for one token; the residual
+        # term is the int64 product of the two grids, then the two steps.
         w = seeded_matrix(8, 8, seed=13)
         h = hadamard(8)
         layer = quantize_layer(w, 3, 2, 2, h)
-        x = seeded_matrix(1, 8, seed=14)[0]
-        rot = np.einsum("nj,ji->ni", x[None, :], h)
-        qact = quantize_rotated_batch(rot, 3)
+        x = seeded_matrix(1, 8, seed=14)
+        rot = np.einsum("nj,ji->ni", x, h)
+        grid, step = quantize_rotated_batch(rot, 3)
+        ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
         want = (
-            np.einsum("nd,od->no", qact, layer.q_res)
+            ints * step[:, None] * layer.weight.step
             + np.einsum("nd,od->no", rot, layer.branch_h)
-        )[0]
-        assert np.array_equal(forward_quantized(layer, x), want)
+        )
+        assert np.array_equal(forward_quantized_batch(layer, x), want)
 
     def test_vector_equals_batch_row(self):
+        # one token forwarded as a one-row batch gives its row of the batch
         w = seeded_matrix(16, 16, seed=15)
         layer = quantize_layer(w, 4, 4, 4, hadamard(16))
         xs = seeded_matrix(5, 16, seed=16)
         batch = forward_quantized_batch(layer, xs)
         for i in range(5):
-            assert np.array_equal(forward_quantized(layer, xs[i]), batch[i])
+            assert np.array_equal(forward_quantized_batch(layer, xs[i : i + 1])[0], batch[i])
 
     def test_bits_a_defaults_to_bits_w(self):
         layer = quantize_layer(seeded_matrix(8, 8, seed=17), 5, 2, 2, hadamard(8))
@@ -341,7 +349,7 @@ class TestQuantizedLayer:
         w = seeded_matrix(8, 8, seed=18)
         h = hadamard(8)
         lrb, gmb, w_res = branch_decomposition(w, 2, 2, h)
-        layer = assemble_layer(w_res, lrb, gmb, 32, 32, 8)
+        layer = assemble_layer(w_res, Branches(lrb, gmb), 32, 32, 8)
         xs = seeded_matrix(4, 8, seed=19)
         want = np.einsum("nd,od->no", xs, w)
         assert np.allclose(forward_quantized_batch(layer, xs), want, atol=1e-10)
@@ -364,20 +372,96 @@ class TestQuantizedLayer:
         h = hadamard(8)
         layer = quantize_layer(w, 3, 2, 2, h, placement="pre")
         assert layer.branch_pre is not None
-        x = seeded_matrix(1, 8, seed=23)[0]
-        rot = np.einsum("nj,ji->ni", x[None, :], h)
-        qact = quantize_rotated_batch(rot, 3)
+        x = seeded_matrix(1, 8, seed=23)
+        rot = np.einsum("nj,ji->ni", x, h)
+        grid, step = quantize_rotated_batch(rot, 3)
+        ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
         want = (
-            np.einsum("nd,od->no", qact, layer.q_res)
+            ints * step[:, None] * layer.weight.step
             + np.einsum("nd,od->no", rot, layer.branch_h)
-            + np.einsum("nd,od->no", x[None, :], layer.branch_pre)
-        )[0]
-        assert np.array_equal(forward_quantized(layer, x), want)
+            + np.einsum("nd,od->no", x, layer.branch_pre)
+        )
+        assert np.array_equal(forward_quantized_batch(layer, x), want)
 
     def test_width_mismatch(self):
         layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1, hadamard(8))
         with pytest.raises(InvalidDimensionError):
-            forward_quantized(layer, np.ones(16))
+            forward_quantized_batch(layer, np.ones((1, 16)))
+
+    def test_residual_is_an_int8_grid(self):
+        layer = quantize_layer(seeded_matrix(16, 16, seed=28), 8, 2, 2, hadamard(16))
+        assert layer.weight.q.dtype == np.int8 and layer.weight.q.shape == (16, 16)
+        assert layer.weight.scale.shape == (16,)
+        assert np.array_equal(
+            layer.q_res, layer.weight.scale[:, None] * (layer.weight.q * layer.weight.delta)
+        )
+
+
+class TestExactResidualProduct:
+    """The grid product is exact, so BLAS may compute it in any order."""
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 8])
+    def test_float_product_equals_int64(self, bits):
+        rng = np.random.default_rng(bits)
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1))
+        grid = rng.integers(lo, hi, size=(64, 1024)).astype(np.float64)
+        q = rng.integers(lo, hi, size=(96, 1024)).astype(np.int8)
+        weight = WeightGrid(q=q, scale=np.ones(96), delta=1.0, bits=bits)
+        got = residual_product(grid, np.ones(64), weight)
+        want = grid.astype(np.int64) @ q.astype(np.int64).T
+        assert got.tobytes() == want.astype(np.float64).tobytes()
+
+    def test_bound_case_sums_to_two_to_the_24(self):
+        # 8 bits, width 1024, both grids all -128: every term is 2^14 and
+        # the row sums reach 2^24 exactly
+        grid = np.full((4, 1024), -128.0)
+        q = np.full((3, 1024), -128, dtype=np.int8)
+        weight = WeightGrid(q=q, scale=np.ones(3), delta=1.0, bits=8)
+        got = residual_product(grid, np.ones(4), weight)
+        want = grid.astype(np.int64) @ q.astype(np.int64).T
+        assert np.all(want == 1 << 24)
+        assert got.tobytes() == want.astype(np.float64).tobytes()
+
+    def test_steps_scale_tokens_and_rows(self):
+        grid = np.array([[1.0, -2.0], [3.0, 0.0]])
+        q = np.array([[1, 1], [-1, 2]], dtype=np.int8)
+        weight = WeightGrid(q=q, scale=np.array([2.0, 4.0]), delta=0.5, bits=3)
+        got = residual_product(grid, np.array([0.25, 8.0]), weight)
+        assert np.array_equal(got, np.array([[-0.25, -2.5], [24.0, -48.0]]))
+
+    def test_bytes_do_not_depend_on_blas_threads_or_simd_target(self):
+        # One layer's residual product in three child processes.  The
+        # environment variables reach only the children.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from treeq.branches import residual_product\n"
+            "from treeq.quantizer import WeightGrid\n"
+            "from treeq.toymodel import uniform_stream\n"
+            "def ints(seed, shape, bits):\n"
+            "    u = uniform_stream(seed, shape[0] * shape[1]).reshape(shape)\n"
+            "    return np.floor(u * (1 << bits)) - (1 << (bits - 1))\n"
+            "grid = ints(1, (64, 1024), 8)\n"
+            "q = ints(2, (256, 1024), 8).astype(np.int8)\n"
+            "weight = WeightGrid(q=q, scale=uniform_stream(3, 256) + 0.5, delta=0.0307, bits=8)\n"
+            "out = residual_product(grid, uniform_stream(4, 64) + 0.5, weight)\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        variants = [
+            {"OPENBLAS_NUM_THREADS": "1"},
+            {"OPENBLAS_NUM_THREADS": "2"},
+            {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+        ]
+        src = os.path.dirname(os.path.dirname(branches.__file__))
+        digests = []
+        for extra in variants:
+            env = dict(os.environ, **extra)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.split()[-1])
+        assert len(set(digests)) == 1, dict(zip(map(str, variants), digests))
 
 
 class TestSerialization:
@@ -389,7 +473,11 @@ class TestSerialization:
     def test_round_trip_exact(self):
         layer = self._layer()
         back = qlinear_from_json(qlinear_to_json(layer))
-        assert np.array_equal(back.q_res, layer.q_res)
+        assert back.weight.q.dtype == np.int8
+        assert np.array_equal(back.weight.q, layer.weight.q)
+        assert back.weight.scale.tobytes() == layer.weight.scale.tobytes()
+        assert back.weight.delta == layer.weight.delta
+        assert back.q_res.tobytes() == layer.q_res.tobytes()
         assert np.array_equal(back.lrb.a, layer.lrb.a)
         assert np.array_equal(back.lrb.b, layer.lrb.b)
         assert np.array_equal(back.gmb.sigma, layer.gmb.sigma)
@@ -400,10 +488,17 @@ class TestSerialization:
     def test_round_trip_forward_identical(self):
         layer = self._layer()
         back = qlinear_from_json(qlinear_to_json(layer))
-        x = seeded_matrix(1, 8, seed=26)[0]
+        x = seeded_matrix(1, 8, seed=26)
         assert np.array_equal(
-            forward_quantized(back, x), forward_quantized(layer, x)
+            forward_quantized_batch(back, x), forward_quantized_batch(layer, x)
         )
+
+    def test_round_trip_32_bits(self):
+        lrb, gmb, w_res = branch_decomposition(seeded_matrix(8, 8, seed=29), 2, 2, hadamard(8))
+        layer = assemble_layer(w_res, Branches(lrb, gmb), 32, 32, 8)
+        back = qlinear_from_json(qlinear_to_json(layer))
+        assert back.weight.q.dtype == np.float64
+        assert back.q_res.tobytes() == layer.q_res.tobytes() == w_res.tobytes()
 
     def test_no_gmb(self):
         layer = quantize_layer(

@@ -21,8 +21,6 @@ from treeq.linalg import (
     as_vector,
     hadamard,
     matmul,
-    matvec,
-    matvec_t,
     top_singular_pair,
     truncated_svd,
 )
@@ -76,16 +74,6 @@ class TestProducts:
         a = seeded_matrix(n, k, seed=n * 100 + k)
         b = seeded_matrix(k, m, seed=m * 100 + k)
         assert np.allclose(matmul(a, b), matmul_ref(a, b), atol=1e-12)
-
-    def test_matvec_matches_matmul_column(self):
-        a = seeded_matrix(5, 3, seed=11)
-        x = seeded_matrix(3, 1, seed=12)[:, 0]
-        assert np.allclose(matvec(a, x), matmul(a, x[:, None])[:, 0])
-
-    def test_matvec_t_is_transpose_product(self):
-        a = seeded_matrix(5, 3, seed=13)
-        y = seeded_matrix(5, 1, seed=14)[:, 0]
-        assert np.allclose(matvec_t(a, y), a.T @ y, atol=1e-12)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(InvalidDimensionError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from treeq.errors import InvalidBitsError, InvalidDimensionError
-from treeq.linalg import hadamard, matvec_t
+from treeq.linalg import hadamard
 from treeq.quantizer import (
     PASSTHROUGH_BITS,
     QUANT_BITS,
@@ -18,7 +18,6 @@ from treeq.quantizer import (
     QuantizerSpec,
     calibrate_delta,
     default_delta_table,
-    quantize_activation,
     quantize_rotated_batch,
     quantize_uniform,
     quantize_weight_channelwise,
@@ -166,32 +165,40 @@ class TestDeltaTable:
             DeltaTable.from_json('{"4": -0.1}')
 
 
+def rotate(x, h):
+    """Rotate tokens (one per row) exactly as the batched forward does."""
+    return np.einsum("nj,ji->ni", x, h)
+
+
 class TestActivation:
+    # single tokens go through the batch quantizer as one-row batches
+
     def test_rotation_then_scale(self):
-        # 32-bit path must be exactly H^T x.
+        # 32-bit path must be exactly H^T x, with unit steps.
         h = hadamard(8)
-        x = np.arange(8.0)
-        assert np.array_equal(quantize_activation(x, 32, h), matvec_t(h, x))
+        x = np.arange(8.0)[None, :]
+        grid, step = quantize_rotated_batch(rotate(x, h), 32)
+        assert np.array_equal(grid, rotate(x, h)) and np.array_equal(step, [1.0])
+        assert np.allclose(grid[0], h.T @ x[0], atol=1e-12)
 
     def test_quantized_output_on_grid(self):
         h = hadamard(16)
         rng = np.random.default_rng(3)
-        x = rng.standard_normal(16)
-        out = quantize_activation(x, 4, h)
-        y = matvec_t(h, x)
-        sigma = np.sqrt(np.mean(y * y))
+        y = rotate(rng.standard_normal((1, 16)), h)
+        grid, step = quantize_rotated_batch(y, 4)
         spec = default_delta_table().spec(4)
-        ints = out / (sigma * spec.delta)
-        assert np.allclose(ints, np.round(ints), atol=1e-9)
-        assert ints.min() >= spec.qmin and ints.max() <= spec.qmax
+        assert np.array_equal(grid, np.round(grid))
+        assert grid.min() >= spec.qmin and grid.max() <= spec.qmax
+        assert step[0] == np.sqrt(np.mean(y * y)) * spec.delta
 
     def test_zero_vector(self):
-        h = hadamard(8)
-        assert np.array_equal(quantize_activation(np.zeros(8), 3, h), np.zeros(8))
+        grid, _ = quantize_rotated_batch(np.zeros((1, 8)), 3)
+        assert np.array_equal(grid, np.zeros((1, 8)))
 
     def test_dimension_mismatch(self):
+        # a bare vector is not a batch of tokens
         with pytest.raises(InvalidDimensionError):
-            quantize_activation(np.ones(8), 4, hadamard(16))
+            quantize_rotated_batch(np.ones(8), 4)
 
     def test_relative_error_vs_bits(self):
         # Averaged over many tokens the RMS error must drop as bits grow
@@ -202,55 +209,92 @@ class TestActivation:
         for bits in (2, 4, 6, 8):
             tot = 0.0
             for t in range(32):
-                x = rng.standard_normal(64)
-                y = matvec_t(h, x)
-                out = quantize_activation(x, bits, h)
-                tot += float(np.mean((out - y) ** 2))
+                y = rotate(rng.standard_normal((1, 64)), h)
+                grid, step = quantize_rotated_batch(y, bits)
+                tot += float(np.mean((grid * step[:, None] - y) ** 2))
             errs[bits] = tot / 32
         assert errs[2] > errs[4] > errs[6] > errs[8]
 
 
+def sign_floor_grid(t, spec):
+    """Oracle grid: clamp(sign(t) * floor(|t| + 1/2))."""
+    return np.clip(np.sign(t) * np.floor(np.abs(t) + 0.5), spec.qmin, spec.qmax)
+
+
 class TestRotatedBatch:
     def test_rows_match_vector_path(self):
+        # each token quantized alone, as a one-row batch, gives its batch row
         h = hadamard(32)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((6, 32))
-        # Rotate exactly as the batched forward does; a BLAS x @ h would
-        # differ in the last bits and the comparison below is bitwise.
-        y = np.einsum("nj,ji->ni", x, h)
-        batch = quantize_rotated_batch(y, 3)
+        y = rotate(rng.standard_normal((6, 32)), h)
+        grid, step = quantize_rotated_batch(y, 3)
         for i in range(6):
-            row = quantize_activation(x[i], 3, h)
-            assert np.array_equal(batch[i], row)
+            row_grid, row_step = quantize_rotated_batch(y[i : i + 1], 3)
+            assert np.array_equal(grid[i], row_grid[0]) and step[i] == row_step[0]
 
     def test_zero_row_stays_zero(self):
         y = np.zeros((2, 8))
         y[1] = 1.0
-        out = quantize_rotated_batch(y, 2)
-        assert np.array_equal(out[0], np.zeros(8))
-        assert np.any(out[1] != 0)
+        grid, _ = quantize_rotated_batch(y, 2)
+        assert np.array_equal(grid[0], np.zeros(8))
+        assert np.any(grid[1] != 0)
 
     def test_passthrough(self):
         y = np.random.default_rng(0).standard_normal((3, 4))
-        assert np.array_equal(quantize_rotated_batch(y, 32), y)
+        grid, step = quantize_rotated_batch(y, 32)
+        assert np.array_equal(grid, y) and grid is not y
+        assert np.array_equal(step, np.ones(3))
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 8])
+    def test_grid_matches_sign_floor_rounding(self, bits):
+        # ties at every half step, values past the clamp, and a zero row
+        spec = default_delta_table().spec(bits)
+        rng = np.random.default_rng(bits)
+        y = np.vstack([
+            rng.standard_normal((4, 64)) * 3.0,
+            np.arange(-32, 32) + 0.5,
+            np.zeros(64),
+        ])
+        grid, step = quantize_rotated_batch(y, bits)
+        sigma = np.sqrt(np.mean(y * y, axis=1))
+        safe = np.where(sigma == 0.0, 1.0, sigma)
+        assert np.array_equal(grid, sign_floor_grid(y / safe[:, None] / spec.delta, spec))
+        assert np.array_equal(step, safe * spec.delta)
+        ties = np.arange(-300, 300) + 0.5
+        assert np.array_equal(round_half_away(ties), np.sign(ties) * np.floor(np.abs(ties) + 0.5))
 
 
 class TestChannelwise:
     def test_output_on_per_row_grid(self):
         rng = np.random.default_rng(11)
         w = rng.standard_normal((6, 32)) * np.exp(rng.standard_normal((6, 1)))
-        out = quantize_weight_channelwise(w, 3)
+        q = quantize_weight_channelwise(w, 3)
+        assert q.q.dtype == np.int8 and q.bits == 3
+        out = q.dense()
         spec = default_delta_table().spec(3)
         sigma = np.std(w, axis=1)
         ints = out / (sigma[:, None] * spec.delta)
         assert np.allclose(ints, np.round(ints), atol=1e-9)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 8])
+    def test_dense_is_the_scaled_float_grid(self, bits):
+        # the dense form is scale * (q * delta), as a float quantizer gives
+        rng = np.random.default_rng(bits)
+        w = rng.standard_normal((8, 64))
+        w[3] = 0.0
+        spec = default_delta_table().spec(bits)
+        q = quantize_weight_channelwise(w, bits)
+        safe = np.where(np.std(w, axis=1) == 0.0, 1.0, np.std(w, axis=1))
+        assert np.array_equal(q.scale, safe)
+        assert np.array_equal(q.q, sign_floor_grid(w / safe[:, None] / spec.delta, spec))
+        assert np.array_equal(q.dense(), safe[:, None] * quantize_uniform(w / safe[:, None], spec))
 
     def test_error_shrinks_with_bits(self):
         # Wide rows so per-row sample MSE concentrates near its mean.
         rng = np.random.default_rng(13)
         w = rng.standard_normal((8, 4096))
         errs = [
-            float(np.mean((quantize_weight_channelwise(w, b) - w) ** 2))
+            float(np.mean((quantize_weight_channelwise(w, b).dense() - w) ** 2))
             for b in (2, 3, 4, 5, 6)
         ]
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -259,16 +303,16 @@ class TestChannelwise:
         # A constant row has zero std; the fallback scale must keep the
         # value representable rather than dividing by ~0.
         w = np.vstack([np.full(16, 2.5), np.random.default_rng(1).standard_normal(16)])
-        out = quantize_weight_channelwise(w, 4)
+        out = quantize_weight_channelwise(w, 4).dense()
         assert np.max(np.abs(out[0] - 2.5)) <= 2.5  # no clamp blow-up
         assert np.isfinite(out).all()
 
     def test_zero_row(self):
         w = np.zeros((1, 8))
-        assert np.array_equal(quantize_weight_channelwise(w, 2), w)
+        assert np.array_equal(quantize_weight_channelwise(w, 2).dense(), w)
 
     def test_32_copies(self):
         w = np.random.default_rng(2).standard_normal((3, 5))
         out = quantize_weight_channelwise(w, 32)
-        assert np.array_equal(out, w)
-        assert out is not w
+        assert np.array_equal(out.dense(), w)
+        assert out.q is not w

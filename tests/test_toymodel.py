@@ -9,6 +9,7 @@ reproduced from independently computed step sizes.
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from treeq.toymodel import (
     ToyModel,
     _gen_block,
     end_to_end_mse,
-    forward,
     forward_batch,
     gaussian_stream,
     gen,
@@ -158,7 +158,7 @@ class TestForward:
         xs = np.stack([gaussian_stream(substream(5, TAG_CALIB, j), 32) for j in range(4)])
         batch = forward_batch(m, alloc, xs)
         for j in range(4):
-            assert np.array_equal(forward(m, alloc, xs[j]), batch[j])
+            assert np.array_equal(forward_batch(m, alloc, xs[j : j + 1])[0], batch[j])
 
     def test_all_32_matches_manual_dense(self):
         m = gen_model(exhaustive_spec(4))
@@ -184,17 +184,17 @@ class TestForward:
     def test_input_width_check(self):
         m = gen_model(exhaustive_spec(1))
         with pytest.raises(InvalidDimensionError):
-            forward(m, {i: 32 for i in range(4)}, np.ones(16))
+            forward_batch(m, {i: 32 for i in range(4)}, np.ones((1, 16)))
 
     def test_alloc_validation(self):
         m = gen_model(exhaustive_spec(1))
-        x = np.ones(32)
+        x = np.ones((1, 32))
         with pytest.raises(InvalidBitsError):
-            forward(m, {0: 32, 1: 32, 2: 32}, x)  # missing layer 3
+            forward_batch(m, {0: 32, 1: 32, 2: 32}, x)  # missing layer 3
         with pytest.raises(InvalidBitsError):
-            forward(m, {0: 32, 1: 32, 2: 32, 3: 32, 7: 32}, x)  # unknown layer
+            forward_batch(m, {0: 32, 1: 32, 2: 32, 3: 32, 7: 32}, x)  # unknown layer
         with pytest.raises(InvalidBitsError):
-            forward(m, {0: 32, 1: 32, 2: 32, 3: 16}, x)  # 16 not allowed
+            forward_batch(m, {0: 32, 1: 32, 2: 32, 3: 16}, x)  # 16 not allowed
 
 
 class TestLayerCache:
@@ -220,6 +220,31 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         with pytest.raises(InvalidDimensionError):
             quantized_layer(m, 4, 3)
+
+    def test_bit_widths_share_the_branch_matrix(self):
+        m = gen_model(exhaustive_spec(7))
+        low, high = quantized_layer(m, 1, 2), quantized_layer(m, 1, 5)
+        assert low.branches is high.branches
+        assert low.branch_h is high.branch_h
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_entry_holds_a_byte_grid_and_row_scales(self, n):
+        # a new (layer, bits) entry, forwarded once, costs its n x n int8
+        # grid plus O(n) floats (row scales and steps) and a few objects;
+        # the branch matrix and the Hadamard matrix are already shared
+        m = gen_model(ModelSpec(1, (n, n), seed=3))
+        ctx = QuantContext(r_lrb=0, use_gmb=False)  # no SVD: only the entry is measured
+        xs = np.ones((4, n))
+        toymodel.forward_quantized_batch(quantized_layer(m, 0, 2, ctx), xs, ctx.deltas)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            layer = quantized_layer(m, 0, 3, ctx)
+            toymodel.forward_quantized_batch(layer, xs, ctx.deltas)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= n * n + 4 * 8 * n + 2048, grown
 
     def test_lrb_fit_shared_across_gmb_ranks(self, monkeypatch):
         # the settings of `treeq ablate gmb`: the lrb_first rows and the
