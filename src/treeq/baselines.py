@@ -9,7 +9,6 @@ fails.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidBitsError
 from .quantizer import PASSTHROUGH_BITS
-from .toymodel import CalibrationSet, QuantContext, ToyModel, forward_batch
+from .toymodel import ALLOWED_BITS, CalibrationSet, QuantContext, ToyModel, forward_batch
 
 METRICS = ("L1", "L2")
 MAX_BUDGET_UNITS = 10**6
@@ -33,29 +32,6 @@ class SensitivityTable:
 
     def score(self, layer: int, bits: int) -> float:
         return self.scores[layer][bits]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metric": self.metric,
-                "scores": {
-                    str(layer): {str(b): s for b, s in sorted(row.items())}
-                    for layer, row in sorted(self.scores.items())
-                },
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SensitivityTable":
-        raw = json.loads(text)
-        if raw["metric"] not in METRICS:
-            raise InvalidBitsError(f"metric must be one of {METRICS}")
-        scores = {
-            int(layer): {int(b): float(s) for b, s in row.items()}
-            for layer, row in raw["scores"].items()
-        }
-        return cls(metric=raw["metric"], scores=scores)
 
 
 def layer_sensitivity(model: ToyModel, layer: int, bits: int, metric: str,
@@ -170,6 +146,6 @@ def ip_allocate(table: SensitivityTable, flops, target: float, candidates=(2, 3,
 
 def uniform_allocate(n: int, bits: int) -> dict:
     """Every layer at the same width."""
-    if bits not in (2, 3, 4, 5, 6, 7, 8, PASSTHROUGH_BITS):
+    if bits not in ALLOWED_BITS:
         raise InvalidBitsError(f"bits {bits} unsupported for uniform allocation")
     return {i: int(bits) for i in range(n)}

@@ -28,7 +28,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidPartitionError, InvalidRankError
+from .errors import (
+    InvalidBitsError,
+    InvalidDimensionError,
+    InvalidPartitionError,
+    InvalidRankError,
+)
 from .linalg import as_matrix, as_stack, hadamard, matmul, top_singular_pair, truncated_svd
 from .quantizer import (
     DeltaTable,
@@ -102,9 +107,6 @@ class GmbFactors:
     @property
     def b_i(self) -> int:
         return self.v.shape[2]
-
-    def param_count(self) -> int:
-        return self.n_i * self.n_o * (self.b_i + self.b_o)
 
 
 def gmb_budget_partitions(n_out: int, n_in: int, r: int) -> tuple[int, int]:
@@ -222,62 +224,26 @@ class QuantizedLinear:
     """One quantized layer: integer-grid residual plus floating branches.
 
     The forward path is
-        y = q_res @ Q_act(x) + branch_h @ (H^T x) [+ branch_pre @ x]
-    where Q_act rotates and quantizes the activation at ``bits_a``.  With
-    the default post-rotation placement every branch acts on H^T x and
-    ``branch_pre`` is absent.  The layer holds only its residual grid
-    (``weight``) and a reference to the shared ``branches``; ``q_res`` is
-    derived from the grid on each access.
+        y = R @ Q_act(x) + branches.post @ (H^T x) [+ branches.pre @ x]
+    where R = ``weight.dense()`` is the quantized residual and Q_act
+    rotates the activation and quantizes it at the weight's bit-width and
+    step: a layer quantizes weights and activations alike.  With the
+    default post-rotation placement every branch acts on H^T x and
+    ``branches.pre`` is absent.  The layer holds only its residual grid
+    and a reference to the shared ``branches``.
     """
 
     weight: WeightGrid
     branches: Branches
-    bits_a: int
-    n: int
-
-    @property
-    def bits_w(self) -> int:
-        return self.weight.bits
-
-    @property
-    def lrb(self) -> LrbFactors:
-        return self.branches.lrb
-
-    @property
-    def gmb(self) -> GmbFactors | None:
-        return self.branches.gmb
-
-    @property
-    def gmb_placement(self) -> str:
-        return self.branches.placement
-
-    @property
-    def h(self) -> np.ndarray:
-        return hadamard(self.n)
-
-    @property
-    def q_res(self) -> np.ndarray:
-        """The quantized residual as float64, scale * (q * delta) per row."""
-        return self.weight.dense()
-
-    @property
-    def branch_h(self) -> np.ndarray:
-        return self.branches.post
-
-    @property
-    def branch_pre(self) -> np.ndarray | None:
-        return self.branches.pre
 
 
-def lrb_fitted_first(
-    r_gmb: int, *, use_gmb: bool = True, order: str = "lrb_first", placement: str = "post"
-) -> bool:
+def lrb_fitted_first(r_gmb: int, *, order: str = "lrb_first", placement: str = "post") -> bool:
     """Whether branch_decomposition fits the LRB on W_H itself, before any GMB.
 
     Such an LRB depends only on the weight and its rank, so one fit can
-    serve every GMB rank.
+    serve every GMB rank.  With ``r_gmb`` 0 there is no GMB at all.
     """
-    return not (use_gmb and r_gmb > 0) or (order == "lrb_first" and placement == "post")
+    return r_gmb <= 0 or (order == "lrb_first" and placement == "post")
 
 
 def branch_decomposition(
@@ -286,7 +252,6 @@ def branch_decomposition(
     r_gmb: int,
     h,
     *,
-    use_gmb: bool = True,
     order: str = "lrb_first",
     placement: str = "post",
     lrb: LrbFactors | list | None = None,
@@ -294,9 +259,9 @@ def branch_decomposition(
     """Fit the branches of one weight or a stack; independent of any bit-width.
 
     Default pipeline: W_H = W @ H, LRB fitted on W_H, GMB fitted on
-    W_H - LRB.  ``order`` swaps which branch is fitted first; ``placement``
-    "pre" fits the GMB on the raw weight W instead (its output then feeds
-    on x, not H^T x).  ``lrb`` may carry an earlier rank-``r_lrb`` fit of
+    W_H - LRB; ``r_gmb`` 0 fits no GMB.  ``order`` swaps which branch is
+    fitted first; ``placement`` "pre" fits the GMB on the raw weight W
+    instead (its output then feeds on x, not H^T x).  ``lrb`` may carry an earlier rank-``r_lrb`` fit of
     W_H; it replaces the refit where ``lrb_fitted_first`` holds and is
     ignored otherwise.  Returns (lrb, gmb, w_res) with w_res the leftover
     handed to the residual quantizer.
@@ -324,11 +289,11 @@ def branch_decomposition(
         raise InvalidDimensionError(
             f"Hadamard shape {h.shape} does not match weight {(rows, cols)}"
         )
-    with_gmb = use_gmb and r_gmb > 0
+    with_gmb = r_gmb > 0
     if with_gmb:
         n_o, n_i = gmb_budget_partitions(rows, cols, r_gmb)
     w_h = np.stack([matmul(wk, h) for wk in stack])
-    if lrb_fitted_first(r_gmb, use_gmb=use_gmb, order=order, placement=placement):
+    if lrb_fitted_first(r_gmb, order=order, placement=placement):
         if lrb is None:
             lrb = _fit_lrbs(w_h, r_lrb)
         elif len(lrb) != count or any(
@@ -368,44 +333,30 @@ def _gmb_products(gmbs) -> np.ndarray:
     return np.stack([gmb_reconstruct_blocks(g) for g in gmbs])
 
 
-def assemble_layer(w_res, branches: Branches, bits_w: int, bits_a: int, n: int,
+def assemble_layer(w_res, branches: Branches, bits: int,
                    table: DeltaTable | None = None) -> QuantizedLinear:
     """Quantize a decomposition's residual and package the layer."""
-    return QuantizedLinear(
-        weight=quantize_weight_channelwise(w_res, bits_w, table),
-        branches=branches,
-        bits_a=int(bits_a),
-        n=int(n),
-    )
+    return QuantizedLinear(quantize_weight_channelwise(w_res, bits, table), branches)
 
 
 def quantize_layer(
     w,
-    bits_w: int,
+    bits: int,
     r_lrb: int,
     r_gmb: int,
     h,
     *,
-    bits_a: int | None = None,
-    use_gmb: bool = True,
     order: str = "lrb_first",
     placement: str = "post",
     table: DeltaTable | None = None,
 ) -> QuantizedLinear:
     """Rotate a weight, peel off the branches, and quantize the residual.
 
-    See branch_decomposition for the pipeline and its variants.  ``bits_a``
-    defaults to ``bits_w`` (a "3-bit layer" quantizes weights and
-    activations at 3 bits).
+    See branch_decomposition for the pipeline and its variants.  The layer
+    quantizes its weights and its activations at ``bits``.
     """
-    if bits_a is None:
-        bits_a = bits_w
-    lrb, gmb, w_res = branch_decomposition(
-        w, r_lrb, r_gmb, h, use_gmb=use_gmb, order=order, placement=placement
-    )
-    return assemble_layer(
-        w_res, Branches(lrb, gmb, placement), bits_w, bits_a, as_matrix(w).shape[1], table
-    )
+    lrb, gmb, w_res = branch_decomposition(w, r_lrb, r_gmb, h, order=order, placement=placement)
+    return assemble_layer(w_res, Branches(lrb, gmb, placement), bits, table)
 
 
 def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
@@ -423,28 +374,32 @@ def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
     return out
 
 
-def forward_quantized_batch(layer: QuantizedLinear, xs, table: DeltaTable | None = None):
+def forward_quantized_batch(layer: QuantizedLinear, xs):
     """Quantized forward, one token per row of ``xs``.
 
-    The residual product multiplies the two integer grids exactly (see the
+    Activations are quantized at the weight's bit-width with the weight's
+    step ``delta``, so a layer built from a delta table runs with it.  The
+    residual product multiplies the two integer grids exactly (see the
     module docstring) and then scales row i, column c by
-    step_a[i] * step_w[c].  A layer with either width at 32 bits multiplies
-    the float activation and residual with ``einsum`` instead.
+    step_a[i] * step_w[c].  A 32-bit layer multiplies the float activation
+    and residual with ``einsum`` instead.
     """
+    weight, branches = layer.weight, layer.branches
     xs = as_matrix(xs)
-    if xs.shape[1] != layer.n:
+    n = weight.q.shape[1]
+    if xs.shape[1] != n:
         raise InvalidDimensionError(
-            f"activation width {xs.shape[1]} does not match layer width {layer.n}"
+            f"activation width {xs.shape[1]} does not match layer width {n}"
         )
-    rotated = np.einsum("nj,ji->ni", xs, layer.h)
-    grid, step = quantize_rotated_batch(rotated, layer.bits_a, table)
-    if PASSTHROUGH_BITS in (layer.bits_a, layer.bits_w):
-        out = np.einsum("nd,od->no", grid * step[:, None], layer.q_res)
+    rotated = np.einsum("nj,ji->ni", xs, hadamard(n))
+    grid, step = quantize_rotated_batch(rotated, weight.bits, weight.delta)
+    if weight.bits == PASSTHROUGH_BITS:
+        out = np.einsum("nd,od->no", grid * step[:, None], weight.dense())
     else:
-        out = residual_product(grid, step, layer.weight)
-    out += np.einsum("nd,od->no", rotated, layer.branch_h)
-    if layer.branch_pre is not None:
-        out += np.einsum("nd,od->no", xs, layer.branch_pre)
+        out = residual_product(grid, step, weight)
+    out += np.einsum("nd,od->no", rotated, branches.post)
+    if branches.pre is not None:
+        out += np.einsum("nd,od->no", xs, branches.pre)
     return out
 
 
@@ -462,34 +417,37 @@ def _matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def qlinear_to_json(layer: QuantizedLinear) -> str:
+    """The layer as JSON; ``bits_a`` and ``n`` restate the grid's bits and width."""
+    weight, lrb, gmb = layer.weight, layer.branches.lrb, layer.branches.gmb
     doc = {
-        "bits_w": layer.bits_w,
-        "bits_a": layer.bits_a,
-        "n": layer.n,
+        "bits_w": weight.bits,
+        "bits_a": weight.bits,
+        "n": weight.q.shape[1],
         "lrb": {
-            "a": _matrix_to_json(layer.lrb.a),
-            "b": _matrix_to_json(layer.lrb.b),
+            "a": _matrix_to_json(lrb.a),
+            "b": _matrix_to_json(lrb.b),
         },
         "gmb": None,
-        "q_res": _matrix_to_json(layer.q_res),
-        "w_grid": _matrix_to_json(layer.weight.q),
-        "w_scale": [float(v) for v in layer.weight.scale],
-        "w_delta": layer.weight.delta,
+        "q_res": _matrix_to_json(weight.dense()),
+        "w_grid": _matrix_to_json(weight.q),
+        "w_scale": [float(v) for v in weight.scale],
+        "w_delta": weight.delta,
     }
-    if layer.gmb is not None:
+    if gmb is not None:
         doc["gmb"] = {
-            "n_o": layer.gmb.n_o,
-            "n_i": layer.gmb.n_i,
-            "sigma": [[float(v) for v in row] for row in layer.gmb.sigma],
-            "u": [[list(map(float, vec)) for vec in row] for row in layer.gmb.u],
-            "v": [[list(map(float, vec)) for vec in row] for row in layer.gmb.v],
+            "n_o": gmb.n_o,
+            "n_i": gmb.n_i,
+            "sigma": [[float(v) for v in row] for row in gmb.sigma],
+            "u": [[list(map(float, vec)) for vec in row] for row in gmb.u],
+            "v": [[list(map(float, vec)) for vec in row] for row in gmb.v],
         }
-    if layer.gmb_placement != "post":
-        doc["gmb_placement"] = layer.gmb_placement
+    if layer.branches.placement != "post":
+        doc["gmb_placement"] = layer.branches.placement
     return json.dumps(doc)
 
 
 def qlinear_from_json(text: str) -> QuantizedLinear:
+    """Inverse of ``qlinear_to_json``; ``bits_a`` and ``n`` must match the grid."""
     doc = json.loads(text)
     gmb = None
     if doc.get("gmb") is not None:
@@ -503,6 +461,10 @@ def qlinear_from_json(text: str) -> QuantizedLinear:
         )
     bits_w = int(doc["bits_w"])
     grid = _matrix_from_json(doc["w_grid"])
+    if doc["bits_a"] != bits_w:
+        raise InvalidBitsError(f"bits_a {doc['bits_a']} differs from bits_w {bits_w}")
+    if doc["n"] != grid.shape[1]:
+        raise InvalidDimensionError(f"n {doc['n']} differs from the grid width {grid.shape[1]}")
     weight = WeightGrid(
         q=grid if bits_w == PASSTHROUGH_BITS else grid.astype(np.int8),
         scale=np.asarray(doc["w_scale"], dtype=np.float64),
@@ -513,9 +475,4 @@ def qlinear_from_json(text: str) -> QuantizedLinear:
         a=_matrix_from_json(doc["lrb"]["a"]),
         b=_matrix_from_json(doc["lrb"]["b"]),
     )
-    return QuantizedLinear(
-        weight=weight,
-        branches=Branches(lrb, gmb, doc.get("gmb_placement", "post")),
-        bits_a=int(doc["bits_a"]),
-        n=int(doc["n"]),
-    )
+    return QuantizedLinear(weight, Branches(lrb, gmb, doc.get("gmb_placement", "post")))

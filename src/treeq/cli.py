@@ -42,7 +42,7 @@ DEFAULT_MODEL = {
     "outlier_scale": 8.0,
 }
 DEFAULT_SEARCH = {"candidates": [2, 3, 4, 5], "k": 16, "target": 3.0, "env_bits": 3}
-DEFAULT_QUANT = {"r_lrb": 16, "r_gmb": 4, "use_gmb": True}
+DEFAULT_QUANT = {"r_lrb": 16, "r_gmb": 4}
 DEFAULT_CALIB = {"count": 64, "seed": 77}
 DEFAULT_OUT = "runs"
 
@@ -60,7 +60,7 @@ _SCHEMA = {
         "target": (int, float),
         "env_bits": int,
     },
-    "quant": {"r_lrb": int, "r_gmb": int, "use_gmb": bool},
+    "quant": {"r_lrb": int, "r_gmb": int},
     "calib": {"count": int, "seed": int},
 }
 
@@ -79,9 +79,8 @@ class RunConfig:
 
 
 def _check_type(path: str, value, expected) -> None:
-    if expected is int and isinstance(value, bool):
-        raise ConfigError(f"config field '{path}' must be an integer")
-    if not isinstance(value, expected):
+    # no field takes a bool, and bool is a subclass of int
+    if isinstance(value, bool) or not isinstance(value, expected):
         name = expected.__name__ if isinstance(expected, type) else "number"
         raise ConfigError(f"config field '{path}' must be of type {name}")
 
@@ -165,11 +164,7 @@ def load_run_config(args) -> RunConfig:
 
 
 def _context(cfg: RunConfig) -> QuantContext:
-    return QuantContext(
-        r_lrb=cfg.quant["r_lrb"],
-        r_gmb=cfg.quant["r_gmb"],
-        use_gmb=cfg.quant["use_gmb"],
-    )
+    return QuantContext(r_lrb=cfg.quant["r_lrb"], r_gmb=cfg.quant["r_gmb"])
 
 
 def _write(cfg: RunConfig, name: str, text: str) -> str:
@@ -275,10 +270,13 @@ def _load_alloc(path: str, n_layers: int) -> dict:
         raise ConfigError("allocation file must map layer index to bits")
     alloc = {}
     for key, value in table.items():
-        try:
-            alloc[int(key)] = int(value)
-        except (TypeError, ValueError):
+        # a JSON integer only: int() would truncate 3.7 and read true as 1
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"allocation entry {key!r}: {value!r} is not an integer")
+        try:
+            alloc[int(key)] = value
+        except ValueError:
+            raise ConfigError(f"allocation entry {key!r} is not a layer index")
     for i in range(n_layers):
         if i not in alloc:
             raise ConfigError(f"allocation missing layer {i}")
@@ -403,7 +401,7 @@ def _ablate_gmb(cfg: RunConfig, model, calib, ctx) -> list:
     bits = _uniform_bits(cfg)
     alloc = uniform_allocate(model.n_layers, bits)
     settings = [
-        ("r=0", QuantContext(r_gmb=0, use_gmb=False, scale_ranks=False)),
+        ("r=0", QuantContext(r_gmb=0, scale_ranks=False)),
         ("r=4", QuantContext(r_gmb=4, scale_ranks=False)),
         ("r=8", QuantContext(r_gmb=8, scale_ranks=False)),
         ("r=16", QuantContext(r_gmb=16, scale_ranks=False)),

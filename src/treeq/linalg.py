@@ -49,15 +49,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(x) -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 1:
-        raise InvalidDimensionError(f"expected a 1-D vector, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise InvalidDimensionError("vector contains non-finite entries")
-    return m
-
-
 def as_stack(m) -> np.ndarray:
     """Coerce ``m`` to a finite float64 array of shape (..., rows, cols), both >= 1."""
     a = np.asarray(m, dtype=np.float64)
@@ -107,20 +98,12 @@ def hadamard(n: int) -> np.ndarray:
 class SvdTriple:
     """Rank-r factorization: u (m x r), sigma (r,) non-increasing, v (n x r).
 
-    From a stack every field carries the stack's leading axes; ``product``
-    takes a single matrix's triple.
+    From a stack every field carries the stack's leading axes.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.sigma.shape[0]
-
-    def product(self) -> np.ndarray:
-        return matmul(self.u * self.sigma[None, :], self.v.T)
 
 
 @lru_cache(maxsize=None)

@@ -152,6 +152,9 @@ class DeltaTable:
     def key(self) -> tuple:
         return tuple(sorted(self.deltas.items()))
 
+    def __hash__(self) -> int:
+        return hash(self.key())
+
     def to_json(self) -> str:
         return json.dumps({str(b): self.deltas[b] for b in sorted(self.deltas)})
 
@@ -175,22 +178,23 @@ def default_delta_table() -> DeltaTable:
     return DeltaTable(deltas={b: calibrate_delta(b) for b in QUANT_BITS})
 
 
-def quantize_rotated_batch(y, bits: int, table: DeltaTable | None = None):
+def quantize_rotated_batch(y, bits: int, delta: float | None = None):
     """Per-token dynamic quantization of already-rotated activations.
 
-    ``y`` has one token per row.  Returns ``(grid, step)``: the integer grid
-    clamp(round(y / sigma / delta)) as float64, and the per-token step
-    sigma * delta, with sigma the row's RMS (1 for a zero row, whose grid
-    is zero).  The quantized activation is ``grid * step[:, None]``; the
-    integer forward never forms it.  Bit-width 32 returns a copy of ``y``
-    with unit steps.
+    ``y`` has one token per row and ``delta`` is the grid step (by default
+    the calibrated step of ``bits``).  Returns ``(grid, step)``: the
+    integer grid clamp(round(y / sigma / delta)) as float64, and the
+    per-token step sigma * delta, with sigma the row's RMS (1 for a zero
+    row, whose grid is zero).  The quantized activation is
+    ``grid * step[:, None]``; the integer forward never forms it.
+    Bit-width 32 returns a copy of ``y`` with unit steps.
     """
     y = as_matrix(y)
     if bits == PASSTHROUGH_BITS:
         return y.copy(), np.ones(y.shape[0])
-    if table is None:
-        table = default_delta_table()
-    spec = table.spec(bits)
+    if delta is None:
+        delta = default_delta_table().delta(bits)
+    spec = QuantizerSpec.create(bits, delta)
     # np.mean's own sum and division, without its Python-level wrapper
     sigma = np.sqrt(np.add.reduce(y * y, axis=1) / y.shape[1])
     safe = np.where(sigma == 0.0, 1.0, sigma)

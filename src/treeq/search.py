@@ -17,12 +17,14 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import InvalidBitsError, InvalidSpanError
+from .quantizer import QUANT_BITS
 from .toymodel import (
     ALLOWED_BITS,
     CalibrationSet,
     QuantContext,
     ToyModel,
     end_to_end_mse,
+    module_mean_bits,
 )
 
 
@@ -54,7 +56,7 @@ class SearchParams:
         if not self.candidates:
             raise InvalidBitsError("candidate set must not be empty")
         for b in self.candidates:
-            if b not in (2, 3, 4, 5, 6, 7, 8):
+            if b not in QUANT_BITS:
                 raise InvalidBitsError(f"candidate bits {b} unsupported")
         if self.k < len(self.candidates):
             raise InvalidBitsError(
@@ -122,13 +124,6 @@ def build_frontier(entries: list) -> ParetoQueue:
     return ParetoQueue(span=span, entries=kept)
 
 
-def module_mean_bits(config: dict, model: ToyModel) -> float:
-    """FLOPs-weighted mean over the module's own layers only."""
-    flops = model.flops
-    total = sum(flops[i] for i in config)
-    return sum(flops[i] * b for i, b in config.items()) / total
-
-
 def apply_eng(alloc: dict, env_bits: int, n: int) -> dict:
     """Extend a module-local config to all n layers, filling with env_bits."""
     if env_bits not in ALLOWED_BITS:
@@ -190,10 +185,7 @@ def merge(qa: ParetoQueue, qb: ParetoQueue, params: SearchParams, model: ToyMode
             stacklevel=2,
         )
     if size > params.k:
-        pruned = sorted(
-            queue.entries,
-            key=lambda e: (abs(e.mean_bits - params.target), e.indicator, e.mean_bits),
-        )[: params.k]
+        pruned = sorted(queue.entries, key=_closeness(params.target))[: params.k]
         queue = ParetoQueue(
             span=queue.span,
             entries=sorted(pruned, key=lambda e: e.mean_bits),
@@ -216,11 +208,14 @@ class SearchResult:
     indicator: float
 
 
+def _closeness(target: float):
+    """Sort key: mean_bits nearest ``target`` first, then lower indicator, then lower bits."""
+    return lambda e: (abs(e.mean_bits - target), e.indicator, e.mean_bits)
+
+
 def select_entry(entries, target: float) -> ParetoEntry:
     """Entry with mean_bits closest to target; ties prefer lower indicator."""
-    return min(
-        entries, key=lambda e: (abs(e.mean_bits - target), e.indicator, e.mean_bits)
-    )
+    return min(entries, key=_closeness(target))
 
 
 def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext | None = None) -> SearchResult:

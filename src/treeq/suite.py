@@ -35,10 +35,6 @@ def suite_spec(seed: int) -> ModelSpec:
     )
 
 
-def seed_suite() -> list:
-    return [suite_spec(s) for s in SUITE_SEEDS]
-
-
 def exhaustive_spec(seed: int) -> ModelSpec:
     """Small 4-layer model where all 4^4 allocations can be brute-forced."""
     return ModelSpec(

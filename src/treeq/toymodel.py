@@ -47,10 +47,10 @@ from .branches import (
 )
 from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
 from .linalg import as_matrix, hadamard
-from .quantizer import PASSTHROUGH_BITS, DeltaTable, default_delta_table
+from .quantizer import PASSTHROUGH_BITS, QUANT_BITS, DeltaTable, default_delta_table
 
 LEAKY_SLOPE = 0.1
-ALLOWED_BITS = (2, 3, 4, 5, 6, 7, 8, PASSTHROUGH_BITS)
+ALLOWED_BITS = QUANT_BITS + (PASSTHROUGH_BITS,)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -175,19 +175,18 @@ class EvalCache:
 
     A scope is one calibration input matrix (compared by identity, so two
     calibration sets that share ``key()`` never alias) under one context
-    (``ctx.cache_key()`` and ``fp32_dense``).  For it the cache keeps the
-    activations entering each layer of the last forward (``acts[0]`` is the
-    input matrix itself, ``acts[j + 1]`` the output of layer j after the
-    leaky rectifier), the bits of the layers that produced them
-    (``bits[j]`` for ``acts[j + 1]``, so ``len(acts) == len(bits) + 1``
-    holds even if a forward raises part way), and the MSE of every
-    allocation evaluated, keyed by bit tuple.  Entering a new scope drops
+    (compared by value).  For it the cache keeps the activations entering
+    each layer of the last forward (``acts[0]`` is the input matrix itself,
+    ``acts[j + 1]`` the output of layer j after the leaky rectifier), the
+    bits of the layers that produced them (``bits[j]`` for ``acts[j + 1]``,
+    so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
+    way), and the MSE of every allocation evaluated, keyed by bit tuple.  Entering a new scope drops
     all of it, so the cache never holds more than one scope.  ``hits`` and
     ``misses`` count memo lookups over the cache's life.
     """
 
     def __init__(self):
-        self.ctx_key = None
+        self.ctx = None
         self.bits = []
         self.acts = []
         self.mse = {}
@@ -196,10 +195,9 @@ class EvalCache:
 
     def enter(self, xs: np.ndarray, ctx: QuantContext) -> None:
         """Make (``xs``, ``ctx``) the scope, dropping any other one."""
-        ctx_key = (ctx.cache_key(), ctx.fp32_dense)
-        if self.acts and self.acts[0] is xs and self.ctx_key == ctx_key:
+        if self.acts and self.acts[0] is xs and self.ctx == ctx:
             return
-        self.ctx_key = ctx_key
+        self.ctx = ctx
         self.bits = []
         self.acts = [xs]
         self.mse = {}
@@ -211,9 +209,9 @@ class FitCache:
     Fits are eager and stacked: the first time a branch context needs any
     layer, every layer is fitted under it, with one ``branch_decomposition``
     call per group of same-shape layers (split to stay within
-    FIT_STACK_BYTES).  A layer's branch key is its effective ranks, GMB
-    switch, order and placement, so contexts that agree on them share one
-    fit.  The cache holds:
+    FIT_STACK_BYTES).  A layer's branch key is its effective ranks, order
+    and placement, so contexts that agree on them share one fit.  The
+    cache holds:
 
     * ``decomps[(i,) + branch key]``: layer i's (branches, w_res), the
       fitted ``Branches`` and the float residual left for the quantizer.
@@ -222,7 +220,7 @@ class FitCache:
     * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
       alone, which every pipeline for which ``lrb_fitted_first`` holds
       reuses, whatever its GMB rank;
-    * ``layers[(i, bits, ctx.cache_key())]``: the quantized layer.  It
+    * ``layers[(i, bits, ctx)]``: the quantized layer.  It
       holds the residual's int8 grid (n_out x n_in bytes), its row scales
       and row steps (2 n_out floats), and a reference to the shared
       ``Branches``: nothing else dense.
@@ -301,30 +299,19 @@ class QuantContext:
 
     Requested branch ranks are scaled per layer when scale_ranks is on:
     r_lrb capped at N/4 and r_gmb at N/16 (floor 1, N = min layer dim), so
-    small toy layers keep proportionate branches.  fp32_dense controls
-    whether 32-bit layers take the exact dense path (default) or run
-    through the rotation machinery like any other width.
+    small toy layers keep proportionate branches; r_gmb 0 fits no GMB.
+    fp32_dense controls whether 32-bit layers take the exact dense path
+    (default) or run through the rotation machinery like any other width.
+    A context is hashable and keys the cache entries built under it.
     """
 
     deltas: DeltaTable = field(default_factory=default_delta_table)
     r_lrb: int = 16
     r_gmb: int = 4
-    use_gmb: bool = True
     gmb_order: str = "lrb_first"
     gmb_placement: str = "post"
     fp32_dense: bool = True
     scale_ranks: bool = True
-
-    def cache_key(self) -> tuple:
-        return (
-            self.deltas.key(),
-            self.r_lrb,
-            self.r_gmb,
-            self.use_gmb,
-            self.gmb_order,
-            self.gmb_placement,
-            self.scale_ranks,
-        )
 
 
 @lru_cache(maxsize=1)
@@ -344,7 +331,7 @@ def _effective_ranks(ctx: QuantContext, n_out: int, n_in: int) -> tuple[int, int
 
 
 def _branch_key(ctx: QuantContext, shape) -> tuple:
-    return _effective_ranks(ctx, *shape) + (ctx.use_gmb, ctx.gmb_order, ctx.gmb_placement)
+    return _effective_ranks(ctx, *shape) + (ctx.gmb_order, ctx.gmb_placement)
 
 
 def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
@@ -357,9 +344,7 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
     for (n_out, n_in), layers in groups.items():
         key = _branch_key(ctx, (n_out, n_in))
         r_l, r_g = key[:2]
-        first = lrb_fitted_first(
-            r_g, use_gmb=ctx.use_gmb, order=ctx.gmb_order, placement=ctx.gmb_placement
-        )
+        first = lrb_fitted_first(r_g, order=ctx.gmb_order, placement=ctx.gmb_placement)
         per_call = max(1, FIT_STACK_BYTES // (8 * n_out * n_in))
         for start in range(0, len(layers), per_call):
             chunk = layers[start : start + per_call]
@@ -370,7 +355,6 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
                     r_l,
                     r_g,
                     hadamard(n_in),
-                    use_gmb=ctx.use_gmb,
                     order=ctx.gmb_order,
                     placement=ctx.gmb_placement,
                     lrb=lrbs if first and all(f is not None for f in lrbs) else None,
@@ -388,14 +372,14 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
     cache = model.fit_cache
-    key = (i, bits, ctx.cache_key())
+    key = (i, bits, ctx)
     layer = cache.layers.get(key)
     if layer is None:
         dkey = (i,) + _branch_key(ctx, model.weights[i].shape)
         if dkey not in cache.decomps:
             _fit_all(model, ctx)
         branches, w_res = cache.decomps[dkey]
-        layer = assemble_layer(w_res, branches, bits, bits, model.dims[i], ctx.deltas)
+        layer = assemble_layer(w_res, branches, bits, ctx.deltas)
         cache.layers[key] = layer
     return layer
 
@@ -464,7 +448,7 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
         if bits[i] == PASSTHROUGH_BITS and ctx.fp32_dense:
             xs = np.einsum("nd,od->no", xs, model.weights[i])
         else:
-            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs, ctx.deltas)
+            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs)
         if i < n - 1:
             xs = np.maximum(xs, LEAKY_SLOPE * xs)  # the leaky rectifier, 0 < slope < 1
             if cache is not None:
@@ -523,12 +507,17 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     return mse
 
 
+def module_mean_bits(config: dict, model: ToyModel) -> float:
+    """FLOPs-weighted mean over the module's own layers only."""
+    flops = model.flops
+    total = sum(flops[i] for i in config)
+    return sum(flops[i] * b for i, b in config.items()) / total
+
+
 def mean_bitwidth(alloc, model: ToyModel) -> float:
     """FLOPs-weighted average bit-width over the full allocation."""
     _validate_alloc(model, alloc)
-    flops = model.flops
-    total = sum(flops)
-    return sum(flops[i] * alloc[i] for i in range(model.n_layers)) / total
+    return module_mean_bits(alloc, model)
 
 
 def model_to_json(model: ToyModel) -> str:

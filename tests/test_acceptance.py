@@ -81,7 +81,7 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="session")
 def suite_results(suite_models, suite_calibs, ctx):
     """Per-seed search and baseline results shared by criteria 6, 7, and 8."""
-    ctx_nogmb = QuantContext(use_gmb=False)
+    ctx_nogmb = QuantContext(r_gmb=0)
     out = {}
     for seed in SUITE_SEEDS:
         model = suite_models[seed]
@@ -190,7 +190,7 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
     for model in suite_models.values():
         for w in model.weights:
             h = hadamard(w.shape[1])
-            _, gmb, res_full = branch_decomposition(w, 8, 4, h, use_gmb=True)
+            _, gmb, res_full = branch_decomposition(w, 8, 4, h)
             # the LRB-only residual is the full residual with the GMB put back
             res_lrb = res_full + gmb_reconstruct_blocks(gmb)
             if np.linalg.norm(res_full) > np.linalg.norm(res_lrb):

@@ -90,15 +90,6 @@ class TestSensitivity:
             vals = [row[b] for b in sorted(row)]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_json_round_trip(self):
-        t = random_table(3, seed=1)
-        back = SensitivityTable.from_json(t.to_json())
-        assert back.metric == t.metric
-        assert back.scores == t.scores
-
-    def test_from_json_rejects_bad_metric(self):
-        with pytest.raises(InvalidBitsError):
-            SensitivityTable.from_json('{"metric": "cosine", "scores": {}}')
 
 
 class TestBudgetUnits:

@@ -4,6 +4,7 @@ Per-block correctness is checked against numpy's SVD (test-only oracle);
 the factored form is checked against the dense block assembly it must equal.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -34,12 +35,19 @@ from treeq.branches import (
     residual_product,
 )
 from treeq.errors import (
+    InvalidBitsError,
     InvalidDimensionError,
     InvalidPartitionError,
     InvalidRankError,
 )
 from treeq.linalg import hadamard, matmul, top_singular_pair
-from treeq.quantizer import WeightGrid, default_delta_table, quantize_rotated_batch
+from treeq.quantizer import (
+    DeltaTable,
+    WeightGrid,
+    default_delta_table,
+    quantize_rotated_batch,
+    round_half_away,
+)
 
 from conftest import seeded_matrix
 
@@ -185,16 +193,12 @@ class TestGmbFactored:
         assert r.shape == (8, 8)  # (n_i*n_o, n_i*b_i)
         assert perm.shape == (8,)
 
-    def test_param_count(self):
-        f = gmb_decompose(seeded_matrix(8, 16, seed=8), 4, 4)
-        assert f.param_count() == 4 * 4 * (4 + 2)
-
 
 class TestBranchDecomposition:
     def test_residual_reassembles(self):
         w = seeded_matrix(16, 16, seed=9)
         h = hadamard(16)
-        lrb, gmb, w_res = branch_decomposition(w, 4, 4, h, use_gmb=True)
+        lrb, gmb, w_res = branch_decomposition(w, 4, 4, h)
         w_h = matmul(w, h)
         total = lrb.product() + gmb_reconstruct_blocks(gmb) + w_res
         assert np.allclose(total, w_h, atol=1e-12)
@@ -202,8 +206,8 @@ class TestBranchDecomposition:
     def test_gmb_reduces_residual(self):
         w = seeded_matrix(16, 16, seed=10)
         h = hadamard(16)
-        lrb, gmb, w_res = branch_decomposition(w, 4, 4, h, use_gmb=True)
-        _, _, res_no = branch_decomposition(w, 4, 0, h, use_gmb=False)
+        lrb, gmb, w_res = branch_decomposition(w, 4, 4, h)
+        _, _, res_no = branch_decomposition(w, 4, 0, h)
         assert np.linalg.norm(w_res) <= np.linalg.norm(res_no)
 
     def test_pre_placement_accounts_for_rotation(self):
@@ -225,7 +229,7 @@ class TestBranchDecomposition:
     @pytest.mark.parametrize(
         "kwargs,first",
         [
-            ({"use_gmb": False}, True),
+            ({"r_gmb": 0}, True),
             ({"order": "lrb_first"}, True),
             ({"order": "gmb_first"}, False),
             ({"placement": "pre"}, False),
@@ -234,7 +238,8 @@ class TestBranchDecomposition:
     def test_given_lrb_replaces_the_first_fit(self, kwargs, first):
         w = seeded_matrix(16, 16, seed=14)
         h = hadamard(16)
-        r_gmb = 0 if kwargs.get("use_gmb") is False else 4
+        kwargs = dict(kwargs)
+        r_gmb = kwargs.pop("r_gmb", 4)
         assert lrb_fitted_first(r_gmb, **kwargs) is first
         fresh = branch_decomposition(w, 4, r_gmb, h, **kwargs)
         shared = init_lrb(matmul(w, h), 4)
@@ -264,7 +269,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-PIPELINES = [{"use_gmb": False}, {"order": "lrb_first"}, {"order": "gmb_first"}, {"placement": "pre"}]
+PIPELINES = [{"r_gmb": 0}, {"order": "lrb_first"}, {"order": "gmb_first"}, {"placement": "pre"}]
 
 
 class TestStackedDecomposition:
@@ -273,7 +278,8 @@ class TestStackedDecomposition:
         stack = np.stack([seeded_matrix(16, 32, seed=30 + k) for k in range(5)])
         stack[3] *= 1e-3  # its own number of sweeps
         h = hadamard(32)
-        r_gmb = 0 if kwargs.get("use_gmb") is False else 4
+        kwargs = dict(kwargs)
+        r_gmb = kwargs.pop("r_gmb", 4)
         fits = branch_decomposition(stack, 4, r_gmb, h, **kwargs)
         assert len(fits) == 5
         placement = kwargs.get("placement", "post")
@@ -285,10 +291,10 @@ class TestStackedDecomposition:
             if gmb is not None:
                 assert same_bits(gmb.sigma, a_gmb.sigma)
                 assert same_bits(gmb.u, a_gmb.u) and same_bits(gmb.v, a_gmb.v)
-            layer = assemble_layer(w_res, Branches(lrb, gmb, placement), 3, 3, 32)
-            alone = assemble_layer(a_res, Branches(a_lrb, a_gmb, placement), 3, 3, 32)
-            assert same_bits(layer.q_res, alone.q_res)
-            assert same_bits(layer.branch_h, alone.branch_h)
+            layer = assemble_layer(w_res, Branches(lrb, gmb, placement), 3)
+            alone = assemble_layer(a_res, Branches(a_lrb, a_gmb, placement), 3)
+            assert same_bits(layer.weight.dense(), alone.weight.dense())
+            assert same_bits(layer.branches.post, alone.branches.post)
 
     def test_one_svd_call_per_branch_type(self, monkeypatch):
         calls = []
@@ -324,7 +330,26 @@ class TestQuantizedLayer:
         ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
         want = (
             ints * step[:, None] * layer.weight.step
-            + np.einsum("nd,od->no", rot, layer.branch_h)
+            + np.einsum("nd,od->no", rot, layer.branches.post)
+        )
+        assert np.array_equal(forward_quantized_batch(layer, x), want)
+
+    def test_activations_use_the_step_the_layer_was_built_with(self):
+        # a layer quantized under a non-default table quantizes its
+        # activations with that table's step; the forward takes no table
+        w = seeded_matrix(8, 8, seed=30)
+        h = hadamard(8)
+        delta = 0.5  # the default 3-bit step is about 0.586
+        layer = quantize_layer(w, 3, 2, 2, h, table=DeltaTable(deltas={3: delta}))
+        assert layer.weight.delta == delta
+        x = seeded_matrix(1, 8, seed=31)
+        rot = np.einsum("nj,ji->ni", x, h)
+        sigma = np.sqrt(np.mean(rot * rot, axis=1))
+        grid = np.clip(round_half_away(rot / sigma[:, None] / delta), -4, 3)
+        ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
+        want = (
+            ints * (sigma * delta)[:, None] * layer.weight.step
+            + np.einsum("nd,od->no", rot, layer.branches.post)
         )
         assert np.array_equal(forward_quantized_batch(layer, x), want)
 
@@ -337,19 +362,11 @@ class TestQuantizedLayer:
         for i in range(5):
             assert np.array_equal(forward_quantized_batch(layer, xs[i : i + 1])[0], batch[i])
 
-    def test_bits_a_defaults_to_bits_w(self):
-        layer = quantize_layer(seeded_matrix(8, 8, seed=17), 5, 2, 2, hadamard(8))
-        assert layer.bits_a == 5
-        layer = quantize_layer(
-            seeded_matrix(8, 8, seed=17), 5, 2, 2, hadamard(8), bits_a=8
-        )
-        assert layer.bits_a == 8
-
     def test_32_bit_layer_is_exact(self):
         w = seeded_matrix(8, 8, seed=18)
         h = hadamard(8)
         lrb, gmb, w_res = branch_decomposition(w, 2, 2, h)
-        layer = assemble_layer(w_res, Branches(lrb, gmb), 32, 32, 8)
+        layer = assemble_layer(w_res, Branches(lrb, gmb), 32)
         xs = seeded_matrix(4, 8, seed=19)
         want = np.einsum("nd,od->no", xs, w)
         assert np.allclose(forward_quantized_batch(layer, xs), want, atol=1e-10)
@@ -362,7 +379,7 @@ class TestQuantizedLayer:
         xs = seeded_matrix(16, 32, seed=21)
         want = np.einsum("nd,od->no", xs, w)
         with_b = quantize_layer(w, 3, 4, 4, h)
-        without = quantize_layer(w, 3, 0, 0, h, use_gmb=False)
+        without = quantize_layer(w, 3, 0, 0, h)
         err_with = np.mean((forward_quantized_batch(with_b, xs) - want) ** 2)
         err_without = np.mean((forward_quantized_batch(without, xs) - want) ** 2)
         assert err_with < err_without
@@ -371,15 +388,15 @@ class TestQuantizedLayer:
         w = seeded_matrix(8, 8, seed=22)
         h = hadamard(8)
         layer = quantize_layer(w, 3, 2, 2, h, placement="pre")
-        assert layer.branch_pre is not None
+        assert layer.branches.pre is not None
         x = seeded_matrix(1, 8, seed=23)
         rot = np.einsum("nj,ji->ni", x, h)
         grid, step = quantize_rotated_batch(rot, 3)
         ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
         want = (
             ints * step[:, None] * layer.weight.step
-            + np.einsum("nd,od->no", rot, layer.branch_h)
-            + np.einsum("nd,od->no", x, layer.branch_pre)
+            + np.einsum("nd,od->no", rot, layer.branches.post)
+            + np.einsum("nd,od->no", x, layer.branches.pre)
         )
         assert np.array_equal(forward_quantized_batch(layer, x), want)
 
@@ -393,7 +410,7 @@ class TestQuantizedLayer:
         assert layer.weight.q.dtype == np.int8 and layer.weight.q.shape == (16, 16)
         assert layer.weight.scale.shape == (16,)
         assert np.array_equal(
-            layer.q_res, layer.weight.scale[:, None] * (layer.weight.q * layer.weight.delta)
+            layer.weight.dense(), layer.weight.scale[:, None] * (layer.weight.q * layer.weight.delta)
         )
 
 
@@ -477,13 +494,13 @@ class TestSerialization:
         assert np.array_equal(back.weight.q, layer.weight.q)
         assert back.weight.scale.tobytes() == layer.weight.scale.tobytes()
         assert back.weight.delta == layer.weight.delta
-        assert back.q_res.tobytes() == layer.q_res.tobytes()
-        assert np.array_equal(back.lrb.a, layer.lrb.a)
-        assert np.array_equal(back.lrb.b, layer.lrb.b)
-        assert np.array_equal(back.gmb.sigma, layer.gmb.sigma)
-        assert np.array_equal(back.gmb.u, layer.gmb.u)
-        assert np.array_equal(back.gmb.v, layer.gmb.v)
-        assert (back.bits_w, back.bits_a, back.n) == (3, 3, 8)
+        assert back.weight.dense().tobytes() == layer.weight.dense().tobytes()
+        assert np.array_equal(back.branches.lrb.a, layer.branches.lrb.a)
+        assert np.array_equal(back.branches.lrb.b, layer.branches.lrb.b)
+        assert np.array_equal(back.branches.gmb.sigma, layer.branches.gmb.sigma)
+        assert np.array_equal(back.branches.gmb.u, layer.branches.gmb.u)
+        assert np.array_equal(back.branches.gmb.v, layer.branches.gmb.v)
+        assert (back.weight.bits, back.weight.q.shape) == (3, (8, 8))
 
     def test_round_trip_forward_identical(self):
         layer = self._layer()
@@ -495,23 +512,29 @@ class TestSerialization:
 
     def test_round_trip_32_bits(self):
         lrb, gmb, w_res = branch_decomposition(seeded_matrix(8, 8, seed=29), 2, 2, hadamard(8))
-        layer = assemble_layer(w_res, Branches(lrb, gmb), 32, 32, 8)
+        layer = assemble_layer(w_res, Branches(lrb, gmb), 32)
         back = qlinear_from_json(qlinear_to_json(layer))
         assert back.weight.q.dtype == np.float64
-        assert back.q_res.tobytes() == layer.q_res.tobytes() == w_res.tobytes()
+        assert back.weight.dense().tobytes() == layer.weight.dense().tobytes() == w_res.tobytes()
 
     def test_no_gmb(self):
-        layer = quantize_layer(
-            seeded_matrix(8, 8, seed=27), 3, 2, 0, hadamard(8), use_gmb=False
-        )
+        layer = quantize_layer(seeded_matrix(8, 8, seed=27), 3, 2, 0, hadamard(8))
         back = qlinear_from_json(qlinear_to_json(layer))
-        assert back.gmb is None
+        assert back.branches.gmb is None
+
+    @pytest.mark.parametrize(
+        "field,value,error", [("bits_a", 4, InvalidBitsError), ("n", 16, InvalidDimensionError)]
+    )
+    def test_rejects_bits_a_or_n_that_disagree_with_the_grid(self, field, value, error):
+        doc = json.loads(qlinear_to_json(self._layer()))
+        assert (doc["bits_a"], doc["n"]) == (3, 8)
+        doc[field] = value
+        with pytest.raises(error):
+            qlinear_from_json(json.dumps(doc))
 
     def test_placement_survives(self):
         layer = self._layer(placement="pre")
         back = qlinear_from_json(qlinear_to_json(layer))
-        assert back.gmb_placement == "pre"
+        assert back.branches.placement == "pre"
         # default placement stays implicit in the document
-        import json
-
         assert "gmb_placement" not in json.loads(qlinear_to_json(self._layer()))

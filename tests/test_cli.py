@@ -75,6 +75,22 @@ class TestConfigHandling:
         assert main(["gen-model", "--config", str(p)]) == 2
         assert "calib.count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,field", [("model", "outlier_fraction"), ("search", "target")]
+    )
+    def test_bool_is_not_a_number(self, tmp_path, capsys, section, field):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({section: {field: True}}))
+        assert main(["gen-model", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{field}" in capsys.readouterr().err
+
+    def test_use_gmb_is_unknown(self, tmp_path, capsys):
+        # r_gmb 0 is the one way to turn the GMB off
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"quant": {"use_gmb": False}}))
+        assert main(["gen-model", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config field 'quant.use_gmb'" in capsys.readouterr().err
+
     def test_invalid_model_shape(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": {"dims": [64] * 4}}))
@@ -225,6 +241,13 @@ class TestEval:
         p.write_text(json.dumps({"0": "three", "1": 3, "2": 3, "3": 3}))
         assert main(["eval", str(p), "--config", cfg_path]) == 2
         assert "not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [3.7, 3.0, True])
+    def test_bits_must_be_json_integers(self, cfg_path, tmp_path, capsys, value):
+        p = tmp_path / "alloc.json"
+        p.write_text(json.dumps({"0": value, "1": 3, "2": 3, "3": 3}))
+        assert main(["eval", str(p), "--config", cfg_path]) == 2
+        assert "allocation entry '0'" in capsys.readouterr().err
 
 
 class TestBaseline:

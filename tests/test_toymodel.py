@@ -225,7 +225,7 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         low, high = quantized_layer(m, 1, 2), quantized_layer(m, 1, 5)
         assert low.branches is high.branches
-        assert low.branch_h is high.branch_h
+        assert low.branches.post is high.branches.post
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_entry_holds_a_byte_grid_and_row_scales(self, n):
@@ -233,14 +233,14 @@ class TestLayerCache:
         # grid plus O(n) floats (row scales and steps) and a few objects;
         # the branch matrix and the Hadamard matrix are already shared
         m = gen_model(ModelSpec(1, (n, n), seed=3))
-        ctx = QuantContext(r_lrb=0, use_gmb=False)  # no SVD: only the entry is measured
+        ctx = QuantContext(r_lrb=0, r_gmb=0)  # no SVD: only the entry is measured
         xs = np.ones((4, n))
-        toymodel.forward_quantized_batch(quantized_layer(m, 0, 2, ctx), xs, ctx.deltas)
+        toymodel.forward_quantized_batch(quantized_layer(m, 0, 2, ctx), xs)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             layer = quantized_layer(m, 0, 3, ctx)
-            toymodel.forward_quantized_batch(layer, xs, ctx.deltas)
+            toymodel.forward_quantized_batch(layer, xs)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -250,7 +250,7 @@ class TestLayerCache:
         # the settings of `treeq ablate gmb`: the lrb_first rows and the
         # no-GMB row all fit the same LRB on W @ H
         settings = [
-            QuantContext(r_gmb=0, use_gmb=False, scale_ranks=False),
+            QuantContext(r_gmb=0, scale_ranks=False),
             QuantContext(r_gmb=2, scale_ranks=False),
             QuantContext(r_gmb=4, scale_ranks=False),
             QuantContext(r_gmb=8, scale_ranks=False),
@@ -265,8 +265,8 @@ class TestLayerCache:
         assert len(calls) == 3  # W @ H once, then gmb_first and pre
         for ctx, layer in zip(settings, layers):
             alone = quantized_layer(gen_model(exhaustive_spec(7)), 0, 3, ctx)
-            assert np.array_equal(layer.q_res, alone.q_res)
-            assert np.array_equal(layer.branch_h, alone.branch_h)
+            assert np.array_equal(layer.weight.dense(), alone.weight.dense())
+            assert np.array_equal(layer.branches.post, alone.branches.post)
 
 
 def two_group_spec(seed):
@@ -304,10 +304,10 @@ class TestStackedFit:
         for ctx, layers in zip(self.CONTEXTS, want):
             for i, layer in enumerate(layers):
                 got = quantized_layer(split, i, 3, ctx)
-                assert got.q_res.tobytes() == layer.q_res.tobytes()
-                assert got.branch_h.tobytes() == layer.branch_h.tobytes()
-                assert got.lrb.a.tobytes() == layer.lrb.a.tobytes()
-                assert got.gmb.u.tobytes() == layer.gmb.u.tobytes()
+                assert got.weight.dense().tobytes() == layer.weight.dense().tobytes()
+                assert got.branches.post.tobytes() == layer.branches.post.tobytes()
+                assert got.branches.lrb.a.tobytes() == layer.branches.lrb.a.tobytes()
+                assert got.branches.gmb.u.tobytes() == layer.branches.gmb.u.tobytes()
         assert all(shape[0] == 1 for shape in shapes) and len(shapes) == 4 * 3
 
     def test_non_convergence_names_the_layers(self, monkeypatch):
@@ -417,8 +417,8 @@ class TestEvalCache:
         ctxs = [
             QuantContext(),
             QuantContext(fp32_dense=False),
-            QuantContext(r_gmb=0, use_gmb=False),
-            QuantContext(r_gmb=0, use_gmb=False, fp32_dense=False),
+            QuantContext(r_gmb=0),
+            QuantContext(r_gmb=0, fp32_dense=False),
         ]
         rng = np.random.default_rng(0)
         alloc = {i: 3 for i in range(4)}
@@ -463,10 +463,10 @@ class TestEvalCache:
         end_to_end_mse(m, a, c)
         run = toymodel.forward_quantized_batch
 
-        def fail_at_layer_2(layer, xs, table):
+        def fail_at_layer_2(layer, xs):
             if layer is quantized_layer(m, 2, 5):
                 raise RuntimeError("fit failed")
-            return run(layer, xs, table)
+            return run(layer, xs)
 
         monkeypatch.setattr(toymodel, "forward_quantized_batch", fail_at_layer_2)
         with pytest.raises(RuntimeError):
