@@ -26,7 +26,6 @@ from .quantizer import (
     quantize_weight_channelwise,
 )
 from .search import (
-    EvalCounter,
     ParetoEntry,
     ParetoQueue,
     SearchParams,

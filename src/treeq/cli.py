@@ -18,7 +18,7 @@ from .baselines import build_sensitivity_table, ip_allocate, uniform_allocate
 from .branches import qlinear_to_json
 from .errors import ConvergenceError
 from .quantizer import default_delta_table
-from .search import EvalCounter, SearchParams, result_to_json, tss_search
+from .search import SearchParams, result_to_json, tss_search
 from .toymodel import (
     TAG_DERIVE,
     ModelSpec,
@@ -41,27 +41,27 @@ DEFAULT_MODEL = {
     "outlier_fraction": 0.02,
     "outlier_scale": 8.0,
 }
-DEFAULT_SEARCH = {"candidates": [2, 3, 4, 5], "k": 16, "target": 3.0, "env_bits": 3}
-DEFAULT_QUANT = {"r_lrb": 16, "r_gmb": 4}
-DEFAULT_CALIB = {"count": 64, "seed": 77}
-DEFAULT_OUT = "runs"
-
-_SCHEMA = {
-    "model": {
-        "n_layers": int,
-        "dims": list,
-        "seed": int,
-        "outlier_fraction": (int, float),
-        "outlier_scale": (int, float),
-    },
+# Every config field with its default.  A field takes a value of its
+# default's kind: a JSON integer for an int, any JSON number (stored as a
+# float) for a float, a list of JSON integers for a list, never a bool.
+DEFAULTS = {
+    "model": DEFAULT_MODEL,
     "search": {
-        "candidates": list,
-        "k": int,
-        "target": (int, float),
-        "env_bits": int,
+        "candidates": list(SearchParams.candidates),
+        "k": SearchParams.k,
+        "target": SearchParams.target,
+        "env_bits": SearchParams.env_bits,
     },
-    "quant": {"r_lrb": int, "r_gmb": int},
-    "calib": {"count": int, "seed": int},
+    "quant": {"r_lrb": QuantContext.r_lrb, "r_gmb": QuantContext.r_gmb},
+    "calib": {"count": 64, "seed": 77},
+}
+DEFAULT_OUT = "runs"
+# command-line flag -> the config field it overrides
+FLAG_FIELDS = {
+    "seed": ("model", "seed"),
+    "target": ("search", "target"),
+    "env": ("search", "env_bits"),
+    "k": ("search", "k"),
 }
 
 
@@ -73,34 +73,40 @@ class ConfigError(Exception):
 class RunConfig:
     model: ModelSpec
     search: dict
-    quant: dict
+    quant: QuantContext
     calib: dict
     output_dir: str
 
 
-def _check_type(path: str, value, expected) -> None:
-    # no field takes a bool, and bool is a subclass of int
-    if isinstance(value, bool) or not isinstance(value, expected):
-        name = expected.__name__ if isinstance(expected, type) else "number"
-        raise ConfigError(f"config field '{path}' must be of type {name}")
+def _is_int(value) -> bool:
+    # bool is a subclass of int, and no field takes a bool
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(path: str, value, default):
+    """``value`` if it has the kind of ``default`` (see DEFAULTS), else ConfigError."""
+    if isinstance(default, list):
+        if isinstance(value, list) and all(_is_int(v) for v in value):
+            return value
+        raise ConfigError(f"config field '{path}' must be a list of integers")
+    if isinstance(default, float):
+        if _is_int(value) or isinstance(value, float):
+            return float(value)
+        raise ConfigError(f"config field '{path}' must be of type number")
+    if _is_int(value):
+        return value
+    raise ConfigError(f"config field '{path}' must be of type int")
 
 
 def _merge_section(section: str, raw: dict) -> dict:
-    defaults = {
-        "model": DEFAULT_MODEL,
-        "search": DEFAULT_SEARCH,
-        "quant": DEFAULT_QUANT,
-        "calib": DEFAULT_CALIB,
-    }[section]
-    out = dict(defaults)
+    out = dict(DEFAULTS[section])
     override = raw.get(section, {})
     if not isinstance(override, dict):
         raise ConfigError(f"config field '{section}' must be an object")
     for key, value in override.items():
-        if key not in _SCHEMA[section]:
+        if key not in out:
             raise ConfigError(f"unknown config field '{section}.{key}'")
-        _check_type(f"{section}.{key}", value, _SCHEMA[section][key])
-        out[key] = value
+        out[key] = _checked(f"{section}.{key}", value, out[key])
     return out
 
 
@@ -117,12 +123,9 @@ def load_run_config(args) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         for key in raw:
-            if key not in ("model", "search", "quant", "calib", "output_dir"):
+            if key not in DEFAULTS and key != "output_dir":
                 raise ConfigError(f"unknown config field '{key}'")
-    model_cfg = _merge_section("model", raw)
-    search_cfg = _merge_section("search", raw)
-    quant_cfg = _merge_section("quant", raw)
-    calib_cfg = _merge_section("calib", raw)
+    cfg = {section: _merge_section(section, raw) for section in DEFAULTS}
     output_dir = raw.get("output_dir", DEFAULT_OUT)
     if not isinstance(output_dir, str):
         raise ConfigError("config field 'output_dir' must be a string")
@@ -130,41 +133,24 @@ def load_run_config(args) -> RunConfig:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            model_cfg["seed"] = int(env_seed)
+            cfg["model"]["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
-    if getattr(args, "seed", None) is not None:
-        model_cfg["seed"] = args.seed
-    if getattr(args, "target", None) is not None:
-        search_cfg["target"] = args.target
-    if getattr(args, "env", None) is not None:
-        search_cfg["env_bits"] = args.env
-    if getattr(args, "k", None) is not None:
-        search_cfg["k"] = args.k
+    for flag, (section, key) in FLAG_FIELDS.items():
+        if getattr(args, flag, None) is not None:
+            cfg[section][key] = getattr(args, flag)
     if getattr(args, "out", None) is not None:
         output_dir = args.out
 
     try:
-        spec = ModelSpec(
-            n_layers=model_cfg["n_layers"],
-            dims=tuple(model_cfg["dims"]),
-            seed=model_cfg["seed"],
-            outlier_fraction=float(model_cfg["outlier_fraction"]),
-            outlier_scale=float(model_cfg["outlier_scale"]),
-        )
+        spec = ModelSpec(**cfg["model"])
     except ValueError as e:
         raise ConfigError(f"invalid model config: {e}")
-    return RunConfig(
-        model=spec,
-        search=search_cfg,
-        quant=quant_cfg,
-        calib=calib_cfg,
-        output_dir=output_dir,
-    )
-
-
-def _context(cfg: RunConfig) -> QuantContext:
-    return QuantContext(r_lrb=cfg.quant["r_lrb"], r_gmb=cfg.quant["r_gmb"])
+    try:
+        quant = QuantContext(**cfg["quant"])
+    except ValueError as e:
+        raise ConfigError(f"invalid quant config: {e}")
+    return RunConfig(spec, cfg["search"], quant, cfg["calib"], output_dir)
 
 
 def _write(cfg: RunConfig, name: str, text: str) -> str:
@@ -206,23 +192,22 @@ def cmd_calibrate_delta(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _run_search(cfg: RunConfig, model, calib, ctx, k=None, calib_override=None):
+def _run_search(cfg: RunConfig, model, calib, k=None):
     params = SearchParams(
-        calib=calib_override if calib_override is not None else calib,
+        calib=calib,
         candidates=tuple(cfg.search["candidates"]),
         k=k if k is not None else cfg.search["k"],
-        target=float(cfg.search["target"]),
+        target=cfg.search["target"],
         env_bits=cfg.search["env_bits"],
-        eval_counter=EvalCounter(),
     )
-    return tss_search(model, params, ctx)
+    return tss_search(model, params, cfg.quant)
 
 
 def cmd_search(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     model = gen_model(cfg.model)
     calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
-    result = _run_search(cfg, model, calib, _context(cfg))
+    result = _run_search(cfg, model, calib)
     doc = json.loads(result_to_json(result))
     doc["wall_ms"] = (time.perf_counter() - started) * 1e3
     path = _write(cfg, "search.json", _dump(doc))
@@ -239,11 +224,10 @@ def cmd_search(cfg: RunConfig, args) -> int:
 def cmd_quantize(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     model = gen_model(cfg.model)
-    ctx = _context(cfg)
     bits = _uniform_bits(cfg)
     alloc = uniform_allocate(model.n_layers, bits)
     layers = [
-        json.loads(qlinear_to_json(quantized_layer(model, i, alloc[i], ctx)))
+        json.loads(qlinear_to_json(quantized_layer(model, i, alloc[i], cfg.quant)))
         for i in range(model.n_layers)
     ]
     doc = {
@@ -271,7 +255,7 @@ def _load_alloc(path: str, n_layers: int) -> dict:
     alloc = {}
     for key, value in table.items():
         # a JSON integer only: int() would truncate 3.7 and read true as 1
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ConfigError(f"allocation entry {key!r}: {value!r} is not an integer")
         try:
             alloc[int(key)] = value
@@ -291,7 +275,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     model = gen_model(cfg.model)
     alloc = _load_alloc(args.alloc, model.n_layers)
     calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
-    mse = end_to_end_mse(model, alloc, calib, _context(cfg))
+    mse = end_to_end_mse(model, alloc, calib, cfg.quant)
     doc = {
         "mse": mse,
         "mean_bits": mean_bitwidth(alloc, model),
@@ -307,20 +291,20 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_baseline(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     model = gen_model(cfg.model)
-    ctx = _context(cfg)
+    ctx = cfg.quant
     calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
     # sensitivity tables get a 4x larger, disjoint calibration draw
     sens_calib = gen_calibration(
         model, 4 * cfg.calib["count"], substream(cfg.calib["seed"], TAG_DERIVE, 1)
     )
-    target = float(cfg.search["target"])
+    target = cfg.search["target"]
     candidates = tuple(cfg.search["candidates"])
 
     allocs = {"uniform": uniform_allocate(model.n_layers, _uniform_bits(cfg))}
     for metric, label in (("L1", "ip_l1"), ("L2", "ip_l2")):
         table = build_sensitivity_table(model, metric, sens_calib, ctx, candidates)
         allocs[label] = ip_allocate(table, model.flops, target, candidates)
-    allocs["tss"] = _run_search(cfg, model, calib, ctx).final
+    allocs["tss"] = _run_search(cfg, model, calib).final
 
     rows = []
     for method in ("uniform", "ip_l1", "ip_l2", "tss"):
@@ -354,11 +338,11 @@ def cmd_baseline(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _ablate_k(cfg: RunConfig, model, calib, ctx) -> list:
+def _ablate_k(cfg: RunConfig, model, calib) -> list:
     rows = []
     for k in (4, 8, 16, 32):
         started = time.perf_counter()
-        result = _run_search(cfg, model, calib, ctx, k=k)
+        result = _run_search(cfg, model, calib, k=k)
         rows.append(
             {
                 "k": k,
@@ -370,7 +354,7 @@ def _ablate_k(cfg: RunConfig, model, calib, ctx) -> list:
     return rows
 
 
-def _ablate_calib(cfg: RunConfig, model, calib, ctx) -> list:
+def _ablate_calib(cfg: RunConfig, model, calib) -> list:
     import numpy as np
 
     draws = 8
@@ -384,7 +368,7 @@ def _ablate_calib(cfg: RunConfig, model, calib, ctx) -> list:
             draw = gen_calibration(
                 model, count, substream(cfg.calib["seed"], TAG_DERIVE, 100 + j)
             )
-            values.append(end_to_end_mse(model, alloc, draw, ctx))
+            values.append(end_to_end_mse(model, alloc, draw, cfg.quant))
         rows.append(
             {
                 "count": count,
@@ -397,7 +381,7 @@ def _ablate_calib(cfg: RunConfig, model, calib, ctx) -> list:
     return rows
 
 
-def _ablate_gmb(cfg: RunConfig, model, calib, ctx) -> list:
+def _ablate_gmb(cfg: RunConfig, model, calib) -> list:
     bits = _uniform_bits(cfg)
     alloc = uniform_allocate(model.n_layers, bits)
     settings = [
@@ -426,10 +410,9 @@ def _ablate_gmb(cfg: RunConfig, model, calib, ctx) -> list:
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     model = gen_model(cfg.model)
-    ctx = _context(cfg)
     calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
     runner = {"k": _ablate_k, "calib": _ablate_calib, "gmb": _ablate_gmb}[args.axis]
-    rows = runner(cfg, model, calib, ctx)
+    rows = runner(cfg, model, calib)
     doc = {"axis": args.axis, "rows": rows}
     path = _write(cfg, f"ablate_{args.axis}.json", _dump(doc))
     print(f"wrote {path}")

@@ -313,20 +313,10 @@ def top_singular_pair(m):
     the 2-D call on that matrix.  The sign convention makes the first
     significant entry of u positive (of v when n > m), so results are
     reproducible across runs.  A zero matrix yields sigma 0 with u and v
-    the first canonical basis vectors.
+    the first canonical basis vectors.  This is ``truncated_svd(m, 1)``
+    with the rank axis dropped.
     """
-    a = as_stack(m)
-    *batch, rows, cols = a.shape
-    stack = a.reshape(-1, rows, cols)
-    sigma = np.zeros(stack.shape[0])
-    u = np.zeros((stack.shape[0], rows))
-    u[:, 0] = 1.0
-    v = np.zeros((stack.shape[0], cols))
-    v[:, 0] = 1.0
-    live = stack.any(axis=(1, 2))
-    if live.any():
-        lu, ls, lv = _svd(stack[live], 1)
-        sigma[live], u[live], v[live] = ls[:, 0], lu[..., 0], lv[..., 0]
-    if not batch:
-        return float(sigma[0]), u[0], v[0]
-    return sigma.reshape(batch), u.reshape(*batch, rows), v.reshape(*batch, cols)
+    t = truncated_svd(m, 1)
+    if t.sigma.ndim == 1:
+        return float(t.sigma[0]), t.u[:, 0], t.v[:, 0]
+    return t.sigma[..., 0], t.u[..., 0], t.v[..., 0]

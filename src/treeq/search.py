@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidBitsError, InvalidSpanError
 from .quantizer import QUANT_BITS
@@ -23,23 +23,10 @@ from .toymodel import (
     CalibrationSet,
     QuantContext,
     ToyModel,
+    as_int,
     end_to_end_mse,
     module_mean_bits,
 )
-
-
-class EvalCounter:
-    """Monotone count of indicator evaluations."""
-
-    def __init__(self):
-        self._value = 0
-
-    def add(self, n: int = 1):
-        self._value += n
-
-    @property
-    def value(self) -> int:
-        return self._value
 
 
 @dataclass
@@ -49,10 +36,13 @@ class SearchParams:
     k: int = 16
     target: float = 3.0
     env_bits: int = 3
-    eval_counter: EvalCounter = field(default_factory=EvalCounter)
 
     def __post_init__(self):
-        self.candidates = tuple(sorted(int(b) for b in self.candidates))
+        self.candidates = tuple(
+            sorted(as_int(b, "candidate bits", InvalidBitsError) for b in self.candidates)
+        )
+        self.k = as_int(self.k, "k", InvalidBitsError)
+        self.env_bits = as_int(self.env_bits, "env_bits", InvalidBitsError)
         if not self.candidates:
             raise InvalidBitsError("candidate set must not be empty")
         for b in self.candidates:
@@ -139,7 +129,6 @@ def _evaluate_configs(configs, params: SearchParams, model: ToyModel, ctx: Quant
     one's activations (see ``end_to_end_mse``).
     """
     allocs = [apply_eng(c, params.env_bits, model.n_layers) for c in configs]
-    params.eval_counter.add(len(configs))
     return [end_to_end_mse(model, a, params.calib, ctx) for a in allocs]
 
 
@@ -223,19 +212,20 @@ def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext | None =
 
     Merges pair adjacent queues (1,2), (3,4), ... each round, promoting an
     odd leftover, until one root remains; any schedule performs exactly
-    n-1 merges.  The evaluation counter never exceeds
-    n * |candidates| + (n-1) * k^2.
+    n-1 merges.  The evaluations, n * |candidates| for the leaves plus
+    |qa| * |qb| for each merge, never exceed n * |candidates| + (n-1) * k^2.
     """
     if ctx is None:
         from .toymodel import default_context
 
         ctx = default_context()
-    start = params.eval_counter.value
     queues = [leaf_queue(i, params, model, ctx) for i in range(model.n_layers)]
+    evals = model.n_layers * len(params.candidates)
     trace = []
     while len(queues) > 1:
         merged = []
         for j in range(0, len(queues) - 1, 2):
+            evals += len(queues[j].entries) * len(queues[j + 1].entries)
             q = merge(queues[j], queues[j + 1], params, model, ctx)
             trace.append(q.raw_frontier_size)
             merged.append(q)
@@ -244,7 +234,6 @@ def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext | None =
         queues = merged
     root = queues[0]
     assert len(trace) == model.n_layers - 1
-    evals = params.eval_counter.value - start
     bound = model.n_layers * len(params.candidates) + (model.n_layers - 1) * params.k**2
     assert evals <= bound, f"eval count {evals} exceeds bound {bound}"
     best = select_entry(root.entries, params.target)

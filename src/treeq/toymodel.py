@@ -38,6 +38,8 @@ from typing import Mapping
 import numpy as np
 
 from .branches import (
+    GMB_ORDERS,
+    GMB_PLACEMENTS,
     Branches,
     QuantizedLinear,
     assemble_layer,
@@ -45,7 +47,13 @@ from .branches import (
     forward_quantized_batch,
     lrb_fitted_first,
 )
-from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
+from .errors import (
+    ConvergenceError,
+    InvalidBitsError,
+    InvalidDimensionError,
+    InvalidPartitionError,
+    InvalidRankError,
+)
 from .linalg import as_matrix, hadamard
 from .quantizer import PASSTHROUGH_BITS, QUANT_BITS, DeltaTable, default_delta_table
 
@@ -117,6 +125,13 @@ def _power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def as_int(value, what: str, error=InvalidDimensionError) -> int:
+    """``value`` as an int; ``error`` unless it is an integer (numpy's too) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Blueprint for a synthetic chain: sizes, seed, and outlier structure."""
@@ -128,7 +143,9 @@ class ModelSpec:
     outlier_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "n_layers", as_int(self.n_layers, "n_layers"))
+        object.__setattr__(self, "dims", tuple(as_int(d, "dims entry") for d in self.dims))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if not (1 <= self.n_layers <= 128):
             raise InvalidDimensionError(f"n_layers must be in [1, 128], got {self.n_layers}")
         if len(self.dims) != self.n_layers + 1:
@@ -140,7 +157,7 @@ class ModelSpec:
                 raise InvalidDimensionError(
                     f"dims must be powers of two in [8, 1024], got {d}"
                 )
-        if not (0 <= int(self.seed) <= _MASK):
+        if not (0 <= self.seed <= _MASK):
             raise InvalidDimensionError("seed must fit in 64 bits")
         if not (0.0 <= self.outlier_fraction <= 1.0):
             raise InvalidDimensionError("outlier_fraction must be in [0, 1]")
@@ -160,14 +177,7 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
-        raw = json.loads(text)
-        return cls(
-            n_layers=int(raw["n_layers"]),
-            dims=tuple(raw["dims"]),
-            seed=int(raw["seed"]),
-            outlier_fraction=float(raw.get("outlier_fraction", 0.0)),
-            outlier_scale=float(raw.get("outlier_scale", 1.0)),
-        )
+        return cls(**json.loads(text))
 
 
 class EvalCache:
@@ -300,6 +310,9 @@ class QuantContext:
     Requested branch ranks are scaled per layer when scale_ranks is on:
     r_lrb capped at N/4 and r_gmb at N/16 (floor 1, N = min layer dim), so
     small toy layers keep proportionate branches; r_gmb 0 fits no GMB.
+    Ranks must be integers >= 0 (InvalidRankError), and gmb_order and
+    gmb_placement one of GMB_ORDERS and GMB_PLACEMENTS
+    (InvalidPartitionError); both are checked when the context is built.
     fp32_dense controls whether 32-bit layers take the exact dense path
     (default) or run through the rotation machinery like any other width.
     A context is hashable and keys the cache entries built under it.
@@ -313,6 +326,16 @@ class QuantContext:
     fp32_dense: bool = True
     scale_ranks: bool = True
 
+    def __post_init__(self):
+        for name in ("r_lrb", "r_gmb"):
+            r = as_int(getattr(self, name), name, InvalidRankError)
+            if r < 0:
+                raise InvalidRankError(f"{name} must be >= 0, got {r}")
+        for name, allowed in (("gmb_order", GMB_ORDERS), ("gmb_placement", GMB_PLACEMENTS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise InvalidPartitionError(f"{name} must be one of {allowed}, got {value!r}")
+
 
 @lru_cache(maxsize=1)
 def default_context() -> QuantContext:
@@ -322,8 +345,8 @@ def default_context() -> QuantContext:
 def _effective_ranks(ctx: QuantContext, n_out: int, n_in: int) -> tuple[int, int]:
     n = min(n_out, n_in)
     if ctx.scale_ranks:
-        r_l = min(ctx.r_lrb, max(1, n // 4)) if ctx.r_lrb > 0 else 0
-        r_g = min(ctx.r_gmb, max(1, n // 16)) if ctx.r_gmb > 0 else 0
+        r_l = min(ctx.r_lrb, max(1, n // 4))
+        r_g = min(ctx.r_gmb, max(1, n // 16))
     else:
         r_l = min(ctx.r_lrb, n)
         r_g = ctx.r_gmb

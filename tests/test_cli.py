@@ -39,10 +39,13 @@ def cfg_path(tmp_path):
     return str(path)
 
 
-def read_out(cfg_path, name):
-    out_dir = json.loads(open(cfg_path).read())["output_dir"]
-    with open(os.path.join(out_dir, name)) as fh:
+def read_json(path):
+    with open(path) as fh:
         return json.load(fh)
+
+
+def read_out(cfg_path, name):
+    return read_json(os.path.join(read_json(cfg_path)["output_dir"], name))
 
 
 class TestConfigHandling:
@@ -91,6 +94,49 @@ class TestConfigHandling:
         assert main(["gen-model", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config field 'quant.use_gmb'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path,raw",
+        [
+            ("search.candidates", {"search": {"candidates": [2, 3.7, 4, 5]}}),
+            ("search.candidates", {"search": {"candidates": [2, True, 4, 5]}}),
+            ("search.candidates", {"search": {"candidates": 4}}),
+            ("model.dims", {"model": {"n_layers": 2, "dims": [32, 32.9, 32]}}),
+        ],
+        ids=["candidate-3.7", "candidate-bool", "candidates-not-a-list", "dim-32.9"],
+    )
+    def test_lists_take_json_integers_only(self, tmp_path, capsys, path, raw):
+        # a truncated entry would run a different setting without a word
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["search", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config field '{path}' must be a list of integers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field", ["r_lrb", "r_gmb"])
+    def test_negative_rank_exits_2(self, tmp_path, capsys, field):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"quant": {field: -5}}))
+        assert main(["search", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"invalid quant config: {field} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_number_fields_are_stored_as_floats(self, cfg_path, tmp_path):
+        raw = read_json(cfg_path)
+        raw["search"]["target"] = 3
+        raw["model"]["outlier_scale"] = 8
+        int_path = str(tmp_path / "int_cfg.json")
+        with open(int_path, "w") as fh:
+            json.dump(raw, fh)
+        assert main(["search", "--config", cfg_path]) == 0
+        assert main(["gen-model", "--config", cfg_path]) == 0
+        want = read_out(cfg_path, "search.json"), read_out(cfg_path, "model.json")["spec"]
+        assert main(["search", "--config", int_path]) == 0
+        assert main(["gen-model", "--config", int_path]) == 0
+        got = read_out(cfg_path, "search.json"), read_out(cfg_path, "model.json")["spec"]
+        assert json.dumps(got[1]) == json.dumps(want[1])
+        got[0].pop("wall_ms"), want[0].pop("wall_ms")
+        assert json.dumps(got[0], sort_keys=True) == json.dumps(want[0], sort_keys=True)
+
     def test_invalid_model_shape(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": {"dims": [64] * 4}}))
@@ -110,8 +156,8 @@ class TestSeedPrecedence:
         assert main(["gen-model", "--config", cfg_path, "--out", out_a]) == 0
         monkeypatch.delenv("TREEQ_SEED")
         assert main(["gen-model", "--config", cfg_path, "--seed", "99", "--out", out_b]) == 0
-        a = open(os.path.join(out_a, "model.json")).read()
-        b = open(os.path.join(out_b, "model.json")).read()
+        a = (tmp_path / "a" / "model.json").read_text()
+        b = (tmp_path / "b" / "model.json").read_text()
         assert a == b
         assert json.loads(a)["spec"]["seed"] == 99
 
@@ -119,7 +165,7 @@ class TestSeedPrecedence:
         out = str(tmp_path / "c")
         monkeypatch.setenv("TREEQ_SEED", "99")
         assert main(["gen-model", "--config", cfg_path, "--seed", "7", "--out", out]) == 0
-        doc = json.loads(open(os.path.join(out, "model.json")).read())
+        doc = read_json(os.path.join(out, "model.json"))
         assert doc["spec"]["seed"] == 7
 
     def test_garbage_env_var(self, cfg_path, monkeypatch, capsys):
@@ -170,8 +216,8 @@ class TestSearch:
         out_a, out_b = str(tmp_path / "da"), str(tmp_path / "db")
         assert main(["search", "--config", cfg_path, "--out", out_a]) == 0
         assert main(["search", "--config", cfg_path, "--out", out_b]) == 0
-        a = json.loads(open(os.path.join(out_a, "search.json")).read())
-        b = json.loads(open(os.path.join(out_b, "search.json")).read())
+        a = read_json(os.path.join(out_a, "search.json"))
+        b = read_json(os.path.join(out_b, "search.json"))
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
 
@@ -205,7 +251,7 @@ class TestQuantize:
 class TestEval:
     def test_eval_of_search_output(self, cfg_path):
         assert main(["search", "--config", cfg_path]) == 0
-        out_dir = json.loads(open(cfg_path).read())["output_dir"]
+        out_dir = read_json(cfg_path)["output_dir"]
         alloc_path = os.path.join(out_dir, "search.json")
         assert main(["eval", alloc_path, "--config", cfg_path]) == 0
         doc = read_out(cfg_path, "eval.json")

@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
+from treeq import search
 from treeq.errors import InvalidBitsError, InvalidSpanError
 from treeq.search import (
-    EvalCounter,
     ParetoEntry,
     ParetoQueue,
     SearchParams,
@@ -53,13 +53,18 @@ def small_calib(small_model):
     return gen_calibration(small_model, 16, 3)
 
 
-class TestEvalCounter:
-    def test_counts_adds(self):
-        c = EvalCounter()
-        for _ in range(1000):
-            c.add()
-        c.add(7)
-        assert c.value == 1007
+@pytest.fixture()
+def mse_calls(monkeypatch):
+    """List that grows by one on every ``search.end_to_end_mse`` call."""
+    calls = []
+    real = search.end_to_end_mse
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "end_to_end_mse", counted)
+    return calls
 
 
 class TestParams:
@@ -88,6 +93,30 @@ class TestParams:
     def test_rejects_bad_env(self, small_calib):
         with pytest.raises(InvalidBitsError):
             SearchParams(calib=small_calib, env_bits=16)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"candidates": (2, 3.7, 4, 5)},
+            {"candidates": (2, 3.0, 4)},
+            {"candidates": (2, True, 4)},
+            {"k": 16.5},
+            {"k": True},
+            {"env_bits": 3.0},
+        ],
+        ids=["candidate-3.7", "candidate-3.0", "candidate-bool", "k-float", "k-bool", "env-float"],
+    )
+    def test_rejects_non_integers(self, small_calib, kw):
+        # int() would truncate 3.7 to 3 and read True as 1
+        with pytest.raises(InvalidBitsError, match="must be an integer"):
+            SearchParams(calib=small_calib, **kw)
+
+    def test_numpy_integers_are_integers(self, small_calib):
+        p = SearchParams(
+            calib=small_calib, candidates=np.array([5, 2, 3]), k=np.int64(8), env_bits=np.int32(3)
+        )
+        assert p.candidates == (2, 3, 5) and all(type(b) is int for b in p.candidates)
+        assert (p.k, p.env_bits) == (8, 3)
 
 
 class TestDominates:
@@ -198,10 +227,10 @@ class TestLeafQueue:
             )
             assert e.indicator == want
 
-    def test_counts_evaluations(self, small_model, small_calib):
+    def test_counts_evaluations(self, small_model, small_calib, mse_calls):
         params = SearchParams(calib=small_calib)
         leaf_queue(1, params, small_model, default_context())
-        assert params.eval_counter.value == 4
+        assert len(mse_calls) == 4
 
     def test_out_of_range(self, small_model, small_calib):
         with pytest.raises(InvalidSpanError):
@@ -237,14 +266,14 @@ class TestMerge:
             assert e.indicator == want
             assert set(e.config) == {0, 1}
 
-    def test_eval_accounting(self, small_model, small_calib):
+    def test_eval_accounting(self, small_model, small_calib, mse_calls):
         ctx = default_context()
         params = SearchParams(calib=small_calib)
         qa = leaf_queue(0, params, small_model, ctx)
         qb = leaf_queue(1, params, small_model, ctx)
-        before = params.eval_counter.value
+        before = len(mse_calls)
         merge(qa, qb, params, small_model, ctx)
-        assert params.eval_counter.value - before == len(qa.entries) * len(qb.entries)
+        assert len(mse_calls) - before == len(qa.entries) * len(qb.entries)
 
     def test_prunes_to_k_closest(self, small_model, small_calib):
         ctx = default_context()
@@ -328,6 +357,14 @@ class TestTssSearch:
         assert res.evals <= m.n_layers * 4 + (m.n_layers - 1) * 16**2
         assert set(res.final) == set(range(m.n_layers))
         assert res.mean_bits == pytest.approx(mean_bitwidth(res.final, m))
+
+    def test_evals_equal_indicator_calls(self, mse_calls):
+        # five layers: two merge rounds plus an odd queue promoted once
+        m = gen_model(ModelSpec(n_layers=5, dims=(16,) * 6, seed=4))
+        c = gen_calibration(m, 8, 3)
+        res = tss_search(m, SearchParams(calib=c, k=4, target=3.0), default_context())
+        assert len(res.merge_trace) == 4
+        assert res.evals == len(mse_calls) > 5 * 4
 
     def test_deterministic(self, small_model, small_calib):
         ctx = default_context()

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from treeq import branches, linalg, toymodel
-from treeq.errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
+from treeq.errors import (
+    ConvergenceError,
+    InvalidBitsError,
+    InvalidDimensionError,
+    InvalidPartitionError,
+    InvalidRankError,
+)
 from treeq.quantizer import QUANT_BITS, DeltaTable
 from treeq.search import SearchParams, tss_search
 from treeq.suite import exhaustive_spec
@@ -106,6 +112,52 @@ class TestModelSpec:
     def test_rejects_oversize_seed(self):
         with pytest.raises(InvalidDimensionError):
             ModelSpec(n_layers=1, dims=(8, 8), seed=1 << 64)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(n_layers=1, dims=(32.9, 32), seed=1),
+            dict(n_layers=1, dims=(32.0, 32), seed=1),
+            dict(n_layers=1, dims=(True, 8), seed=1),
+            dict(n_layers=1.0, dims=(8, 8), seed=1),
+            dict(n_layers=True, dims=(8, 8), seed=1),
+            dict(n_layers=1, dims=(8, 8), seed=1.5),
+            dict(n_layers=1, dims=(8, 8), seed=False),
+        ],
+        ids=["dim-32.9", "dim-32.0", "dim-bool", "n_layers-float", "n_layers-bool",
+             "seed-float", "seed-bool"],
+    )
+    def test_rejects_non_integers(self, kw):
+        # int() would build a 32-wide layer from 32.9 and read True as 1
+        with pytest.raises(InvalidDimensionError, match="must be an integer"):
+            ModelSpec(**kw)
+
+    def test_numpy_integers_are_integers(self):
+        spec = ModelSpec(n_layers=np.int64(1), dims=np.array([8, 16]), seed=np.uint64(3))
+        assert (spec.n_layers, spec.dims, spec.seed) == (1, (8, 16), 3)
+        assert all(type(v) is int for v in (spec.n_layers, spec.seed) + spec.dims)
+        assert ModelSpec.from_json(spec.to_json()) == spec
+
+
+class TestQuantContext:
+    @pytest.mark.parametrize("field", ["r_lrb", "r_gmb"])
+    def test_rejects_negative_ranks(self, field):
+        with pytest.raises(InvalidRankError, match=field):
+            QuantContext(**{field: -1})
+
+    @pytest.mark.parametrize("rank", [2.5, True])
+    def test_rejects_non_integer_ranks(self, rank):
+        with pytest.raises(InvalidRankError, match="must be an integer"):
+            QuantContext(r_lrb=rank)
+
+    @pytest.mark.parametrize("field", ["gmb_order", "gmb_placement"])
+    def test_rejects_unknown_order_or_placement(self, field):
+        with pytest.raises(InvalidPartitionError, match=field):
+            QuantContext(**{field: "x"})
+
+    def test_zero_ranks_fit_no_branches(self):
+        ctx = QuantContext(r_lrb=0, r_gmb=np.int64(0))
+        assert toymodel._effective_ranks(ctx, 64, 64) == (0, 0)
 
 
 class TestGenModel:
