@@ -12,10 +12,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .baselines import build_sensitivity_table, ip_allocate, uniform_allocate
-from .branches import qlinear_to_json
+from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_to_json
 from .errors import ConvergenceError
 from .quantizer import default_delta_table
 from .search import SearchParams, result_to_json, tss_search
@@ -381,21 +381,20 @@ def _ablate_calib(cfg: RunConfig, model, calib) -> list:
     return rows
 
 
+def _gmb_settings(quant: QuantContext) -> list:
+    """The eight (label, context) rows of ``ablate gmb``, each a change to ``quant``."""
+    return [
+        *((f"r={r}", replace(quant, r_gmb=r, scale_ranks=False)) for r in (0, 4, 8, 16)),
+        *((f"order={o}", replace(quant, gmb_order=o)) for o in GMB_ORDERS),
+        *((f"placement={p}", replace(quant, gmb_placement=p)) for p in GMB_PLACEMENTS),
+    ]
+
+
 def _ablate_gmb(cfg: RunConfig, model, calib) -> list:
     bits = _uniform_bits(cfg)
     alloc = uniform_allocate(model.n_layers, bits)
-    settings = [
-        ("r=0", QuantContext(r_gmb=0, scale_ranks=False)),
-        ("r=4", QuantContext(r_gmb=4, scale_ranks=False)),
-        ("r=8", QuantContext(r_gmb=8, scale_ranks=False)),
-        ("r=16", QuantContext(r_gmb=16, scale_ranks=False)),
-        ("order=lrb_first", QuantContext(gmb_order="lrb_first")),
-        ("order=gmb_first", QuantContext(gmb_order="gmb_first")),
-        ("placement=post", QuantContext(gmb_placement="post")),
-        ("placement=pre", QuantContext(gmb_placement="pre")),
-    ]
     rows = []
-    for label, setting_ctx in settings:
+    for label, setting_ctx in _gmb_settings(cfg.quant):
         started = time.perf_counter()
         rows.append(
             {

@@ -7,34 +7,49 @@ calls no BLAS, so a BLAS thread setting never enters.  The package's one
 BLAS product is the quantized layer's residual product
 (``branches.residual_product``): it multiplies two integer grids whose
 row sums stay below 2^24 in magnitude, so float64 holds every partial sum
-exactly and the result is the same in any accumulation order.  The SVD is one-sided
-Jacobi in Brent-Luk round-robin order (Brent & Luk, SIAM J. Sci. Stat.
-Comput. 1985): it needs no start vector, visits column pairs in a fixed
-order, and solves a whole stack of matrices at once, each bit-identical to
-solving it alone.
+exactly and the result is the same in any accumulation order.
 
-The Jacobi rotates only the columns of A @ V and does not accumulate V (de
-Rijk, SIAM J. Sci. Stat. Comput. 1989).  Sigma and the Jacobi's left
-vectors (u, or v for a wide matrix) are exactly the bits a Jacobi that
-also rotated V would give.  The other side is recovered afterwards as
-V_r = A^T U_r / sigma_r and re-orthonormalised in descending-sigma order;
-it carries an error of about eps * sigma_1 / sigma_r, about 1e-14 on this
-package's weights.  No routine here writes its input: the Jacobi rotates
-its own copy, and ``hadamard`` hands out one shared read-only array.
+The SVD is direct, with fixed step counts and no BLAS or LAPACK, in four
+steps on the tall form A of each problem (Golub & Kahan, SIAM J. Numer.
+Anal. B 1965):
+
+1. Householder bidiagonalisation A = Q_L B Q_R^T, the reflectors kept in
+   the routine's own copy of A;
+2. the top r singular values from Sturm counts on the Golub-Kahan
+   tridiagonal of B, by multisection: a fixed number of passes, each
+   placing a fixed number of probes inside every value's interval (Barth,
+   Martin & Wilkinson, Numer. Math. 1967);
+3. the vectors by inverse iteration on the same tridiagonal, one
+   partial-pivot factorization per value and a fixed number of solves,
+   each followed by Gram-Schmidt in descending-sigma order;
+4. back-transformation of only the r wanted vectors through the stored
+   reflectors.
+
+Every step is elementwise or a fixed-order ``einsum`` per problem, so a
+whole stack of matrices is solved at once, each bit-identical to solving
+it alone.  Nothing iterates to a tolerance, so the routine cannot fail to
+converge; it checks its answer instead, and raises ConvergenceError when
+max ||A v_j - sigma_j u_j|| exceeds SVD_RESIDUAL_FACTOR * max(m, n) * eps
+* sigma_1.  No routine here writes its input, and ``hadamard`` hands out
+one shared read-only array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidDimensionError, InvalidRankError
 
 MAX_HADAMARD = 4096
-JACOBI_SWEEP_CAP = 60
-JACOBI_TOL = 1e-14
+SVD_PROBES = 15  # multisection probes per interval and pass
+SVD_PASSES = 14  # (SVD_PROBES + 1) ** SVD_PASSES = 2 ** 56
+SVD_SOLVES = 3  # inverse-iteration solves per singular value
+SVD_RESIDUAL_FACTOR = 16.0  # residual bound in units of max(m, n) * eps * sigma_1
+
+_TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 
 _hadamard_cache: dict[int, np.ndarray] = {}
 
@@ -106,96 +121,169 @@ class SvdTriple:
     v: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple:
-    """Brent-Luk round-robin schedule: one sweep over all column pairs of n.
+def _reflect(x):
+    """Turn each row of ``x`` (B, len) into its Householder vector, in place.
 
-    Returns n-1 rounds (n even) of n/2 disjoint pairs (p, q), p < q, each
-    round as one index array: the p's, then the q's in the same order.
-    Index 0 stays put while the others rotate one place per round.  Odd n
-    gets a dummy index n; its pairs are dropped, so each column sits out
-    one round per sweep.
+    Row x becomes h = x - beta e_1 with beta = -sign(x_1) ||x||, so that
+    (I - tau h h^T) x = beta e_1.  Returns beta and tau; a zero row gets
+    tau 0, the identity.
     """
-    slots = n + n % 2
-    pos = list(range(slots))
-    rounds = []
-    for _ in range(slots - 1):
-        pairs = [
-            (min(pos[k], pos[-1 - k]), max(pos[k], pos[-1 - k]))
-            for k in range(slots // 2)
-        ]
-        pairs = [pq for pq in pairs if pq[1] < n]
-        if pairs:
-            pq = np.array([p for p, _ in pairs] + [q for _, q in pairs])
-            pq.setflags(write=False)
-            rounds.append(pq)
-        pos = [pos[0], pos[-1]] + pos[1:-1]
-    return tuple(rounds)
+    alpha = x[:, 0].copy()
+    norm = np.sqrt(np.einsum("bi,bi->b", x, x))
+    beta = np.where(alpha < 0.0, norm, -norm)
+    x[:, 0] = alpha - beta
+    scale = norm * (norm + np.abs(alpha))
+    tau = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return beta, tau
 
 
-def _jacobi_columns(cols):
-    """One-sided Jacobi on a (B, n, m) stack of column sets, n <= m.
+def _bidiagonalize(w):
+    """Householder bidiagonalisation of a (B, n, m) stack of column sets, in place.
 
-    cols[k, j] is column j of problem k, an m x n matrix A_k.
-
-    Each sweep runs the round-robin rounds; a round rotates its disjoint
-    column pairs in all problems at once.  A pair is left alone when
-    either column is zero or the pair is orthogonal to relative tolerance
-    JACOBI_TOL.  A problem is done after a sweep that rotates nothing, and
-    drops out of later sweeps, so each problem's result is bit-identical
-    to solving it alone.
-
-    Only the columns of A_k @ V_k are rotated; V_k itself is not
-    accumulated (de Rijk, SIAM J. Sci. Stat. Comput. 1989).  The rotation
-    works on its own copy, so ``cols`` is never written.  Returns b of the
-    same shape: b[k, j] is column j of A_k @ V_k, and b[k]'s rows are
-    mutually orthogonal.
+    w[k, j] is column j of problem k's tall m x n matrix A (n <= m).
+    Returns the diagonal d (B, n) and superdiagonal e (B, n-1) of the upper
+    bidiagonal Q_L^T A Q_R, and the reflectors' tau_l (B, n) and tau_r
+    (B, n).  The reflectors are left in ``w``: the left one of step k in
+    w[:, k, k:] (column k from the diagonal down), the right one in
+    w[:, k+1:, k] (row k right of the diagonal).
     """
-    count, n, m = cols.shape
-    # the scatter below writes in place, so never into the caller's buffer
-    w = cols.copy()
-    todo = np.arange(count)
-    for _ in range(JACOBI_SWEEP_CAP):
-        sub = w[todo]
-        worst = np.zeros(todo.size)
-        for pq in _round_robin(n):
-            h = pq.size // 2
-            pair = sub[:, pq]
-            norms = np.einsum("bki,bki->bk", pair, pair)
-            alpha, beta = norms[:, :h], norms[:, h:]
-            gamma = np.einsum("bki,bki->bk", pair[:, :h], pair[:, h:])
-            live = (alpha != 0.0) & (beta != 0.0)
-            rel = np.abs(gamma) / np.sqrt(np.where(live, alpha * beta, 1.0))
-            rel = np.where(live, rel, 0.0)
-            np.maximum(worst, rel.max(axis=1), out=worst)
-            turn = rel > JACOBI_TOL
-            if not turn.any():
-                continue
-            zeta = (beta - alpha) / (2.0 * np.where(turn, gamma, 1.0))
-            t = np.where(
-                zeta == 0.0,
-                1.0,
-                np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)),
-            )
-            c = (1.0 / np.sqrt(1.0 + t * t))[..., None]
-            s = c * t[..., None]
-            wp, wq = pair[:, :h], pair[:, h:]
-            turned = np.empty_like(pair)
-            np.subtract(c * wp, s * wq, out=turned[:, :h])
-            np.add(s * wp, c * wq, out=turned[:, h:])
-            if not turn.all():
-                turn = np.concatenate([turn, turn], axis=1)[..., None]
-                turned = np.where(turn, turned, pair)
-            sub[:, pq] = turned
-        w[todo] = sub
-        busy = worst > JACOBI_TOL
-        if not busy.any():
-            return w
-        todo = todo[busy]
-    raise ConvergenceError(
-        f"Jacobi SVD did not converge in {JACOBI_SWEEP_CAP} sweeps",
-        residual=float(worst.max()),
+    count, n, _ = w.shape
+    d = np.empty((count, n))
+    e = np.empty((count, n - 1))
+    tau_l = np.empty((count, n))
+    tau_r = np.zeros((count, n))
+    for k in range(n):
+        h = w[:, k, k:]
+        d[:, k], tau_l[:, k] = _reflect(h)
+        rest = w[:, k + 1 :, k:]
+        s = np.einsum("bi,bji->bj", h, rest) * tau_l[:, k, None]
+        rest -= np.einsum("bj,bi->bji", s, h)
+        if k + 2 < n:
+            g = w[:, k + 1 :, k]
+            e[:, k], tau_r[:, k] = _reflect(g)
+            rest = w[:, k + 1 :, k + 1 :]
+            s = np.einsum("bj,bji->bi", g, rest) * tau_r[:, k, None]
+            rest -= np.einsum("bj,bi->bji", g, s)
+        elif k + 1 < n:
+            e[:, k] = w[:, k + 1, k]
+    return d, e, tau_l, tau_r
+
+
+def _gk_sigmas(off, r: int, room: int):
+    """Top r singular values of each bidiagonal, by Sturm multisection.
+
+    ``off`` (B, 2n-1) is the off-diagonal (d_1, e_1, d_2, ..., d_n) of the
+    Golub-Kahan tridiagonal T, which has a zero diagonal and eigenvalues
+    +-sigma_i.  For x > 0, n + #{sigma_i < x} of the terms p_0 = x,
+    p_i = x - off_i^2 / p_{i-1} are positive (Barth, Martin & Wilkinson
+    1967).  Squares below the smallest normal are raised to it, so a zero
+    p_i makes p_{i+1} = -inf and p_{i+2} = x; a zero counts as positive,
+    as the division after it takes it.  No pivot guard is needed.
+
+    Every sigma_j starts in [0, Gershgorin bound of T].  A pass puts
+    SVD_PROBES evenly spaced probes inside each interval and keeps the
+    piece between the two that bracket sigma_j, so SVD_PASSES passes shrink
+    it 16^14 = 2^56-fold.  The recurrence runs in place, holding at most
+    ``room`` terms per problem (and at least one step) at a time.  Returns
+    the midpoints (B, r) and the bound (B,).
+    """
+    count, size = off.shape
+    steps = size + 1
+    mag = np.pad(np.abs(off), ((0, 0), (1, 1)))
+    bound = (mag[:, :-1] + mag[:, 1:]).max(axis=1)
+    # p_{-1} = 1 under a zero square gives p_0 = x, also at x = 0
+    sq = np.pad(np.maximum(off * off, _TINY), ((0, 0), (1, 0))).T[:, :, None]
+    lo = np.zeros((count, r))
+    hi = np.repeat(bound[:, None], r, axis=1)
+    grid = np.arange(SVD_PROBES + 2) / (SVD_PROBES + 1)
+    # probe x lies at or below sigma_j when at most 2n - 1 - j terms are positive
+    most = (steps - 1 - np.arange(r))[:, None]
+    rows = max(1, min(steps, room // (r * SVD_PROBES)))
+    p = np.empty((rows, count, r * SVD_PROBES))
+    num = np.empty_like(p)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(SVD_PASSES):
+            width = hi - lo
+            x = (lo[..., None] + width[..., None] * grid[1:-1]).reshape(count, -1)
+            below = np.zeros(x.shape, dtype=np.int64)
+            prev = np.ones_like(x)
+            for start in range(0, steps, rows):
+                h = min(rows, steps - start)
+                num[:h] = sq[start : start + h]
+                for i in range(h):
+                    np.divide(num[i], prev, out=p[i])
+                    np.subtract(x, p[i], out=p[i])
+                    prev = p[i]
+                below += np.count_nonzero(p[:h] >= 0.0, axis=0)
+            idx = (below.reshape(count, r, SVD_PROBES) <= most).sum(axis=-1)
+            lo, hi = lo + width * grid[idx], lo + width * grid[idx + 1]
+    return lo + (hi - lo) / 2.0, bound
+
+
+def _start_vectors(r: int, size: int) -> np.ndarray:
+    """Start vectors (r, size) in [-1, 1): the splitmix64 finalizer of (j << 32) | i.
+
+    Pseudo-random, so no two rows project onto an eigenspace in proportion,
+    and exact integer arithmetic, so the same on every machine.
+    """
+    z = (np.arange(r, dtype=np.uint64)[:, None] << np.uint64(32)) | np.arange(
+        size, dtype=np.uint64
     )
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
+
+
+def _gk_vectors(off, sigma, bound):
+    """Eigenvectors of the Golub-Kahan tridiagonals for +sigma, by inverse iteration.
+
+    T - s_j I is factored once per sigma_j by Gaussian elimination with
+    partial pivoting, which swaps neighbouring rows only, so U has two
+    superdiagonals; a pivot below eps * bound is raised to it.  The shift
+    s_j = sigma_j + n * eps * bound sits just above sigma_j, farther than
+    the computed values of an exact cluster spread, so every vector of a
+    cluster grows alike.  Each sigma_j starts from its own vector and takes
+    SVD_SOLVES solves; after each, Gram-Schmidt in descending-sigma order
+    keeps the vectors of a cluster apart (Peters & Wilkinson, 1971).
+    Returns z (B, r, 2n), unit rows; the eigenvector of +sigma is
+    (v_1, u_1, ..., v_n, u_n) with B v = sigma u and B^T u = sigma v.
+    """
+    count, r = sigma.shape
+    size = off.shape[1] + 1
+    guard = _EPS * np.where(bound > 0.0, bound, 1.0)[:, None]
+    diag = -(sigma + (size // 2) * guard)
+    u0, u1, u2, mult = (np.empty((size, count, r)) for _ in range(4))
+    swap = np.empty((size, count, r), dtype=bool)
+    # the pivot row's entries in columns i and i + 1
+    piv, sup = diag, off[:, :1]
+    for i in range(size - 1):
+        low = off[:, i, None]
+        nxt = off[:, i + 1, None] if i + 2 < size else 0.0
+        sw = np.abs(low) > np.abs(piv)
+        lead = np.where(sw, low, piv)
+        u0[i] = np.where(np.abs(lead) < guard, guard, lead)
+        u1[i] = np.where(sw, diag, sup)
+        u2[i] = np.where(sw, nxt, 0.0)
+        mult[i] = np.where(sw, piv, low) / u0[i]
+        piv = np.where(sw, sup, diag) - mult[i] * u1[i]
+        sup = np.where(sw, 0.0, nxt) - mult[i] * u2[i]
+        swap[i] = sw
+    u0[-1] = np.where(np.abs(piv) < guard, guard, piv)
+    z = np.empty((count, r, size))
+    z[...] = _start_vectors(r, size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(SVD_SOLVES):
+            y = z.transpose(2, 0, 1).copy()
+            for i in range(size - 1):
+                top = np.where(swap[i], y[i + 1], y[i])
+                y[i + 1] = np.where(swap[i], y[i], y[i + 1]) - mult[i] * top
+                y[i] = top
+            y[-1] /= u0[-1]
+            y[-2] = (y[-2] - u1[-2] * y[-1]) / u0[-2]
+            for i in range(size - 3, -1, -1):
+                y[i] = (y[i] - u1[i] * y[i + 1] - u2[i] * y[i + 2]) / u0[i]
+            z = _orthonormalize(y.transpose(1, 2, 0).copy())
+    return z
 
 
 def _canonical_unit(prev) -> np.ndarray:
@@ -212,68 +300,98 @@ def _canonical_unit(prev) -> np.ndarray:
     raise InvalidRankError("no direction left orthogonal to previous vectors")
 
 
-def _fix_sign(u):
-    """Flip rows so the first entry of each u row with |u_i| > 1e-12 is positive."""
+def _orthonormalize(v):
+    """Orthonormalise the rows of each (r, dim) matrix of a (B, r, dim) stack, in place.
+
+    Rows go in order: classical Gram-Schmidt against the rows before,
+    applied twice, then normalisation.  A row with no direction of its own
+    (nothing left after the projection, or not finite) gets a canonical
+    unit instead.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(v.shape[1]):
+            w = v[:, j]
+            before = np.sqrt(np.einsum("bp,bp->b", w, w))
+            if j:
+                prev = v[:, :j]
+                for _ in range(2):
+                    w = w - np.einsum("bkp,bk->bp", prev, np.einsum("bkp,bp->bk", prev, w))
+            nrm = np.sqrt(np.einsum("bp,bp->b", w, w))
+            lost = ~(nrm > 1e-6 * before)
+            v[:, j] = w / np.where(lost, 1.0, nrm)[:, None]
+            for k in np.nonzero(lost)[0]:
+                v[k, j] = _canonical_unit(v[k, :j])
+    return v
+
+
+def _fix_sign(u, v):
+    """Flip pairs so the first entry of each u row with |u_i| > 1e-12 is positive."""
     big = np.abs(u) > 1e-12
     lead = np.take_along_axis(u, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
     sign = np.where(big.any(axis=-1) & (lead < 0.0), -1.0, 1.0)[..., None]
-    return u * sign
+    return u * sign, v * sign
 
 
-def _right_vectors(cols, u, sigma):
-    """Right singular vectors V_r = A^T U_r / sigma_r as a (B, r, n) row stack.
+def _check_residual(cols, u, sigma, v):
+    """Raise ConvergenceError unless every problem's triples satisfy A v = sigma u.
 
-    ``cols`` is the (B, n, m) column stack of the problems and ``u`` their
-    left vectors as (B, r, m) rows.  Recovered this way, v_j is off by
-    about eps * sigma_1 / sigma_j, so the rows are re-orthonormalised in
-    descending-sigma order: classical Gram-Schmidt against the rows before,
-    applied twice.  A row with no direction of its own (sigma 0, or
-    nothing left after the projection) gets a canonical unit instead.
+    The bound on max_j ||A v_j - sigma_j u_j|| is SVD_RESIDUAL_FACTOR *
+    max(m, n) * eps * sigma_1, a small multiple of what a backward-stable
+    SVD leaves.  A non-finite residual fails too.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.einsum("bpi,bji->bjp", cols, u) / sigma[..., None]
-    v[(sigma == 0.0) | ~np.isfinite(v).all(axis=-1)] = 0.0
-    for j in range(v.shape[1]):
-        w = v[:, j]
-        before = np.sqrt(np.einsum("bp,bp->b", w, w))
-        if j:
-            prev = v[:, :j]
-            for _ in range(2):
-                w = w - np.einsum("bkp,bk->bp", prev, np.einsum("bkp,bp->bk", prev, w))
-        nrm = np.sqrt(np.einsum("bp,bp->b", w, w))
-        lost = ~(nrm > 1e-6 * before)
-        v[:, j] = w / np.where(lost, 1.0, nrm)[:, None]
-        for k in np.nonzero(lost)[0]:
-            v[k, j] = _canonical_unit(v[k, :j])
-    return v
+    _, n, m = cols.shape
+    res = np.einsum("bji,bkj->bki", cols, v) - sigma[..., None] * u
+    worst = np.sqrt(np.einsum("bki,bki->bk", res, res).max(axis=1))
+    bad = ~(worst <= SVD_RESIDUAL_FACTOR * max(m, n) * _EPS * sigma[:, 0])
+    if bad.any():
+        raise ConvergenceError(
+            f"SVD residual above {SVD_RESIDUAL_FACTOR:g} * n * eps * sigma_1",
+            residual=float(worst[bad].max()),
+        )
 
 
 def _svd(a, r: int):
     """Top-r SVD of each matrix of a (B, m, n) stack, sorted by descending sigma.
 
     Returns u (B, m, r), sigma (B, r) and v (B, n, r), all C-contiguous,
-    and never writes ``a``.  The Jacobi runs on the tall form of each
-    problem (a[k], or a[k]^T for a wide stack) and gives sigma and that
-    form's left vectors; exact sigma ties keep column order, and a zero
-    sigma gets a canonical unit orthogonal to the vectors before it.  Signs
-    follow ``_fix_sign`` on those left vectors, which are v for a wide
-    stack.  The other side is recovered by ``_right_vectors``.
+    and never writes ``a``.  Works on the tall form of each problem (a[k],
+    or a[k]^T for a wide stack) in four steps: Householder
+    bidiagonalisation, sigma by Sturm multisection and the vectors by
+    inverse iteration on the Golub-Kahan tridiagonal, and back-
+    transformation of the r vectors through the stored reflectors.  Exact
+    sigma ties get orthonormal vectors from distinct start vectors, and a
+    zero sigma canonical units orthogonal to the vectors before it.  Signs
+    follow ``_fix_sign`` on the tall form's left vectors, which are v for a
+    wide stack.  Raises ConvergenceError if a residual is past its bound.
     """
     transposed = a.shape[2] > a.shape[1]
-    # cols[k, j] is column j of the tall form; for a C-contiguous wide
-    # stack this is ``a``'s own buffer, read here and copied by the Jacobi
-    cols = np.ascontiguousarray(a if transposed else np.swapaxes(a, 1, 2))
-    b = _jacobi_columns(cols)
-    norms = np.sqrt(np.einsum("bji,bji->bj", b, b))
-    order = np.argsort(-norms, axis=1, kind="stable")[:, :r]
-    sigma = np.take_along_axis(norms, order, axis=1)
-    b = np.take_along_axis(b, order[..., None], axis=1)
-    with np.errstate(invalid="ignore"):
-        u = b / sigma[..., None]
+    # cols[k, j] is column j of the tall form
+    cols = a if transposed else np.swapaxes(a, 1, 2)
+    count, n, m = cols.shape
+    w = np.array(cols, order="C")
+    d, e, tau_l, tau_r = _bidiagonalize(w)
+    off = np.empty((count, 2 * n - 1))
+    off[:, 0::2] = d
+    off[:, 1::2] = e
+    # the Sturm buffers take at most two copies of the stack
+    sigma, bound = _gk_sigmas(off, r, room=m * n)
+    z = _gk_vectors(off, sigma, bound)
+    v = _orthonormalize(z[:, :, 0::2].copy())
+    u = np.zeros((count, r, m))
+    u[:, :, :n] = _orthonormalize(z[:, :, 1::2])
+    for k in range(n - 1, -1, -1):
+        h = w[:, k, k:]
+        s = np.einsum("bi,bji->bj", h, u[:, :, k:]) * tau_l[:, k, None]
+        u[:, :, k:] -= np.einsum("bj,bi->bji", s, h)
+    for k in range(n - 3, -1, -1):
+        h = w[:, k + 1 :, k]
+        s = np.einsum("bi,bji->bj", h, v[:, :, k + 1 :]) * tau_r[:, k, None]
+        v[:, :, k + 1 :] -= np.einsum("bj,bi->bji", s, h)
     for k, j in zip(*np.nonzero(sigma == 0.0)):
         u[k, j] = _canonical_unit(u[k, :j])
-    u = _fix_sign(u)
-    v = _right_vectors(cols, u, sigma)
+        v[k, j] = _canonical_unit(v[k, :j])
+    u, v = _fix_sign(u, v)
+    _check_residual(cols, u, sigma, v)
     if transposed:
         u, v = v, u
     return (
@@ -287,10 +405,10 @@ def truncated_svd(m, r: int) -> SvdTriple:
     """Best rank-``r`` factorization of a matrix or of each matrix of a stack.
 
     A 2-D input gives u (m, r), sigma (r,) and v (n, r); an input of shape
-    (..., m, n) is solved in one batched Jacobi call and gives u (..., m,
-    r), sigma (..., r) and v (..., n, r), each entry bit-identical to the
-    2-D call on that matrix.  Deterministic: fixed rotation order, no
-    random starts; exact singular-value ties keep column order.
+    (..., m, n) is solved in one batched call and gives u (..., m, r),
+    sigma (..., r) and v (..., n, r), each entry bit-identical to the 2-D
+    call on that matrix.  Deterministic: fixed step counts and fixed
+    start vectors; exact singular-value ties get orthonormal vectors.
     """
     a = as_stack(m)
     *batch, rows, cols = a.shape
@@ -308,7 +426,7 @@ def top_singular_pair(m):
     """Leading singular triple ``(sigma, u, v)`` of a matrix or a stack of them.
 
     A 2-D input gives a float sigma and vectors u (m,), v (n,).  An input
-    of shape (..., m, n) is solved in one batched Jacobi call and gives
+    of shape (..., m, n) is solved in one batched call and gives
     sigma (...), u (..., m) and v (..., n); each entry is bit-identical to
     the 2-D call on that matrix.  The sign convention makes the first
     significant entry of u positive (of v when n > m), so results are

@@ -6,8 +6,8 @@ quadrature as a second route to the same MSE), per-cell scipy ``ndtr``
 sums and Brent's method instead of the summed-by-parts stdlib bisection,
 exhaustive grids as a second check on the optimal step, O(n^2) dominance
 filtering instead of the sorted sweep, full enumeration instead of tree
-search, LAPACK's SVD instead of one-sided Jacobi.  scipy is a test-only
-dependency.
+search, LAPACK's SVD instead of the package's multisection and inverse
+iteration.  scipy is a test-only dependency.
 """
 
 import itertools

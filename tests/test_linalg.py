@@ -1,14 +1,11 @@
 """Linear-algebra kernel tests.
 
-The SVD here is hand-rolled (one-sided Jacobi, batched over a stack of
-matrices, with the right vectors recovered afterwards), so it is checked
-against numpy's LAPACK-backed ``np.linalg.svd`` (``oracles.lapack_svd``)
-and ``eigh`` as independent oracles.  Those oracles are allowed in tests
-only; the package itself never calls them.
+The SVD here is hand-rolled (Householder bidiagonalisation, Sturm
+multisection and inverse iteration, batched over a stack of matrices), so
+it is checked against numpy's LAPACK-backed ``np.linalg.svd``
+(``oracles.lapack_svd``) and ``eigh`` as independent oracles.  Those
+oracles are allowed in tests only; the package itself never calls them.
 """
-
-import itertools
-
 
 import numpy as np
 import pytest
@@ -222,20 +219,15 @@ def same_bits(a, b):
 
 
 class TestBatchedJacobi:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
-    def test_round_robin_visits_each_pair_once(self, n):
-        rounds = [np.split(pq, 2) for pq in linalg._round_robin(n)]
-        pairs = [(int(p), int(q)) for ps, qs in rounds for p, q in zip(ps, qs)]
-        assert sorted(pairs) == list(itertools.combinations(range(n), 2))
-        for ps, qs in rounds:
-            assert np.all(ps < qs)
-            assert len(set(ps) | set(qs)) == 2 * len(ps)  # disjoint within a round
-
     @pytest.mark.parametrize("shape", [(9, 6), (6, 9), (8, 8), (5, 1)])
     def test_each_problem_matches_solving_alone(self, shape):
-        stack = np.stack([seeded_matrix(*shape, seed=40 + k) for k in range(7)])
-        stack[2] *= 1e-3  # converges in its own number of sweeps
+        stack = np.stack([seeded_matrix(*shape, seed=40 + k) for k in range(9)])
+        stack[2] *= 1e-3
         stack[4][:, 0] = 0.0
+        # orthonormal columns (rows, if wide): every sigma is 1
+        q, _ = np.linalg.qr(stack[7] if shape[0] >= shape[1] else stack[7].T)
+        stack[7] = q if shape[0] >= shape[1] else q.T
+        stack[8] = 0.0
         r = min(shape)
         u, sigma, v = linalg._svd(stack, r)
         for k in range(stack.shape[0]):
@@ -279,6 +271,13 @@ class TestBatchedJacobi:
             ("wide", seeded_matrix(4, 11, seed=84)),
             ("rank-deficient", seeded_matrix(8, 2, seed=85) @ seeded_matrix(2, 6, seed=86)),
             ("duplicate-columns", seeded_matrix(6, 5, seed=87)[:, [0, 1, 1, 2, 0]]),
+            ("256-wide", seeded_matrix(256, 256, seed=88)),
+            # a Sturm probe lands exactly on a pivot's zero (sigma_2 = 2.9693...)
+            ("exact-pivot", np.array([[-2, -1, -1, -2], [-2, 1, 1, -2], [1, 0, 0, 1], [0, 1, 2, 2]], float)),
+            # the bidiagonal splits into blocks, two with sigma = sqrt(3)
+            ("split-bidiagonal", np.array([[1, 1, 0, 0, 1], [0, 0, -1, 0, 0], [0, 1, 0, -1, -1]], float)),
+            # one cluster of 64 equal sigma
+            ("orthogonal-64", np.linalg.qr(seeded_matrix(64, 64, seed=89))[0]),
         ],
     )
     def test_sigma_matches_lapack(self, name, m):
@@ -302,10 +301,18 @@ class TestBatchedJacobi:
                 assert same_bits(tri.u[j, k], alone.u) and same_bits(tri.v[j, k], alone.v)
 
     @pytest.mark.parametrize(
-        "shape,r", [((12, 8), 8), ((8, 12), 8), ((16, 16), 16), ((64, 64), 16)]
+        "shape,r",
+        [
+            ((12, 8), 8),
+            ((8, 12), 8),
+            ((16, 16), 16),
+            ((64, 64), 16),
+            ((256, 256), 16),
+            ((512, 64), 16),
+            ((64, 512), 16),
+        ],
     )
     def test_vectors_match_lapack(self, shape, r):
-        # v is recovered as A^T u / sigma, not rotated along with u
         m = seeded_matrix(*shape, seed=sum(shape) + r)
         tri = truncated_svd(m, r)
         u, sigma, v = lapack_svd(m, r)
@@ -314,18 +321,21 @@ class TestBatchedJacobi:
         assert np.allclose(tri.v, v, atol=1e-10)
 
     def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(linalg, "JACOBI_SWEEP_CAP", 1)
-        with pytest.raises(ConvergenceError) as err:
-            truncated_svd(seeded_matrix(8, 8, seed=90), 8)
-        assert err.value.residual > linalg.JACOBI_TOL
+        # a residual past SVD_RESIDUAL_FACTOR * max(m, n) * eps * sigma_1 raises
+        m = seeded_matrix(8, 8, seed=90)
+        monkeypatch.setattr(linalg, "SVD_RESIDUAL_FACTOR", 1e-3)
+        with pytest.raises(ConvergenceError, match="^SVD residual above ") as err:
+            truncated_svd(m, 8)
+        bound = 1e-3 * 8 * np.finfo(float).eps * np.linalg.svd(m, compute_uv=False)[0]
+        assert err.value.residual > bound
 
 
 class TestInputsUntouched:
     """No SVD entry point writes the array it is given.
 
     A C-contiguous wide stack is the case to watch: its tall form's
-    columns are the input's own rows, so a Jacobi that rotated in place
-    would rotate the caller's matrix.
+    columns are the input's own rows, so a reduction that worked in place
+    would overwrite the caller's matrix.
     """
 
     @pytest.mark.parametrize(
