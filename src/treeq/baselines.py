@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBitsError
-from .quantizer import PASSTHROUGH_BITS
-from .toymodel import ALLOWED_BITS, CalibrationSet, QuantContext, ToyModel, forward_batch
+from .toymodel import (ALLOWED_BITS, PASSTHROUGH_BITS, CalibrationSet, QuantContext, ToyModel,
+                       forward_batch)
 
 METRICS = ("L1", "L2")
 MAX_BUDGET_UNITS = 10**6

@@ -37,7 +37,7 @@ from .errors import (
 from .linalg import as_matrix, as_stack, hadamard, matmul, top_singular_pair, truncated_svd
 from .quantizer import (
     DeltaTable,
-    PASSTHROUGH_BITS,
+    QuantizerSpec,
     WeightGrid,
     quantize_rotated_batch,
     quantize_weight_channelwise,
@@ -381,8 +381,7 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
     step ``delta``, so a layer built from a delta table runs with it.  The
     residual product multiplies the two integer grids exactly (see the
     module docstring) and then scales row i, column c by
-    step_a[i] * step_w[c].  A 32-bit layer multiplies the float activation
-    and residual with ``einsum`` instead.
+    step_a[i] * step_w[c].
     """
     weight, branches = layer.weight, layer.branches
     xs = as_matrix(xs)
@@ -393,10 +392,7 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
         )
     rotated = np.einsum("nj,ji->ni", xs, hadamard(n))
     grid, step = quantize_rotated_batch(rotated, weight.bits, weight.delta)
-    if weight.bits == PASSTHROUGH_BITS:
-        out = np.einsum("nd,od->no", grid * step[:, None], weight.dense())
-    else:
-        out = residual_product(grid, step, weight)
+    out = residual_product(grid, step, weight)
     out += np.einsum("nd,od->no", rotated, branches.post)
     if branches.pre is not None:
         out += np.einsum("nd,od->no", xs, branches.pre)
@@ -447,7 +443,12 @@ def qlinear_to_json(layer: QuantizedLinear) -> str:
 
 
 def qlinear_from_json(text: str) -> QuantizedLinear:
-    """Inverse of ``qlinear_to_json``; ``bits_a`` and ``n`` must match the grid."""
+    """Inverse of ``qlinear_to_json``; rejects a residual no quantizer writes.
+
+    Bits, step and grid entries are checked against ``QuantizerSpec``,
+    ``bits_a``, ``n`` and ``w_scale`` against the grid, and the placement
+    against GMB_PLACEMENTS.
+    """
     doc = json.loads(text)
     gmb = None
     if doc.get("gmb") is not None:
@@ -459,20 +460,27 @@ def qlinear_from_json(text: str) -> QuantizedLinear:
             u=np.asarray(g["u"], dtype=np.float64),
             v=np.asarray(g["v"], dtype=np.float64),
         )
-    bits_w = int(doc["bits_w"])
+    spec = QuantizerSpec.create(doc["bits_w"], float(doc["w_delta"]))
     grid = _matrix_from_json(doc["w_grid"])
-    if doc["bits_a"] != bits_w:
-        raise InvalidBitsError(f"bits_a {doc['bits_a']} differs from bits_w {bits_w}")
+    scale = np.asarray(doc["w_scale"], dtype=np.float64)
+    if doc["bits_a"] != spec.bits:
+        raise InvalidBitsError(f"bits_a {doc['bits_a']} differs from bits_w {spec.bits}")
+    if not np.all((grid == np.trunc(grid)) & (grid >= spec.qmin) & (grid <= spec.qmax)):
+        raise InvalidBitsError(
+            f"w_grid entries must be integers in [{spec.qmin}, {spec.qmax}] at {spec.bits} bits"
+        )
     if doc["n"] != grid.shape[1]:
         raise InvalidDimensionError(f"n {doc['n']} differs from the grid width {grid.shape[1]}")
-    weight = WeightGrid(
-        q=grid if bits_w == PASSTHROUGH_BITS else grid.astype(np.int8),
-        scale=np.asarray(doc["w_scale"], dtype=np.float64),
-        delta=float(doc["w_delta"]),
-        bits=bits_w,
-    )
+    if scale.shape != (grid.shape[0],) or not np.all(np.isfinite(scale) & (scale > 0.0)):
+        raise InvalidDimensionError(
+            f"w_scale must hold {grid.shape[0]} positive finite scales, one per grid row"
+        )
+    placement = doc.get("gmb_placement", "post")
+    if placement not in GMB_PLACEMENTS:
+        raise InvalidPartitionError(f"gmb_placement must be one of {GMB_PLACEMENTS}")
+    weight = WeightGrid(q=grid.astype(np.int8), scale=scale, delta=spec.delta, bits=spec.bits)
     lrb = LrbFactors(
         a=_matrix_from_json(doc["lrb"]["a"]),
         b=_matrix_from_json(doc["lrb"]["b"]),
     )
-    return QuantizedLinear(weight, Branches(lrb, gmb, doc.get("gmb_placement", "post")))
+    return QuantizedLinear(weight, Branches(lrb, gmb, placement))

@@ -7,7 +7,7 @@ flat to rounding at its minimum, so ``calibrate_delta`` solves the
 stationarity condition dMSE/ddelta = 0 instead, which is well conditioned.
 The calibrated steps lie within about 1e-13 (relative) of the exact optimum
 whichever libm or SIMD math library the build uses, and are bit-identical
-from run to run on one build.  Bit-width 32 means pass-through everywhere.
+from run to run on one build.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import InvalidBitsError
 from .linalg import as_matrix
 
 QUANT_BITS = (2, 3, 4, 5, 6, 7, 8)
-PASSTHROUGH_BITS = 32
 _DELTA_BRACKET = (1e-4, 4.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -74,13 +73,9 @@ def _grid(t, spec: QuantizerSpec):
 def quantize_uniform(x, spec: QuantizerSpec):
     """Quantize elementwise onto ``spec``'s grid: clamp(round(x / delta)) * delta.
 
-    Accepts any array shape.  Bit-width 32 returns the input unchanged
-    (as a float64 copy).
+    Accepts any array shape.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if spec.bits == PASSTHROUGH_BITS:
-        return arr.copy()
-    return _grid(arr / spec.delta, spec) * spec.delta
+    return _grid(np.asarray(x, dtype=np.float64) / spec.delta, spec) * spec.delta
 
 
 def _stationarity(delta: float, bits: int) -> float:
@@ -187,11 +182,8 @@ def quantize_rotated_batch(y, bits: int, delta: float | None = None):
     per-token step sigma * delta, with sigma the row's RMS (1 for a zero
     row, whose grid is zero).  The quantized activation is
     ``grid * step[:, None]``; the integer forward never forms it.
-    Bit-width 32 returns a copy of ``y`` with unit steps.
     """
     y = as_matrix(y)
-    if bits == PASSTHROUGH_BITS:
-        return y.copy(), np.ones(y.shape[0])
     if delta is None:
         delta = default_delta_table().delta(bits)
     spec = QuantizerSpec.create(bits, delta)
@@ -208,8 +200,7 @@ class WeightGrid:
     """A weight quantized row by row: an integer grid plus one scale per row.
 
     Entry (c, j) stands for ``scale[c] * (q[c, j] * delta)``.  ``q`` is int8,
-    which holds every grid from 2 to 8 bits.  At bit-width 32 ``q`` is the
-    float64 weight itself, with unit scales and delta 1.
+    which holds every grid from 2 to 8 bits.
     """
 
     q: np.ndarray
@@ -233,11 +224,9 @@ def quantize_weight_channelwise(w, bits: int, table: DeltaTable | None = None) -
     Each output row c uses sigma_c = population std of that row; rows that
     are constant to within relative tolerance 1e-12 fall back to the
     absolute row value as the scale, and zero rows get scale 1 and a zero
-    grid.  Bit-width 32 copies the input through.
+    grid.
     """
     w = as_matrix(w)
-    if bits == PASSTHROUGH_BITS:
-        return WeightGrid(q=w.copy(), scale=np.ones(w.shape[0]), delta=1.0, bits=bits)
     if table is None:
         table = default_delta_table()
     spec = table.spec(bits)

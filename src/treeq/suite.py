@@ -6,7 +6,7 @@ experiments.  Seeds are arbitrary but frozen: downstream checks pin results
 against these exact models.
 """
 
-from .toymodel import ModelSpec
+from .toymodel import PASSTHROUGH_BITS, ModelSpec
 
 SUITE_SEEDS = (101, 202, 303, 404, 505)
 SUITE_LAYERS = 12
@@ -20,7 +20,7 @@ SUITE_OUTLIER_SCALE = 8.0
 # configurations that re-enter the global frontier.  Seeds frozen from a
 # survey of which 4-layer models keep the frontier reachable end to end.
 EXHAUSTIVE_SEEDS = (1, 2, 6, 7, 9)
-EXHAUSTIVE_ENV_BITS = 32
+EXHAUSTIVE_ENV_BITS = PASSTHROUGH_BITS
 EXHAUSTIVE_CALIB_COUNT = 64
 EXHAUSTIVE_CALIB_SEED = 9
 

@@ -55,9 +55,11 @@ from .errors import (
     InvalidRankError,
 )
 from .linalg import as_matrix, hadamard
-from .quantizer import PASSTHROUGH_BITS, QUANT_BITS, DeltaTable, default_delta_table
+from .quantizer import QUANT_BITS, DeltaTable, default_delta_table
 
 LEAKY_SLOPE = 0.1
+# a layer at this width runs its dense weight: the noise-free environment
+PASSTHROUGH_BITS = 32
 ALLOWED_BITS = QUANT_BITS + (PASSTHROUGH_BITS,)
 
 _MASK = (1 << 64) - 1
@@ -313,8 +315,6 @@ class QuantContext:
     Ranks must be integers >= 0 (InvalidRankError), and gmb_order and
     gmb_placement one of GMB_ORDERS and GMB_PLACEMENTS
     (InvalidPartitionError); both are checked when the context is built.
-    fp32_dense controls whether 32-bit layers take the exact dense path
-    (default) or run through the rotation machinery like any other width.
     A context is hashable and keys the cache entries built under it.
     """
 
@@ -323,7 +323,6 @@ class QuantContext:
     r_gmb: int = 4
     gmb_order: str = "lrb_first"
     gmb_placement: str = "post"
-    fp32_dense: bool = True
     scale_ranks: bool = True
 
     def __post_init__(self):
@@ -417,8 +416,8 @@ def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext | None
         ctx = default_context()
     if not (0 <= i < model.n_layers):
         raise InvalidDimensionError(f"layer {i} out of range")
-    if bits not in ALLOWED_BITS:
-        raise InvalidBitsError(f"bits {bits} not in {ALLOWED_BITS}")
+    if bits not in QUANT_BITS:
+        raise InvalidBitsError(f"bits {bits} not in {QUANT_BITS}")
     return _layer_for(model, i, bits, ctx)
 
 
@@ -468,7 +467,7 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
         del cache.acts[start + 1:]
         del cache.bits[start:]
     for i in range(start, n):
-        if bits[i] == PASSTHROUGH_BITS and ctx.fp32_dense:
+        if bits[i] == PASSTHROUGH_BITS:
             xs = np.einsum("nd,od->no", xs, model.weights[i])
         else:
             xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs)

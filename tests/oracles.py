@@ -16,11 +16,15 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from treeq.quantizer import round_half_away
 from treeq.toymodel import end_to_end_mse, mean_bitwidth
 
 QUAD_TAIL = 8.0
 QUAD_MIN_NODES = 2048
+
+
+def round_half_away(y):
+    """Nearest integer, halves away from zero: sign(y) * floor(|y| + 1/2)."""
+    return np.sign(y) * np.floor(np.abs(y) + 0.5)
 
 
 def _phi(x):

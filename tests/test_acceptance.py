@@ -134,13 +134,19 @@ def test_criterion_2_hadamard_exactness(suite_models):
         n = 1 << p
         h = hadamard(n)
         worst_orth = max(worst_orth, float(np.max(np.abs(matmul(h, h.T) - np.eye(n)))))
-    ctx_quant32 = QuantContext(fp32_dense=False)
+    # round trip: every layer rebuilt as leaky((x H) (w_res + LRB + GMB)^T)
+    # from its branch decomposition, against the dense chain
+    h = hadamard(64)
     worst_rt = 0.0
     for seed, model in suite_models.items():
-        calib = gen_calibration(model, 8, seed)
-        alloc = {i: 32 for i in range(model.n_layers)}
-        mse = end_to_end_mse(model, alloc, calib, ctx_quant32)
-        worst_rt = max(worst_rt, np.sqrt(mse))
+        xs = ys = gen_calibration(model, 8, seed).input_matrix
+        fits = branch_decomposition(np.stack(model.weights), 16, 4, h)
+        for i, (w, (lrb, gmb, w_res)) in enumerate(zip(model.weights, fits)):
+            rebuilt = w_res + lrb.a @ lrb.b + gmb_reconstruct_blocks(gmb)
+            xs, ys = (xs @ h) @ rebuilt.T, ys @ w.T
+            if i < model.n_layers - 1:
+                xs, ys = np.where(xs > 0.0, xs, 0.1 * xs), np.where(ys > 0.0, ys, 0.1 * ys)
+        worst_rt = max(worst_rt, float(np.sqrt(np.mean((xs - ys) ** 2))))
     report(
         2,
         "Hadamard orthogonality and lossless round trip",

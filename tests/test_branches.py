@@ -46,10 +46,10 @@ from treeq.quantizer import (
     WeightGrid,
     default_delta_table,
     quantize_rotated_batch,
-    round_half_away,
 )
 
 from conftest import seeded_matrix
+from oracles import round_half_away
 
 
 class TestLrb:
@@ -202,6 +202,25 @@ class TestBranchDecomposition:
         w_h = matmul(w, h)
         total = lrb.product() + gmb_reconstruct_blocks(gmb) + w_res
         assert np.allclose(total, w_h, atol=1e-12)
+
+    @pytest.mark.parametrize("placement", ["post", "pre"])
+    def test_residual_and_branch_matrices_reassemble_the_rotated_weight(
+        self, suite_models, placement
+    ):
+        # w_res + post (+ pre @ H under "pre") is W @ H: all a layer adds
+        # back to its quantized residual is the branches' own matrices
+        h = hadamard(64)
+        worst = 0.0
+        for model in suite_models.values():
+            stack = np.stack(model.weights)
+            fits = branch_decomposition(stack, 16, 4, h, placement=placement)
+            for w, (lrb, gmb, w_res) in zip(stack, fits):
+                fit = Branches(lrb, gmb, placement)
+                total = w_res + fit.post
+                if fit.pre is not None:
+                    total += matmul(fit.pre, h)
+                worst = max(worst, float(np.max(np.abs(total - matmul(w, h)))))
+        assert worst <= 1e-14
 
     def test_gmb_reduces_residual(self):
         w = seeded_matrix(16, 16, seed=10)
@@ -362,15 +381,6 @@ class TestQuantizedLayer:
         for i in range(5):
             assert np.array_equal(forward_quantized_batch(layer, xs[i : i + 1])[0], batch[i])
 
-    def test_32_bit_layer_is_exact(self):
-        w = seeded_matrix(8, 8, seed=18)
-        h = hadamard(8)
-        lrb, gmb, w_res = branch_decomposition(w, 2, 2, h)
-        layer = assemble_layer(w_res, Branches(lrb, gmb), 32)
-        xs = seeded_matrix(4, 8, seed=19)
-        want = np.einsum("nd,od->no", xs, w)
-        assert np.allclose(forward_quantized_batch(layer, xs), want, atol=1e-10)
-
     def test_branch_improves_over_residual_only(self):
         # With branches absorbing the top singular mass, quantization error
         # on the suite-style weights must drop versus plain rotation+quant.
@@ -510,25 +520,44 @@ class TestSerialization:
             forward_quantized_batch(back, x), forward_quantized_batch(layer, x)
         )
 
-    def test_round_trip_32_bits(self):
-        lrb, gmb, w_res = branch_decomposition(seeded_matrix(8, 8, seed=29), 2, 2, hadamard(8))
-        layer = assemble_layer(w_res, Branches(lrb, gmb), 32)
-        back = qlinear_from_json(qlinear_to_json(layer))
-        assert back.weight.q.dtype == np.float64
-        assert back.weight.dense().tobytes() == layer.weight.dense().tobytes() == w_res.tobytes()
-
     def test_no_gmb(self):
         layer = quantize_layer(seeded_matrix(8, 8, seed=27), 3, 2, 0, hadamard(8))
         back = qlinear_from_json(qlinear_to_json(layer))
         assert back.branches.gmb is None
 
     @pytest.mark.parametrize(
-        "field,value,error", [("bits_a", 4, InvalidBitsError), ("n", 16, InvalidDimensionError)]
+        "field,value,error",
+        [
+            ("bits_a", 4, InvalidBitsError),
+            ("n", 16, InvalidDimensionError),
+            # "+" sets several fields; "w_grid" replaces the grid's first entry
+            ("bits_w+bits_a", 1, InvalidBitsError),
+            ("bits_w+bits_a", 32, InvalidBitsError),
+            ("w_grid", 300, InvalidBitsError),
+            ("w_grid", 2.7, InvalidBitsError),
+            ("w_grid", 9, InvalidBitsError),
+            ("w_grid", -5, InvalidBitsError),
+            ("w_scale", [1.0], InvalidDimensionError),
+            ("w_scale", [1.0] * 9, InvalidDimensionError),
+            ("w_scale", [1.0] * 7 + [0.0], InvalidDimensionError),
+            ("w_scale", [1.0] * 7 + [-1.0], InvalidDimensionError),
+            ("w_scale", [1.0] * 7 + [float("inf")], InvalidDimensionError),
+            ("w_scale", [1.0] * 7 + [float("nan")], InvalidDimensionError),
+            ("w_delta", -1.0, InvalidBitsError),
+            ("w_delta", 0.0, InvalidBitsError),
+            ("w_delta", float("inf"), InvalidBitsError),
+            ("gmb_placement", "sideways", InvalidPartitionError),
+        ],
     )
     def test_rejects_bits_a_or_n_that_disagree_with_the_grid(self, field, value, error):
+        # and every other field no quantized layer could have written
         doc = json.loads(qlinear_to_json(self._layer()))
-        assert (doc["bits_a"], doc["n"]) == (3, 8)
-        doc[field] = value
+        assert (doc["bits_a"], doc["n"], doc["w_grid"]["rows"]) == (3, 8, 8)
+        if field == "w_grid":
+            doc["w_grid"]["data"][0] = value
+        else:
+            for name in field.split("+"):
+                doc[name] = value
         with pytest.raises(error):
             qlinear_from_json(json.dumps(doc))
 

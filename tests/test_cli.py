@@ -254,8 +254,11 @@ class TestDispatchRobustness:
         {"OPENBLAS_NUM_THREADS": "2"},
     ]
 
-    def test_default_search_holds(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        """search.json of the default search under each variant, in order."""
         src = os.path.dirname(os.path.dirname(linalg.__file__))
+        tmp_path = tmp_path_factory.mktemp("dispatch")
         runs = []
         for k, extra in enumerate(self.VARIANTS):
             env = dict(os.environ, **extra)
@@ -269,6 +272,23 @@ class TestDispatchRobustness:
             _, err = proc.communicate()
             assert proc.returncode == 0, err
             docs.append(read_json(out / "search.json"))
+        return docs
+
+    def test_default_search_is_pinned(self, docs):
+        # the default search's own output, so a change that should move no
+        # output shows here; the indicator bound is about 600 times the
+        # 1.6e-15 that the SIMD target moves it by
+        doc = docs[0]
+        assert doc["final_alloc"] == {
+            "0": 3, "1": 3, "2": 2, "3": 3, "4": 2, "5": 4,
+            "6": 2, "7": 2, "8": 2, "9": 4, "10": 4, "11": 5,
+        }
+        assert doc["evals"] == 489
+        assert doc["merge_trace"] == [5, 5, 5, 5, 7, 7, 7, 9, 13, 16, 29]
+        assert doc["mean_bits"] == 3.0
+        assert doc["indicator"] == pytest.approx(0.6747619556904152, rel=1e-12, abs=0.0)
+
+    def test_default_search_holds(self, docs):
         base = docs[0]
         for extra, doc in zip(self.VARIANTS[1:], docs[1:]):
             assert doc["final_alloc"] == base["final_alloc"], extra
@@ -292,6 +312,16 @@ class TestQuantize:
     def test_rounds_up_past_midpoint(self, cfg_path):
         assert main(["quantize", "--config", cfg_path, "--target", "3.6"]) == 0
         assert read_out(cfg_path, "quantize.json")["bits"] == 4
+
+    def test_32_bit_candidate_exits_2(self, tmp_path, capsys):
+        # 32 bits is the dense weight, which has no quantized layer to write
+        cfg = dict(SMALL_CFG, output_dir=str(tmp_path / "out"))
+        cfg["search"] = dict(SMALL_CFG["search"], candidates=[2, 32], target=32.0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["quantize", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == "error: bits 32 not in (2, 3, 4, 5, 6, 7, 8)"
+        assert not (tmp_path / "out" / "quantize.json").exists()
 
 
 class TestEval:

@@ -22,7 +22,12 @@ from treeq.errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from treeq.quantizer import QUANT_BITS, DeltaTable
+from treeq.quantizer import (
+    QUANT_BITS,
+    DeltaTable,
+    quantize_rotated_batch,
+    quantize_weight_channelwise,
+)
 from treeq.search import SearchParams, tss_search
 from treeq.suite import exhaustive_spec
 from treeq.toymodel import (
@@ -223,16 +228,6 @@ class TestForward:
         got = forward_batch(m, {i: 32 for i in range(4)}, xs)
         assert np.array_equal(got, want)
 
-    def test_quantized_32_path_close_to_dense(self):
-        # Rounding a 32-bit layer through the branch machinery must cost
-        # only float error, not quantization error.
-        m = gen_model(exhaustive_spec(6))
-        calib = gen_calibration(m, 8, 3)
-        mse = end_to_end_mse(
-            m, {i: 32 for i in range(4)}, calib, QuantContext(fp32_dense=False)
-        )
-        assert mse < 1e-16
-
     def test_input_width_check(self):
         m = gen_model(exhaustive_spec(1))
         with pytest.raises(InvalidDimensionError):
@@ -272,6 +267,24 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         with pytest.raises(InvalidDimensionError):
             quantized_layer(m, 4, 3)
+
+    # each call asks for a 32-bit quantized form of layer 0 of a model
+    AT_32_BITS = {
+        "quantize_rotated_batch": lambda m: quantize_rotated_batch(m.weights[0], 32),
+        "quantize_weight_channelwise": lambda m: quantize_weight_channelwise(m.weights[0], 32),
+        "assemble_layer": lambda m: branches.assemble_layer(
+            m.weights[0], quantized_layer(m, 0, 3).branches, 32
+        ),
+        "quantized_layer": lambda m: quantized_layer(m, 0, 32),
+    }
+
+    @pytest.mark.parametrize("call", sorted(AT_32_BITS))
+    def test_32_bits_has_no_quantized_form(self, call):
+        # 32 bits means the dense weight, which forward_batch runs itself
+        m = gen_model(exhaustive_spec(7))
+        with pytest.raises(InvalidBitsError):
+            self.AT_32_BITS[call](m)
+        assert all(bits != 32 for _, bits, _ in m.fit_cache.layers)
 
     def test_bit_widths_share_the_branch_matrix(self):
         m = gen_model(exhaustive_spec(7))
@@ -469,9 +482,9 @@ class TestEvalCache:
         calibs = [gen_calibration(m, 8, 3), gen_calibration(m, 8, 4)]
         ctxs = [
             QuantContext(),
-            QuantContext(fp32_dense=False),
+            QuantContext(gmb_order="gmb_first"),
             QuantContext(r_gmb=0),
-            QuantContext(r_gmb=0, fp32_dense=False),
+            QuantContext(gmb_placement="pre"),
         ]
         rng = np.random.default_rng(0)
         alloc = {i: 3 for i in range(4)}
