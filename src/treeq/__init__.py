@@ -22,7 +22,6 @@ from .quantizer import (
     QuantizerSpec,
     calibrate_delta,
     default_delta_table,
-    quantize_uniform,
     quantize_weight_channelwise,
 )
 from .search import (

@@ -374,28 +374,64 @@ def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
     return out
 
 
-def forward_quantized_batch(layer: QuantizedLinear, xs):
-    """Quantized forward, one token per row of ``xs``.
+@dataclass(frozen=True)
+class LayerInput:
+    """A layer's bit-independent work on one activation batch.
 
-    Activations are quantized at the weight's bit-width with the weight's
-    step ``delta``, so a layer built from a delta table runs with it.  The
-    residual product multiplies the two integer grids exactly (see the
-    module docstring) and then scales row i, column c by
-    step_a[i] * step_w[c].
+    ``rotated`` is xs @ H, ``post`` the branch term rotated @ post^T and
+    ``pre`` the term xs @ pre^T under the pre-rotation placement (None
+    otherwise), with post and pre the matrices of one ``Branches``.  No
+    field depends on a bit-width, so one record serves every layer
+    quantized from those branches.
     """
-    weight, branches = layer.weight, layer.branches
+
+    xs: np.ndarray
+    rotated: np.ndarray
+    post: np.ndarray
+    pre: np.ndarray | None
+
+
+def layer_input(branches: Branches, xs) -> LayerInput:
+    """Rotate ``xs`` (one token per row) and apply ``branches`` to it."""
     xs = as_matrix(xs)
-    n = weight.q.shape[1]
+    n = branches.post.shape[1]
     if xs.shape[1] != n:
         raise InvalidDimensionError(
             f"activation width {xs.shape[1]} does not match layer width {n}"
         )
     rotated = np.einsum("nj,ji->ni", xs, hadamard(n))
-    grid, step = quantize_rotated_batch(rotated, weight.bits, weight.delta)
+    post = np.einsum("nd,od->no", rotated, branches.post)
+    pre = None if branches.pre is None else np.einsum("nd,od->no", xs, branches.pre)
+    return LayerInput(xs, rotated, post, pre)
+
+
+def forward_quantized_batch(layer: QuantizedLinear, xs):
+    """Quantized forward, one token per row of ``xs``.
+
+    ``xs`` is an activation matrix or a ``LayerInput`` built from
+    ``layer.branches``; a matrix is first turned into one, so a caller
+    that keeps the ``LayerInput`` can run the layer at other bit-widths
+    without redoing the rotation and the branch products.  Activations
+    are quantized at the weight's bit-width with the weight's step
+    ``delta``, so a layer built from a delta table runs with it.  The
+    residual product multiplies the two integer grids exactly (see the
+    module docstring) and then scales row i, column c by
+    step_a[i] * step_w[c]; the post and then the pre branch term are
+    added to it.
+    """
+    weight = layer.weight
+    if not isinstance(xs, LayerInput):
+        xs = layer_input(layer.branches, xs)
+    n = weight.q.shape[1]
+    if xs.rotated.shape[1] != n:
+        raise InvalidDimensionError(
+            f"activation width {xs.rotated.shape[1]} does not match layer width {n}"
+        )
+    grid, step = quantize_rotated_batch(xs.rotated, weight.bits, weight.delta)
     out = residual_product(grid, step, weight)
-    out += np.einsum("nd,od->no", rotated, branches.post)
-    if branches.pre is not None:
-        out += np.einsum("nd,od->no", xs, branches.pre)
+    out += xs.post
+    if xs.pre is not None:
+        out += xs.pre
     return out
 
 

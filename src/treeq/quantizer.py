@@ -70,14 +70,6 @@ def _grid(t, spec: QuantizerSpec):
     return np.clip(t, spec.qmin, spec.qmax, out=t)
 
 
-def quantize_uniform(x, spec: QuantizerSpec):
-    """Quantize elementwise onto ``spec``'s grid: clamp(round(x / delta)) * delta.
-
-    Accepts any array shape.
-    """
-    return _grid(np.asarray(x, dtype=np.float64) / spec.delta, spec) * spec.delta
-
-
 def _stationarity(delta: float, bits: int) -> float:
     """g(delta) = -1/2 dMSE/ddelta for x ~ N(0,1); zero at the optimal step.
 

@@ -41,10 +41,12 @@ from .branches import (
     GMB_ORDERS,
     GMB_PLACEMENTS,
     Branches,
+    LayerInput,
     QuantizedLinear,
     assemble_layer,
     branch_decomposition,
     forward_quantized_batch,
+    layer_input,
     lrb_fitted_first,
 )
 from .errors import (
@@ -183,7 +185,7 @@ class ModelSpec:
 
 
 class EvalCache:
-    """Prefix activations and the MSE memo of one evaluation scope.
+    """Prefix activations, their prepared layer inputs and the MSE memo of one scope.
 
     A scope is one calibration input matrix (compared by identity, so two
     calibration sets that share ``key()`` never alias) under one context
@@ -192,15 +194,24 @@ class EvalCache:
     ``acts[j + 1]`` the output of layer j after the leaky rectifier), the
     bits of the layers that produced them (``bits[j]`` for ``acts[j + 1]``,
     so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
-    way), and the MSE of every allocation evaluated, keyed by bit tuple.  Entering a new scope drops
-    all of it, so the cache never holds more than one scope.  ``hits`` and
-    ``misses`` count memo lookups over the cache's life.
+    way), and the MSE of every allocation evaluated, keyed by bit tuple.
+    ``inputs[j]`` is layer j's ``LayerInput`` on ``acts[j]`` (the rotation
+    and branch products), built by the first quantized forward of layer j
+    on that activation and None until then; it is dropped with its
+    activation, so ``len(inputs) == len(acts)``.  A layer's branches are
+    fixed within a scope, so the record serves every bit-width tried at
+    that layer.  A level thus holds up to three activation-sized arrays:
+    the activation, its rotation and the post branch term (four under the
+    pre-rotation placement).  Entering a new scope drops all of it, so the
+    cache never holds more than one scope.  ``hits`` and ``misses`` count
+    memo lookups over the cache's life.
     """
 
     def __init__(self):
         self.ctx = None
         self.bits = []
         self.acts = []
+        self.inputs = []
         self.mse = {}
         self.hits = 0
         self.misses = 0
@@ -212,7 +223,15 @@ class EvalCache:
         self.ctx = ctx
         self.bits = []
         self.acts = [xs]
+        self.inputs = [None]
         self.mse = {}
+
+    def input_for(self, i: int, branches: Branches) -> LayerInput:
+        """Layer i's prepared input on ``acts[i]``, built on first use."""
+        prepared = self.inputs[i]
+        if prepared is None:
+            prepared = self.inputs[i] = layer_input(branches, self.acts[i])
+        return prepared
 
 
 class FitCache:
@@ -443,10 +462,14 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
     longest prefix of layers whose bits match the cache's last forward: it
     starts from the cached activation entering the first differing layer
     (the last layer's output is not cached, so that layer always runs) and
-    caches the activations of the layers it runs.  A cached activation is
-    the very array an earlier forward in the same scope computed from the
-    same input through the same layers, so every layer sees the inputs a
-    full forward would give it and the result is bit-identical.
+    caches the activations of the layers it runs.  A quantized layer runs
+    on its level's cached ``LayerInput``, so the rotation and branch
+    products of an activation are computed once for all the bit-widths
+    tried on it; a 32-bit layer runs its dense weight on the activation.
+    A cached activation is the very array an earlier forward in the same
+    scope computed from the same input through the same layers, so every
+    layer sees the inputs a full forward would give it and the result is
+    bit-identical.
     """
     if ctx is None:
         ctx = default_context()
@@ -465,16 +488,21 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
             start += 1
         xs = cache.acts[start]
         del cache.acts[start + 1:]
+        del cache.inputs[start + 1:]
         del cache.bits[start:]
     for i in range(start, n):
         if bits[i] == PASSTHROUGH_BITS:
             xs = np.einsum("nd,od->no", xs, model.weights[i])
         else:
-            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs)
+            layer = _layer_for(model, i, bits[i], ctx)
+            if cache is not None:
+                xs = cache.input_for(i, layer.branches)
+            xs = forward_quantized_batch(layer, xs)
         if i < n - 1:
             xs = np.maximum(xs, LEAKY_SLOPE * xs)  # the leaky rectifier, 0 < slope < 1
             if cache is not None:
                 cache.acts.append(xs)
+                cache.inputs.append(None)
                 cache.bits.append(bits[i])
     return xs
 

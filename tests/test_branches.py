@@ -27,6 +27,7 @@ from treeq.branches import (
     gmb_permutation,
     gmb_reconstruct_blocks,
     init_lrb,
+    layer_input,
     lrb_fitted_first,
     permutation_matrix,
     qlinear_from_json,
@@ -414,6 +415,35 @@ class TestQuantizedLayer:
         layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1, hadamard(8))
         with pytest.raises(InvalidDimensionError):
             forward_quantized_batch(layer, np.ones((1, 16)))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r_gmb": 4}, {"r_gmb": 4, "placement": "pre"}, {"r_gmb": 0},
+    ], ids=["post", "pre", "no-gmb"])
+    def test_one_layer_input_serves_every_bit_width(self, kwargs):
+        # layers of one fit share their Branches, so one prepared input
+        # runs each of them as the activation matrix itself does
+        w = seeded_matrix(16, 16, seed=32)
+        kwargs = dict(kwargs)
+        r_gmb = kwargs.pop("r_gmb")
+        lrb, gmb, w_res = branch_decomposition(w, 2, r_gmb, hadamard(16), **kwargs)
+        shared = Branches(lrb, gmb, kwargs.get("placement", "post"))
+        xs = seeded_matrix(6, 16, seed=33)
+        prepared = layer_input(shared, xs)
+        assert (prepared.pre is not None) == (kwargs.get("placement") == "pre")
+        for bits in (2, 3, 5, 8):
+            layer = assemble_layer(w_res, shared, bits)
+            assert np.array_equal(
+                forward_quantized_batch(layer, prepared), forward_quantized_batch(layer, xs)
+            )
+
+    def test_layer_input_width_mismatch(self):
+        wide = quantize_layer(seeded_matrix(16, 16, seed=34), 3, 1, 1, hadamard(16))
+        layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1, hadamard(8))
+        prepared = layer_input(wide.branches, seeded_matrix(2, 16, seed=35))
+        with pytest.raises(InvalidDimensionError):
+            forward_quantized_batch(layer, prepared)
+        with pytest.raises(InvalidDimensionError):
+            layer_input(layer.branches, np.ones((1, 16)))
 
     def test_residual_is_an_int8_grid(self):
         layer = quantize_layer(seeded_matrix(16, 16, seed=28), 8, 2, 2, hadamard(16))

@@ -18,12 +18,17 @@ from treeq.quantizer import (
     calibrate_delta,
     default_delta_table,
     quantize_rotated_batch,
-    quantize_uniform,
     quantize_weight_channelwise,
     round_half_away,
 )
 
-from oracles import gaussian_quant_mse, grid_optimal_delta, mse_quadrature, stationary_delta
+from oracles import (
+    gaussian_quant_mse,
+    grid_optimal_delta,
+    mse_quadrature,
+    stationary_delta,
+)
+from oracles import round_half_away as oracle_round_half_away
 
 
 class TestRounding:
@@ -63,26 +68,37 @@ class TestSpec:
 
 
 class TestUniform:
+    # the uniform grid as the activation quantizer applies it, one token per row
+
     def test_grid_and_clamp(self):
-        s = QuantizerSpec.create(2, 1.0)  # levels -2..1
-        x = np.array([-5.0, -1.2, -0.4, 0.4, 0.5, 5.0])
-        want = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 1.0])
-        assert np.array_equal(quantize_uniform(x, s), want)
+        # binary fractions whose squares sum to the width, so the row's RMS
+        # is exactly 1 and at step 1 the grid is clamp(round(y)) itself
+        y = np.zeros((1, 64))
+        y[0, :12] = [-5.0, -1.25, -0.375, 0.375, 0.5, 5.0, 3.0, 1.5, 0.75, 0.25, 0.125, 0.125]
+        grid, step = quantize_rotated_batch(y, 2, 1.0)  # levels -2..1
+        want = np.zeros((1, 64))
+        want[0, :12] = [-2.0, -1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+        assert step.tolist() == [1.0]
+        assert np.array_equal(grid, want)
 
     def test_idempotent(self):
-        s = QuantizerSpec.create(4, 0.3)
-        x = np.linspace(-3, 3, 101)
-        q = quantize_uniform(x, s)
-        assert np.array_equal(quantize_uniform(q, s), q)
+        # a grid row quantized at the step 1 / RMS(grid) is its own grid
+        grid, _ = quantize_rotated_batch(np.linspace(-3, 3, 101)[None], 4, 0.3)
+        again, _ = quantize_rotated_batch(grid, 4, 1.0 / np.sqrt(np.mean(grid * grid)))
+        assert np.array_equal(again, grid)
 
     def test_error_bounded_inside_range(self):
-        s = QuantizerSpec.create(5, 0.2)
-        x = np.linspace(s.qmin * 0.2 + 0.01, s.qmax * 0.2 - 0.01, 997)
-        assert np.max(np.abs(x - quantize_uniform(x, s))) <= 0.1 + 1e-12
+        # every entry the clamp leaves alone lies within half a step of its level
+        y = np.random.default_rng(17).standard_normal((8, 64))
+        grid, step = quantize_rotated_batch(y, 5, 0.2)
+        err = np.abs(y - grid * step[:, None]) / step[:, None]
+        inside = (grid > -16) & (grid < 15)
+        assert inside.sum() > 400
+        assert np.max(err[inside]) <= 0.5 + 1e-12
 
     def test_preserves_shape(self):
-        s = QuantizerSpec.create(3, 0.4)
-        assert quantize_uniform(np.zeros((2, 3, 4)), s).shape == (2, 3, 4)
+        grid, step = quantize_rotated_batch(np.zeros((3, 8)), 3, 0.4)
+        assert grid.shape == (3, 8) and step.shape == (3,)
 
 
 class TestCalibration:
@@ -200,7 +216,7 @@ class TestActivation:
 
 def sign_floor_grid(t, spec):
     """Oracle grid: clamp(sign(t) * floor(|t| + 1/2))."""
-    return np.clip(np.sign(t) * np.floor(np.abs(t) + 0.5), spec.qmin, spec.qmax)
+    return np.clip(oracle_round_half_away(t), spec.qmin, spec.qmax)
 
 
 class TestRotatedBatch:
@@ -263,7 +279,8 @@ class TestChannelwise:
         safe = np.where(np.std(w, axis=1) == 0.0, 1.0, np.std(w, axis=1))
         assert np.array_equal(q.scale, safe)
         assert np.array_equal(q.q, sign_floor_grid(w / safe[:, None] / spec.delta, spec))
-        assert np.array_equal(q.dense(), safe[:, None] * quantize_uniform(w / safe[:, None], spec))
+        ints = np.clip(oracle_round_half_away(w / safe[:, None] / spec.delta), spec.qmin, spec.qmax)
+        assert np.array_equal(q.dense(), safe[:, None] * (ints * spec.delta))
 
     def test_error_shrinks_with_bits(self):
         # Wide rows so per-row sample MSE concentrates near its mean.

@@ -539,8 +539,44 @@ class TestEvalCache:
             end_to_end_mse(m, b, c)
         monkeypatch.undo()
         assert len(m.eval_cache.acts) == len(m.eval_cache.bits) + 1
+        assert len(m.eval_cache.inputs) == len(m.eval_cache.acts)
         for alloc in (b, a):
             assert end_to_end_mse(m, alloc, c) == end_to_end_mse(_fresh(m), alloc, c)
+
+    def test_prepares_each_level_input_once(self, monkeypatch):
+        m = gen_model(exhaustive_spec(2))
+        c = gen_calibration(m, 8, 3)
+        built, calls = [], []
+        prepare, run = toymodel.layer_input, toymodel.forward_quantized_batch
+
+        def counted(branches_, xs):
+            built.append(branches_)
+            return prepare(branches_, xs)
+
+        # a matrix handed to the layer would be prepared in branches
+        monkeypatch.setattr(toymodel, "layer_input", counted)
+        monkeypatch.setattr(branches, "layer_input", counted)
+        monkeypatch.setattr(
+            toymodel, "forward_quantized_batch", lambda *a: calls.append(1) or run(*a)
+        )
+        end_to_end_mse(m, {0: 2, 1: 3, 2: 4, 3: 5}, c)
+        assert len(built) == 4
+        last = quantized_layer(m, 3, 5).branches
+        for alloc in ({0: 2, 1: 3, 2: 5, 3: 5}, {0: 2, 1: 3, 2: 2, 3: 5}):
+            built.clear()
+            calls.clear()
+            end_to_end_mse(m, alloc, c)
+            # layer 2 reuses its input at the new width; layer 3 sees a new activation
+            assert len(built) == 1 and built[0] is last
+            assert len(calls) == 2
+
+        # layer 1 at 4 bits gives level 2 a new activation; run dense first,
+        # the level is prepared by its first quantized forward only
+        level_2 = quantized_layer(m, 2, 4).branches
+        built.clear()
+        for bits, prepared in ((32, 0), (4, 1), (3, 1), (32, 1), (5, 1)):
+            end_to_end_mse(m, {0: 2, 1: 4, 2: bits, 3: 5}, c)
+            assert sum(b is level_2 for b in built) == prepared
 
     def test_holds_one_scope_after_searches(self):
         m = gen_model(ModelSpec(n_layers=3, dims=(16,) * 4, seed=1))
