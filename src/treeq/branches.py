@@ -264,7 +264,9 @@ def branch_decomposition(
     instead (its output then feeds on x, not H^T x).  ``lrb`` may carry an earlier rank-``r_lrb`` fit of
     W_H; it replaces the refit where ``lrb_fitted_first`` holds and is
     ignored otherwise.  Returns (lrb, gmb, w_res) with w_res the leftover
-    handed to the residual quantizer.
+    handed to the residual quantizer.  ``h`` must equal ``hadamard(n)``,
+    the rotation ``layer_input`` applies to activations; any other matrix
+    raises InvalidDimensionError.
 
     ``w`` may also be a (B, m, n) stack of same-shape weights, with ``lrb``
     then a list of B fits or None.  Every variant fits all LRBs of the
@@ -289,6 +291,8 @@ def branch_decomposition(
         raise InvalidDimensionError(
             f"Hadamard shape {h.shape} does not match weight {(rows, cols)}"
         )
+    if not np.array_equal(h, hadamard(cols)):
+        raise InvalidDimensionError(f"h must be hadamard({cols}), the rotation layer_input applies")
     with_gmb = r_gmb > 0
     if with_gmb:
         n_o, n_i = gmb_budget_partitions(rows, cols, r_gmb)
@@ -460,7 +464,6 @@ def qlinear_to_json(layer: QuantizedLinear) -> str:
             "b": _matrix_to_json(lrb.b),
         },
         "gmb": None,
-        "q_res": _matrix_to_json(weight.dense()),
         "w_grid": _matrix_to_json(weight.q),
         "w_scale": [float(v) for v in weight.scale],
         "w_delta": weight.delta,

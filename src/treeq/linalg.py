@@ -47,6 +47,7 @@ SVD_PROBES = 15  # multisection probes per interval and pass
 SVD_PASSES = 14  # (SVD_PROBES + 1) ** SVD_PASSES = 2 ** 56
 SVD_SOLVES = 3  # inverse-iteration solves per singular value
 SVD_RESIDUAL_FACTOR = 16.0  # residual bound in units of max(m, n) * eps * sigma_1
+STURM_ROOM = 2**14  # Sturm terms a buffer may always hold, over the whole stack
 
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
@@ -128,11 +129,11 @@ def _reflect(x):
     (I - tau h h^T) x = beta e_1.  Returns beta and tau; a zero row gets
     tau 0, the identity.
     """
-    alpha = x[:, 0].copy()
+    alpha = x[:, 0]
     norm = np.sqrt(np.einsum("bi,bi->b", x, x))
     beta = np.where(alpha < 0.0, norm, -norm)
-    x[:, 0] = alpha - beta
     scale = norm * (norm + np.abs(alpha))
+    alpha -= beta
     tau = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0.0)
     return beta, tau
 
@@ -183,39 +184,51 @@ def _gk_sigmas(off, r: int, room: int):
     Every sigma_j starts in [0, Gershgorin bound of T].  A pass puts
     SVD_PROBES evenly spaced probes inside each interval and keeps the
     piece between the two that bracket sigma_j, so SVD_PASSES passes shrink
-    it 16^14 = 2^56-fold.  The recurrence runs in place, holding at most
-    ``room`` terms per problem (and at least one step) at a time.  Returns
-    the midpoints (B, r) and the bound (B,).
+    it 16^14 = 2^56-fold.  A pass runs its terms through a buffer of at
+    most ``room`` terms per problem (and at least one step), counting the
+    positive ones each time it fills, beside a same-size buffer of the
+    squares spread over the probes, which is filled once when a whole pass
+    fits.  The result does not depend on ``room``.  Returns the midpoints
+    (B, r) and the bound (B,).
     """
-    count, size = off.shape
-    steps = size + 1
+    count, steps = off.shape
     mag = np.pad(np.abs(off), ((0, 0), (1, 1)))
     bound = (mag[:, :-1] + mag[:, 1:]).max(axis=1)
-    # p_{-1} = 1 under a zero square gives p_0 = x, also at x = 0
-    sq = np.pad(np.maximum(off * off, _TINY), ((0, 0), (1, 0))).T[:, :, None]
+    sq = np.maximum(off * off, _TINY).T[:, :, None, None]
     lo = np.zeros((count, r))
     hi = np.repeat(bound[:, None], r, axis=1)
     grid = np.arange(SVD_PROBES + 2) / (SVD_PROBES + 1)
+    inner = grid[1:-1, None]
     # probe x lies at or below sigma_j when at most 2n - 1 - j terms are positive
-    most = (steps - 1 - np.arange(r))[:, None]
+    most = steps - np.arange(r)
+    # the terms p_1 ... p_{2n-1} of every probe: (i, problem, probe, value)
     rows = max(1, min(steps, room // (r * SVD_PROBES)))
-    p = np.empty((rows, count, r * SVD_PROBES))
+    p = np.empty((rows, count, SVD_PROBES, r))
+    # off_i^2 spread over the probes, copied once when the pass fits one chunk
     num = np.empty_like(p)
+    starts = range(0, steps, rows)
+    refill = len(starts) > 1
+    if not refill:
+        num[...] = sq
+    terms = list(zip(num, p))
+    divide, subtract = np.divide, np.subtract
     with np.errstate(divide="ignore", over="ignore"):
         for _ in range(SVD_PASSES):
             width = hi - lo
-            x = (lo[..., None] + width[..., None] * grid[1:-1]).reshape(count, -1)
-            below = np.zeros(x.shape, dtype=np.int64)
-            prev = np.ones_like(x)
-            for start in range(0, steps, rows):
+            x = lo[:, None] + width[:, None] * inner
+            # p_0 = x >= 0 counts as positive
+            below = np.ones(x.shape, dtype=np.int32)
+            prev = x
+            for start in starts:
                 h = min(rows, steps - start)
-                num[:h] = sq[start : start + h]
-                for i in range(h):
-                    np.divide(num[i], prev, out=p[i])
-                    np.subtract(x, p[i], out=p[i])
-                    prev = p[i]
-                below += np.count_nonzero(p[:h] >= 0.0, axis=0)
-            idx = (below.reshape(count, r, SVD_PROBES) <= most).sum(axis=-1)
+                if refill:
+                    num[:h] = sq[start : start + h]
+                for s, term in terms[:h]:
+                    divide(s, prev, term)
+                    subtract(x, term, term)
+                    prev = term
+                below += np.add.reduce(p[:h] >= 0.0, axis=0, dtype=np.int32)
+            idx = np.add.reduce(below <= most, axis=1, dtype=np.int32)
             lo, hi = lo + width * grid[idx], lo + width * grid[idx + 1]
     return lo + (hi - lo) / 2.0, bound
 
@@ -252,37 +265,54 @@ def _gk_vectors(off, sigma, bound):
     size = off.shape[1] + 1
     guard = _EPS * np.where(bound > 0.0, bound, 1.0)[:, None]
     diag = -(sigma + (size // 2) * guard)
-    u0, u1, u2, mult = (np.empty((size, count, r)) for _ in range(4))
-    swap = np.empty((size, count, r), dtype=bool)
-    # the pivot row's entries in columns i and i + 1
-    piv, sup = diag, off[:, :1]
-    for i in range(size - 1):
-        low = off[:, i, None]
-        nxt = off[:, i + 1, None] if i + 2 < size else 0.0
-        sw = np.abs(low) > np.abs(piv)
-        lead = np.where(sw, low, piv)
-        u0[i] = np.where(np.abs(lead) < guard, guard, lead)
-        u1[i] = np.where(sw, diag, sup)
-        u2[i] = np.where(sw, nxt, 0.0)
-        mult[i] = np.where(sw, piv, low) / u0[i]
-        piv = np.where(sw, sup, diag) - mult[i] * u1[i]
-        sup = np.where(sw, 0.0, nxt) - mult[i] * u2[i]
-        swap[i] = sw
-    u0[-1] = np.where(np.abs(piv) < guard, guard, piv)
+    mag = list(np.abs(off).T[:, :, None])
+    # row i + 1 of T - s_j I from column i on, (off_i, diag, off_{i+1}); the
+    # elimination turns it in place into U's row i, (u0, u1, u2)
+    rows = np.empty((size - 1, 3, count, r))
+    rows[:, 0] = off.T[:, :, None]
+    rows[:, 1] = diag
+    rows[:-1, 2] = off.T[1:, :, None]
+    rows[-1, 2] = 0.0
+    # the row still to pivot from column i on, (piv, sup, 0), in two buffers by turns
+    carry = np.zeros((2, 3, count, r))
+    pivot = carry[0]
+    pivot[0] = diag
+    pivot[1] = off[:, :1]
+    # per elimination step: the swap and the multiplier, and U's row as (u0, (u1, u2))
+    lower, upper = [], []
+    for i, (row, low_mag) in enumerate(zip(rows, mag)):
+        sw = low_mag > np.abs(pivot[0])
+        rest = np.where(sw, pivot, row)
+        np.copyto(row, pivot, where=~sw)
+        lead = row[0]
+        np.copyto(lead, guard, where=np.abs(lead) < guard)
+        m = rest[0] / lead
+        pivot = carry[(i + 1) % 2]
+        np.subtract(rest[1:], m * row[1:], out=pivot[:2])
+        lower.append((sw, m))
+        upper.append((lead, row[1:]))
+    last = np.where(np.abs(pivot[0]) < guard, guard, pivot[0])
     z = np.empty((count, r, size))
     z[...] = _start_vectors(r, size)
+    y = np.empty((size, count, r))
+    # per step: rows i and i + 1 of y, the two swapped, and each alone
+    pairs = [(pair, pair[::-1], pair[0], pair[1]) for pair in (y[i : i + 2] for i in range(size - 1))]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(SVD_SOLVES):
-            y = z.transpose(2, 0, 1).copy()
-            for i in range(size - 1):
-                top = np.where(swap[i], y[i + 1], y[i])
-                y[i + 1] = np.where(swap[i], y[i], y[i + 1]) - mult[i] * top
-                y[i] = top
-            y[-1] /= u0[-1]
-            y[-2] = (y[-2] - u1[-2] * y[-1]) / u0[-2]
+            y[...] = z.transpose(2, 0, 1)
+            # forward, in place: y = L^-1 P z
+            for (sw, m), (pair, swapped, top, below) in zip(lower, pairs):
+                np.copyto(pair, swapped, where=sw)
+                np.subtract(below, m * top, out=below)
+            # backward, in place from the last row up: y = U^-1 y
+            y[-1] /= last
+            lead, u12 = upper[-1]
+            np.divide(y[-2] - u12[0] * y[-1], lead, out=y[-2])
             for i in range(size - 3, -1, -1):
-                y[i] = (y[i] - u1[i] * y[i + 1] - u2[i] * y[i + 2]) / u0[i]
-            z = _orthonormalize(y.transpose(1, 2, 0).copy())
+                lead, u12 = upper[i]
+                terms = u12 * y[i + 1 : i + 3]
+                np.divide(y[i] - terms[0] - terms[1], lead, out=y[i])
+            z = _orthonormalize(np.ascontiguousarray(y.transpose(1, 2, 0)))
     return z
 
 
@@ -310,17 +340,17 @@ def _orthonormalize(v):
     """
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(v.shape[1]):
-            w = v[:, j]
-            before = np.sqrt(np.einsum("bp,bp->b", w, w))
+            row = w = v[:, j]
+            nrm = before = np.sqrt(np.einsum("bp,bp->b", w, w))
             if j:
                 prev = v[:, :j]
                 for _ in range(2):
                     w = w - np.einsum("bkp,bk->bp", prev, np.einsum("bkp,bp->bk", prev, w))
-            nrm = np.sqrt(np.einsum("bp,bp->b", w, w))
+                nrm = np.sqrt(np.einsum("bp,bp->b", w, w))
             lost = ~(nrm > 1e-6 * before)
-            v[:, j] = w / np.where(lost, 1.0, nrm)[:, None]
-            for k in np.nonzero(lost)[0]:
-                v[k, j] = _canonical_unit(v[k, :j])
+            np.divide(w, np.where(lost, 1.0, nrm)[:, None], out=row)
+            for k in np.flatnonzero(lost):
+                row[k] = _canonical_unit(v[k, :j])
     return v
 
 
@@ -373,8 +403,10 @@ def _svd(a, r: int):
     off = np.empty((count, 2 * n - 1))
     off[:, 0::2] = d
     off[:, 1::2] = e
-    # the Sturm buffers take at most two copies of the stack
-    sigma, bound = _gk_sigmas(off, r, room=m * n)
+    # each of the two Sturm buffers holds at most one copy of the stack or
+    # STURM_ROOM terms, whichever is more, so that a pass over a small stack
+    # fits one chunk
+    sigma, bound = _gk_sigmas(off, r, room=max(m * n, STURM_ROOM // count))
     z = _gk_vectors(off, sigma, bound)
     v = _orthonormalize(z[:, :, 0::2].copy())
     u = np.zeros((count, r, m))

@@ -53,18 +53,13 @@ class QuantizerSpec:
         )
 
 
-def round_half_away(y):
-    """Round to nearest integer, halves away from zero (unlike banker's rounding).
-
-    Computed as trunc(y + copysign(1/2, y)); a zero, or anything that rounds
-    to zero, keeps its sign.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    return np.trunc(y + np.copysign(0.5, y))
-
-
 def _grid(t, spec: QuantizerSpec):
-    """clamp(round_half_away(t)) onto ``spec``'s integers, overwriting ``t``."""
+    """Round ``t`` onto ``spec``'s clamped integers in place, and return it.
+
+    Halves round away from zero (unlike banker's rounding), as
+    trunc(t + copysign(1/2, t)); a zero, or anything that rounds to zero,
+    keeps its sign.
+    """
     t += np.copysign(0.5, t)
     np.trunc(t, out=t)
     return np.clip(t, spec.qmin, spec.qmax, out=t)

@@ -7,10 +7,13 @@ sums and Brent's method instead of the summed-by-parts stdlib bisection,
 exhaustive grids as a second check on the optimal step, O(n^2) dominance
 filtering instead of the sorted sweep, full enumeration instead of tree
 search, LAPACK's SVD instead of the package's multisection and inverse
-iteration.  scipy is a test-only dependency.
+iteration, and that multisection and inverse iteration again one Python
+float at a time, to hold the batched loops to their scalar arithmetic.
+scipy is a test-only dependency.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import brentq
@@ -223,3 +226,92 @@ def lapack_svd(m, r):
         if col[np.abs(col) > 1e-12][0] < 0:
             u[:, j], v[:, j] = -u[:, j], -v[:, j]
     return u, sigma, v
+
+
+def _scalar_div(a, b):
+    """a / b under IEEE-754, as numpy divides: no ZeroDivisionError on a zero divisor."""
+    if b != 0.0:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def sturm_sigmas(off, r, probes, passes, tiny):
+    """Top r singular values of each bidiagonal, one probe and one float at a time.
+
+    The same multisection as ``linalg._gk_sigmas``: ``probes`` evenly spaced
+    probes per interval and pass, each counting the positive terms of
+    p_0 = x, p_i = x - max(off_i^2, tiny) / p_{i-1}, over ``passes`` passes.
+    """
+    out = np.empty((off.shape[0], r))
+    grid = [k / (probes + 1) for k in range(probes + 2)]
+    for b, row in enumerate(off.tolist()):
+        mag = [0.0] + [abs(v) for v in row] + [0.0]
+        bound = max(mag[i] + mag[i + 1] for i in range(len(mag) - 1))
+        squares = [max(v * v, tiny) for v in row]
+        for j in range(r):
+            lo, hi = 0.0, bound
+            for _ in range(passes):
+                width = hi - lo
+                idx = 0
+                for k in range(1, probes + 1):
+                    x = lo + width * grid[k]
+                    p, positive = x, 1
+                    for sq in squares:
+                        p = x - _scalar_div(sq, p)
+                        positive += p >= 0.0
+                    idx += positive <= len(row) - j
+                lo, hi = lo + width * grid[idx], lo + width * grid[idx + 1]
+            out[b, j] = lo + (hi - lo) / 2.0
+    return out
+
+
+def inverse_iteration(off, sigma, bound, start, solves, orthonormalize):
+    """Eigenvectors of the Golub-Kahan tridiagonals, one value and one float at a time.
+
+    The same shifted factorization with partial pivoting and the same
+    solves as ``linalg._gk_vectors``; after each solve the whole stack goes
+    through ``orthonormalize`` (the package's Gram-Schmidt), so only the
+    factorization and the solves are restated here.
+    """
+    count, r = sigma.shape
+    size = off.shape[1] + 1
+    eps = np.finfo(np.float64).eps
+    factors = {}
+    for b, row in enumerate(off.tolist()):
+        guard = eps * (float(bound[b]) if bound[b] > 0.0 else 1.0)
+        for j in range(r):
+            diag = -(float(sigma[b, j]) + (size // 2) * guard)
+            steps = []
+            piv, sup = diag, row[0]
+            for i in range(size - 1):
+                low, nxt = row[i], row[i + 1] if i + 2 < size else 0.0
+                swap = abs(low) > abs(piv)
+                lead = low if swap else piv
+                u0 = guard if abs(lead) < guard else lead
+                u1, u2 = (diag, nxt) if swap else (sup, 0.0)
+                mult = (piv if swap else low) / u0
+                piv = (sup if swap else diag) - mult * u1
+                sup = (0.0 if swap else nxt) - mult * u2
+                steps.append((swap, mult, u0, u1, u2))
+            factors[b, j] = steps, guard if abs(piv) < guard else piv
+    z = np.empty((count, r, size))
+    z[...] = start
+    for _ in range(solves):
+        y = z.tolist()
+        for (b, j), (steps, last) in factors.items():
+            v = y[b][j]
+            for i, (swap, mult, _, _, _) in enumerate(steps):
+                if swap:
+                    v[i], v[i + 1] = v[i + 1], v[i]
+                v[i + 1] = v[i + 1] - mult * v[i]
+            v[-1] = _scalar_div(v[-1], last)
+            for i in range(size - 2, -1, -1):
+                _, _, u0, u1, u2 = steps[i]
+                rest = v[i] - u1 * v[i + 1]
+                if i + 2 < size:
+                    rest = rest - u2 * v[i + 2]
+                v[i] = _scalar_div(rest, u0)
+        z = orthonormalize(np.array(y))
+    return z

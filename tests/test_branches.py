@@ -283,6 +283,24 @@ class TestBranchDecomposition:
         with pytest.raises(InvalidDimensionError):
             branch_decomposition(np.ones((4, 8)), 1, 1, hadamard(4))
 
+    @pytest.mark.parametrize(
+        "h", [np.eye(8), -hadamard(8), hadamard(8)[::-1]], ids=["identity", "negated", "reversed"]
+    )
+    def test_rejects_rotation_other_than_hadamard(self, h):
+        # layer_input rotates activations by hadamard(n) whatever h was, so a
+        # layer fitted under another square h would have a wrong forward
+        w = seeded_matrix(8, 8, seed=16)
+        with pytest.raises(InvalidDimensionError, match="hadamard"):
+            branch_decomposition(w, 1, 1, h)
+        with pytest.raises(InvalidDimensionError, match="hadamard"):
+            quantize_layer(w, 3, 1, 1, h)
+
+    def test_accepts_a_copy_of_hadamard(self):
+        w = seeded_matrix(8, 8, seed=16)
+        copied = branch_decomposition(w, 1, 1, np.array(hadamard(8)))
+        shared = branch_decomposition(w, 1, 1, hadamard(8))
+        assert np.array_equal(copied[2], shared[2])
+
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -549,6 +567,17 @@ class TestSerialization:
         assert np.array_equal(
             forward_quantized_batch(back, x), forward_quantized_batch(layer, x)
         )
+
+    @pytest.mark.parametrize("placement", ["post", "pre"])
+    def test_grid_alone_carries_the_residual(self, placement):
+        # the int8 grid, its scales and its step rebuild the residual, so the
+        # document holds no float copy of it
+        layer = self._layer(placement=placement)
+        text = qlinear_to_json(layer)
+        assert "q_res" not in json.loads(text)
+        back = qlinear_from_json(text)
+        xs = seeded_matrix(5, 8, seed=29)
+        assert same_bits(forward_quantized_batch(back, xs), forward_quantized_batch(layer, xs))
 
     def test_no_gmb(self):
         layer = quantize_layer(seeded_matrix(8, 8, seed=27), 3, 2, 0, hadamard(8))

@@ -22,7 +22,7 @@ from treeq.linalg import (
 )
 
 from conftest import seeded_matrix
-from oracles import lapack_svd
+from oracles import inverse_iteration, lapack_svd, sturm_sigmas
 
 
 def matmul_ref(a, b):
@@ -319,6 +319,55 @@ class TestBatchedJacobi:
         assert np.allclose(tri.sigma, sigma, atol=1e-10)
         assert np.allclose(tri.u, u, atol=1e-10)
         assert np.allclose(tri.v, v, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape,r",
+        [((256, 4, 4), 1), ((16, 16, 16), 1), ((1, 64, 64), 16)],
+        ids=["256x4x4", "16x16x16", "64x64-r16"],
+    )
+    def test_sturm_counts_do_not_depend_on_the_buffer(self, shape, r, monkeypatch):
+        # the multisection fills its buffer in chunks of ``room`` terms per
+        # problem; one step per chunk, the room _svd gives and one chunk
+        # per pass must all give the same bits
+        seen = []
+        sigmas = linalg._gk_sigmas
+
+        def spy(off, r, room):
+            seen.append((off.copy(), room))
+            return sigmas(off, r, room)
+
+        monkeypatch.setattr(linalg, "_gk_sigmas", spy)
+        stack = seeded_matrix(int(np.prod(shape[:-1])), shape[-1], seed=130).reshape(shape)
+        _, sigma, _ = linalg._svd(stack, r)
+        [(off, room)] = seen
+        for other in (1, room, 2**20):
+            got, _ = sigmas(off, r, room=other)
+            assert same_bits(got, sigma)
+
+    @pytest.mark.parametrize(
+        "stack,r",
+        [
+            (seeded_matrix(4 * 9, 5, seed=140).reshape(4, 9, 5), 3),
+            (seeded_matrix(3 * 4, 7, seed=141).reshape(3, 4, 7), 4),
+            (np.stack([seeded_matrix(6, 2, seed=142) @ seeded_matrix(2, 6, seed=143)] * 2), 4),
+            (np.linalg.qr(seeded_matrix(8, 8, seed=144))[0][None], 3),
+            (np.stack([np.zeros((4, 4)), np.diag([3.0, 0.0, 3.0, 1.0])]), 2),
+        ],
+        ids=["tall", "wide", "rank-deficient", "orthogonal", "zero-and-blocks"],
+    )
+    def test_batched_loops_do_the_scalar_arithmetic(self, stack, r):
+        # the multisection and the inverse iteration, restated one float at a
+        # time, give the same bits: the batching reorders no operation
+        cols = np.array(np.swapaxes(stack, 1, 2) if stack.shape[1] >= stack.shape[2] else stack)
+        d, e, _, _ = linalg._bidiagonalize(cols)
+        off = np.empty((cols.shape[0], 2 * cols.shape[1] - 1))
+        off[:, 0::2], off[:, 1::2] = d, e
+        sigma, bound = linalg._gk_sigmas(off, r, room=1)
+        want = sturm_sigmas(off, r, linalg.SVD_PROBES, linalg.SVD_PASSES, np.finfo(float).tiny)
+        assert same_bits(sigma, want)
+        start = linalg._start_vectors(r, off.shape[1] + 1)
+        want = inverse_iteration(off, sigma, bound, start, linalg.SVD_SOLVES, linalg._orthonormalize)
+        assert same_bits(linalg._gk_vectors(off, sigma, bound), want)
 
     def test_sweep_cap_raises(self, monkeypatch):
         # a residual past SVD_RESIDUAL_FACTOR * max(m, n) * eps * sigma_1 raises

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from treeq import quantizer
 from treeq.errors import InvalidBitsError, InvalidDimensionError
 from treeq.linalg import hadamard
 from treeq.quantizer import (
@@ -19,7 +20,6 @@ from treeq.quantizer import (
     default_delta_table,
     quantize_rotated_batch,
     quantize_weight_channelwise,
-    round_half_away,
 )
 
 from oracles import (
@@ -31,20 +31,36 @@ from oracles import (
 from oracles import round_half_away as oracle_round_half_away
 
 
+def grid_of(vals, bits=8):
+    """The quantizer's rounding of ``vals`` onto the ``bits``-bit integers."""
+    return quantizer._grid(np.array(vals, dtype=np.float64), QuantizerSpec.create(bits, 1.0))
+
+
 class TestRounding:
     def test_halves_round_away_from_zero(self):
-        vals = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5])
-        want = np.array([1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
-        assert np.array_equal(round_half_away(vals), want)
+        vals = [0.5, 1.5, 2.5, -0.5, -1.5, -2.5]
+        assert np.array_equal(grid_of(vals), [1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
+        ties = np.arange(-300, 300) + 0.5
+        assert np.array_equal(grid_of(ties), np.clip(oracle_round_half_away(ties), -128, 127))
 
     def test_ordinary_rounding(self):
-        assert np.array_equal(
-            round_half_away(np.array([0.49, 0.51, -1.2, 1.7])),
-            np.array([0.0, 1.0, -1.0, 2.0]),
-        )
+        assert np.array_equal(grid_of([0.49, 0.51, -1.2, 1.7]), [0.0, 1.0, -1.0, 2.0])
 
     def test_zero(self):
-        assert round_half_away(np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
+        # a zero, or anything that rounds to zero, keeps its sign
+        out = grid_of([0.0, -0.0, 0.3, -0.3, -0.49])
+        assert out.tolist() == [0.0] * 5
+        assert np.signbit(out).tolist() == [False, True, False, True, True]
+
+    def test_ties_through_the_token_quantizer(self):
+        # rows of RMS exactly 1 under step 1 put every entry on a half step,
+        # and a row of zeros keeps each zero's sign
+        ties = np.array([0.5, -0.5, 0.5, -0.5, 0.5, 1.5, -1.5, 1.5])
+        zeros = np.array([0.0, -0.0] * 4)
+        grid, step = quantize_rotated_batch(np.vstack([ties, zeros]), 3, delta=1.0)
+        assert step.tolist() == [1.0, 1.0]
+        assert grid[0].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, 2.0, -2.0, 2.0]
+        assert np.signbit(grid[1]).tolist() == [False, True] * 4
 
 
 class TestSpec:
@@ -252,8 +268,6 @@ class TestRotatedBatch:
         safe = np.where(sigma == 0.0, 1.0, sigma)
         assert np.array_equal(grid, sign_floor_grid(y / safe[:, None] / spec.delta, spec))
         assert np.array_equal(step, safe * spec.delta)
-        ties = np.arange(-300, 300) + 0.5
-        assert np.array_equal(round_half_away(ties), np.sign(ties) * np.floor(np.abs(ties) + 0.5))
 
 
 class TestChannelwise:
