@@ -88,7 +88,7 @@ def _budget_units(flops) -> list:
     return units
 
 
-def ip_allocate(table: SensitivityTable, flops, target: float, candidates=(2, 3, 4, 5)) -> dict:
+def ip_allocate(sensitivity: SensitivityTable, flops, target: float, candidates=(2, 3, 4, 5)) -> dict:
     """Exact knapsack: minimize summed scores subject to the bit budget.
 
     Dynamic program over integer budget units.  Ties break toward lower
@@ -105,7 +105,7 @@ def ip_allocate(table: SensitivityTable, flops, target: float, candidates=(2, 3,
         )
     for layer in range(n):
         for b in candidates:
-            table.score(layer, b)  # raises KeyError if the table is incomplete
+            sensitivity.score(layer, b)  # raises KeyError if the table is incomplete
     units = _budget_units(flops)
     budget = int(math.floor(target * sum(units) + 1e-9))
     inf = float("inf")
@@ -122,7 +122,7 @@ def ip_allocate(table: SensitivityTable, flops, target: float, candidates=(2, 3,
                 continue
             cand_score = np.full(budget + 1, inf)
             cand_bits = np.zeros(budget + 1, dtype=np.int64)
-            cand_score[cost:] = table.score(layer, b) + next_score[: budget + 1 - cost]
+            cand_score[cost:] = sensitivity.score(layer, b) + next_score[: budget + 1 - cost]
             cand_bits[cost:] = b + next_bits[: budget + 1 - cost]
             better = (cand_score < cur_score) | (
                 (cand_score == cur_score) & (cand_bits < cur_bits)

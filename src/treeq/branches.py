@@ -36,7 +36,6 @@ from .errors import (
 )
 from .linalg import as_matrix, as_stack, hadamard, matmul, top_singular_pair, truncated_svd
 from .quantizer import (
-    DeltaTable,
     QuantizerSpec,
     WeightGrid,
     quantize_rotated_batch,
@@ -124,8 +123,6 @@ def gmb_budget_partitions(n_out: int, n_in: int, r: int) -> tuple[int, int]:
         raise InvalidPartitionError(
             f"r {r} must divide both dimensions ({n_out}, {n_in})"
         )
-    b_o, b_i = n_out // r, n_in // r
-    assert r * r * (b_i + b_o) == r * (r * b_o + r * b_i)
     return (r, r)
 
 
@@ -250,7 +247,6 @@ def branch_decomposition(
     w,
     r_lrb: int,
     r_gmb: int,
-    h,
     *,
     order: str = "lrb_first",
     placement: str = "post",
@@ -258,15 +254,14 @@ def branch_decomposition(
 ):
     """Fit the branches of one weight or a stack; independent of any bit-width.
 
-    Default pipeline: W_H = W @ H, LRB fitted on W_H, GMB fitted on
-    W_H - LRB; ``r_gmb`` 0 fits no GMB.  ``order`` swaps which branch is
+    Default pipeline: W_H = W @ H, with H = ``hadamard(n)`` the rotation
+    ``layer_input`` applies to activations; LRB fitted on W_H, GMB fitted
+    on W_H - LRB; ``r_gmb`` 0 fits no GMB.  ``order`` swaps which branch is
     fitted first; ``placement`` "pre" fits the GMB on the raw weight W
-    instead (its output then feeds on x, not H^T x).  ``lrb`` may carry an earlier rank-``r_lrb`` fit of
-    W_H; it replaces the refit where ``lrb_fitted_first`` holds and is
-    ignored otherwise.  Returns (lrb, gmb, w_res) with w_res the leftover
-    handed to the residual quantizer.  ``h`` must equal ``hadamard(n)``,
-    the rotation ``layer_input`` applies to activations; any other matrix
-    raises InvalidDimensionError.
+    instead (its output then feeds on x, not H^T x).  ``lrb`` may carry an
+    earlier rank-``r_lrb`` fit of W_H; it replaces the refit where
+    ``lrb_fitted_first`` holds and is ignored otherwise.  Returns (lrb,
+    gmb, w_res) with w_res the leftover handed to the residual quantizer.
 
     ``w`` may also be a (B, m, n) stack of same-shape weights, with ``lrb``
     then a list of B fits or None.  Every variant fits all LRBs of the
@@ -281,18 +276,12 @@ def branch_decomposition(
         lrb = None if lrb is None else [lrb]
     if stack.ndim != 3:
         raise InvalidDimensionError(f"expected a weight or a stack of them, got ndim={stack.ndim}")
-    h = as_matrix(h)
     if order not in GMB_ORDERS:
         raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
     if placement not in GMB_PLACEMENTS:
         raise InvalidPartitionError(f"placement must be one of {GMB_PLACEMENTS}")
     count, rows, cols = stack.shape
-    if h.shape[0] != h.shape[1] or h.shape[0] != cols:
-        raise InvalidDimensionError(
-            f"Hadamard shape {h.shape} does not match weight {(rows, cols)}"
-        )
-    if not np.array_equal(h, hadamard(cols)):
-        raise InvalidDimensionError(f"h must be hadamard({cols}), the rotation layer_input applies")
+    h = hadamard(cols)
     with_gmb = r_gmb > 0
     if with_gmb:
         n_o, n_i = gmb_budget_partitions(rows, cols, r_gmb)
@@ -337,10 +326,9 @@ def _gmb_products(gmbs) -> np.ndarray:
     return np.stack([gmb_reconstruct_blocks(g) for g in gmbs])
 
 
-def assemble_layer(w_res, branches: Branches, bits: int,
-                   table: DeltaTable | None = None) -> QuantizedLinear:
+def assemble_layer(w_res, branches: Branches, bits: int) -> QuantizedLinear:
     """Quantize a decomposition's residual and package the layer."""
-    return QuantizedLinear(quantize_weight_channelwise(w_res, bits, table), branches)
+    return QuantizedLinear(quantize_weight_channelwise(w_res, bits), branches)
 
 
 def quantize_layer(
@@ -348,19 +336,17 @@ def quantize_layer(
     bits: int,
     r_lrb: int,
     r_gmb: int,
-    h,
     *,
     order: str = "lrb_first",
     placement: str = "post",
-    table: DeltaTable | None = None,
 ) -> QuantizedLinear:
     """Rotate a weight, peel off the branches, and quantize the residual.
 
     See branch_decomposition for the pipeline and its variants.  The layer
     quantizes its weights and its activations at ``bits``.
     """
-    lrb, gmb, w_res = branch_decomposition(w, r_lrb, r_gmb, h, order=order, placement=placement)
-    return assemble_layer(w_res, Branches(lrb, gmb, placement), bits, table)
+    lrb, gmb, w_res = branch_decomposition(w, r_lrb, r_gmb, order=order, placement=placement)
+    return assemble_layer(w_res, Branches(lrb, gmb, placement), bits)
 
 
 def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
@@ -384,12 +370,11 @@ class LayerInput:
 
     ``rotated`` is xs @ H, ``post`` the branch term rotated @ post^T and
     ``pre`` the term xs @ pre^T under the pre-rotation placement (None
-    otherwise), with post and pre the matrices of one ``Branches``.  No
-    field depends on a bit-width, so one record serves every layer
-    quantized from those branches.
+    otherwise), with xs the activation batch and post and pre the matrices
+    of one ``Branches``.  No field depends on a bit-width, so one record
+    serves every layer quantized from those branches.
     """
 
-    xs: np.ndarray
     rotated: np.ndarray
     post: np.ndarray
     pre: np.ndarray | None
@@ -406,7 +391,7 @@ def layer_input(branches: Branches, xs) -> LayerInput:
     rotated = np.einsum("nj,ji->ni", xs, hadamard(n))
     post = np.einsum("nd,od->no", rotated, branches.post)
     pre = None if branches.pre is None else np.einsum("nd,od->no", xs, branches.pre)
-    return LayerInput(xs, rotated, post, pre)
+    return LayerInput(rotated, post, pre)
 
 
 def forward_quantized_batch(layer: QuantizedLinear, xs):
@@ -417,11 +402,11 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
     that keeps the ``LayerInput`` can run the layer at other bit-widths
     without redoing the rotation and the branch products.  Activations
     are quantized at the weight's bit-width with the weight's step
-    ``delta``, so a layer built from a delta table runs with it.  The
-    residual product multiplies the two integer grids exactly (see the
-    module docstring) and then scales row i, column c by
-    step_a[i] * step_w[c]; the post and then the pre branch term are
-    added to it.
+    ``delta``, so a layer read back by ``qlinear_from_json`` runs with the
+    step it was written with.  The residual product multiplies the two
+    integer grids exactly (see the module docstring) and then scales row
+    i, column c by step_a[i] * step_w[c]; the post and then the pre branch
+    term are added to it.
     """
     weight = layer.weight
     if not isinstance(xs, LayerInput):

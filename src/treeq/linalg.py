@@ -393,7 +393,16 @@ def _svd(a, r: int):
     zero sigma canonical units orthogonal to the vectors before it.  Signs
     follow ``_fix_sign`` on the tall form's left vectors, which are v for a
     wide stack.  Raises ConvergenceError if a residual is past its bound.
+
+    Each problem is first scaled by the power of two that brings its
+    largest |entry| into [1/2, 1) (a zero problem keeps scale 1), and its
+    sigma scaled back at the end.  The scaling is exact, so it changes no
+    bit of a problem whose squares and norms stay in range, and it keeps
+    them in range at either end of the float range.  The residual check
+    runs on the scaled problem.
     """
+    exponent = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
+    a = np.ldexp(a, -exponent[:, None, None])
     transposed = a.shape[2] > a.shape[1]
     # cols[k, j] is column j of the tall form
     cols = a if transposed else np.swapaxes(a, 1, 2)
@@ -428,7 +437,7 @@ def _svd(a, r: int):
         u, v = v, u
     return (
         np.ascontiguousarray(np.swapaxes(u, 1, 2)),
-        sigma,
+        np.ldexp(sigma, exponent[:, None]),
         np.ascontiguousarray(np.swapaxes(v, 1, 2)),
     )
 

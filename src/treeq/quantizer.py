@@ -119,7 +119,7 @@ def calibrate_delta(bits: int) -> float:
 
 @dataclass(frozen=True)
 class DeltaTable:
-    """Calibrated step size per bit-width, JSON round-trippable."""
+    """Calibrated step size per bit-width."""
 
     deltas: Mapping[int, float]
 
@@ -131,27 +131,8 @@ class DeltaTable:
     def spec(self, bits: int) -> QuantizerSpec:
         return QuantizerSpec.create(bits, self.delta(bits))
 
-    def key(self) -> tuple:
-        return tuple(sorted(self.deltas.items()))
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
     def to_json(self) -> str:
         return json.dumps({str(b): self.deltas[b] for b in sorted(self.deltas)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeltaTable":
-        raw = json.loads(text)
-        deltas = {}
-        for k, v in raw.items():
-            b = int(k)
-            if b not in QUANT_BITS:
-                raise InvalidBitsError(f"unsupported bit-width in table: {k}")
-            if not (float(v) > 0.0):
-                raise InvalidBitsError(f"non-positive delta for {k} bits")
-            deltas[b] = float(v)
-        return cls(deltas=deltas)
 
 
 @lru_cache(maxsize=1)
@@ -205,18 +186,17 @@ class WeightGrid:
         return self.scale * self.delta
 
 
-def quantize_weight_channelwise(w, bits: int, table: DeltaTable | None = None) -> WeightGrid:
+def quantize_weight_channelwise(w, bits: int) -> WeightGrid:
     """Quantize a weight matrix row by row with per-row scales.
 
+    The step is the calibrated step of ``bits`` (``default_delta_table``).
     Each output row c uses sigma_c = population std of that row; rows that
     are constant to within relative tolerance 1e-12 fall back to the
     absolute row value as the scale, and zero rows get scale 1 and a zero
     grid.
     """
     w = as_matrix(w)
-    if table is None:
-        table = default_delta_table()
-    spec = table.spec(bits)
+    spec = default_delta_table().spec(bits)
     if w.size == 0:
         return WeightGrid(q=np.zeros(w.shape, dtype=np.int8), scale=np.ones(w.shape[0]),
                           delta=spec.delta, bits=spec.bits)

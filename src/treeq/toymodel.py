@@ -56,8 +56,8 @@ from .errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from .linalg import as_matrix, hadamard
-from .quantizer import QUANT_BITS, DeltaTable, default_delta_table
+from .linalg import as_matrix
+from .quantizer import QUANT_BITS
 
 LEAKY_SLOPE = 0.1
 # a layer at this width runs its dense weight: the noise-free environment
@@ -188,7 +188,7 @@ class EvalCache:
     """Prefix activations, their prepared layer inputs and the MSE memo of one scope.
 
     A scope is one calibration input matrix (compared by identity, so two
-    calibration sets that share ``key()`` never alias) under one context
+    calibration sets of one seed and size never alias) under one context
     (compared by value).  For it the cache keeps the activations entering
     each layer of the last forward (``acts[0]`` is the input matrix itself,
     ``acts[j + 1]`` the output of layer j after the leaky rectifier), the
@@ -251,10 +251,12 @@ class FitCache:
     * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
       alone, which every pipeline for which ``lrb_fitted_first`` holds
       reuses, whatever its GMB rank;
-    * ``layers[(i, bits, ctx)]``: the quantized layer.  It
-      holds the residual's int8 grid (n_out x n_in bytes), its row scales
-      and row steps (2 n_out floats), and a reference to the shared
-      ``Branches``: nothing else dense.
+    * ``layers[(i,) + branch key + (bits,)]``: the quantized layer.  A
+      layer's fit and its bit-width fix it, as the rotation and the steps
+      are the same for every context, so contexts that share a fit share
+      its layers too.  It holds the residual's int8 grid (n_out x n_in
+      bytes), its row scales and row steps (2 n_out floats), and a
+      reference to the shared ``Branches``: nothing else dense.
     """
 
     def __init__(self):
@@ -312,9 +314,6 @@ class CalibrationSet:
     fp_outputs: tuple
     seed: int
 
-    def key(self) -> tuple:
-        return (self.seed, len(self.inputs))
-
     @cached_property
     def input_matrix(self) -> np.ndarray:
         return np.stack(self.inputs, axis=0)
@@ -326,18 +325,20 @@ class CalibrationSet:
 
 @dataclass(frozen=True)
 class QuantContext:
-    """Quantization-pipeline parameters shared by every layer.
+    """Branch settings shared by every layer.
 
-    Requested branch ranks are scaled per layer when scale_ranks is on:
-    r_lrb capped at N/4 and r_gmb at N/16 (floor 1, N = min layer dim), so
-    small toy layers keep proportionate branches; r_gmb 0 fits no GMB.
-    Ranks must be integers >= 0 (InvalidRankError), and gmb_order and
-    gmb_placement one of GMB_ORDERS and GMB_PLACEMENTS
-    (InvalidPartitionError); both are checked when the context is built.
-    A context is hashable and keys the cache entries built under it.
+    Only the branches vary between contexts: every layer is rotated by the
+    Hadamard matrix of its width and quantized with the calibrated step of
+    its bit-width (``default_delta_table``).  Requested branch ranks are
+    scaled per layer when scale_ranks is on: r_lrb capped at N/4 and r_gmb
+    at N/16 (floor 1, N = min layer dim), so small toy layers keep
+    proportionate branches; r_gmb 0 fits no GMB.  Ranks must be integers
+    >= 0 (InvalidRankError), and gmb_order and gmb_placement one of
+    GMB_ORDERS and GMB_PLACEMENTS (InvalidPartitionError); both are checked
+    when the context is built.  A context is hashable and scopes the
+    ``EvalCache``.
     """
 
-    deltas: DeltaTable = field(default_factory=default_delta_table)
     r_lrb: int = 16
     r_gmb: int = 4
     gmb_order: str = "lrb_first"
@@ -395,7 +396,6 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
                     np.stack([model.weights[i] for i in chunk]),
                     r_l,
                     r_g,
-                    hadamard(n_in),
                     order=ctx.gmb_order,
                     placement=ctx.gmb_placement,
                     lrb=lrbs if first and all(f is not None for f in lrbs) else None,
@@ -413,14 +413,14 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
     cache = model.fit_cache
-    key = (i, bits, ctx)
+    dkey = (i,) + _branch_key(ctx, model.weights[i].shape)
+    key = dkey + (bits,)
     layer = cache.layers.get(key)
     if layer is None:
-        dkey = (i,) + _branch_key(ctx, model.weights[i].shape)
         if dkey not in cache.decomps:
             _fit_all(model, ctx)
         branches, w_res = cache.decomps[dkey]
-        layer = assemble_layer(w_res, branches, bits, ctx.deltas)
+        layer = assemble_layer(w_res, branches, bits)
         cache.layers[key] = layer
     return layer
 

@@ -140,7 +140,7 @@ def test_criterion_2_hadamard_exactness(suite_models):
     worst_rt = 0.0
     for seed, model in suite_models.items():
         xs = ys = gen_calibration(model, 8, seed).input_matrix
-        fits = branch_decomposition(np.stack(model.weights), 16, 4, h)
+        fits = branch_decomposition(np.stack(model.weights), 16, 4)
         for i, (w, (lrb, gmb, w_res)) in enumerate(zip(model.weights, fits)):
             rebuilt = w_res + lrb.a @ lrb.b + gmb_reconstruct_blocks(gmb)
             xs, ys = (xs @ h) @ rebuilt.T, ys @ w.T
@@ -195,8 +195,7 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
     monotone_ok = True
     for model in suite_models.values():
         for w in model.weights:
-            h = hadamard(w.shape[1])
-            _, gmb, res_full = branch_decomposition(w, 8, 4, h)
+            _, gmb, res_full = branch_decomposition(w, 8, 4)
             # the LRB-only residual is the full residual with the GMB put back
             res_lrb = res_full + gmb_reconstruct_blocks(gmb)
             if np.linalg.norm(res_full) > np.linalg.norm(res_lrb):

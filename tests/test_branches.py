@@ -43,7 +43,6 @@ from treeq.errors import (
 )
 from treeq.linalg import hadamard, matmul, top_singular_pair
 from treeq.quantizer import (
-    DeltaTable,
     WeightGrid,
     default_delta_table,
     quantize_rotated_batch,
@@ -199,7 +198,7 @@ class TestBranchDecomposition:
     def test_residual_reassembles(self):
         w = seeded_matrix(16, 16, seed=9)
         h = hadamard(16)
-        lrb, gmb, w_res = branch_decomposition(w, 4, 4, h)
+        lrb, gmb, w_res = branch_decomposition(w, 4, 4)
         w_h = matmul(w, h)
         total = lrb.product() + gmb_reconstruct_blocks(gmb) + w_res
         assert np.allclose(total, w_h, atol=1e-12)
@@ -214,7 +213,7 @@ class TestBranchDecomposition:
         worst = 0.0
         for model in suite_models.values():
             stack = np.stack(model.weights)
-            fits = branch_decomposition(stack, 16, 4, h, placement=placement)
+            fits = branch_decomposition(stack, 16, 4, placement=placement)
             for w, (lrb, gmb, w_res) in zip(stack, fits):
                 fit = Branches(lrb, gmb, placement)
                 total = w_res + fit.post
@@ -225,15 +224,14 @@ class TestBranchDecomposition:
 
     def test_gmb_reduces_residual(self):
         w = seeded_matrix(16, 16, seed=10)
-        h = hadamard(16)
-        lrb, gmb, w_res = branch_decomposition(w, 4, 4, h)
-        _, _, res_no = branch_decomposition(w, 4, 0, h)
+        lrb, gmb, w_res = branch_decomposition(w, 4, 4)
+        _, _, res_no = branch_decomposition(w, 4, 0)
         assert np.linalg.norm(w_res) <= np.linalg.norm(res_no)
 
     def test_pre_placement_accounts_for_rotation(self):
         w = seeded_matrix(8, 8, seed=11)
         h = hadamard(8)
-        lrb, gmb, w_res = branch_decomposition(w, 2, 2, h, placement="pre")
+        lrb, gmb, w_res = branch_decomposition(w, 2, 2, placement="pre")
         shadow = matmul(gmb_reconstruct_blocks(gmb), h)
         assert np.allclose(
             w_res + lrb.product() + shadow, matmul(w, h), atol=1e-12
@@ -241,9 +239,8 @@ class TestBranchDecomposition:
 
     def test_order_changes_split(self):
         w = seeded_matrix(8, 8, seed=12)
-        h = hadamard(8)
-        a = branch_decomposition(w, 2, 2, h, order="lrb_first")
-        b = branch_decomposition(w, 2, 2, h, order="gmb_first")
+        a = branch_decomposition(w, 2, 2, order="lrb_first")
+        b = branch_decomposition(w, 2, 2, order="gmb_first")
         assert not np.allclose(a[0].product(), b[0].product())
 
     @pytest.mark.parametrize(
@@ -261,9 +258,9 @@ class TestBranchDecomposition:
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
         assert lrb_fitted_first(r_gmb, **kwargs) is first
-        fresh = branch_decomposition(w, 4, r_gmb, h, **kwargs)
+        fresh = branch_decomposition(w, 4, r_gmb, **kwargs)
         shared = init_lrb(matmul(w, h), 4)
-        reused = branch_decomposition(w, 4, r_gmb, h, lrb=shared, **kwargs)
+        reused = branch_decomposition(w, 4, r_gmb, lrb=shared, **kwargs)
         assert (reused[0] is shared) is first
         assert np.array_equal(fresh[0].a, reused[0].a)
         assert np.array_equal(fresh[0].b, reused[0].b)
@@ -273,33 +270,16 @@ class TestBranchDecomposition:
         w = seeded_matrix(8, 8, seed=15)
         h = hadamard(8)
         with pytest.raises(InvalidRankError):
-            branch_decomposition(w, 2, 2, h, lrb=init_lrb(matmul(w, h), 3))
+            branch_decomposition(w, 2, 2, lrb=init_lrb(matmul(w, h), 3))
 
     def test_rejects_unknown_order(self):
         with pytest.raises(InvalidPartitionError):
-            branch_decomposition(np.ones((4, 4)), 1, 1, hadamard(4), order="both")
+            branch_decomposition(np.ones((4, 4)), 1, 1, order="both")
 
-    def test_rejects_mismatched_hadamard(self):
-        with pytest.raises(InvalidDimensionError):
-            branch_decomposition(np.ones((4, 8)), 1, 1, hadamard(4))
-
-    @pytest.mark.parametrize(
-        "h", [np.eye(8), -hadamard(8), hadamard(8)[::-1]], ids=["identity", "negated", "reversed"]
-    )
-    def test_rejects_rotation_other_than_hadamard(self, h):
-        # layer_input rotates activations by hadamard(n) whatever h was, so a
-        # layer fitted under another square h would have a wrong forward
-        w = seeded_matrix(8, 8, seed=16)
-        with pytest.raises(InvalidDimensionError, match="hadamard"):
-            branch_decomposition(w, 1, 1, h)
-        with pytest.raises(InvalidDimensionError, match="hadamard"):
-            quantize_layer(w, 3, 1, 1, h)
-
-    def test_accepts_a_copy_of_hadamard(self):
-        w = seeded_matrix(8, 8, seed=16)
-        copied = branch_decomposition(w, 1, 1, np.array(hadamard(8)))
-        shared = branch_decomposition(w, 1, 1, hadamard(8))
-        assert np.array_equal(copied[2], shared[2])
+    def test_rejects_width_with_no_hadamard(self):
+        # the rotation is hadamard(n), which exists for powers of two only
+        with pytest.raises(InvalidDimensionError, match="power of two"):
+            branch_decomposition(np.ones((4, 12)), 1, 1)
 
 
 def same_bits(a, b):
@@ -315,14 +295,13 @@ class TestStackedDecomposition:
     def test_stack_equals_each_weight_alone(self, kwargs):
         stack = np.stack([seeded_matrix(16, 32, seed=30 + k) for k in range(5)])
         stack[3] *= 1e-3  # its own number of sweeps
-        h = hadamard(32)
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
-        fits = branch_decomposition(stack, 4, r_gmb, h, **kwargs)
+        fits = branch_decomposition(stack, 4, r_gmb, **kwargs)
         assert len(fits) == 5
         placement = kwargs.get("placement", "post")
         for k, (lrb, gmb, w_res) in enumerate(fits):
-            a_lrb, a_gmb, a_res = branch_decomposition(stack[k], 4, r_gmb, h, **kwargs)
+            a_lrb, a_gmb, a_res = branch_decomposition(stack[k], 4, r_gmb, **kwargs)
             assert same_bits(lrb.a, a_lrb.a) and same_bits(lrb.b, a_lrb.b)
             assert same_bits(w_res, a_res)
             assert (gmb is None) == (a_gmb is None) == (r_gmb == 0)
@@ -342,7 +321,7 @@ class TestStackedDecomposition:
                 branches, name, lambda m, *a, _f=fit, _n=name: calls.append((_n, m.shape)) or _f(m, *a)
             )
         stack = np.stack([seeded_matrix(16, 16, seed=50 + k) for k in range(3)])
-        branch_decomposition(stack, 4, 4, hadamard(16), order="gmb_first")
+        branch_decomposition(stack, 4, 4, order="gmb_first")
         assert calls == [("top_singular_pair", (3, 4, 4, 4, 4)), ("truncated_svd", (3, 16, 16))]
 
     def test_given_lrbs_must_match_the_stack(self):
@@ -350,8 +329,8 @@ class TestStackedDecomposition:
         h = hadamard(8)
         lrbs = [init_lrb(matmul(w, h), 2) for w in stack]
         with pytest.raises(InvalidRankError):
-            branch_decomposition(stack, 2, 2, h, lrb=lrbs[:1])
-        reused = branch_decomposition(stack, 2, 2, h, lrb=lrbs)
+            branch_decomposition(stack, 2, 2, lrb=lrbs[:1])
+        reused = branch_decomposition(stack, 2, 2, lrb=lrbs)
         assert all(fit[0] is given for fit, given in zip(reused, lrbs))
 
 
@@ -361,7 +340,7 @@ class TestQuantizedLayer:
         # term is the int64 product of the two grids, then the two steps.
         w = seeded_matrix(8, 8, seed=13)
         h = hadamard(8)
-        layer = quantize_layer(w, 3, 2, 2, h)
+        layer = quantize_layer(w, 3, 2, 2)
         x = seeded_matrix(1, 8, seed=14)
         rot = np.einsum("nj,ji->ni", x, h)
         grid, step = quantize_rotated_batch(rot, 3)
@@ -373,13 +352,14 @@ class TestQuantizedLayer:
         assert np.array_equal(forward_quantized_batch(layer, x), want)
 
     def test_activations_use_the_step_the_layer_was_built_with(self):
-        # a layer quantized under a non-default table quantizes its
-        # activations with that table's step; the forward takes no table
+        # a layer whose grid carries another step than the calibrated one
+        # quantizes its activations with that step; the forward takes none
         w = seeded_matrix(8, 8, seed=30)
         h = hadamard(8)
         delta = 0.5  # the default 3-bit step is about 0.586
-        layer = quantize_layer(w, 3, 2, 2, h, table=DeltaTable(deltas={3: delta}))
-        assert layer.weight.delta == delta
+        built = quantize_layer(w, 3, 2, 2)
+        weight = WeightGrid(q=built.weight.q, scale=built.weight.scale, delta=delta, bits=3)
+        layer = QuantizedLinear(weight, built.branches)
         x = seeded_matrix(1, 8, seed=31)
         rot = np.einsum("nj,ji->ni", x, h)
         sigma = np.sqrt(np.mean(rot * rot, axis=1))
@@ -394,7 +374,7 @@ class TestQuantizedLayer:
     def test_vector_equals_batch_row(self):
         # one token forwarded as a one-row batch gives its row of the batch
         w = seeded_matrix(16, 16, seed=15)
-        layer = quantize_layer(w, 4, 4, 4, hadamard(16))
+        layer = quantize_layer(w, 4, 4, 4)
         xs = seeded_matrix(5, 16, seed=16)
         batch = forward_quantized_batch(layer, xs)
         for i in range(5):
@@ -404,11 +384,10 @@ class TestQuantizedLayer:
         # With branches absorbing the top singular mass, quantization error
         # on the suite-style weights must drop versus plain rotation+quant.
         w = seeded_matrix(32, 32, seed=20) + 4.0 * np.eye(32)
-        h = hadamard(32)
         xs = seeded_matrix(16, 32, seed=21)
         want = np.einsum("nd,od->no", xs, w)
-        with_b = quantize_layer(w, 3, 4, 4, h)
-        without = quantize_layer(w, 3, 0, 0, h)
+        with_b = quantize_layer(w, 3, 4, 4)
+        without = quantize_layer(w, 3, 0, 0)
         err_with = np.mean((forward_quantized_batch(with_b, xs) - want) ** 2)
         err_without = np.mean((forward_quantized_batch(without, xs) - want) ** 2)
         assert err_with < err_without
@@ -416,7 +395,7 @@ class TestQuantizedLayer:
     def test_pre_placement_forward_uses_raw_activation(self):
         w = seeded_matrix(8, 8, seed=22)
         h = hadamard(8)
-        layer = quantize_layer(w, 3, 2, 2, h, placement="pre")
+        layer = quantize_layer(w, 3, 2, 2, placement="pre")
         assert layer.branches.pre is not None
         x = seeded_matrix(1, 8, seed=23)
         rot = np.einsum("nj,ji->ni", x, h)
@@ -430,7 +409,7 @@ class TestQuantizedLayer:
         assert np.array_equal(forward_quantized_batch(layer, x), want)
 
     def test_width_mismatch(self):
-        layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1, hadamard(8))
+        layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)
         with pytest.raises(InvalidDimensionError):
             forward_quantized_batch(layer, np.ones((1, 16)))
 
@@ -443,7 +422,7 @@ class TestQuantizedLayer:
         w = seeded_matrix(16, 16, seed=32)
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb")
-        lrb, gmb, w_res = branch_decomposition(w, 2, r_gmb, hadamard(16), **kwargs)
+        lrb, gmb, w_res = branch_decomposition(w, 2, r_gmb, **kwargs)
         shared = Branches(lrb, gmb, kwargs.get("placement", "post"))
         xs = seeded_matrix(6, 16, seed=33)
         prepared = layer_input(shared, xs)
@@ -455,8 +434,8 @@ class TestQuantizedLayer:
             )
 
     def test_layer_input_width_mismatch(self):
-        wide = quantize_layer(seeded_matrix(16, 16, seed=34), 3, 1, 1, hadamard(16))
-        layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1, hadamard(8))
+        wide = quantize_layer(seeded_matrix(16, 16, seed=34), 3, 1, 1)
+        layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)
         prepared = layer_input(wide.branches, seeded_matrix(2, 16, seed=35))
         with pytest.raises(InvalidDimensionError):
             forward_quantized_batch(layer, prepared)
@@ -464,7 +443,7 @@ class TestQuantizedLayer:
             layer_input(layer.branches, np.ones((1, 16)))
 
     def test_residual_is_an_int8_grid(self):
-        layer = quantize_layer(seeded_matrix(16, 16, seed=28), 8, 2, 2, hadamard(16))
+        layer = quantize_layer(seeded_matrix(16, 16, seed=28), 8, 2, 2)
         assert layer.weight.q.dtype == np.int8 and layer.weight.q.shape == (16, 16)
         assert layer.weight.scale.shape == (16,)
         assert np.array_equal(
@@ -542,7 +521,7 @@ class TestExactResidualProduct:
 class TestSerialization:
     def _layer(self, **kw):
         return quantize_layer(
-            seeded_matrix(8, 8, seed=25), 3, 2, 2, hadamard(8), **kw
+            seeded_matrix(8, 8, seed=25), 3, 2, 2, **kw
         )
 
     def test_round_trip_exact(self):
@@ -580,7 +559,7 @@ class TestSerialization:
         assert same_bits(forward_quantized_batch(back, xs), forward_quantized_batch(layer, xs))
 
     def test_no_gmb(self):
-        layer = quantize_layer(seeded_matrix(8, 8, seed=27), 3, 2, 0, hadamard(8))
+        layer = quantize_layer(seeded_matrix(8, 8, seed=27), 3, 2, 0)
         back = qlinear_from_json(qlinear_to_json(layer))
         assert back.branches.gmb is None
 

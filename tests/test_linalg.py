@@ -333,13 +333,14 @@ class TestBatchedJacobi:
         sigmas = linalg._gk_sigmas
 
         def spy(off, r, room):
-            seen.append((off.copy(), room))
-            return sigmas(off, r, room)
+            out = sigmas(off, r, room)
+            seen.append((off.copy(), room, out[0].copy()))
+            return out
 
         monkeypatch.setattr(linalg, "_gk_sigmas", spy)
         stack = seeded_matrix(int(np.prod(shape[:-1])), shape[-1], seed=130).reshape(shape)
-        _, sigma, _ = linalg._svd(stack, r)
-        [(off, room)] = seen
+        linalg._svd(stack, r)
+        [(off, room, sigma)] = seen
         for other in (1, room, 2**20):
             got, _ = sigmas(off, r, room=other)
             assert same_bits(got, sigma)
@@ -377,6 +378,47 @@ class TestBatchedJacobi:
             truncated_svd(m, 8)
         bound = 1e-3 * 8 * np.finfo(float).eps * np.linalg.svd(m, compute_uv=False)[0]
         assert err.value.residual > bound
+
+
+class TestFloatRangeEnds:
+    """Each problem is scaled by a power of two before the fit, and sigma back after."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_matches_lapack_at_either_end(self, scale):
+        # unscaled, squares of entries near 1e-300 underflow and those near
+        # 1e200 overflow: sigma came out wrong, or the residual was nan
+        m = seeded_matrix(6, 6, seed=150) * scale
+        tri = truncated_svd(m, 2)
+        u, sigma, v = lapack_svd(m, 2)
+        assert np.allclose(tri.sigma / scale, sigma / scale, atol=1e-10)
+        assert np.allclose(tri.u, u, atol=1e-10)
+        assert np.allclose(tri.v, v, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape,r",
+        [
+            ((256, 4, 4), 1),
+            ((64, 8, 8), 1),
+            ((16, 16, 16), 1),
+            ((192, 16, 16), 1),
+            ((1, 64, 64), 16),
+            ((12, 64, 64), 16),
+            ((3, 5, 9), 2),
+            ((3, 9, 5), 2),
+        ],
+        ids=lambda p: "x".join(map(str, p)) if isinstance(p, tuple) else f"r{p}",
+    )
+    def test_a_power_of_two_changes_no_bit(self, shape, r):
+        # every problem, at any exponent and beside a zero problem, gives
+        # the same vectors and the same sigma times its power of two
+        stack = seeded_matrix(int(np.prod(shape[:-1])), shape[-1], seed=151).reshape(shape)
+        if shape[0] > 1:
+            stack[-1] = 0.0
+        u, sigma, v = linalg._svd(stack, r)
+        exponents = np.resize([-900, -3, 0, 5, 900], shape[0])
+        su, ssigma, sv = linalg._svd(np.ldexp(stack, exponents[:, None, None]), r)
+        assert same_bits(su, u) and same_bits(sv, v)
+        assert same_bits(ssigma, np.ldexp(sigma, exponents[:, None]))
 
 
 class TestInputsUntouched:

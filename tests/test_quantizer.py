@@ -169,22 +169,9 @@ class TestDeltaTable:
         with pytest.raises(InvalidBitsError):
             t.delta(3)
 
-    def test_json_round_trip(self):
-        t = default_delta_table()
-        back = DeltaTable.from_json(t.to_json())
-        assert back.key() == t.key()
-
     def test_json_keys_are_strings(self):
         raw = json.loads(default_delta_table().to_json())
         assert set(raw) == {str(b) for b in QUANT_BITS}
-
-    def test_from_json_rejects_unknown_bits(self):
-        with pytest.raises(InvalidBitsError):
-            DeltaTable.from_json('{"12": 0.5}')
-
-    def test_from_json_rejects_nonpositive(self):
-        with pytest.raises(InvalidBitsError):
-            DeltaTable.from_json('{"4": -0.1}')
 
 
 def rotate(x, h):

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treeq import branches, linalg, toymodel
+from treeq import branches, linalg, quantizer, toymodel
 from treeq.errors import (
     ConvergenceError,
     InvalidBitsError,
@@ -284,7 +284,16 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         with pytest.raises(InvalidBitsError):
             self.AT_32_BITS[call](m)
-        assert all(bits != 32 for _, bits, _ in m.fit_cache.layers)
+        assert all(key[-1] != 32 for key in m.fit_cache.layers)
+
+    def test_contexts_that_share_a_fit_share_its_layers(self):
+        # ``ablate gmb``'s r=4 row fits what the default context fits on a
+        # 64-wide layer, so it gets the very same quantized layers
+        m = gen_model(ModelSpec(2, (64, 64, 64), seed=3))
+        for i in range(2):
+            layer = quantized_layer(m, i, 3, QuantContext())
+            assert quantized_layer(m, i, 3, QuantContext(r_gmb=4, scale_ranks=False)) is layer
+        assert len(m.fit_cache.layers) == 2
 
     def test_bit_widths_share_the_branch_matrix(self):
         m = gen_model(exhaustive_spec(7))
@@ -398,10 +407,6 @@ class TestCalibration:
         want = forward_batch(m, {i: 32 for i in range(4)}, c.input_matrix)
         assert np.array_equal(c.output_matrix, want)
 
-    def test_key(self):
-        m = gen_model(exhaustive_spec(1))
-        assert gen_calibration(m, 4, 5).key() == (5, 4)
-
     def test_rejects_empty(self):
         m = gen_model(exhaustive_spec(1))
         with pytest.raises(InvalidDimensionError):
@@ -452,11 +457,14 @@ class TestEndToEndMse:
         got = end_to_end_mse(m, {0: 3, 1: 4, 2: 2, 3: 5}, c)
         assert got == pytest.approx(0.4514087110541004, rel=1e-12)
 
-    def test_frozen_value_on_oracle_deltas(self):
+    def test_frozen_value_on_oracle_deltas(self, monkeypatch):
+        # the whole chain on the scipy table in place of the calibrated one
+        table = DeltaTable(deltas={b: stationary_delta(b) for b in QUANT_BITS})
+        monkeypatch.setattr(quantizer, "default_delta_table", lambda: table)
         m = gen_model(exhaustive_spec(1))
         c = gen_calibration(m, 8, 9)
-        table = DeltaTable(deltas={b: stationary_delta(b) for b in QUANT_BITS})
-        got = end_to_end_mse(m, {0: 3, 1: 4, 2: 2, 3: 5}, c, QuantContext(deltas=table))
+        got = end_to_end_mse(m, {0: 3, 1: 4, 2: 2, 3: 5}, c)
+        assert quantized_layer(m, 0, 3).weight.delta == table.delta(3)
         assert got == pytest.approx(0.4514087110541004, rel=1e-13)
 
 
@@ -594,7 +602,7 @@ class TestEvalCache:
         m = gen_model(exhaustive_spec(2))
         a = gen_calibration(m, 8, 3)
         b = dataclasses.replace(gen_calibration(m, 8, 4), seed=3)
-        assert a.key() == b.key()
+        assert (a.seed, len(a.inputs)) == (b.seed, len(b.inputs))
         alloc = {i: 3 for i in range(4)}
         got_a = end_to_end_mse(m, alloc, a)
         got_b = end_to_end_mse(m, alloc, b)
