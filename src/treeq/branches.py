@@ -29,14 +29,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    InvalidBitsError,
     InvalidDimensionError,
     InvalidPartitionError,
     InvalidRankError,
 )
 from .linalg import as_matrix, as_stack, hadamard, matmul, top_singular_pair, truncated_svd
 from .quantizer import (
-    QuantizerSpec,
     WeightGrid,
     quantize_rotated_batch,
     quantize_weight_channelwise,
@@ -222,12 +220,13 @@ class QuantizedLinear:
 
     The forward path is
         y = R @ Q_act(x) + branches.post @ (H^T x) [+ branches.pre @ x]
-    where R = ``weight.dense()`` is the quantized residual and Q_act
-    rotates the activation and quantizes it at the weight's bit-width and
-    step: a layer quantizes weights and activations alike.  With the
-    default post-rotation placement every branch acts on H^T x and
-    ``branches.pre`` is absent.  The layer holds only its residual grid
-    and a reference to the shared ``branches``.
+    where R, with entry (c, j) equal to scale[c] * (q[c, j] * delta) of
+    ``weight``, is the quantized residual and Q_act rotates the activation
+    and quantizes it at the weight's bit-width and step: a layer quantizes
+    weights and activations alike.  With the default post-rotation
+    placement every branch acts on H^T x and ``branches.pre`` is absent.
+    The layer holds only its residual grid and a reference to the shared
+    ``branches``.
     """
 
     weight: WeightGrid
@@ -402,11 +401,10 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
     that keeps the ``LayerInput`` can run the layer at other bit-widths
     without redoing the rotation and the branch products.  Activations
     are quantized at the weight's bit-width with the weight's step
-    ``delta``, so a layer read back by ``qlinear_from_json`` runs with the
-    step it was written with.  The residual product multiplies the two
-    integer grids exactly (see the module docstring) and then scales row
-    i, column c by step_a[i] * step_w[c]; the post and then the pre branch
-    term are added to it.
+    ``delta``.  The residual product multiplies the two integer grids
+    exactly (see the module docstring) and then scales row i, column c by
+    step_a[i] * step_w[c]; the post and then the pre branch term are added
+    to it.
     """
     weight = layer.weight
     if not isinstance(xs, LayerInput):
@@ -430,11 +428,6 @@ def _matrix_to_json(m: np.ndarray) -> dict:
         "cols": int(m.shape[1]),
         "data": m.ravel().tolist(),
     }
-
-
-def _matrix_from_json(obj: dict) -> np.ndarray:
-    m = np.asarray(obj["data"], dtype=np.float64).reshape(obj["rows"], obj["cols"])
-    return m
 
 
 def qlinear_to_json(layer: QuantizedLinear) -> str:
@@ -464,47 +457,3 @@ def qlinear_to_json(layer: QuantizedLinear) -> str:
     if layer.branches.placement != "post":
         doc["gmb_placement"] = layer.branches.placement
     return json.dumps(doc)
-
-
-def qlinear_from_json(text: str) -> QuantizedLinear:
-    """Inverse of ``qlinear_to_json``; rejects a residual no quantizer writes.
-
-    Bits, step and grid entries are checked against ``QuantizerSpec``,
-    ``bits_a``, ``n`` and ``w_scale`` against the grid, and the placement
-    against GMB_PLACEMENTS.
-    """
-    doc = json.loads(text)
-    gmb = None
-    if doc.get("gmb") is not None:
-        g = doc["gmb"]
-        gmb = GmbFactors(
-            n_o=int(g["n_o"]),
-            n_i=int(g["n_i"]),
-            sigma=np.asarray(g["sigma"], dtype=np.float64),
-            u=np.asarray(g["u"], dtype=np.float64),
-            v=np.asarray(g["v"], dtype=np.float64),
-        )
-    spec = QuantizerSpec.create(doc["bits_w"], float(doc["w_delta"]))
-    grid = _matrix_from_json(doc["w_grid"])
-    scale = np.asarray(doc["w_scale"], dtype=np.float64)
-    if doc["bits_a"] != spec.bits:
-        raise InvalidBitsError(f"bits_a {doc['bits_a']} differs from bits_w {spec.bits}")
-    if not np.all((grid == np.trunc(grid)) & (grid >= spec.qmin) & (grid <= spec.qmax)):
-        raise InvalidBitsError(
-            f"w_grid entries must be integers in [{spec.qmin}, {spec.qmax}] at {spec.bits} bits"
-        )
-    if doc["n"] != grid.shape[1]:
-        raise InvalidDimensionError(f"n {doc['n']} differs from the grid width {grid.shape[1]}")
-    if scale.shape != (grid.shape[0],) or not np.all(np.isfinite(scale) & (scale > 0.0)):
-        raise InvalidDimensionError(
-            f"w_scale must hold {grid.shape[0]} positive finite scales, one per grid row"
-        )
-    placement = doc.get("gmb_placement", "post")
-    if placement not in GMB_PLACEMENTS:
-        raise InvalidPartitionError(f"gmb_placement must be one of {GMB_PLACEMENTS}")
-    weight = WeightGrid(q=grid.astype(np.int8), scale=scale, delta=spec.delta, bits=spec.bits)
-    lrb = LrbFactors(
-        a=_matrix_from_json(doc["lrb"]["a"]),
-        b=_matrix_from_json(doc["lrb"]["b"]),
-    )
-    return QuantizedLinear(weight, Branches(lrb, gmb, placement))

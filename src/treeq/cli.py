@@ -257,10 +257,11 @@ def _load_alloc(path: str, n_layers: int) -> dict:
         # a JSON integer only: int() would truncate 3.7 and read true as 1
         if not _is_int(value):
             raise ConfigError(f"allocation entry {key!r}: {value!r} is not an integer")
-        try:
-            alloc[int(key)] = value
-        except ValueError:
+        # canonical decimal only, as search.json writes it: int() would read
+        # "011" and " 11" as layer 11 and let the last of them win
+        if not (key.isdecimal() and key == str(int(key))):
             raise ConfigError(f"allocation entry {key!r} is not a layer index")
+        alloc[int(key)] = value
     for i in range(n_layers):
         if i not in alloc:
             raise ConfigError(f"allocation missing layer {i}")

@@ -176,10 +176,6 @@ class WeightGrid:
     delta: float
     bits: int
 
-    def dense(self) -> np.ndarray:
-        """The quantized weight as float64, scale * (q * delta) row by row."""
-        return self.scale[:, None] * (self.q * self.delta)
-
     @cached_property
     def step(self) -> np.ndarray:
         """Per-row step scale * delta, which multiplies the grid product."""

@@ -31,7 +31,7 @@ relative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
 
@@ -136,6 +136,14 @@ def as_int(value, what: str, error=InvalidDimensionError) -> int:
     return int(value)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int; InvalidDimensionError unless it is an integer in [0, 2^64)."""
+    seed = as_int(seed, "seed")
+    if not (0 <= seed <= _MASK):
+        raise InvalidDimensionError("seed must fit in 64 bits")
+    return seed
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Blueprint for a synthetic chain: sizes, seed, and outlier structure."""
@@ -149,7 +157,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_layers", as_int(self.n_layers, "n_layers"))
         object.__setattr__(self, "dims", tuple(as_int(d, "dims entry") for d in self.dims))
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if not (1 <= self.n_layers <= 128):
             raise InvalidDimensionError(f"n_layers must be in [1, 128], got {self.n_layers}")
         if len(self.dims) != self.n_layers + 1:
@@ -161,27 +169,10 @@ class ModelSpec:
                 raise InvalidDimensionError(
                     f"dims must be powers of two in [8, 1024], got {d}"
                 )
-        if not (0 <= self.seed <= _MASK):
-            raise InvalidDimensionError("seed must fit in 64 bits")
         if not (0.0 <= self.outlier_fraction <= 1.0):
             raise InvalidDimensionError("outlier_fraction must be in [0, 1]")
         if not (self.outlier_scale >= 1.0):
             raise InvalidDimensionError("outlier_scale must be >= 1")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_layers": self.n_layers,
-                "dims": list(self.dims),
-                "seed": self.seed,
-                "outlier_fraction": self.outlier_fraction,
-                "outlier_scale": self.outlier_scale,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        return cls(**json.loads(text))
 
 
 class EvalCache:
@@ -203,8 +194,7 @@ class EvalCache:
     that layer.  A level thus holds up to three activation-sized arrays:
     the activation, its rotation and the post branch term (four under the
     pre-rotation placement).  Entering a new scope drops all of it, so the
-    cache never holds more than one scope.  ``hits`` and ``misses`` count
-    memo lookups over the cache's life.
+    cache never holds more than one scope.
     """
 
     def __init__(self):
@@ -213,8 +203,6 @@ class EvalCache:
         self.acts = []
         self.inputs = []
         self.mse = {}
-        self.hits = 0
-        self.misses = 0
 
     def enter(self, xs: np.ndarray, ctx: QuantContext) -> None:
         """Make (``xs``, ``ctx``) the scope, dropping any other one."""
@@ -510,10 +498,12 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
 def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     """``count`` i.i.d. standard-normal inputs plus exact dense outputs.
 
-    Input j comes from substream (TAG_CALIB, j) of ``seed``.
+    Input j comes from substream (TAG_CALIB, j) of ``seed``, which must
+    be an integer in [0, 2^64) as a model's seed must.
     """
     if count < 1:
         raise InvalidDimensionError(f"count must be >= 1, got {count}")
+    seed = _check_seed(seed)
     d0 = model.dims[0]
     xs = np.stack(
         [gaussian_stream(substream(seed, TAG_CALIB, j), d0) for j in range(count)],
@@ -524,7 +514,7 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     return CalibrationSet(
         inputs=tuple(xs[j] for j in range(count)),
         fp_outputs=tuple(fp[j] for j in range(count)),
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -547,9 +537,7 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     key = tuple(alloc[i] for i in range(model.n_layers))
     hit = cache.mse.get(key)
     if hit is not None:
-        cache.hits += 1
         return hit
-    cache.misses += 1
     out = forward_batch(model, alloc, calib.input_matrix, ctx, cache=cache)
     diff = out - calib.output_matrix
     mse = float(np.mean(diff * diff))
@@ -575,7 +563,7 @@ def model_to_json(model: ToyModel) -> str:
 
     return json.dumps(
         {
-            "spec": json.loads(model.spec.to_json()),
+            "spec": asdict(model.spec),
             "flops": list(model.flops),
             "weights": [_matrix_to_json(w) for w in model.weights],
         }

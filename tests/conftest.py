@@ -17,6 +17,11 @@ def seeded_matrix(rows, cols, seed, scale=1.0):
     return rng.standard_normal((rows, cols)) * scale
 
 
+def dense(weight):
+    """A ``WeightGrid`` as float64: entry (c, j) is scale[c] * (q[c, j] * delta)."""
+    return weight.scale[:, None] * (weight.q * weight.delta)
+
+
 # Verdict lines from tests/test_acceptance.py.  Capture swallows prints from
 # passing tests, so the acceptance gate registers its lines here and the
 # summary hook replays them where they are always visible.

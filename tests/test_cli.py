@@ -139,6 +139,16 @@ class TestConfigHandling:
         got[0].pop("wall_ms"), want[0].pop("wall_ms")
         assert json.dumps(got[0], sort_keys=True) == json.dumps(want[0], sort_keys=True)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2^64"])
+    def test_calibration_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        # gen would reduce it mod 2^64: -1 and 2^64 - 1 drew the same inputs
+        cfg = dict(SMALL_CFG, calib={"count": 8, "seed": seed})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["search", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == "error: seed must fit in 64 bits"
+        assert not (tmp_path / "o" / "search.json").exists()
+
     def test_invalid_model_shape(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": {"dims": [64] * 4}}))
@@ -182,8 +192,7 @@ class TestGenModel:
         out = capsys.readouterr().out
         assert "layer" in out and "flops" in out
         doc = read_out(cfg_path, "model.json")
-        spec = ModelSpec.from_json(json.dumps(doc["spec"]))
-        assert spec.n_layers == 4
+        assert ModelSpec(**doc["spec"]) == ModelSpec(**SMALL_CFG["model"])
         assert doc["flops"] == [2 * 32 * 32] * 4
         assert len(doc["weights"]) == 4
 
@@ -357,6 +366,24 @@ class TestEval:
         p.write_text(json.dumps({str(i): 3 for i in range(5)}))
         assert main(["eval", str(p), "--config", cfg_path]) == 2
         assert "unknown layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key",
+        ["011", " 11", "11 ", "+11", "1_1", "\u0661\u0661", "-1", ""],
+        ids=["011", " 11", "11 ", "+11", "1_1", "arabic-indic 11", "-1", "empty"],
+    )
+    def test_layer_keys_must_be_canonical(self, tmp_path, capsys, key):
+        # int() reads the first six as layer 11, which would run at whichever
+        # bits came last; "-1" and "" name no layer either
+        table = {str(i): 3 for i in range(12)}
+        table[key] = 5
+        p = tmp_path / "alloc.json"
+        p.write_text(json.dumps(table))
+        assert main(["eval", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: allocation entry {key!r} is not a layer index"
+        )
+        assert not (tmp_path / "o" / "eval.json").exists()
 
     def test_non_integer_bits(self, cfg_path, tmp_path, capsys):
         p = tmp_path / "alloc.json"

@@ -22,6 +22,7 @@ from treeq.quantizer import (
     quantize_weight_channelwise,
 )
 
+from conftest import dense
 from oracles import (
     gaussian_quant_mse,
     grid_optimal_delta,
@@ -263,7 +264,7 @@ class TestChannelwise:
         w = rng.standard_normal((6, 32)) * np.exp(rng.standard_normal((6, 1)))
         q = quantize_weight_channelwise(w, 3)
         assert q.q.dtype == np.int8 and q.bits == 3
-        out = q.dense()
+        out = dense(q)
         spec = default_delta_table().spec(3)
         sigma = np.std(w, axis=1)
         ints = out / (sigma[:, None] * spec.delta)
@@ -281,14 +282,14 @@ class TestChannelwise:
         assert np.array_equal(q.scale, safe)
         assert np.array_equal(q.q, sign_floor_grid(w / safe[:, None] / spec.delta, spec))
         ints = np.clip(oracle_round_half_away(w / safe[:, None] / spec.delta), spec.qmin, spec.qmax)
-        assert np.array_equal(q.dense(), safe[:, None] * (ints * spec.delta))
+        assert np.array_equal(dense(q), safe[:, None] * (ints * spec.delta))
 
     def test_error_shrinks_with_bits(self):
         # Wide rows so per-row sample MSE concentrates near its mean.
         rng = np.random.default_rng(13)
         w = rng.standard_normal((8, 4096))
         errs = [
-            float(np.mean((quantize_weight_channelwise(w, b).dense() - w) ** 2))
+            float(np.mean((dense(quantize_weight_channelwise(w, b)) - w) ** 2))
             for b in (2, 3, 4, 5, 6)
         ]
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -297,10 +298,10 @@ class TestChannelwise:
         # A constant row has zero std; the fallback scale must keep the
         # value representable rather than dividing by ~0.
         w = np.vstack([np.full(16, 2.5), np.random.default_rng(1).standard_normal(16)])
-        out = quantize_weight_channelwise(w, 4).dense()
+        out = dense(quantize_weight_channelwise(w, 4))
         assert np.max(np.abs(out[0] - 2.5)) <= 2.5  # no clamp blow-up
         assert np.isfinite(out).all()
 
     def test_zero_row(self):
         w = np.zeros((1, 8))
-        assert np.array_equal(quantize_weight_channelwise(w, 2).dense(), w)
+        assert np.array_equal(dense(quantize_weight_channelwise(w, 2)), w)
