@@ -35,7 +35,7 @@ class SensitivityTable:
 
 
 def layer_sensitivity(model: ToyModel, layer: int, bits: int, metric: str,
-                      calib: CalibrationSet, ctx: QuantContext | None = None) -> float:
+                      calib: CalibrationSet, ctx: QuantContext = QuantContext()) -> float:
     """Mean output distance when only ``layer`` is quantized (rest at FP).
 
     The forward runs through the model's ``EvalCache``, so consecutive
@@ -53,7 +53,7 @@ def layer_sensitivity(model: ToyModel, layer: int, bits: int, metric: str,
 
 
 def build_sensitivity_table(model: ToyModel, metric: str, calib: CalibrationSet,
-                            ctx: QuantContext | None = None,
+                            ctx: QuantContext = QuantContext(),
                             candidates=(2, 3, 4, 5)) -> SensitivityTable:
     """Score every (layer, bits) pair; warns if any layer's scores are not
     non-increasing in bits (more precision should never hurt)."""

@@ -11,6 +11,8 @@ Two branch types capture weight structure that survives quantization badly:
 
 Both branches stay in floating point; only the residual left after
 subtracting them gets quantized, to an int8 grid with one scale per row.
+The fit (``branch_decomposition``) is the one place that builds the dense
+branch matrices: the ones it subtracts are the ones the forward applies.
 The forward multiplies that grid with the activation's integer grid in one
 BLAS ``matmul``.  Every term of that product is an integer of magnitude at
 most 2^14 (8-bit grids) and every partial sum of a row of at most 1024
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from .linalg import as_matrix, as_stack, hadamard, matmul, top_singular_pair, truncated_svd
+from .linalg import as_matrix, as_stack, hadamard, top_singular_pair, truncated_svd
 from .quantizer import (
     WeightGrid,
     quantize_rotated_batch,
@@ -54,11 +55,6 @@ class LrbFactors:
     @property
     def rank(self) -> int:
         return self.a.shape[1]
-
-    def product(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros((self.a.shape[0], self.b.shape[1]))
-        return matmul(self.a, self.b)
 
 
 def _fit_lrbs(w_h, r: int) -> list:
@@ -87,8 +83,9 @@ def init_lrb(w_h, r: int) -> LrbFactors:
 class GmbFactors:
     """Per-block rank-1 factors over an n_o x n_i block grid.
 
-    sigma[j, k], u[j, k] (length b_o) and v[j, k] (length b_i) describe
-    block (j, k) of the n_o*b_o x n_i*b_i matrix.
+    sigma[..., j, k], u[..., j, k, :] (length b_o) and v[..., j, k, :]
+    (length b_i) describe block (j, k) of the n_o*b_o x n_i*b_i matrix;
+    the leading axes, if any, index a stack of such matrices.
     """
 
     n_o: int
@@ -99,11 +96,11 @@ class GmbFactors:
 
     @property
     def b_o(self) -> int:
-        return self.u.shape[2]
+        return self.u.shape[-1]
 
     @property
     def b_i(self) -> int:
-        return self.v.shape[2]
+        return self.v.shape[-1]
 
 
 def gmb_budget_partitions(n_out: int, n_in: int, r: int) -> tuple[int, int]:
@@ -124,18 +121,22 @@ def gmb_budget_partitions(n_out: int, n_in: int, r: int) -> tuple[int, int]:
     return (r, r)
 
 
-def _fit_gmbs(m, n_o: int, n_i: int) -> list:
-    """GMB of every matrix of a (B, rows, cols) stack, one top_singular_pair call."""
+def _fit_gmbs(m, n_o: int, n_i: int):
+    """GMB of every matrix of a (B, rows, cols) stack, one top_singular_pair call.
+
+    Returns the B fits and their (B, rows, cols) block assemblies.
+    """
     count, rows, cols = m.shape
     if n_o < 1 or n_i < 1 or rows % n_o or cols % n_i:
         raise InvalidPartitionError(
             f"partition {n_o} x {n_i} does not divide shape {(rows, cols)}"
         )
     blocks = m.reshape(count, n_o, rows // n_o, n_i, cols // n_i).transpose(0, 1, 3, 2, 4)
-    sigma, u, v = top_singular_pair(blocks)
-    return [
-        GmbFactors(n_o=n_o, n_i=n_i, sigma=sigma[k], u=u[k], v=v[k]) for k in range(count)
+    stacked = GmbFactors(n_o, n_i, *top_singular_pair(blocks))
+    fits = [
+        GmbFactors(n_o, n_i, stacked.sigma[k], stacked.u[k], stacked.v[k]) for k in range(count)
     ]
+    return fits, gmb_reconstruct_blocks(stacked)
 
 
 def gmb_decompose(m, n_o: int, n_i: int) -> GmbFactors:
@@ -145,13 +146,14 @@ def gmb_decompose(m, n_o: int, n_i: int) -> GmbFactors:
     block's triple is bit-identical to the call on that block alone, and a
     zero block gets sigma 0 with canonical unit vectors.
     """
-    return _fit_gmbs(as_matrix(m)[None], n_o, n_i)[0]
+    fits, _ = _fit_gmbs(as_matrix(m)[None], n_o, n_i)
+    return fits[0]
 
 
 def gmb_reconstruct_blocks(f: GmbFactors) -> np.ndarray:
-    """Assemble the dense branch matrix block by block."""
-    blocks = np.einsum("jk,jko,jki->joki", f.sigma, f.u, f.v)
-    return blocks.reshape(f.n_o * f.b_o, f.n_i * f.b_i)
+    """Assemble the dense branch matrix (or a stack of them) block by block."""
+    blocks = np.einsum("...jk,...jko,...jki->...joki", f.sigma, f.u, f.v)
+    return blocks.reshape(f.sigma.shape[:-2] + (f.n_o * f.b_o, f.n_i * f.b_i))
 
 
 def gmb_permutation(n_o: int, n_i: int) -> np.ndarray:
@@ -190,28 +192,19 @@ def gmb_build_factored(f: GmbFactors):
 class Branches:
     """One layer's fitted side branches and their dense matrices.
 
-    The dense matrices are built on first use and kept here, so every
-    bit-width quantized from one fit shares them.
+    ``post`` is the branch matrix applied to the rotated activation: the
+    LRB product, plus the GMB block assembly under the post placement.
+    ``pre`` is the GMB block assembly applied to the raw activation under
+    the pre placement, and None otherwise.  ``branch_decomposition`` builds
+    both from the matrices it peels off the weight, and every bit-width
+    quantized from the fit shares them.
     """
 
     lrb: LrbFactors
     gmb: GmbFactors | None
-    placement: str = "post"
-
-    @cached_property
-    def post(self) -> np.ndarray:
-        """Combined branch matrix applied to the rotated activation."""
-        total = self.lrb.product()
-        if self.gmb is not None and self.placement == "post":
-            total = total + gmb_reconstruct_blocks(self.gmb)
-        return total
-
-    @cached_property
-    def pre(self) -> np.ndarray | None:
-        """Branch applied to the raw activation (pre-rotation placement only)."""
-        if self.gmb is not None and self.placement == "pre":
-            return gmb_reconstruct_blocks(self.gmb)
-        return None
+    placement: str
+    post: np.ndarray
+    pre: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -259,14 +252,17 @@ def branch_decomposition(
     fitted first; ``placement`` "pre" fits the GMB on the raw weight W
     instead (its output then feeds on x, not H^T x).  ``lrb`` may carry an
     earlier rank-``r_lrb`` fit of W_H; it replaces the refit where
-    ``lrb_fitted_first`` holds and is ignored otherwise.  Returns (lrb,
-    gmb, w_res) with w_res the leftover handed to the residual quantizer.
+    ``lrb_fitted_first`` holds and is ignored otherwise.  Returns
+    (branches, w_res): the fitted ``Branches``, whose ``post`` and ``pre``
+    are the very matrices subtracted from W_H (``pre`` through H), and
+    w_res the leftover handed to the residual quantizer.
 
     ``w`` may also be a (B, m, n) stack of same-shape weights, with ``lrb``
     then a list of B fits or None.  Every variant fits all LRBs of the
     stack in one ``truncated_svd`` call and all GMB blocks in one
-    ``top_singular_pair`` call, and returns a list of B triples, each
-    bit-identical to fitting that weight alone.
+    ``top_singular_pair`` call, forms every product in one stacked
+    ``einsum``, and returns a list of B pairs, each bit-identical to
+    fitting that weight alone.
     """
     stack = as_stack(w)
     single = stack.ndim == 2
@@ -284,7 +280,7 @@ def branch_decomposition(
     with_gmb = r_gmb > 0
     if with_gmb:
         n_o, n_i = gmb_budget_partitions(rows, cols, r_gmb)
-    w_h = np.stack([matmul(wk, h) for wk in stack])
+    w_h = np.einsum("bij,jk->bik", stack, h)
     if lrb_fitted_first(r_gmb, order=order, placement=placement):
         if lrb is None:
             lrb = _fit_lrbs(w_h, r_lrb)
@@ -294,35 +290,40 @@ def branch_decomposition(
             raise InvalidRankError(
                 f"given LRBs are not {count} of rank {r_lrb} on {(rows, cols)}"
             )
-    gmb = [None] * count
+    gmb = pre = [None] * count
     if not with_gmb:
-        w_res = w_h - _lrb_products(lrb)
+        post = _lrb_products(lrb)
+        w_res = w_h - post
     elif placement == "pre":
         # branch lives outside the rotation; fit on the raw weight,
         # then remove its rotated image from the residual
-        gmb = _fit_gmbs(stack, n_o, n_i)
-        shadow = np.stack([matmul(gmb_reconstruct_blocks(g), h) for g in gmb])
+        gmb, pre = _fit_gmbs(stack, n_o, n_i)
+        shadow = np.einsum("bij,jk->bik", pre, h)
         lrb = _fit_lrbs(w_h - shadow, r_lrb)
-        w_res = w_h - shadow - _lrb_products(lrb)
+        post = _lrb_products(lrb)
+        w_res = w_h - shadow - post
     elif order == "lrb_first":
         lrb_h = _lrb_products(lrb)
-        gmb = _fit_gmbs(w_h - lrb_h, n_o, n_i)
-        w_res = w_h - lrb_h - _gmb_products(gmb)
+        gmb, gmb_h = _fit_gmbs(w_h - lrb_h, n_o, n_i)
+        w_res = w_h - lrb_h - gmb_h
+        post = lrb_h + gmb_h
     else:
-        gmb = _fit_gmbs(w_h, n_o, n_i)
-        gmb_h = _gmb_products(gmb)
+        gmb, gmb_h = _fit_gmbs(w_h, n_o, n_i)
         lrb = _fit_lrbs(w_h - gmb_h, r_lrb)
-        w_res = w_h - gmb_h - _lrb_products(lrb)
-    fits = list(zip(lrb, gmb, w_res))
+        lrb_h = _lrb_products(lrb)
+        w_res = w_h - gmb_h - lrb_h
+        post = lrb_h + gmb_h
+    fits = [
+        (Branches(lrb[k], gmb[k], placement, post[k], pre[k]), w_res[k]) for k in range(count)
+    ]
     return fits[0] if single else fits
 
 
 def _lrb_products(lrbs) -> np.ndarray:
-    return np.stack([f.product() for f in lrbs])
-
-
-def _gmb_products(gmbs) -> np.ndarray:
-    return np.stack([gmb_reconstruct_blocks(g) for g in gmbs])
+    """a @ b of every LRB of a list, in one stacked einsum."""
+    a = np.stack([f.a for f in lrbs])
+    b = np.stack([f.b for f in lrbs])
+    return np.einsum("bir,brj->bij", a, b)
 
 
 def assemble_layer(w_res, branches: Branches, bits: int) -> QuantizedLinear:
@@ -341,11 +342,12 @@ def quantize_layer(
 ) -> QuantizedLinear:
     """Rotate a weight, peel off the branches, and quantize the residual.
 
-    See branch_decomposition for the pipeline and its variants.  The layer
-    quantizes its weights and its activations at ``bits``.
+    See branch_decomposition for the pipeline and its variants; the layer
+    holds the ``Branches`` it returns.  The layer quantizes its weights and
+    its activations at ``bits``.
     """
-    lrb, gmb, w_res = branch_decomposition(w, r_lrb, r_gmb, order=order, placement=placement)
-    return assemble_layer(w_res, Branches(lrb, gmb, placement), bits)
+    fit, w_res = branch_decomposition(w, r_lrb, r_gmb, order=order, placement=placement)
+    return assemble_layer(w_res, fit, bits)
 
 
 def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:

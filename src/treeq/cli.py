@@ -23,6 +23,7 @@ from .toymodel import (
     TAG_DERIVE,
     ModelSpec,
     QuantContext,
+    check_calibration,
     end_to_end_mse,
     gen_calibration,
     gen_model,
@@ -150,6 +151,10 @@ def load_run_config(args) -> RunConfig:
         quant = QuantContext(**cfg["quant"])
     except ValueError as e:
         raise ConfigError(f"invalid quant config: {e}")
+    try:
+        check_calibration(**cfg["calib"])
+    except ValueError as e:
+        raise ConfigError(f"invalid calib config: {e}")
     return RunConfig(spec, cfg["search"], quant, cfg["calib"], output_dir)
 
 

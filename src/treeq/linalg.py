@@ -77,17 +77,6 @@ def as_stack(m) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with a fixed left-to-right accumulation order."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise InvalidDimensionError(
-            f"inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return np.einsum("ij,jk->ik", a, b)
-
-
 def hadamard(n: int) -> np.ndarray:
     """Normalized Sylvester Hadamard matrix of order ``n``.
 

@@ -207,7 +207,7 @@ def select_entry(entries, target: float) -> ParetoEntry:
     return min(entries, key=_closeness(target))
 
 
-def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext | None = None) -> SearchResult:
+def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext = QuantContext()) -> SearchResult:
     """Full tree-structured search: leaves, balanced merges, final selection.
 
     Merges pair adjacent queues (1,2), (3,4), ... each round, promoting an
@@ -215,10 +215,6 @@ def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext | None =
     n-1 merges.  The evaluations, n * |candidates| for the leaves plus
     |qa| * |qb| for each merge, never exceed n * |candidates| + (n-1) * k^2.
     """
-    if ctx is None:
-        from .toymodel import default_context
-
-        ctx = default_context()
     queues = [leaf_queue(i, params, model, ctx) for i in range(model.n_layers)]
     evals = model.n_layers * len(params.candidates)
     trace = []

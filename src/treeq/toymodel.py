@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -40,7 +40,6 @@ import numpy as np
 from .branches import (
     GMB_ORDERS,
     GMB_PLACEMENTS,
-    Branches,
     LayerInput,
     QuantizedLinear,
     assemble_layer,
@@ -214,11 +213,11 @@ class EvalCache:
         self.inputs = [None]
         self.mse = {}
 
-    def input_for(self, i: int, branches: Branches) -> LayerInput:
+    def input_for(self, i: int, layer: QuantizedLinear) -> LayerInput:
         """Layer i's prepared input on ``acts[i]``, built on first use."""
         prepared = self.inputs[i]
         if prepared is None:
-            prepared = self.inputs[i] = layer_input(branches, self.acts[i])
+            prepared = self.inputs[i] = layer_input(layer.branches, self.acts[i])
         return prepared
 
 
@@ -232,10 +231,10 @@ class FitCache:
     and placement, so contexts that agree on them share one fit.  The
     cache holds:
 
-    * ``decomps[(i,) + branch key]``: layer i's (branches, w_res), the
-      fitted ``Branches`` and the float residual left for the quantizer.
-      The branch matrices are built once on the ``Branches`` and shared by
-      every bit-width;
+    * ``decomps[(i,) + branch key]``: layer i's (branches, w_res) as
+      ``branch_decomposition`` returns it: the fitted ``Branches``, dense
+      matrices included, which every bit-width shares, and the float
+      residual left for the quantizer;
     * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
       alone, which every pipeline for which ``lrb_fitted_first`` holds
       reuses, whatever its GMB rank;
@@ -344,11 +343,6 @@ class QuantContext:
                 raise InvalidPartitionError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-@lru_cache(maxsize=1)
-def default_context() -> QuantContext:
-    return QuantContext()
-
-
 def _effective_ranks(ctx: QuantContext, n_out: int, n_in: int) -> tuple[int, int]:
     n = min(n_out, n_in)
     if ctx.scale_ranks:
@@ -393,10 +387,10 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
                 raise ConvergenceError(
                     f"branch fit of layers {names}: {e.message}", e.residual
                 ) from e
-            for i, (lrb, gmb, w_res) in zip(chunk, decomps):
-                cache.decomps[(i,) + key] = (Branches(lrb, gmb, ctx.gmb_placement), w_res)
+            for i, (fit, w_res) in zip(chunk, decomps):
+                cache.decomps[(i,) + key] = (fit, w_res)
                 if first:
-                    cache.lrbs[(i, r_l)] = lrb
+                    cache.lrbs[(i, r_l)] = fit.lrb
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
@@ -413,14 +407,12 @@ def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> Quantiz
     return layer
 
 
-def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext | None = None) -> QuantizedLinear:
+def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext = QuantContext()) -> QuantizedLinear:
     """Build (or fetch from the model's ``fit_cache``) one layer's quantized form.
 
     The first layer asked for under a branch context fits every layer of
     the model under it (see ``FitCache``).
     """
-    if ctx is None:
-        ctx = default_context()
     if not (0 <= i < model.n_layers):
         raise InvalidDimensionError(f"layer {i} out of range")
     if bits not in QUANT_BITS:
@@ -441,7 +433,7 @@ def _validate_alloc(model: ToyModel, alloc: Mapping[int, int]):
             raise InvalidBitsError(f"allocation names unknown layer {key}")
 
 
-def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
+def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext(),
                   cache: EvalCache | None = None) -> np.ndarray:
     """Quantized forward, one input per row; layers at 32 bits run dense.
 
@@ -459,8 +451,6 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
     layer sees the inputs a full forward would give it and the result is
     bit-identical.
     """
-    if ctx is None:
-        ctx = default_context()
     xs = as_matrix(xs)
     if xs.shape[1] != model.dims[0]:
         raise InvalidDimensionError(
@@ -484,7 +474,7 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
         else:
             layer = _layer_for(model, i, bits[i], ctx)
             if cache is not None:
-                xs = cache.input_for(i, layer.branches)
+                xs = cache.input_for(i, layer)
             xs = forward_quantized_batch(layer, xs)
         if i < n - 1:
             xs = np.maximum(xs, LEAKY_SLOPE * xs)  # the leaky rectifier, 0 < slope < 1
@@ -495,22 +485,28 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext | None = None,
     return xs
 
 
+def check_calibration(count: int, seed) -> int:
+    """``seed`` as an int; InvalidDimensionError unless ``count`` >= 1 and
+    ``seed`` is an integer in [0, 2^64), as a model's seed must be."""
+    if count < 1:
+        raise InvalidDimensionError(f"count must be >= 1, got {count}")
+    return _check_seed(seed)
+
+
 def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     """``count`` i.i.d. standard-normal inputs plus exact dense outputs.
 
-    Input j comes from substream (TAG_CALIB, j) of ``seed``, which must
-    be an integer in [0, 2^64) as a model's seed must.
+    Input j comes from substream (TAG_CALIB, j) of ``seed``; see
+    ``check_calibration`` for the arguments' ranges.
     """
-    if count < 1:
-        raise InvalidDimensionError(f"count must be >= 1, got {count}")
-    seed = _check_seed(seed)
+    seed = check_calibration(count, seed)
     d0 = model.dims[0]
     xs = np.stack(
         [gaussian_stream(substream(seed, TAG_CALIB, j), d0) for j in range(count)],
         axis=0,
     )
     all32 = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
-    fp = forward_batch(model, all32, xs, default_context())
+    fp = forward_batch(model, all32, xs)
     return CalibrationSet(
         inputs=tuple(xs[j] for j in range(count)),
         fp_outputs=tuple(fp[j] for j in range(count)),
@@ -518,7 +514,7 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     )
 
 
-def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantContext | None = None) -> float:
+def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantContext = QuantContext()) -> float:
     """Mean over the calibration set of |out - fp|^2 / output_dim.
 
     This is the search's performance indicator once environment bits are
@@ -529,8 +525,6 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     longest layer prefix shared with the previous evaluation and gives
     the value a full forward gives, bit for bit.
     """
-    if ctx is None:
-        ctx = default_context()
     _validate_alloc(model, alloc)
     cache = model.eval_cache
     cache.enter(calib.input_matrix, ctx)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from treeq.suite import SUITE_SEEDS, suite_spec
-from treeq.toymodel import default_context, gen_calibration, gen_model
+from treeq.toymodel import QuantContext, gen_calibration, gen_model
 
 
 def seeded_matrix(rows, cols, seed, scale=1.0):
@@ -50,4 +50,4 @@ def suite_calibs(suite_models):
 
 @pytest.fixture(scope="session")
 def ctx():
-    return default_context()
+    return QuantContext()

@@ -35,7 +35,7 @@ from treeq.branches import (
     permutation_matrix,
 )
 from treeq.cli import main as cli_main
-from treeq.linalg import hadamard, matmul
+from treeq.linalg import hadamard
 from treeq.quantizer import calibrate_delta
 from treeq.search import SearchParams, select_entry, tss_search
 from treeq.suite import (
@@ -133,16 +133,16 @@ def test_criterion_2_hadamard_exactness(suite_models):
     for p in range(1, 11):  # 2 .. 1024
         n = 1 << p
         h = hadamard(n)
-        worst_orth = max(worst_orth, float(np.max(np.abs(matmul(h, h.T) - np.eye(n)))))
-    # round trip: every layer rebuilt as leaky((x H) (w_res + LRB + GMB)^T)
-    # from its branch decomposition, against the dense chain
+        worst_orth = max(worst_orth, float(np.max(np.abs(h @ h.T - np.eye(n)))))
+    # round trip: every layer rebuilt as leaky((x H) (w_res + post)^T) from
+    # its branch decomposition, against the dense chain
     h = hadamard(64)
     worst_rt = 0.0
     for seed, model in suite_models.items():
         xs = ys = gen_calibration(model, 8, seed).input_matrix
         fits = branch_decomposition(np.stack(model.weights), 16, 4)
-        for i, (w, (lrb, gmb, w_res)) in enumerate(zip(model.weights, fits)):
-            rebuilt = w_res + lrb.a @ lrb.b + gmb_reconstruct_blocks(gmb)
+        for i, (w, (fit, w_res)) in enumerate(zip(model.weights, fits)):
+            rebuilt = w_res + fit.post
             xs, ys = (xs @ h) @ rebuilt.T, ys @ w.T
             if i < model.n_layers - 1:
                 xs, ys = np.where(xs > 0.0, xs, 0.1 * xs), np.where(ys > 0.0, ys, 0.1 * ys)
@@ -174,7 +174,7 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
         m = seeded_matrix(*shape, seed=1000 + idx)
         f = gmb_decompose(m, *grid)
         l, perm, r = gmb_build_factored(f)
-        dense = matmul(matmul(l, permutation_matrix(perm)), r)
+        dense = l @ permutation_matrix(perm) @ r
         worst_fact = max(
             worst_fact, float(np.max(np.abs(dense - gmb_reconstruct_blocks(f))))
         )
@@ -195,9 +195,9 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
     monotone_ok = True
     for model in suite_models.values():
         for w in model.weights:
-            _, gmb, res_full = branch_decomposition(w, 8, 4)
+            fit, res_full = branch_decomposition(w, 8, 4)
             # the LRB-only residual is the full residual with the GMB put back
-            res_lrb = res_full + gmb_reconstruct_blocks(gmb)
+            res_lrb = res_full + gmb_reconstruct_blocks(fit.gmb)
             if np.linalg.norm(res_full) > np.linalg.norm(res_lrb):
                 monotone_ok = False
     elapsed = time.perf_counter() - started

@@ -39,7 +39,7 @@ from treeq.errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from treeq.linalg import hadamard, matmul, top_singular_pair
+from treeq.linalg import hadamard, top_singular_pair
 from treeq.quantizer import (
     QUANT_BITS,
     WeightGrid,
@@ -51,23 +51,39 @@ from conftest import seeded_matrix
 from oracles import round_half_away
 
 
+def times_h(m):
+    """m @ hadamard(n) as a fixed-order einsum, the rotation the fit applies."""
+    return np.einsum("ij,jk->ik", m, hadamard(m.shape[1]))
+
+
+def branch_matrices(lrb, gmb, placement):
+    """(post, pre) of a fit, rebuilt from its factors with ``np.einsum``."""
+    post = np.einsum("ir,rj->ij", lrb.a, lrb.b)
+    if gmb is None:
+        return post, None
+    blocks = np.einsum("jk,jko,jki->joki", gmb.sigma, gmb.u, gmb.v)
+    blocks = blocks.reshape(gmb.n_o * gmb.b_o, gmb.n_i * gmb.b_i)
+    return (post, blocks) if placement == "pre" else (post + blocks, None)
+
+
 class TestLrb:
     def test_rank_zero_is_empty(self):
         f = init_lrb(seeded_matrix(4, 6, seed=0), 0)
         assert f.rank == 0
-        assert np.array_equal(f.product(), np.zeros((4, 6)))
+        assert np.array_equal(f.a @ f.b, np.zeros((4, 6)))
 
     def test_full_rank_recovers_matrix(self):
         m = seeded_matrix(5, 5, seed=1)
         f = init_lrb(m, 5)
-        assert np.allclose(f.product(), m, atol=1e-10)
+        assert np.allclose(f.a @ f.b, m, atol=1e-10)
 
     def test_truncation_error_is_optimal(self):
         # Eckart-Young: no rank-r matrix comes closer in Frobenius norm.
         m = seeded_matrix(8, 8, seed=2)
         sig = np.linalg.svd(m, compute_uv=False)
         for r in (1, 3, 5):
-            err = np.linalg.norm(m - init_lrb(m, r).product())
+            f = init_lrb(m, r)
+            err = np.linalg.norm(m - f.a @ f.b)
             assert err == pytest.approx(np.sqrt(np.sum(sig[r:] ** 2)), abs=1e-9)
 
     def test_a_absorbs_singular_values(self):
@@ -182,7 +198,7 @@ class TestGmbFactored:
         m = seeded_matrix(*shape, seed=shape[0] * 10 + grid[0])
         f = gmb_decompose(m, *grid)
         l, perm, r = gmb_build_factored(f)
-        dense = matmul(matmul(l, permutation_matrix(perm)), r)
+        dense = l @ permutation_matrix(perm) @ r
         assert np.array_equal(dense, gmb_reconstruct_blocks(f))
 
     def test_factor_shapes(self):
@@ -196,11 +212,9 @@ class TestGmbFactored:
 class TestBranchDecomposition:
     def test_residual_reassembles(self):
         w = seeded_matrix(16, 16, seed=9)
-        h = hadamard(16)
-        lrb, gmb, w_res = branch_decomposition(w, 4, 4)
-        w_h = matmul(w, h)
-        total = lrb.product() + gmb_reconstruct_blocks(gmb) + w_res
-        assert np.allclose(total, w_h, atol=1e-12)
+        fit, w_res = branch_decomposition(w, 4, 4)
+        total = fit.lrb.a @ fit.lrb.b + gmb_reconstruct_blocks(fit.gmb) + w_res
+        assert np.allclose(total, times_h(w), atol=1e-12)
 
     @pytest.mark.parametrize("placement", ["post", "pre"])
     def test_residual_and_branch_matrices_reassemble_the_rotated_weight(
@@ -208,39 +222,36 @@ class TestBranchDecomposition:
     ):
         # w_res + post (+ pre @ H under "pre") is W @ H: all a layer adds
         # back to its quantized residual is the branches' own matrices
-        h = hadamard(64)
         worst = 0.0
         for model in suite_models.values():
             stack = np.stack(model.weights)
             fits = branch_decomposition(stack, 16, 4, placement=placement)
-            for w, (lrb, gmb, w_res) in zip(stack, fits):
-                fit = Branches(lrb, gmb, placement)
+            for w, (fit, w_res) in zip(stack, fits):
                 total = w_res + fit.post
                 if fit.pre is not None:
-                    total += matmul(fit.pre, h)
-                worst = max(worst, float(np.max(np.abs(total - matmul(w, h)))))
+                    total += times_h(fit.pre)
+                worst = max(worst, float(np.max(np.abs(total - times_h(w)))))
         assert worst <= 1e-14
 
     def test_gmb_reduces_residual(self):
         w = seeded_matrix(16, 16, seed=10)
-        lrb, gmb, w_res = branch_decomposition(w, 4, 4)
-        _, _, res_no = branch_decomposition(w, 4, 0)
+        _, w_res = branch_decomposition(w, 4, 4)
+        _, res_no = branch_decomposition(w, 4, 0)
         assert np.linalg.norm(w_res) <= np.linalg.norm(res_no)
 
     def test_pre_placement_accounts_for_rotation(self):
         w = seeded_matrix(8, 8, seed=11)
-        h = hadamard(8)
-        lrb, gmb, w_res = branch_decomposition(w, 2, 2, placement="pre")
-        shadow = matmul(gmb_reconstruct_blocks(gmb), h)
+        fit, w_res = branch_decomposition(w, 2, 2, placement="pre")
+        shadow = times_h(gmb_reconstruct_blocks(fit.gmb))
         assert np.allclose(
-            w_res + lrb.product() + shadow, matmul(w, h), atol=1e-12
+            w_res + fit.lrb.a @ fit.lrb.b + shadow, times_h(w), atol=1e-12
         )
 
     def test_order_changes_split(self):
         w = seeded_matrix(8, 8, seed=12)
-        a = branch_decomposition(w, 2, 2, order="lrb_first")
-        b = branch_decomposition(w, 2, 2, order="gmb_first")
-        assert not np.allclose(a[0].product(), b[0].product())
+        a, _ = branch_decomposition(w, 2, 2, order="lrb_first")
+        b, _ = branch_decomposition(w, 2, 2, order="gmb_first")
+        assert not np.allclose(a.lrb.a @ a.lrb.b, b.lrb.a @ b.lrb.b)
 
     @pytest.mark.parametrize(
         "kwargs,first",
@@ -253,23 +264,22 @@ class TestBranchDecomposition:
     )
     def test_given_lrb_replaces_the_first_fit(self, kwargs, first):
         w = seeded_matrix(16, 16, seed=14)
-        h = hadamard(16)
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
         assert lrb_fitted_first(r_gmb, **kwargs) is first
-        fresh = branch_decomposition(w, 4, r_gmb, **kwargs)
-        shared = init_lrb(matmul(w, h), 4)
-        reused = branch_decomposition(w, 4, r_gmb, lrb=shared, **kwargs)
-        assert (reused[0] is shared) is first
-        assert np.array_equal(fresh[0].a, reused[0].a)
-        assert np.array_equal(fresh[0].b, reused[0].b)
-        assert np.array_equal(fresh[2], reused[2])
+        fresh, fresh_res = branch_decomposition(w, 4, r_gmb, **kwargs)
+        shared = init_lrb(times_h(w), 4)
+        reused, reused_res = branch_decomposition(w, 4, r_gmb, lrb=shared, **kwargs)
+        assert (reused.lrb is shared) is first
+        assert np.array_equal(fresh.lrb.a, reused.lrb.a)
+        assert np.array_equal(fresh.lrb.b, reused.lrb.b)
+        assert np.array_equal(fresh.post, reused.post)
+        assert np.array_equal(fresh_res, reused_res)
 
     def test_rejects_lrb_of_wrong_rank(self):
         w = seeded_matrix(8, 8, seed=15)
-        h = hadamard(8)
         with pytest.raises(InvalidRankError):
-            branch_decomposition(w, 2, 2, lrb=init_lrb(matmul(w, h), 3))
+            branch_decomposition(w, 2, 2, lrb=init_lrb(times_h(w), 3))
 
     def test_rejects_unknown_order(self):
         with pytest.raises(InvalidPartitionError):
@@ -298,21 +308,39 @@ class TestStackedDecomposition:
         r_gmb = kwargs.pop("r_gmb", 4)
         fits = branch_decomposition(stack, 4, r_gmb, **kwargs)
         assert len(fits) == 5
-        placement = kwargs.get("placement", "post")
-        for k, (lrb, gmb, w_res) in enumerate(fits):
-            a_lrb, a_gmb, a_res = branch_decomposition(stack[k], 4, r_gmb, **kwargs)
+        for k, (fit, w_res) in enumerate(fits):
+            a_fit, a_res = branch_decomposition(stack[k], 4, r_gmb, **kwargs)
+            lrb, gmb, a_lrb, a_gmb = fit.lrb, fit.gmb, a_fit.lrb, a_fit.gmb
             assert same_bits(lrb.a, a_lrb.a) and same_bits(lrb.b, a_lrb.b)
             assert same_bits(w_res, a_res)
             assert (gmb is None) == (a_gmb is None) == (r_gmb == 0)
             if gmb is not None:
                 assert same_bits(gmb.sigma, a_gmb.sigma)
                 assert same_bits(gmb.u, a_gmb.u) and same_bits(gmb.v, a_gmb.v)
-            layer = assemble_layer(w_res, Branches(lrb, gmb, placement), 3)
-            alone = assemble_layer(a_res, Branches(a_lrb, a_gmb, placement), 3)
+            layer = assemble_layer(w_res, fit, 3)
+            alone = assemble_layer(a_res, a_fit, 3)
             assert np.array_equal(layer.weight.q, alone.weight.q)
             assert same_bits(layer.weight.scale, alone.weight.scale)
             assert layer.weight.delta == alone.weight.delta
             assert same_bits(layer.branches.post, alone.branches.post)
+            assert (fit.pre is None) == (a_fit.pre is None)
+            if fit.pre is not None:
+                assert same_bits(fit.pre, a_fit.pre)
+
+    @pytest.mark.parametrize("kwargs", PIPELINES)
+    def test_branch_matrices_equal_an_einsum_of_the_factors(self, kwargs):
+        # the matrices the fit returns are its factors' products, bit for bit
+        stack = np.stack([seeded_matrix(16, 32, seed=40 + k) for k in range(3)])
+        kwargs = dict(kwargs)
+        r_gmb = kwargs.pop("r_gmb", 4)
+        placement = kwargs.get("placement", "post")
+        for fit, _ in branch_decomposition(stack, 4, r_gmb, **kwargs):
+            assert fit.placement == placement
+            post, pre = branch_matrices(fit.lrb, fit.gmb, placement)
+            assert same_bits(fit.post, post)
+            assert (fit.pre is None) == (pre is None) == (placement == "post" or r_gmb == 0)
+            if pre is not None:
+                assert same_bits(fit.pre, pre)
 
     def test_one_svd_call_per_branch_type(self, monkeypatch):
         calls = []
@@ -327,12 +355,11 @@ class TestStackedDecomposition:
 
     def test_given_lrbs_must_match_the_stack(self):
         stack = np.stack([seeded_matrix(8, 8, seed=60 + k) for k in range(2)])
-        h = hadamard(8)
-        lrbs = [init_lrb(matmul(w, h), 2) for w in stack]
+        lrbs = [init_lrb(times_h(w), 2) for w in stack]
         with pytest.raises(InvalidRankError):
             branch_decomposition(stack, 2, 2, lrb=lrbs[:1])
         reused = branch_decomposition(stack, 2, 2, lrb=lrbs)
-        assert all(fit[0] is given for fit, given in zip(reused, lrbs))
+        assert all(fit.lrb is given for (fit, _), given in zip(reused, lrbs))
 
 
 class TestQuantizedLayer:
@@ -423,8 +450,7 @@ class TestQuantizedLayer:
         w = seeded_matrix(16, 16, seed=32)
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb")
-        lrb, gmb, w_res = branch_decomposition(w, 2, r_gmb, **kwargs)
-        shared = Branches(lrb, gmb, kwargs.get("placement", "post"))
+        shared, w_res = branch_decomposition(w, 2, r_gmb, **kwargs)
         xs = seeded_matrix(6, 16, seed=33)
         prepared = layer_input(shared, xs)
         assert (prepared.pre is not None) == (kwargs.get("placement") == "pre")
@@ -533,7 +559,9 @@ def layer_from_doc(doc: dict) -> QuantizedLinear:
         bits=doc["bits_w"],
     )
     lrb = LrbFactors(matrix(doc["lrb"]["a"]), matrix(doc["lrb"]["b"]))
-    return QuantizedLinear(weight, Branches(lrb, gmb, doc.get("gmb_placement", "post")))
+    placement = doc.get("gmb_placement", "post")
+    post, pre = branch_matrices(lrb, gmb, placement)
+    return QuantizedLinear(weight, Branches(lrb, gmb, placement, post, pre))
 
 
 class TestSerialization:

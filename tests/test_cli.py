@@ -139,15 +139,25 @@ class TestConfigHandling:
         got[0].pop("wall_ms"), want[0].pop("wall_ms")
         assert json.dumps(got[0], sort_keys=True) == json.dumps(want[0], sort_keys=True)
 
+    def _rejects_calib(self, tmp_path, capsys, calib, message):
+        # checked when the config loads, so even gen-model, which draws no
+        # calibration, exits 2 before it writes anything
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(SMALL_CFG, calib=calib)))
+        for cmd in ("gen-model", "search"):
+            assert main([cmd, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.strip() == f"error: invalid calib config: {message}"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2^64"])
     def test_calibration_seed_outside_64_bits(self, tmp_path, capsys, seed):
         # gen would reduce it mod 2^64: -1 and 2^64 - 1 drew the same inputs
-        cfg = dict(SMALL_CFG, calib={"count": 8, "seed": seed})
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        assert main(["search", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.strip() == "error: seed must fit in 64 bits"
-        assert not (tmp_path / "o" / "search.json").exists()
+        calib = {"count": 8, "seed": seed}
+        self._rejects_calib(tmp_path, capsys, calib, "seed must fit in 64 bits")
+
+    def test_calibration_count_below_one(self, tmp_path, capsys):
+        calib = {"count": 0, "seed": 77}
+        self._rejects_calib(tmp_path, capsys, calib, "count must be >= 1, got 0")
 
     def test_invalid_model_shape(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

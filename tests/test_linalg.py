@@ -16,28 +16,12 @@ from treeq.linalg import (
     MAX_HADAMARD,
     as_matrix,
     hadamard,
-    matmul,
     top_singular_pair,
     truncated_svd,
 )
 
 from conftest import seeded_matrix
 from oracles import inverse_iteration, lapack_svd, sturm_sigmas
-
-
-def matmul_ref(a, b):
-    """Triple-loop reference product, deliberately not vectorized."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def reconstruct(tri):
@@ -60,24 +44,11 @@ class TestCoercion:
             as_matrix([[1.0, float("nan")]])
 
 
-class TestProducts:
-    @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 7, 2), (6, 6, 6)])
-    def test_matmul_against_triple_loop(self, shape):
-        n, k, m = shape
-        a = seeded_matrix(n, k, seed=n * 100 + k)
-        b = seeded_matrix(k, m, seed=m * 100 + k)
-        assert np.allclose(matmul(a, b), matmul_ref(a, b), atol=1e-12)
-
-    def test_matmul_shape_mismatch(self):
-        with pytest.raises(InvalidDimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestHadamard:
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
     def test_orthonormal(self, n):
         h = hadamard(n)
-        err = np.max(np.abs(matmul(h, h.T) - np.eye(n)))
+        err = np.max(np.abs(h @ h.T - np.eye(n)))
         assert err < 1e-12
 
     def test_entries_are_uniform_magnitude(self):

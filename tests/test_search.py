@@ -29,7 +29,7 @@ from treeq.search import (
 )
 from treeq.toymodel import (
     ModelSpec,
-    default_context,
+    QuantContext,
     end_to_end_mse,
     gen_calibration,
     gen_model,
@@ -215,7 +215,7 @@ class TestApplyEng:
 
 class TestLeafQueue:
     def test_configs_and_environment(self, small_model, small_calib):
-        ctx = default_context()
+        ctx = QuantContext()
         params = SearchParams(calib=small_calib, env_bits=32)
         q = leaf_queue(0, params, small_model, ctx)
         assert q.span == (0, 0)
@@ -229,12 +229,12 @@ class TestLeafQueue:
 
     def test_counts_evaluations(self, small_model, small_calib, mse_calls):
         params = SearchParams(calib=small_calib)
-        leaf_queue(1, params, small_model, default_context())
+        leaf_queue(1, params, small_model, QuantContext())
         assert len(mse_calls) == 4
 
     def test_out_of_range(self, small_model, small_calib):
         with pytest.raises(InvalidSpanError):
-            leaf_queue(5, SearchParams(calib=small_calib), small_model, default_context())
+            leaf_queue(5, SearchParams(calib=small_calib), small_model, QuantContext())
 
 
 class TestMerge:
@@ -242,19 +242,19 @@ class TestMerge:
         qa = ParetoQueue(span=(0, 0), entries=[entry({0: 2}, 1.0, 2.0)])
         qb = ParetoQueue(span=(0, 0), entries=[entry({0: 3}, 0.5, 3.0)])
         with pytest.raises(InvalidSpanError):
-            merge(qa, qb, SearchParams(calib=small_calib), small_model, default_context())
+            merge(qa, qb, SearchParams(calib=small_calib), small_model, QuantContext())
 
     def test_rejects_empty(self, small_model, small_calib):
         qa = ParetoQueue(span=None, entries=[])
         qb = ParetoQueue(span=(1, 1), entries=[entry({1: 2}, 1.0, 2.0)])
         with pytest.raises(InvalidSpanError):
-            merge(qa, qb, SearchParams(calib=small_calib), small_model, default_context())
+            merge(qa, qb, SearchParams(calib=small_calib), small_model, QuantContext())
 
     def test_unions_are_rescored_not_summed(self, small_model, small_calib):
         # Inter-layer coupling means the union error differs from any
         # combination of the parts; the merged indicator must equal a fresh
         # evaluation of the union config.
-        ctx = default_context()
+        ctx = QuantContext()
         params = SearchParams(calib=small_calib, env_bits=3)
         qa = leaf_queue(0, params, small_model, ctx)
         qb = leaf_queue(1, params, small_model, ctx)
@@ -267,7 +267,7 @@ class TestMerge:
             assert set(e.config) == {0, 1}
 
     def test_eval_accounting(self, small_model, small_calib, mse_calls):
-        ctx = default_context()
+        ctx = QuantContext()
         params = SearchParams(calib=small_calib)
         qa = leaf_queue(0, params, small_model, ctx)
         qb = leaf_queue(1, params, small_model, ctx)
@@ -276,7 +276,7 @@ class TestMerge:
         assert len(mse_calls) - before == len(qa.entries) * len(qb.entries)
 
     def test_prunes_to_k_closest(self, small_model, small_calib):
-        ctx = default_context()
+        ctx = QuantContext()
         params = SearchParams(calib=small_calib, k=4, target=3.0)
         qa = leaf_queue(0, params, small_model, ctx)
         qb = leaf_queue(1, params, small_model, ctx)
@@ -295,7 +295,7 @@ class TestMerge:
             tss_search(
                 m,
                 SearchParams(calib=c, candidates=(2, 5), k=4, target=3.5, env_bits=32),
-                default_context(),
+                QuantContext(),
             )
 
 
@@ -322,7 +322,7 @@ class TestSelectEntry:
 
 class TestTssSearch:
     def test_matches_exhaustive_on_two_layers(self, small_model, small_calib):
-        ctx = default_context()
+        ctx = QuantContext()
         res = tss_search(
             small_model,
             SearchParams(calib=small_calib, k=64, target=3.0, env_bits=32),
@@ -362,12 +362,12 @@ class TestTssSearch:
         # five layers: two merge rounds plus an odd queue promoted once
         m = gen_model(ModelSpec(n_layers=5, dims=(16,) * 6, seed=4))
         c = gen_calibration(m, 8, 3)
-        res = tss_search(m, SearchParams(calib=c, k=4, target=3.0), default_context())
+        res = tss_search(m, SearchParams(calib=c, k=4, target=3.0), QuantContext())
         assert len(res.merge_trace) == 4
         assert res.evals == len(mse_calls) > 5 * 4
 
     def test_deterministic(self, small_model, small_calib):
-        ctx = default_context()
+        ctx = QuantContext()
         a = tss_search(small_model, SearchParams(calib=small_calib, target=3.0), ctx)
         b = tss_search(small_model, SearchParams(calib=small_calib, target=3.0), ctx)
         assert a.final == b.final
@@ -380,7 +380,7 @@ class TestResultJson:
         import json
 
         res = tss_search(
-            small_model, SearchParams(calib=small_calib, target=3.0), default_context()
+            small_model, SearchParams(calib=small_calib, target=3.0), QuantContext()
         )
         doc = json.loads(result_to_json(res))
         assert doc["target"] == 3.0
