@@ -13,13 +13,19 @@ Both branches stay in floating point; only the residual left after
 subtracting them gets quantized, to an int8 grid with one scale per row.
 The fit (``branch_decomposition``) is the one place that builds the dense
 branch matrices: the ones it subtracts are the ones the forward applies.
-The forward multiplies that grid with the activation's integer grid in one
-BLAS ``matmul``.  Every term of that product is an integer of magnitude at
-most 2^14 (8-bit grids) and every partial sum of a row of at most 1024
-terms at most 2^24, far inside float64's exact integer range, so the sum is
-exact in any order: the product does not depend on the BLAS build, its
-thread count or the SIMD target.  All other products are fixed-order
-``einsum`` calls, as in ``linalg``.
+The fit's products are fixed-order ``einsum`` calls, as in ``linalg``.
+
+The forward's products are BLAS ``matmul`` calls: the rotation xs @ H, the
+branch terms and the residual product.  The float products give the same
+bytes on one numpy build, SIMD target and BLAS kernel, and do not depend on
+the BLAS thread count (measured with OpenBLAS at 1 and 2 threads); another
+kernel, or a batch of another row count, may round them otherwise.  The
+residual product multiplies the weight grid with the activation's integer
+grid.  Every term of it is an integer of magnitude at most 2^14 (8-bit
+grids) and every partial sum of a row of at most 1024 terms at most 2^24,
+far inside float64's exact integer range, so the sum is exact in any order:
+that product does not depend on the BLAS build, its thread count or the
+SIMD target.
 """
 
 from __future__ import annotations
@@ -372,8 +378,10 @@ class LayerInput:
     ``rotated`` is xs @ H, ``post`` the branch term rotated @ post^T and
     ``pre`` the term xs @ pre^T under the pre-rotation placement (None
     otherwise), with xs the activation batch and post and pre the matrices
-    of one ``Branches``.  No field depends on a bit-width, so one record
-    serves every layer quantized from those branches.
+    of one ``Branches``.  Each is one BLAS ``matmul`` over the whole batch
+    (see the module docstring for what its bits depend on).  No field
+    depends on a bit-width, so one record serves every layer quantized
+    from those branches.
     """
 
     rotated: np.ndarray
@@ -389,9 +397,9 @@ def layer_input(branches: Branches, xs) -> LayerInput:
         raise InvalidDimensionError(
             f"activation width {xs.shape[1]} does not match layer width {n}"
         )
-    rotated = np.einsum("nj,ji->ni", xs, hadamard(n))
-    post = np.einsum("nd,od->no", rotated, branches.post)
-    pre = None if branches.pre is None else np.einsum("nd,od->no", xs, branches.pre)
+    rotated = xs @ hadamard(n)
+    post = rotated @ branches.post.T
+    pre = None if branches.pre is None else xs @ branches.pre.T
     return LayerInput(rotated, post, pre)
 
 

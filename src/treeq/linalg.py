@@ -3,11 +3,10 @@
 Every routine here is a pure function of its input: on one build (numpy
 version and CPU) it returns the same bits on every run.  Products and
 reductions go through ``np.einsum``, which fixes the accumulation order and
-calls no BLAS, so a BLAS thread setting never enters.  The package's one
-BLAS product is the quantized layer's residual product
-(``branches.residual_product``): it multiplies two integer grids whose
-row sums stay below 2^24 in magnitude, so float64 holds every partial sum
-exactly and the result is the same in any accumulation order.
+calls no BLAS, so no BLAS setting or kernel enters.  The package's BLAS
+products are the forward's (see ``branches``): they are byte-identical on
+one numpy build, SIMD target and BLAS kernel, whatever the BLAS thread
+count, and the integer residual product is exact on any build.
 
 The SVD is direct, with fixed step counts and no BLAS or LAPACK, in four
 steps on the tall form A of each problem (Golub & Kahan, SIAM J. Numer.

@@ -429,8 +429,9 @@ def _validate_alloc(model: ToyModel, alloc: Mapping[int, int]):
                 f"layer {i} bits {alloc[i]} not in {ALLOWED_BITS}"
             )
     for key in alloc:
-        if not (0 <= int(key) < model.n_layers):
-            raise InvalidBitsError(f"allocation names unknown layer {key}")
+        # an int only: int() would truncate 1.5 and -0.5 into range
+        if not (isinstance(key, int) and 0 <= key < model.n_layers):
+            raise InvalidBitsError(f"allocation names unknown layer {key!r}")
 
 
 def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext(),
@@ -445,11 +446,13 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     caches the activations of the layers it runs.  A quantized layer runs
     on its level's cached ``LayerInput``, so the rotation and branch
     products of an activation are computed once for all the bit-widths
-    tried on it; a 32-bit layer runs its dense weight on the activation.
-    A cached activation is the very array an earlier forward in the same
-    scope computed from the same input through the same layers, so every
-    layer sees the inputs a full forward would give it and the result is
-    bit-identical.
+    tried on it; a 32-bit layer runs its dense weight on the activation,
+    as one BLAS ``matmul``.  So the result's bits depend on the BLAS kernel
+    but not on its thread count (see ``branches``), and a row of a batch
+    may differ from that row forwarded alone.  A cached activation is the
+    very array an earlier forward in the same scope computed from the same
+    input through the same layers, so every layer sees the inputs a full
+    forward would give it and the result is bit-identical.
     """
     xs = as_matrix(xs)
     if xs.shape[1] != model.dims[0]:
@@ -470,7 +473,7 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
         del cache.bits[start:]
     for i in range(start, n):
         if bits[i] == PASSTHROUGH_BITS:
-            xs = np.einsum("nd,od->no", xs, model.weights[i])
+            xs = xs @ model.weights[i].T
         else:
             layer = _layer_for(model, i, bits[i], ctx)
             if cache is not None:

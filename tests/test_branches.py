@@ -56,6 +56,21 @@ def times_h(m):
     return np.einsum("ij,jk->ik", m, hadamard(m.shape[1]))
 
 
+def matmul_forward(layer, x):
+    """The forward of ``x`` by hand, with ``np.matmul`` for its float products.
+
+    The residual term is the int64 product of the two grids, then the two
+    steps; the post and then the pre branch term are added to it.
+    """
+    rot = x @ hadamard(x.shape[1])
+    grid, step = quantize_rotated_batch(rot, layer.weight.bits)
+    ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
+    want = ints * step[:, None] * layer.weight.step + rot @ layer.branches.post.T
+    if layer.branches.pre is not None:
+        want += x @ layer.branches.pre.T
+    return want
+
+
 def branch_matrices(lrb, gmb, placement):
     """(post, pre) of a fit, rebuilt from its factors with ``np.einsum``."""
     post = np.einsum("ir,rj->ij", lrb.a, lrb.b)
@@ -364,20 +379,9 @@ class TestStackedDecomposition:
 
 class TestQuantizedLayer:
     def test_forward_reference(self):
-        # Hand-compute the three-term forward for one token; the residual
-        # term is the int64 product of the two grids, then the two steps.
-        w = seeded_matrix(8, 8, seed=13)
-        h = hadamard(8)
-        layer = quantize_layer(w, 3, 2, 2)
+        layer = quantize_layer(seeded_matrix(8, 8, seed=13), 3, 2, 2)
         x = seeded_matrix(1, 8, seed=14)
-        rot = np.einsum("nj,ji->ni", x, h)
-        grid, step = quantize_rotated_batch(rot, 3)
-        ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
-        want = (
-            ints * step[:, None] * layer.weight.step
-            + np.einsum("nd,od->no", rot, layer.branches.post)
-        )
-        assert np.array_equal(forward_quantized_batch(layer, x), want)
+        assert np.array_equal(forward_quantized_batch(layer, x), matmul_forward(layer, x))
 
     def test_activations_use_the_step_the_layer_was_built_with(self):
         # a layer whose grid carries another step than the calibrated one
@@ -389,24 +393,22 @@ class TestQuantizedLayer:
         weight = WeightGrid(q=built.weight.q, scale=built.weight.scale, delta=delta, bits=3)
         layer = QuantizedLinear(weight, built.branches)
         x = seeded_matrix(1, 8, seed=31)
-        rot = np.einsum("nj,ji->ni", x, h)
+        rot = x @ h
         sigma = np.sqrt(np.mean(rot * rot, axis=1))
         grid = np.clip(round_half_away(rot / sigma[:, None] / delta), -4, 3)
         ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
-        want = (
-            ints * (sigma * delta)[:, None] * layer.weight.step
-            + np.einsum("nd,od->no", rot, layer.branches.post)
-        )
+        want = ints * (sigma * delta)[:, None] * layer.weight.step + rot @ layer.branches.post.T
         assert np.array_equal(forward_quantized_batch(layer, x), want)
 
-    def test_vector_equals_batch_row(self):
-        # one token forwarded as a one-row batch gives its row of the batch
+    def test_one_row_equals_its_matmul_reference(self):
+        # a one-row forward runs the same BLAS products as a hand-built
+        # reference of that row; a row of a larger batch may round otherwise
         w = seeded_matrix(16, 16, seed=15)
         layer = quantize_layer(w, 4, 4, 4)
         xs = seeded_matrix(5, 16, seed=16)
-        batch = forward_quantized_batch(layer, xs)
         for i in range(5):
-            assert np.array_equal(forward_quantized_batch(layer, xs[i : i + 1])[0], batch[i])
+            x = xs[i : i + 1]
+            assert np.array_equal(forward_quantized_batch(layer, x), matmul_forward(layer, x))
 
     def test_branch_improves_over_residual_only(self):
         # With branches absorbing the top singular mass, quantization error
@@ -421,20 +423,11 @@ class TestQuantizedLayer:
         assert err_with < err_without
 
     def test_pre_placement_forward_uses_raw_activation(self):
-        w = seeded_matrix(8, 8, seed=22)
-        h = hadamard(8)
-        layer = quantize_layer(w, 3, 2, 2, placement="pre")
+        # the reference adds x @ pre^T, on the activation before rotation
+        layer = quantize_layer(seeded_matrix(8, 8, seed=22), 3, 2, 2, placement="pre")
         assert layer.branches.pre is not None
         x = seeded_matrix(1, 8, seed=23)
-        rot = np.einsum("nj,ji->ni", x, h)
-        grid, step = quantize_rotated_batch(rot, 3)
-        ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
-        want = (
-            ints * step[:, None] * layer.weight.step
-            + np.einsum("nd,od->no", rot, layer.branches.post)
-            + np.einsum("nd,od->no", x, layer.branches.pre)
-        )
-        assert np.array_equal(forward_quantized_batch(layer, x), want)
+        assert np.array_equal(forward_quantized_batch(layer, x), matmul_forward(layer, x))
 
     def test_width_mismatch(self):
         layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)

@@ -9,6 +9,9 @@ reproduced from independently computed step sizes.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -210,20 +213,30 @@ class TestGenModel:
 
 
 class TestForward:
-    def test_vector_equals_batch_row(self):
+    def test_one_row_equals_its_matmul_reference(self):
+        # each row forwarded alone equals its layers run by hand on that row:
+        # a 32-bit layer as np.matmul, a quantized one as its own forward; a
+        # row of a larger batch may round otherwise
         m = gen_model(exhaustive_spec(2))
-        alloc = {0: 3, 1: 4, 2: 2, 3: 5}
+        alloc = {0: 3, 1: 32, 2: 2, 3: 5}
         xs = np.stack([gaussian_stream(substream(5, TAG_CALIB, j), 32) for j in range(4)])
-        batch = forward_batch(m, alloc, xs)
         for j in range(4):
-            assert np.array_equal(forward_batch(m, alloc, xs[j : j + 1])[0], batch[j])
+            want = xs[j : j + 1]
+            for i in range(4):
+                if alloc[i] == 32:
+                    want = want @ m.weights[i].T
+                else:
+                    want = branches.forward_quantized_batch(quantized_layer(m, i, alloc[i]), want)
+                if i < 3:
+                    want = np.where(want > 0.0, want, 0.1 * want)
+            assert np.array_equal(forward_batch(m, alloc, xs[j : j + 1]), want)
 
     def test_all_32_matches_manual_dense(self):
         m = gen_model(exhaustive_spec(4))
         xs = np.stack([gaussian_stream(substream(8, TAG_CALIB, j), 32) for j in range(3)])
         want = xs
         for i in range(4):
-            want = np.einsum("nd,od->no", want, m.weights[i])
+            want = want @ m.weights[i].T
             if i < 3:
                 want = np.where(want > 0.0, want, 0.1 * want)
         got = forward_batch(m, {i: 32 for i in range(4)}, xs)
@@ -243,6 +256,43 @@ class TestForward:
             forward_batch(m, {0: 32, 1: 32, 2: 32, 3: 32, 7: 32}, x)  # unknown layer
         with pytest.raises(InvalidBitsError):
             forward_batch(m, {0: 32, 1: 32, 2: 32, 3: 16}, x)  # 16 not allowed
+
+    @pytest.mark.parametrize("key", [1.5, -0.5, "x"])
+    def test_alloc_key_must_be_a_layer_index(self, key):
+        # int() truncates 1.5 and -0.5 into range and raises ValueError on
+        # "x"; every key that is not an int layer index is an unknown layer
+        m = gen_model(exhaustive_spec(1))
+        alloc = {0: 32, 1: 32, 2: 32, 3: 32}
+        alloc[key] = 32
+        with pytest.raises(InvalidBitsError, match="unknown layer"):
+            forward_batch(m, alloc, np.ones((1, 32)))
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # A 256-wide quantized layer and a 32-bit layer forward one fixed
+        # batch in two child processes; the environment variables reach
+        # only the children.  Both run BLAS products, whose result must not
+        # depend on how OpenBLAS splits them over threads.
+        script = (
+            "import hashlib\n"
+            "from treeq.toymodel import ModelSpec, forward_batch, gaussian_stream, gen_model\n"
+            "model = gen_model(ModelSpec(n_layers=1, dims=(256, 256), seed=3))\n"
+            "xs = gaussian_stream(7, 64 * 256).reshape(64, 256)\n"
+            "for bits in (4, 32):\n"
+            "    out = forward_batch(model, {0: bits}, xs)\n"
+            "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(toymodel.__file__))
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            digests[threads] = run.stdout.split()
+            assert len(digests[threads]) == 2, run.stdout
+        assert digests["1"] == digests["2"], digests
 
 
 class TestLayerCache:
