@@ -30,7 +30,6 @@ SIMD target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -440,8 +439,8 @@ def _matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def qlinear_to_json(layer: QuantizedLinear) -> str:
-    """The layer as JSON; ``bits_a`` and ``n`` restate the grid's bits and width."""
+def qlinear_doc(layer: QuantizedLinear) -> dict:
+    """The layer's JSON document; ``bits_a`` and ``n`` restate the grid's bits and width."""
     weight, lrb, gmb = layer.weight, layer.branches.lrb, layer.branches.gmb
     doc = {
         "bits_w": weight.bits,
@@ -466,4 +465,4 @@ def qlinear_to_json(layer: QuantizedLinear) -> str:
         }
     if layer.branches.placement != "post":
         doc["gmb_placement"] = layer.branches.placement
-    return json.dumps(doc)
+    return doc

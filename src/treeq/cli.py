@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass, replace
 
 from .baselines import build_sensitivity_table, ip_allocate, uniform_allocate
-from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_to_json
+from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_doc
 from .errors import ConvergenceError
 from .quantizer import default_delta_table
-from .search import SearchParams, result_to_json, tss_search
+from .search import SearchParams, result_doc, tss_search
 from .toymodel import (
     TAG_DERIVE,
     ModelSpec,
@@ -213,7 +213,7 @@ def cmd_search(cfg: RunConfig, args) -> int:
     model = gen_model(cfg.model)
     calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
     result = _run_search(cfg, model, calib)
-    doc = json.loads(result_to_json(result))
+    doc = result_doc(result)
     doc["wall_ms"] = (time.perf_counter() - started) * 1e3
     path = _write(cfg, "search.json", _dump(doc))
     print(f"wrote {path}")
@@ -232,8 +232,7 @@ def cmd_quantize(cfg: RunConfig, args) -> int:
     bits = _uniform_bits(cfg)
     alloc = uniform_allocate(model.n_layers, bits)
     layers = [
-        json.loads(qlinear_to_json(quantized_layer(model, i, alloc[i], cfg.quant)))
-        for i in range(model.n_layers)
+        qlinear_doc(quantized_layer(model, i, alloc[i], cfg.quant)) for i in range(model.n_layers)
     ]
     doc = {
         "bits": bits,

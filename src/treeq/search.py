@@ -12,7 +12,6 @@ and the entry closest to the target wins.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -247,18 +246,16 @@ def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext = QuantC
     )
 
 
-def result_to_json(result: SearchResult) -> str:
-    return json.dumps(
-        {
-            "target": result.target,
-            "env_bits": result.env_bits,
-            "k": result.k,
-            "candidates": list(result.candidates),
-            "final_alloc": {str(i): result.final[i] for i in sorted(result.final)},
-            "mean_bits": result.mean_bits,
-            "indicator": result.indicator,
-            "evals": result.evals,
-            "merge_trace": result.merge_trace,
-        },
-        sort_keys=True,
-    )
+def result_doc(result: SearchResult) -> dict:
+    """The search's JSON document: settings, final allocation and counts."""
+    return {
+        "target": result.target,
+        "env_bits": result.env_bits,
+        "k": result.k,
+        "candidates": list(result.candidates),
+        "final_alloc": {str(i): result.final[i] for i in sorted(result.final)},
+        "mean_bits": result.mean_bits,
+        "indicator": result.indicator,
+        "evals": result.evals,
+        "merge_trace": list(result.merge_trace),
+    }

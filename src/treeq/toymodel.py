@@ -31,6 +31,7 @@ relative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -170,8 +171,8 @@ class ModelSpec:
                 )
         if not (0.0 <= self.outlier_fraction <= 1.0):
             raise InvalidDimensionError("outlier_fraction must be in [0, 1]")
-        if not (self.outlier_scale >= 1.0):
-            raise InvalidDimensionError("outlier_scale must be >= 1")
+        if not (math.isfinite(self.outlier_scale) and self.outlier_scale >= 1.0):
+            raise InvalidDimensionError("outlier_scale must be finite and >= 1")
 
 
 class EvalCache:
@@ -222,34 +223,32 @@ class EvalCache:
 
 
 class FitCache:
-    """Every branch fit and quantized layer of one model.
+    """Every branch fit of one model, finished at every bit-width.
 
     Fits are eager and stacked: the first time a branch context needs any
     layer, every layer is fitted under it, with one ``branch_decomposition``
     call per group of same-shape layers (split to stay within
-    FIT_STACK_BYTES).  A layer's branch key is its effective ranks, order
-    and placement, so contexts that agree on them share one fit.  The
-    cache holds:
+    FIT_STACK_BYTES), and each layer's residual is quantized at every width
+    of QUANT_BITS straight away.  The float residual is dropped once that
+    is done.  A layer's branch key is its effective ranks, order and
+    placement, so contexts that agree on them share one fit.  The cache
+    holds:
 
-    * ``decomps[(i,) + branch key]``: layer i's (branches, w_res) as
-      ``branch_decomposition`` returns it: the fitted ``Branches``, dense
-      matrices included, which every bit-width shares, and the float
-      residual left for the quantizer;
+    * ``fits[(i,) + branch key]``: layer i's quantized layers, one per
+      width of QUANT_BITS, keyed by width.  The rotation and the steps are
+      the same for every context, so a layer's fit and a width fix the
+      layer, and contexts that share a fit share its layers.  All widths
+      share one ``Branches``, dense matrices included; each layer adds only
+      its residual's int8 grid (n_out x n_in bytes), its row scales and row
+      steps (2 n_out floats);
     * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
       alone, which every pipeline for which ``lrb_fitted_first`` holds
-      reuses, whatever its GMB rank;
-    * ``layers[(i,) + branch key + (bits,)]``: the quantized layer.  A
-      layer's fit and its bit-width fix it, as the rotation and the steps
-      are the same for every context, so contexts that share a fit share
-      its layers too.  It holds the residual's int8 grid (n_out x n_in
-      bytes), its row scales and row steps (2 n_out floats), and a
-      reference to the shared ``Branches``: nothing else dense.
+      reuses, whatever its GMB rank.
     """
 
     def __init__(self):
-        self.decomps = {}
+        self.fits = {}
         self.lrbs = {}
-        self.layers = {}
 
 
 @dataclass
@@ -359,11 +358,12 @@ def _branch_key(ctx: QuantContext, shape) -> tuple:
 
 
 def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
-    """Fit every layer that has no fit under ``ctx`` yet, stacked by shape."""
+    """Fit every layer that has no fit under ``ctx`` yet, stacked by shape,
+    and quantize each at every width of QUANT_BITS."""
     cache = model.fit_cache
     groups = {}
     for i, w in enumerate(model.weights):
-        if (i,) + _branch_key(ctx, w.shape) not in cache.decomps:
+        if (i,) + _branch_key(ctx, w.shape) not in cache.fits:
             groups.setdefault(w.shape, []).append(i)
     for (n_out, n_in), layers in groups.items():
         key = _branch_key(ctx, (n_out, n_in))
@@ -374,7 +374,7 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
             chunk = layers[start : start + per_call]
             lrbs = [cache.lrbs.get((i, r_l)) for i in chunk]
             try:
-                decomps = branch_decomposition(
+                fitted = branch_decomposition(
                     np.stack([model.weights[i] for i in chunk]),
                     r_l,
                     r_g,
@@ -387,31 +387,27 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
                 raise ConvergenceError(
                     f"branch fit of layers {names}: {e.message}", e.residual
                 ) from e
-            for i, (fit, w_res) in zip(chunk, decomps):
-                cache.decomps[(i,) + key] = (fit, w_res)
+            for i, (fit, w_res) in zip(chunk, fitted):
+                cache.fits[(i,) + key] = {b: assemble_layer(w_res, fit, b) for b in QUANT_BITS}
                 if first:
                     cache.lrbs[(i, r_l)] = fit.lrb
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
-    cache = model.fit_cache
-    dkey = (i,) + _branch_key(ctx, model.weights[i].shape)
-    key = dkey + (bits,)
-    layer = cache.layers.get(key)
-    if layer is None:
-        if dkey not in cache.decomps:
-            _fit_all(model, ctx)
-        branches, w_res = cache.decomps[dkey]
-        layer = assemble_layer(w_res, branches, bits)
-        cache.layers[key] = layer
-    return layer
+    fits = model.fit_cache.fits
+    key = (i,) + _branch_key(ctx, model.weights[i].shape)
+    if key not in fits:
+        _fit_all(model, ctx)
+    return fits[key][bits]
 
 
 def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext = QuantContext()) -> QuantizedLinear:
-    """Build (or fetch from the model's ``fit_cache``) one layer's quantized form.
+    """Layer i quantized at ``bits`` under ``ctx``, from the model's ``fit_cache``.
 
     The first layer asked for under a branch context fits every layer of
-    the model under it (see ``FitCache``).
+    the model under it and quantizes each at every width (see
+    ``FitCache``); every later call is a lookup that returns the same
+    object.
     """
     if not (0 <= i < model.n_layers):
         raise InvalidDimensionError(f"layer {i} out of range")

@@ -30,7 +30,7 @@ from treeq.branches import (
     layer_input,
     lrb_fitted_first,
     permutation_matrix,
-    qlinear_to_json,
+    qlinear_doc,
     quantize_layer,
     residual_product,
 )
@@ -536,7 +536,7 @@ class TestExactResidualProduct:
 
 
 def layer_from_doc(doc: dict) -> QuantizedLinear:
-    """The layer a ``qlinear_to_json`` document describes, read field by field."""
+    """The layer a ``qlinear_doc`` document describes, read field by field."""
 
     def matrix(m):
         return np.asarray(m["data"], dtype=np.float64).reshape(m["rows"], m["cols"])
@@ -565,12 +565,17 @@ class TestSerialization:
             seeded_matrix(8, 8, seed=25), 3, 2, 2, **kw
         )
 
+    @staticmethod
+    def _written(layer):
+        # the document as quantize.json stores it: through JSON text and back
+        return json.loads(json.dumps(qlinear_doc(layer)))
+
     def _round_trip(self, layer):
-        return layer_from_doc(json.loads(qlinear_to_json(layer)))
+        return layer_from_doc(self._written(layer))
 
     def test_round_trip_exact(self):
         layer = self._layer()
-        doc = json.loads(qlinear_to_json(layer))
+        doc = self._written(layer)
         assert (doc["bits_w"], doc["bits_a"], doc["n"]) == (3, 3, 8)
         back = layer_from_doc(doc)
         assert np.array_equal(back.weight.q, layer.weight.q)
@@ -597,7 +602,7 @@ class TestSerialization:
         # the int8 grid, its scales and its step rebuild the residual, so the
         # document holds no float copy of it
         layer = self._layer(placement=placement)
-        assert "q_res" not in json.loads(qlinear_to_json(layer))
+        assert "q_res" not in qlinear_doc(layer)
         back = self._round_trip(layer)
         xs = seeded_matrix(5, 8, seed=29)
         assert same_bits(forward_quantized_batch(back, xs), forward_quantized_batch(layer, xs))
@@ -615,7 +620,7 @@ class TestSerialization:
         # bits_a and n restate the grid, every entry is on the bits' integers,
         # one positive finite scale per row, and the calibrated step
         layer = quantize_layer(seeded_matrix(8, 16, seed=31), bits, 2, 2)
-        doc = json.loads(qlinear_to_json(layer))
+        doc = self._written(layer)
         grid = doc["w_grid"]
         assert (doc["bits_w"], doc["bits_a"], doc["n"]) == (bits, bits, 16)
         assert (grid["rows"], grid["cols"], len(grid["data"])) == (8, 16, 128)
@@ -633,4 +638,4 @@ class TestSerialization:
         back = self._round_trip(layer)
         assert back.branches.placement == "pre"
         # default placement stays implicit in the document
-        assert "gmb_placement" not in json.loads(qlinear_to_json(self._layer()))
+        assert "gmb_placement" not in qlinear_doc(self._layer())

@@ -165,6 +165,16 @@ class TestConfigHandling:
         assert main(["gen-model", "--config", str(p)]) == 2
         assert "invalid model config" in capsys.readouterr().err
 
+    def test_infinite_outlier_scale(self, tmp_path, capsys):
+        # Python's json reads Infinity; gen-model must not write it out
+        p = tmp_path / "cfg.json"
+        p.write_text('{"model": {"outlier_scale": Infinity}}')
+        assert main(["gen-model", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: invalid model config: outlier_scale must be finite and >= 1"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

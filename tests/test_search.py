@@ -23,7 +23,7 @@ from treeq.search import (
     leaf_queue,
     merge,
     module_mean_bits,
-    result_to_json,
+    result_doc,
     select_entry,
     tss_search,
 )
@@ -377,12 +377,10 @@ class TestTssSearch:
 
 class TestResultJson:
     def test_document_fields(self, small_model, small_calib):
-        import json
-
         res = tss_search(
             small_model, SearchParams(calib=small_calib, target=3.0), QuantContext()
         )
-        doc = json.loads(result_to_json(res))
+        doc = result_doc(res)
         assert doc["target"] == 3.0
         assert doc["env_bits"] == 3
         assert doc["k"] == 16

@@ -118,6 +118,11 @@ class TestModelSpec:
         with pytest.raises(InvalidDimensionError):
             ModelSpec(n_layers=1, dims=(8, 8), seed=1, outlier_scale=0.5)
 
+    def test_rejects_infinite_outlier_scale(self):
+        # JSON's Infinity passes ">= 1" and would write Infinity weights
+        with pytest.raises(InvalidDimensionError, match="outlier_scale must be finite and >= 1"):
+            ModelSpec(n_layers=1, dims=(8, 8), seed=1, outlier_scale=float("inf"))
+
     def test_rejects_oversize_seed(self):
         with pytest.raises(InvalidDimensionError):
             ModelSpec(n_layers=1, dims=(8, 8), seed=1 << 64)
@@ -310,9 +315,9 @@ class TestLayerCache:
         )
         m = gen_model(exhaustive_spec(7))
         quantized_layer(m, 1, 2)
-        n_fits = (len(calls), len(m.fit_cache.decomps))
+        n_fits = (len(calls), len(m.fit_cache.fits))
         quantized_layer(m, 1, 5)
-        assert (len(calls), len(m.fit_cache.decomps)) == n_fits
+        assert (len(calls), len(m.fit_cache.fits)) == n_fits
 
     def test_range_check(self):
         m = gen_model(exhaustive_spec(7))
@@ -335,7 +340,7 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         with pytest.raises(InvalidBitsError):
             self.AT_32_BITS[call](m)
-        assert all(key[-1] != 32 for key in m.fit_cache.layers)
+        assert all(32 not in layers for layers in m.fit_cache.fits.values())
 
     def test_contexts_that_share_a_fit_share_its_layers(self):
         # ``ablate gmb``'s r=4 row fits what the default context fits on a
@@ -344,7 +349,7 @@ class TestLayerCache:
         for i in range(2):
             layer = quantized_layer(m, i, 3, QuantContext())
             assert quantized_layer(m, i, 3, QuantContext(r_gmb=4, scale_ranks=False)) is layer
-        assert len(m.fit_cache.layers) == 2
+        assert len(m.fit_cache.fits) == 2
 
     def test_bit_widths_share_the_branch_matrix(self):
         m = gen_model(exhaustive_spec(7))
@@ -354,22 +359,89 @@ class TestLayerCache:
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_entry_holds_a_byte_grid_and_row_scales(self, n):
-        # a new (layer, bits) entry, forwarded once, costs its n x n int8
-        # grid plus O(n) floats (row scales and steps) and a few objects;
-        # the branch matrix and the Hadamard matrix are already shared
-        m = gen_model(ModelSpec(1, (n, n), seed=3))
+        # a fit, forwarded once, costs its dense branch matrix and, at each
+        # width, the n x n int8 grid plus O(n) floats (row scales and
+        # steps) and a few objects; the Hadamard matrix is already shared
+        spec = ModelSpec(1, (n, n), seed=3)
         ctx = QuantContext(r_lrb=0, r_gmb=0)  # no SVD: only the entry is measured
         xs = np.ones((4, n))
-        toymodel.forward_quantized_batch(quantized_layer(m, 0, 2, ctx), xs)
+        # a throwaway model makes the shared Hadamard matrix and step table
+        toymodel.forward_quantized_batch(quantized_layer(gen_model(spec), 0, 2, ctx), xs)
+        m = gen_model(spec)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            layer = quantized_layer(m, 0, 3, ctx)
-            toymodel.forward_quantized_batch(layer, xs)
+            toymodel.forward_quantized_batch(quantized_layer(m, 0, 3, ctx), xs)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert grown <= n * n + 4 * 8 * n + 2048, grown
+        assert grown <= 8 * n * n + len(QUANT_BITS) * (n * n + 4 * 8 * n + 2048), grown
+
+    def test_fit_quantizes_every_width_once(self, monkeypatch):
+        # the first layer asked for quantizes every layer at every width;
+        # after that no width of any layer is quantized again
+        calls = []
+        quantize = branches.quantize_weight_channelwise
+        monkeypatch.setattr(
+            branches, "quantize_weight_channelwise",
+            lambda w, bits: calls.append(bits) or quantize(w, bits),
+        )
+        m = gen_model(two_group_spec(5))
+        quantized_layer(m, 2, 3)
+        assert sorted(calls) == sorted(QUANT_BITS * m.n_layers)
+        for i in range(m.n_layers):
+            for bits in QUANT_BITS:
+                quantized_layer(m, i, bits)
+        assert len(calls) == len(QUANT_BITS) * m.n_layers
+
+    def _float_matrices(self, value, seen):
+        """Every float64 array reachable from ``value`` through containers and dataclasses."""
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            if value.dtype == np.float64:
+                yield value
+        elif isinstance(value, (dict, list, tuple)):
+            for v in value.values() if isinstance(value, dict) else value:
+                yield from self._float_matrices(v, seen)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield from self._float_matrices(getattr(value, f.name), seen)
+
+    @pytest.mark.parametrize("ctx", [QuantContext(), QuantContext(gmb_placement="pre")],
+                             ids=["post", "pre"])
+    def test_fit_keeps_no_float_residual(self, ctx):
+        # the residual is quantized at every width in the fit and dropped:
+        # the only dense float matrices left are the shared branch matrices
+        m = gen_model(two_group_spec(5))
+        quantized_layer(m, 0, 3, ctx)
+        for (i, *_), layers in m.fit_cache.fits.items():
+            assert sorted(layers) == sorted(QUANT_BITS)
+            (fit,) = {id(layer.branches): layer.branches for layer in layers.values()}.values()
+            dense = [
+                a for a in self._float_matrices(layers, set())
+                if a.shape == m.weights[i].shape and a is not fit.post and a is not fit.pre
+            ]
+            assert dense == [], (i, len(dense))
+
+    def test_retained_memory_per_layer(self):
+        # a 2 x 256 model asked at every width keeps, per layer, its int8
+        # grids (7 n^2), the dense branch matrix (8 n^2) and its branch
+        # factors: no float residual (8 n^2)
+        n = 256
+        linalg.hadamard(n)  # shared by every model, so made before measuring
+        m = gen_model(ModelSpec(2, (n, n, n), seed=3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(m.n_layers):
+                for bits in QUANT_BITS:
+                    quantized_layer(m, i, bits)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / m.n_layers < 24 * n * n, grown / (m.n_layers * n * n)
 
     def test_lrb_fit_shared_across_gmb_ranks(self, monkeypatch):
         # the settings of `treeq ablate gmb`: the lrb_first rows and the
@@ -417,7 +489,7 @@ class TestStackedFit:
         quantized_layer(m, 2, 3)
         # the first use fits every layer, stacked by shape
         assert sorted(shapes) == [(2, 32, 64), (2, 64, 32)]
-        assert len(m.fit_cache.decomps) == 4
+        assert len(m.fit_cache.fits) == 4
         for i in range(4):
             quantized_layer(m, i, 4)
         assert len(shapes) == 2
@@ -446,7 +518,7 @@ class TestStackedFit:
         with pytest.raises(ConvergenceError, match=r"^branch fit of layers 0, 2: SVD residual") as err:
             quantized_layer(m, 3, 3)
         assert err.value.residual > 0.0
-        assert m.fit_cache.decomps == {}
+        assert m.fit_cache.fits == {}
 
 
 class TestCalibration:
