@@ -45,7 +45,7 @@ def layer_sensitivity(model: ToyModel, layer: int, bits: int, metric: str,
         raise InvalidBitsError(f"metric must be one of {METRICS}")
     alloc = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
     alloc[layer] = bits
-    out = forward_batch(model, alloc, calib.input_matrix, ctx, cache=model.eval_cache)
+    out = forward_batch(model, alloc, calib.input_matrix, ctx)
     diff = out - calib.output_matrix
     if metric == "L1":
         return float(np.mean(np.sum(np.abs(diff), axis=1)))

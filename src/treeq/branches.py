@@ -42,6 +42,7 @@ from .errors import (
 from .linalg import as_matrix, as_stack, hadamard, top_singular_pair, truncated_svd
 from .quantizer import (
     WeightGrid,
+    check_bits,
     quantize_rotated_batch,
     quantize_weight_channelwise,
 )
@@ -331,9 +332,10 @@ def _lrb_products(lrbs) -> np.ndarray:
     return np.einsum("bir,brj->bij", a, b)
 
 
-def assemble_layer(w_res, branches: Branches, bits: int) -> QuantizedLinear:
-    """Quantize a decomposition's residual and package the layer."""
-    return QuantizedLinear(quantize_weight_channelwise(w_res, bits), branches)
+def quantize_fit(w_res, branches: Branches) -> dict:
+    """The fit's layer at every width, from one quantizer pass over ``w_res``."""
+    return {bits: QuantizedLinear(grid, branches)
+            for bits, grid in quantize_weight_channelwise(w_res).items()}
 
 
 def quantize_layer(
@@ -351,8 +353,9 @@ def quantize_layer(
     holds the ``Branches`` it returns.  The layer quantizes its weights and
     its activations at ``bits``.
     """
+    check_bits(bits)
     fit, w_res = branch_decomposition(w, r_lrb, r_gmb, order=order, placement=placement)
-    return assemble_layer(w_res, fit, bits)
+    return quantize_fit(w_res, fit)[bits]
 
 
 def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:

@@ -189,11 +189,11 @@ def cmd_gen_model(cfg: RunConfig, args) -> int:
 
 def cmd_calibrate_delta(cfg: RunConfig, args) -> int:
     table = default_delta_table()
-    path = _write(cfg, "delta.json", table.to_json())
+    path = _write(cfg, "delta.json", json.dumps({str(b): table[b] for b in sorted(table)}))
     print(f"wrote {path}")
     print(f"{'bits':>4} {'delta':>12}")
-    for b in sorted(table.deltas):
-        print(f"{b:>4} {table.deltas[b]:>12.6f}")
+    for b in sorted(table):
+        print(f"{b:>4} {table[b]:>12.6f}")
     return 0
 
 

@@ -12,10 +12,10 @@ from run to run on one build.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -30,39 +30,23 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _CONST_ROW_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
-    """One quantizer: bit-width, step size, and the integer clamp range."""
-
-    bits: int
-    delta: float
-    qmin: int
-    qmax: int
-
-    @classmethod
-    def create(cls, bits: int, delta: float) -> "QuantizerSpec":
-        if bits not in QUANT_BITS:
-            raise InvalidBitsError(f"bits must be one of {QUANT_BITS}, got {bits}")
-        if not (delta > 0.0) or not np.isfinite(delta):
-            raise InvalidBitsError(f"delta must be positive and finite, got {delta}")
-        return cls(
-            bits=int(bits),
-            delta=float(delta),
-            qmin=-(1 << (bits - 1)),
-            qmax=(1 << (bits - 1)) - 1,
-        )
+def check_bits(bits) -> None:
+    """InvalidBitsError unless ``bits`` is one of QUANT_BITS."""
+    if bits not in QUANT_BITS:
+        raise InvalidBitsError(f"bits must be one of {QUANT_BITS}, got {bits}")
 
 
-def _grid(t, spec: QuantizerSpec):
-    """Round ``t`` onto ``spec``'s clamped integers in place, and return it.
+def _grid(t, bits: int):
+    """Round ``t`` onto the ``bits``-bit integers in place, and return it.
 
     Halves round away from zero (unlike banker's rounding), as
     trunc(t + copysign(1/2, t)); a zero, or anything that rounds to zero,
-    keeps its sign.
+    keeps its sign.  The clamp is the two's-complement range
+    [-2^(bits-1), 2^(bits-1) - 1].
     """
     t += np.copysign(0.5, t)
     np.trunc(t, out=t)
-    return np.clip(t, spec.qmin, spec.qmax, out=t)
+    return np.clip(t, -(1 << (bits - 1)), (1 << (bits - 1)) - 1, out=t)
 
 
 def _stationarity(delta: float, bits: int) -> float:
@@ -104,8 +88,7 @@ def calibrate_delta(bits: int) -> float:
     1e-13 (relative) of the exact optimum across libm and SIMD builds, and
     bit-identical from call to call on one build.
     """
-    if bits not in QUANT_BITS:
-        raise InvalidBitsError(f"bits must be one of {QUANT_BITS}, got {bits}")
+    check_bits(bits)
     lo, hi = _DELTA_BRACKET
     while True:
         mid = 0.5 * (lo + hi)
@@ -117,50 +100,35 @@ def calibrate_delta(bits: int) -> float:
             hi = mid
 
 
-@dataclass(frozen=True)
-class DeltaTable:
-    """Calibrated step size per bit-width."""
-
-    deltas: Mapping[int, float]
-
-    def delta(self, bits: int) -> float:
-        if bits not in self.deltas:
-            raise InvalidBitsError(f"no calibrated delta for {bits} bits")
-        return self.deltas[bits]
-
-    def spec(self, bits: int) -> QuantizerSpec:
-        return QuantizerSpec.create(bits, self.delta(bits))
-
-    def to_json(self) -> str:
-        return json.dumps({str(b): self.deltas[b] for b in sorted(self.deltas)})
-
-
 @lru_cache(maxsize=1)
-def default_delta_table() -> DeltaTable:
-    """Calibrate all supported bit-widths once and cache the table."""
-    return DeltaTable(deltas={b: calibrate_delta(b) for b in QUANT_BITS})
+def default_delta_table() -> Mapping[int, float]:
+    """The calibrated step of every width of QUANT_BITS, computed once: a
+    read-only mapping from bits to delta."""
+    return MappingProxyType({b: calibrate_delta(b) for b in QUANT_BITS})
 
 
 def quantize_rotated_batch(y, bits: int, delta: float | None = None):
     """Per-token dynamic quantization of already-rotated activations.
 
-    ``y`` has one token per row and ``delta`` is the grid step (by default
-    the calibrated step of ``bits``).  Returns ``(grid, step)``: the
+    ``y`` has one token per row, ``bits`` one of QUANT_BITS
+    (InvalidBitsError otherwise) and ``delta`` the grid step (by default
+    the calibrated step of ``bits``).  ``y`` must be a finite matrix
+    (InvalidDimensionError otherwise).  Returns ``(grid, step)``: the
     integer grid clamp(round(y / sigma / delta)) as float64, and the
     per-token step sigma * delta, with sigma the row's RMS (1 for a zero
     row, whose grid is zero).  The quantized activation is
     ``grid * step[:, None]``; the integer forward never forms it.
     """
     y = as_matrix(y)
+    check_bits(bits)
     if delta is None:
-        delta = default_delta_table().delta(bits)
-    spec = QuantizerSpec.create(bits, delta)
+        delta = default_delta_table()[bits]
     # np.mean's own sum and division, without its Python-level wrapper
     sigma = np.sqrt(np.add.reduce(y * y, axis=1) / y.shape[1])
     safe = np.where(sigma == 0.0, 1.0, sigma)
     t = y / safe[:, None]
-    t /= spec.delta
-    return _grid(t, spec), safe * spec.delta
+    t /= delta
+    return _grid(t, bits), safe * delta
 
 
 @dataclass(frozen=True)
@@ -182,26 +150,27 @@ class WeightGrid:
         return self.scale * self.delta
 
 
-def quantize_weight_channelwise(w, bits: int) -> WeightGrid:
-    """Quantize a weight matrix row by row with per-row scales.
+def quantize_weight_channelwise(w) -> dict:
+    """Quantize a weight matrix row by row at every width of QUANT_BITS.
 
-    The step is the calibrated step of ``bits`` (``default_delta_table``).
-    Each output row c uses sigma_c = population std of that row; rows that
-    are constant to within relative tolerance 1e-12 fall back to the
-    absolute row value as the scale, and zero rows get scale 1 and a zero
-    grid.
+    Returns one ``WeightGrid`` per width, keyed by bits, each at the
+    calibrated step of its width (``default_delta_table``).  Each output
+    row c uses sigma_c = population std of that row; rows that are
+    constant to within relative tolerance 1e-12 fall back to the absolute
+    row value as the scale, and zero rows get scale 1 and a zero grid.
+    The row scales and w / scale are computed once, and every width's grid
+    divides that array by its step, so the seven grids share one ``scale``
+    array.
     """
     w = as_matrix(w)
-    spec = default_delta_table().spec(bits)
-    if w.size == 0:
-        return WeightGrid(q=np.zeros(w.shape, dtype=np.int8), scale=np.ones(w.shape[0]),
-                          delta=spec.delta, bits=spec.bits)
     sigma = np.std(w, axis=1)
     peak = np.max(np.abs(w), axis=1)
     constant = sigma <= _CONST_ROW_RTOL * peak
     scale = np.where(constant, peak, sigma)
     safe = np.where(scale == 0.0, 1.0, scale)
-    t = w / safe[:, None]
-    t /= spec.delta
-    return WeightGrid(q=_grid(t, spec).astype(np.int8), scale=safe, delta=spec.delta,
-                      bits=spec.bits)
+    unit = w / safe[:, None]
+    return {
+        bits: WeightGrid(q=_grid(unit / delta, bits).astype(np.int8), scale=safe, delta=delta,
+                         bits=bits)
+        for bits, delta in default_delta_table().items()
+    }

@@ -43,11 +43,11 @@ from .branches import (
     GMB_PLACEMENTS,
     LayerInput,
     QuantizedLinear,
-    assemble_layer,
     branch_decomposition,
     forward_quantized_batch,
     layer_input,
     lrb_fitted_first,
+    quantize_fit,
 )
 from .errors import (
     ConvergenceError,
@@ -74,6 +74,10 @@ TAG_WEIGHT = 1
 TAG_OUTLIER = 2
 TAG_CALIB = 3
 TAG_DERIVE = 4
+
+# the largest magnitude a calibration set's dense activations may reach:
+# squares of such values, and sums of 1024 of them, stay finite in float64
+DENSE_BOUND = 2.0**500
 
 # bytes of weights per stacked branch fit: a shape group of layers larger
 # than this is fitted in several calls (a layer alone if it is larger)
@@ -204,9 +208,13 @@ class EvalCache:
         self.inputs = []
         self.mse = {}
 
+    def holds(self, xs: np.ndarray, ctx: QuantContext) -> bool:
+        """Whether (``xs``, ``ctx``) is the scope."""
+        return bool(self.acts) and self.acts[0] is xs and self.ctx == ctx
+
     def enter(self, xs: np.ndarray, ctx: QuantContext) -> None:
         """Make (``xs``, ``ctx``) the scope, dropping any other one."""
-        if self.acts and self.acts[0] is xs and self.ctx == ctx:
+        if self.holds(xs, ctx):
             return
         self.ctx = ctx
         self.bits = []
@@ -229,7 +237,8 @@ class FitCache:
     layer, every layer is fitted under it, with one ``branch_decomposition``
     call per group of same-shape layers (split to stay within
     FIT_STACK_BYTES), and each layer's residual is quantized at every width
-    of QUANT_BITS straight away.  The float residual is dropped once that
+    of QUANT_BITS straight away, in one pass over its rows
+    (``branches.quantize_fit``).  The float residual is dropped once that
     is done.  A layer's branch key is its effective ranks, order and
     placement, so contexts that agree on them share one fit.  The cache
     holds:
@@ -238,9 +247,9 @@ class FitCache:
       width of QUANT_BITS, keyed by width.  The rotation and the steps are
       the same for every context, so a layer's fit and a width fix the
       layer, and contexts that share a fit share its layers.  All widths
-      share one ``Branches``, dense matrices included; each layer adds only
-      its residual's int8 grid (n_out x n_in bytes), its row scales and row
-      steps (2 n_out floats);
+      share one ``Branches``, dense matrices included, and one array of
+      row scales; each layer adds only its residual's int8 grid (n_out x
+      n_in bytes) and its row steps (n_out floats);
     * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
       alone, which every pipeline for which ``lrb_fitted_first`` holds
       reuses, whatever its GMB rank.
@@ -359,7 +368,8 @@ def _branch_key(ctx: QuantContext, shape) -> tuple:
 
 def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
     """Fit every layer that has no fit under ``ctx`` yet, stacked by shape,
-    and quantize each at every width of QUANT_BITS."""
+    and quantize each at every width of QUANT_BITS in one
+    ``quantize_fit`` call per layer."""
     cache = model.fit_cache
     groups = {}
     for i, w in enumerate(model.weights):
@@ -388,7 +398,7 @@ def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
                     f"branch fit of layers {names}: {e.message}", e.residual
                 ) from e
             for i, (fit, w_res) in zip(chunk, fitted):
-                cache.fits[(i,) + key] = {b: assemble_layer(w_res, fit, b) for b in QUANT_BITS}
+                cache.fits[(i,) + key] = quantize_fit(w_res, fit)
                 if first:
                     cache.lrbs[(i, r_l)] = fit.lrb
 
@@ -430,25 +440,24 @@ def _validate_alloc(model: ToyModel, alloc: Mapping[int, int]):
             raise InvalidBitsError(f"allocation names unknown layer {key!r}")
 
 
-def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext(),
-                  cache: EvalCache | None = None) -> np.ndarray:
+def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()) -> np.ndarray:
     """Quantized forward, one input per row; layers at 32 bits run dense.
 
-    ``cache`` is the model's own ``eval_cache`` or None.  With it, (``xs``,
-    ``ctx``) becomes the cache's scope and the forward resumes from the
-    longest prefix of layers whose bits match the cache's last forward: it
-    starts from the cached activation entering the first differing layer
-    (the last layer's output is not cached, so that layer always runs) and
-    caches the activations of the layers it runs.  A quantized layer runs
-    on its level's cached ``LayerInput``, so the rotation and branch
-    products of an activation are computed once for all the bit-widths
-    tried on it; a 32-bit layer runs its dense weight on the activation,
-    as one BLAS ``matmul``.  So the result's bits depend on the BLAS kernel
-    but not on its thread count (see ``branches``), and a row of a batch
-    may differ from that row forwarded alone.  A cached activation is the
-    very array an earlier forward in the same scope computed from the same
-    input through the same layers, so every layer sees the inputs a full
-    forward would give it and the result is bit-identical.
+    (``xs``, ``ctx``) becomes the scope of the model's ``eval_cache``, and
+    the forward resumes from the longest prefix of layers whose bits match
+    the cache's last forward: it starts from the cached activation
+    entering the first differing layer (the last layer's output is not
+    cached, so that layer always runs) and caches the activations of the
+    layers it runs.  A quantized layer runs on its level's cached
+    ``LayerInput``, so the rotation and branch products of an activation
+    are computed once for all the bit-widths tried on it; a 32-bit layer
+    runs its dense weight on the activation, as one BLAS ``matmul``.  So
+    the result's bits depend on the BLAS kernel but not on its thread
+    count (see ``branches``), and a row of a batch may differ from that
+    row forwarded alone.  A cached activation is the very array an earlier
+    forward in the same scope computed from the same input through the
+    same layers, so every layer sees the inputs a full forward would give
+    it and the result is bit-identical to a forward on a fresh cache.
     """
     xs = as_matrix(xs)
     if xs.shape[1] != model.dims[0]:
@@ -458,29 +467,26 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     _validate_alloc(model, alloc)
     n = model.n_layers
     bits = tuple(alloc[i] for i in range(n))
+    cache = model.eval_cache
+    cache.enter(xs, ctx)
     start = 0
-    if cache is not None:
-        cache.enter(xs, ctx)
-        while start < len(cache.bits) and bits[start] == cache.bits[start]:
-            start += 1
-        xs = cache.acts[start]
-        del cache.acts[start + 1:]
-        del cache.inputs[start + 1:]
-        del cache.bits[start:]
+    while start < len(cache.bits) and bits[start] == cache.bits[start]:
+        start += 1
+    xs = cache.acts[start]
+    del cache.acts[start + 1:]
+    del cache.inputs[start + 1:]
+    del cache.bits[start:]
     for i in range(start, n):
         if bits[i] == PASSTHROUGH_BITS:
             xs = xs @ model.weights[i].T
         else:
             layer = _layer_for(model, i, bits[i], ctx)
-            if cache is not None:
-                xs = cache.input_for(i, layer)
-            xs = forward_quantized_batch(layer, xs)
+            xs = forward_quantized_batch(layer, cache.input_for(i, layer))
         if i < n - 1:
             xs = np.maximum(xs, LEAKY_SLOPE * xs)  # the leaky rectifier, 0 < slope < 1
-            if cache is not None:
-                cache.acts.append(xs)
-                cache.inputs.append(None)
-                cache.bits.append(bits[i])
+            cache.acts.append(xs)
+            cache.inputs.append(None)
+            cache.bits.append(bits[i])
     return xs
 
 
@@ -496,7 +502,12 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     """``count`` i.i.d. standard-normal inputs plus exact dense outputs.
 
     Input j comes from substream (TAG_CALIB, j) of ``seed``; see
-    ``check_calibration`` for the arguments' ranges.
+    ``check_calibration`` for the arguments' ranges.  The dense forward
+    runs through the model's ``eval_cache``, and every activation it
+    leaves there and its output must stay within DENSE_BOUND in
+    magnitude: otherwise the model's outliers make the forward overflow,
+    and InvalidDimensionError names the first layer past the bound and
+    the outlier settings.
     """
     seed = check_calibration(count, seed)
     d0 = model.dims[0]
@@ -505,7 +516,17 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
         axis=0,
     )
     all32 = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
-    fp = forward_batch(model, all32, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = forward_batch(model, all32, xs)
+    for j, act in enumerate(model.eval_cache.acts + [fp]):
+        peak = float(np.max(np.abs(act)))
+        if not peak <= DENSE_BOUND:
+            where = f"entering layer {j}" if j < model.n_layers else "at the output"
+            raise InvalidDimensionError(
+                f"the dense forward overflows: its activation {where} reaches {peak:.3g}, "
+                f"above 2^500 = {DENSE_BOUND:.3g} (outlier_fraction {model.spec.outlier_fraction}, "
+                f"outlier_scale {model.spec.outlier_scale:g})"
+            )
     return CalibrationSet(
         inputs=tuple(xs[j] for j in range(count)),
         fp_outputs=tuple(fp[j] for j in range(count)),
@@ -519,19 +540,20 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     This is the search's performance indicator once environment bits are
     folded into ``alloc``.  Results are memoized in the model's
     ``EvalCache`` by bit tuple, for the current scope only: the
-    calibration's input matrix (by identity) and ``ctx``.  A miss runs
-    ``forward_batch`` through the same cache, so it resumes from the
-    longest layer prefix shared with the previous evaluation and gives
-    the value a full forward gives, bit for bit.
+    calibration's input matrix (by identity) and ``ctx``.  A hit needs
+    the scope and an allocation of exactly the model's layers whose bits
+    were evaluated in it.  A miss runs ``forward_batch``, which checks the
+    allocation, enters the scope and resumes from the longest layer
+    prefix shared with the previous evaluation, so it gives the value a
+    full forward gives, bit for bit.
     """
-    _validate_alloc(model, alloc)
     cache = model.eval_cache
-    cache.enter(calib.input_matrix, ctx)
-    key = tuple(alloc[i] for i in range(model.n_layers))
-    hit = cache.mse.get(key)
-    if hit is not None:
-        return hit
-    out = forward_batch(model, alloc, calib.input_matrix, ctx, cache=cache)
+    key = tuple(alloc.get(i) for i in range(model.n_layers))
+    if len(alloc) == model.n_layers and cache.holds(calib.input_matrix, ctx):
+        hit = cache.mse.get(key)
+        if hit is not None:
+            return hit
+    out = forward_batch(model, alloc, calib.input_matrix, ctx)
     diff = out - calib.output_matrix
     mse = float(np.mean(diff * diff))
     cache.mse[key] = mse

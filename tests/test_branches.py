@@ -18,7 +18,6 @@ from treeq.branches import (
     GmbFactors,
     LrbFactors,
     QuantizedLinear,
-    assemble_layer,
     branch_decomposition,
     forward_quantized_batch,
     gmb_budget_partitions,
@@ -31,6 +30,7 @@ from treeq.branches import (
     lrb_fitted_first,
     permutation_matrix,
     qlinear_doc,
+    quantize_fit,
     quantize_layer,
     residual_product,
 )
@@ -332,8 +332,8 @@ class TestStackedDecomposition:
             if gmb is not None:
                 assert same_bits(gmb.sigma, a_gmb.sigma)
                 assert same_bits(gmb.u, a_gmb.u) and same_bits(gmb.v, a_gmb.v)
-            layer = assemble_layer(w_res, fit, 3)
-            alone = assemble_layer(a_res, a_fit, 3)
+            layer = quantize_fit(w_res, fit)[3]
+            alone = quantize_fit(a_res, a_fit)[3]
             assert np.array_equal(layer.weight.q, alone.weight.q)
             assert same_bits(layer.weight.scale, alone.weight.scale)
             assert layer.weight.delta == alone.weight.delta
@@ -447,8 +447,7 @@ class TestQuantizedLayer:
         xs = seeded_matrix(6, 16, seed=33)
         prepared = layer_input(shared, xs)
         assert (prepared.pre is not None) == (kwargs.get("placement") == "pre")
-        for bits in (2, 3, 5, 8):
-            layer = assemble_layer(w_res, shared, bits)
+        for bits, layer in quantize_fit(w_res, shared).items():
             assert np.array_equal(
                 forward_quantized_batch(layer, prepared), forward_quantized_batch(layer, xs)
             )
@@ -624,11 +623,11 @@ class TestSerialization:
         grid = doc["w_grid"]
         assert (doc["bits_w"], doc["bits_a"], doc["n"]) == (bits, bits, 16)
         assert (grid["rows"], grid["cols"], len(grid["data"])) == (8, 16, 128)
-        spec = default_delta_table().spec(bits)
-        assert all(v == int(v) and spec.qmin <= v <= spec.qmax for v in grid["data"])
+        limit = 1 << (bits - 1)
+        assert all(v == int(v) and -limit <= v < limit for v in grid["data"])
         scale = np.asarray(doc["w_scale"])
         assert scale.shape == (8,) and np.all(np.isfinite(scale)) and np.all(scale > 0)
-        assert doc["w_delta"] == spec.delta
+        assert doc["w_delta"] == default_delta_table()[bits]
         xs = seeded_matrix(5, 16, seed=32)
         back = layer_from_doc(doc)
         assert same_bits(forward_quantized_batch(back, xs), forward_quantized_batch(layer, xs))

@@ -175,6 +175,24 @@ class TestConfigHandling:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("model, where", [
+        ({"n_layers": 4, "dims": [32] * 5, "outlier_scale": 1e200}, "entering layer 1"),
+        ({"n_layers": 64, "dims": [8] * 65, "outlier_fraction": 0.5, "outlier_scale": 1e6},
+         "entering layer 27"),
+    ], ids=["4x32-scale-1e200", "64x8-half-outliers"])
+    def test_forward_overflow_named(self, tmp_path, capsys, model, where):
+        # ModelSpec accepts both, but the dense calibration forward
+        # overflows; no numpy warning may escape (they are errors here)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"model": model, "output_dir": str(tmp_path / "o")}))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({str(i): 3 for i in range(model["n_layers"])}))
+        for argv in (["search"], ["eval", str(alloc)]):
+            assert main(argv + ["--config", str(p)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: the dense forward overflows: its activation {where} ")
+            assert "2^500" in err and f"outlier_scale {model['outlier_scale']:g}" in err
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -221,7 +239,7 @@ class TestCalibrateDelta:
     def test_writes_default_table(self, cfg_path):
         assert main(["calibrate-delta", "--config", cfg_path]) == 0
         doc = read_out(cfg_path, "delta.json")
-        assert doc == json.loads(default_delta_table().to_json())
+        assert doc == {str(b): delta for b, delta in default_delta_table().items()}
 
 
 class TestSearch:

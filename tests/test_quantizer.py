@@ -9,13 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from treeq import quantizer
+from treeq import cli, quantizer
 from treeq.errors import InvalidBitsError, InvalidDimensionError
 from treeq.linalg import hadamard
 from treeq.quantizer import (
     QUANT_BITS,
-    DeltaTable,
-    QuantizerSpec,
     calibrate_delta,
     default_delta_table,
     quantize_rotated_batch,
@@ -34,7 +32,7 @@ from oracles import round_half_away as oracle_round_half_away
 
 def grid_of(vals, bits=8):
     """The quantizer's rounding of ``vals`` onto the ``bits``-bit integers."""
-    return quantizer._grid(np.array(vals, dtype=np.float64), QuantizerSpec.create(bits, 1.0))
+    return quantizer._grid(np.array(vals, dtype=np.float64), bits)
 
 
 class TestRounding:
@@ -65,23 +63,19 @@ class TestRounding:
 
 
 class TestSpec:
+    # a width is its bits alone: the clamp follows from them, and the
+    # activation quantizer rejects any width outside QUANT_BITS
+
     def test_clamp_range(self):
-        s = QuantizerSpec.create(3, 0.5)
-        assert (s.qmin, s.qmax) == (-4, 3)
-        s = QuantizerSpec.create(8, 0.1)
-        assert (s.qmin, s.qmax) == (-128, 127)
+        for bits, (lo, hi) in ((2, (-2, 1)), (3, (-4, 3)), (8, (-128, 127))):
+            assert grid_of([-1e6, lo - 0.6, lo - 0.4, hi + 0.4, hi + 0.6, 1e6], bits).tolist() == [
+                lo, lo, lo, hi, hi, hi
+            ]
 
     def test_rejects_bad_bits(self):
-        with pytest.raises(InvalidBitsError):
-            QuantizerSpec.create(1, 0.5)
-        with pytest.raises(InvalidBitsError):
-            QuantizerSpec.create(32, 0.5)
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(InvalidBitsError):
-            QuantizerSpec.create(4, 0.0)
-        with pytest.raises(InvalidBitsError):
-            QuantizerSpec.create(4, float("nan"))
+        for bits in (1, 32):
+            with pytest.raises(InvalidBitsError):
+                quantize_rotated_batch(np.ones((1, 8)), bits)
 
 
 class TestUniform:
@@ -161,18 +155,24 @@ class TestCalibration:
 class TestDeltaTable:
     def test_default_table_covers_all_bits(self):
         t = default_delta_table()
+        assert tuple(t) == QUANT_BITS
         for b in QUANT_BITS:
-            assert t.delta(b) > 0
-            assert t.spec(b).bits == b
+            assert t[b] == calibrate_delta(b) > 0
+        with pytest.raises(TypeError):
+            t[4] = 0.33  # read-only
 
     def test_missing_bits_raises(self):
-        t = DeltaTable(deltas={4: 0.33})
+        # no calibrated step for 9 bits, so no activation grid either
+        assert 9 not in default_delta_table()
         with pytest.raises(InvalidBitsError):
-            t.delta(3)
+            quantize_rotated_batch(np.ones((1, 8)), 9)
 
-    def test_json_keys_are_strings(self):
-        raw = json.loads(default_delta_table().to_json())
-        assert set(raw) == {str(b) for b in QUANT_BITS}
+    def test_json_keys_are_strings(self, tmp_path):
+        # the table as ``treeq calibrate-delta`` writes it to delta.json
+        assert cli.main(["calibrate-delta", "--out", str(tmp_path)]) == 0
+        raw = json.loads((tmp_path / "delta.json").read_text())
+        assert list(raw) == [str(b) for b in QUANT_BITS]
+        assert [raw[str(b)] for b in QUANT_BITS] == list(default_delta_table().values())
 
 
 def rotate(x, h):
@@ -188,10 +188,9 @@ class TestActivation:
         rng = np.random.default_rng(3)
         y = rotate(rng.standard_normal((1, 16)), h)
         grid, step = quantize_rotated_batch(y, 4)
-        spec = default_delta_table().spec(4)
         assert np.array_equal(grid, np.round(grid))
-        assert grid.min() >= spec.qmin and grid.max() <= spec.qmax
-        assert step[0] == np.sqrt(np.mean(y * y)) * spec.delta
+        assert grid.min() >= -8 and grid.max() <= 7
+        assert step[0] == np.sqrt(np.mean(y * y)) * default_delta_table()[4]
 
     def test_zero_vector(self):
         grid, _ = quantize_rotated_batch(np.zeros((1, 8)), 3)
@@ -218,9 +217,9 @@ class TestActivation:
         assert errs[2] > errs[4] > errs[6] > errs[8]
 
 
-def sign_floor_grid(t, spec):
-    """Oracle grid: clamp(sign(t) * floor(|t| + 1/2))."""
-    return np.clip(oracle_round_half_away(t), spec.qmin, spec.qmax)
+def sign_floor_grid(t, bits):
+    """Oracle grid: clamp(sign(t) * floor(|t| + 1/2)) to the ``bits``-bit integers."""
+    return np.clip(oracle_round_half_away(t), -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
 
 
 class TestRotatedBatch:
@@ -244,7 +243,7 @@ class TestRotatedBatch:
     @pytest.mark.parametrize("bits", [2, 3, 4, 5, 8])
     def test_grid_matches_sign_floor_rounding(self, bits):
         # ties at every half step, values past the clamp, and a zero row
-        spec = default_delta_table().spec(bits)
+        delta = default_delta_table()[bits]
         rng = np.random.default_rng(bits)
         y = np.vstack([
             rng.standard_normal((4, 64)) * 3.0,
@@ -254,20 +253,19 @@ class TestRotatedBatch:
         grid, step = quantize_rotated_batch(y, bits)
         sigma = np.sqrt(np.mean(y * y, axis=1))
         safe = np.where(sigma == 0.0, 1.0, sigma)
-        assert np.array_equal(grid, sign_floor_grid(y / safe[:, None] / spec.delta, spec))
-        assert np.array_equal(step, safe * spec.delta)
+        assert np.array_equal(grid, sign_floor_grid(y / safe[:, None] / delta, bits))
+        assert np.array_equal(step, safe * delta)
 
 
 class TestChannelwise:
     def test_output_on_per_row_grid(self):
         rng = np.random.default_rng(11)
         w = rng.standard_normal((6, 32)) * np.exp(rng.standard_normal((6, 1)))
-        q = quantize_weight_channelwise(w, 3)
+        q = quantize_weight_channelwise(w)[3]
         assert q.q.dtype == np.int8 and q.bits == 3
         out = dense(q)
-        spec = default_delta_table().spec(3)
         sigma = np.std(w, axis=1)
-        ints = out / (sigma[:, None] * spec.delta)
+        ints = out / (sigma[:, None] * default_delta_table()[3])
         assert np.allclose(ints, np.round(ints), atol=1e-9)
 
     @pytest.mark.parametrize("bits", [2, 3, 4, 5, 8])
@@ -276,20 +274,20 @@ class TestChannelwise:
         rng = np.random.default_rng(bits)
         w = rng.standard_normal((8, 64))
         w[3] = 0.0
-        spec = default_delta_table().spec(bits)
-        q = quantize_weight_channelwise(w, bits)
+        delta = default_delta_table()[bits]
+        q = quantize_weight_channelwise(w)[bits]
         safe = np.where(np.std(w, axis=1) == 0.0, 1.0, np.std(w, axis=1))
         assert np.array_equal(q.scale, safe)
-        assert np.array_equal(q.q, sign_floor_grid(w / safe[:, None] / spec.delta, spec))
-        ints = np.clip(oracle_round_half_away(w / safe[:, None] / spec.delta), spec.qmin, spec.qmax)
-        assert np.array_equal(dense(q), safe[:, None] * (ints * spec.delta))
+        ints = sign_floor_grid(w / safe[:, None] / delta, bits)
+        assert np.array_equal(q.q, ints)
+        assert np.array_equal(dense(q), safe[:, None] * (ints * delta))
 
     def test_error_shrinks_with_bits(self):
         # Wide rows so per-row sample MSE concentrates near its mean.
         rng = np.random.default_rng(13)
         w = rng.standard_normal((8, 4096))
         errs = [
-            float(np.mean((dense(quantize_weight_channelwise(w, b)) - w) ** 2))
+            float(np.mean((dense(quantize_weight_channelwise(w)[b]) - w) ** 2))
             for b in (2, 3, 4, 5, 6)
         ]
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -298,10 +296,30 @@ class TestChannelwise:
         # A constant row has zero std; the fallback scale must keep the
         # value representable rather than dividing by ~0.
         w = np.vstack([np.full(16, 2.5), np.random.default_rng(1).standard_normal(16)])
-        out = dense(quantize_weight_channelwise(w, 4))
+        out = dense(quantize_weight_channelwise(w)[4])
         assert np.max(np.abs(out[0] - 2.5)) <= 2.5  # no clamp blow-up
         assert np.isfinite(out).all()
 
     def test_zero_row(self):
         w = np.zeros((1, 8))
-        assert np.array_equal(dense(quantize_weight_channelwise(w, 2)), w)
+        assert np.array_equal(dense(quantize_weight_channelwise(w)[2]), w)
+
+    def test_one_pass_gives_every_width(self):
+        # one call quantizes at every width: the grids share one scale array
+        # and each is the oracle's grid at its width, with a constant row
+        # scaled by its value and a zero row by 1
+        rng = np.random.default_rng(19)
+        w = rng.standard_normal((6, 64)) * np.exp(rng.standard_normal((6, 1)))
+        w[2] = -1.75
+        w[4] = 0.0
+        scale = np.std(w, axis=1)
+        scale[2], scale[4] = 1.75, 1.0
+        grids = quantize_weight_channelwise(w)
+        assert tuple(grids) == QUANT_BITS
+        for bits, g in grids.items():
+            delta = default_delta_table()[bits]
+            assert g.scale is grids[2].scale
+            assert (g.bits, g.delta, g.q.dtype) == (bits, delta, np.int8)
+            assert np.array_equal(g.scale, scale)
+            assert np.array_equal(g.q, sign_floor_grid(w / scale[:, None] / delta, bits))
+            assert np.all(g.q[4] == 0)

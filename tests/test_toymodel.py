@@ -27,9 +27,7 @@ from treeq.errors import (
 )
 from treeq.quantizer import (
     QUANT_BITS,
-    DeltaTable,
     quantize_rotated_batch,
-    quantize_weight_channelwise,
 )
 from treeq.search import SearchParams, tss_search
 from treeq.suite import exhaustive_spec
@@ -327,10 +325,6 @@ class TestLayerCache:
     # each call asks for a 32-bit quantized form of layer 0 of a model
     AT_32_BITS = {
         "quantize_rotated_batch": lambda m: quantize_rotated_batch(m.weights[0], 32),
-        "quantize_weight_channelwise": lambda m: quantize_weight_channelwise(m.weights[0], 32),
-        "assemble_layer": lambda m: branches.assemble_layer(
-            m.weights[0], quantized_layer(m, 0, 3).branches, 32
-        ),
         "quantized_layer": lambda m: quantized_layer(m, 0, 32),
     }
 
@@ -378,21 +372,21 @@ class TestLayerCache:
         assert grown <= 8 * n * n + len(QUANT_BITS) * (n * n + 4 * 8 * n + 2048), grown
 
     def test_fit_quantizes_every_width_once(self, monkeypatch):
-        # the first layer asked for quantizes every layer at every width;
-        # after that no width of any layer is quantized again
+        # the first layer asked for quantizes every layer at every width,
+        # in one quantizer call per layer; after that no layer is
+        # quantized again
         calls = []
         quantize = branches.quantize_weight_channelwise
         monkeypatch.setattr(
-            branches, "quantize_weight_channelwise",
-            lambda w, bits: calls.append(bits) or quantize(w, bits),
+            branches, "quantize_weight_channelwise", lambda w: calls.append(w.shape) or quantize(w)
         )
         m = gen_model(two_group_spec(5))
         quantized_layer(m, 2, 3)
-        assert sorted(calls) == sorted(QUANT_BITS * m.n_layers)
+        assert sorted(calls) == sorted(w.shape for w in m.weights)
         for i in range(m.n_layers):
             for bits in QUANT_BITS:
                 quantized_layer(m, i, bits)
-        assert len(calls) == len(QUANT_BITS) * m.n_layers
+        assert len(calls) == m.n_layers
 
     def _float_matrices(self, value, seen):
         """Every float64 array reachable from ``value`` through containers and dataclasses."""
@@ -600,12 +594,12 @@ class TestEndToEndMse:
 
     def test_frozen_value_on_oracle_deltas(self, monkeypatch):
         # the whole chain on the scipy table in place of the calibrated one
-        table = DeltaTable(deltas={b: stationary_delta(b) for b in QUANT_BITS})
+        table = {b: stationary_delta(b) for b in QUANT_BITS}
         monkeypatch.setattr(quantizer, "default_delta_table", lambda: table)
         m = gen_model(exhaustive_spec(1))
         c = gen_calibration(m, 8, 9)
         got = end_to_end_mse(m, {0: 3, 1: 4, 2: 2, 3: 5}, c)
-        assert quantized_layer(m, 0, 3).weight.delta == table.delta(3)
+        assert quantized_layer(m, 0, 3).weight.delta == table[3]
         assert got == pytest.approx(0.4514087110541004, rel=1e-13)
 
 
