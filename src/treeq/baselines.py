@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBitsError
+from .errors import InvalidBitsError, InvalidDimensionError
 from .toymodel import (ALLOWED_BITS, PASSTHROUGH_BITS, CalibrationSet, QuantContext, ToyModel,
                        forward_batch)
 
@@ -40,16 +40,26 @@ def layer_sensitivity(model: ToyModel, layer: int, bits: int, metric: str,
 
     The forward runs through the model's ``EvalCache``, so consecutive
     calls on one calibration set resume after the dense prefix they share.
+    A score that is not finite (the quantized forward overflowed) raises
+    InvalidDimensionError naming the layer and its bits.
     """
     if metric not in METRICS:
         raise InvalidBitsError(f"metric must be one of {METRICS}")
     alloc = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
     alloc[layer] = bits
-    out = forward_batch(model, alloc, calib.input_matrix, ctx)
-    diff = out - calib.output_matrix
-    if metric == "L1":
-        return float(np.mean(np.sum(np.abs(diff), axis=1)))
-    return float(np.mean(np.sqrt(np.sum(diff * diff, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = forward_batch(model, alloc, calib.input_matrix, ctx)
+        diff = out - calib.output_matrix
+        if metric == "L1":
+            score = float(np.mean(np.sum(np.abs(diff), axis=1)))
+        else:
+            score = float(np.mean(np.sqrt(np.sum(diff * diff, axis=1))))
+    if not math.isfinite(score):
+        raise InvalidDimensionError(
+            f"the quantized forward with layer {layer} at {bits} bits, every other at "
+            f"{PASSTHROUGH_BITS}, gives a non-finite {metric} score ({score})"
+        )
+    return score
 
 
 def build_sensitivity_table(model: ToyModel, metric: str, calib: CalibrationSet,

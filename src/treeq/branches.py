@@ -5,32 +5,24 @@ Two branch types capture weight structure that survives quantization badly:
 * LRB: a rank-r factorization a @ b of the rotated weight, from truncated SVD.
 * GMB: a block-partitioned Monarch-style correction.  The weight is cut into
   an n_o x n_i grid of blocks and each block keeps its top singular pair, so
-  the branch is rank-1 per block but full-rank overall.  It admits an exact
-  factored form L @ P @ R with block-diagonal L and R around a fixed
-  grid-transpose permutation P.
+  the branch is rank-1 per block and has rank at most n_o * n_i overall.
 
 Both branches stay in floating point; only the residual left after
 subtracting them gets quantized, to an int8 grid with one scale per row.
-The fit (``branch_decomposition``) is the one place that builds the dense
-branch matrices: the ones it subtracts are the ones the forward applies.
-The fit's products are fixed-order ``einsum`` calls, as in ``linalg``.
-
-The forward's products are BLAS ``matmul`` calls: the rotation xs @ H, the
-branch terms and the residual product.  The float products give the same
-bytes on one numpy build, SIMD target and BLAS kernel, and do not depend on
-the BLAS thread count (measured with OpenBLAS at 1 and 2 threads); another
-kernel, or a batch of another row count, may round them otherwise.  The
-residual product multiplies the weight grid with the activation's integer
-grid.  Every term of it is an integer of magnitude at most 2^14 (8-bit
-grids) and every partial sum of a row of at most 1024 terms at most 2^24,
-far inside float64's exact integer range, so the sum is exact in any order:
-that product does not depend on the BLAS build, its thread count or the
-SIMD target.
+The fit (``branch_decomposition``) forms the dense branch matrices to
+subtract them from the weight, with fixed-order ``einsum`` calls as in
+``linalg``, and keeps only the factors.  The forward applies the branches
+from those factors (``factor_pair``): together the LRB and the GMB have
+rank at most r + n_o * n_i, so the branch term is two thin BLAS products.
+README's determinism contract says what the forward's bits depend on; the
+residual product multiplies two integer grids and is exact on any build
+(see ``residual_product``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,55 +154,57 @@ def gmb_reconstruct_blocks(f: GmbFactors) -> np.ndarray:
     return blocks.reshape(f.sigma.shape[:-2] + (f.n_o * f.b_o, f.n_i * f.b_i))
 
 
-def gmb_permutation(n_o: int, n_i: int) -> np.ndarray:
-    """Grid-transpose permutation: position k*n_o + j maps to j*n_i + k."""
-    k, j = np.meshgrid(np.arange(n_i), np.arange(n_o), indexing="ij")
-    perm = np.empty(n_i * n_o, dtype=np.int64)
-    perm[(k * n_o + j).ravel()] = (j * n_i + k).ravel()
-    return perm
+def factor_pair(lrb: LrbFactors | None, gmb: GmbFactors | None):
+    """(down, up) with up @ down equal to lrb's a @ b plus gmb's block assembly.
 
-
-def permutation_matrix(perm) -> np.ndarray:
-    p = np.zeros((perm.shape[0], perm.shape[0]))
-    p[perm, np.arange(perm.shape[0])] = 1.0
-    return p
-
-
-def gmb_build_factored(f: GmbFactors):
-    """Exact factored form (L, perm, R) with L @ P @ R equal to the block assembly.
-
-    L is block-diagonal with n_o blocks of shape b_o x n_i (columns are
-    sigma[j,k] * u[j,k]); R is block-diagonal with n_i blocks of shape
-    n_o x b_i (rows are v[j,k]); perm is the grid transpose wiring them up.
+    ``down`` stacks the LRB's b, then one row per block (j, k), holding v of
+    that block in input column block k; ``up`` stacks a, then one column per
+    block, holding sigma * u of that block in output row block j.  The GMB
+    rows and columns are a Monarch L (P R) with the grid-transpose
+    permutation P absorbed (Dao et al., ICML 2022).  A branch term is then
+    (x @ down.T) @ up.T, at rank r + n_o * n_i instead of the layer's width.
+    ``lrb`` may be None, and so may ``gmb`` if ``lrb`` is not.
     """
-    l = np.zeros((f.n_o * f.b_o, f.n_i * f.n_o))
-    for j in range(f.n_o):
-        l[j * f.b_o : (j + 1) * f.b_o, j * f.n_i : (j + 1) * f.n_i] = (
-            f.u[j].T * f.sigma[j][None, :]
-        )
-    r = np.zeros((f.n_i * f.n_o, f.n_i * f.b_i))
-    for k in range(f.n_i):
-        r[k * f.n_o : (k + 1) * f.n_o, k * f.b_i : (k + 1) * f.b_i] = f.v[:, k, :]
-    return l, gmb_permutation(f.n_o, f.n_i), r
+    if gmb is None:
+        return lrb.b, lrb.a
+    r = 0 if lrb is None else lrb.rank
+    n_o, n_i = gmb.n_o, gmb.n_i
+    down = np.zeros((r + n_o * n_i, n_i * gmb.b_i))
+    up_t = np.zeros((r + n_o * n_i, n_o * gmb.b_o))
+    if lrb is not None:
+        down[:r] = lrb.b
+        up_t[:r] = lrb.a.T
+    # row r + j * n_i + k of each belongs to block (j, k)
+    k, j = np.arange(n_i), np.arange(n_o)
+    down[r:].reshape(n_o, n_i, n_i, gmb.b_i)[:, k, k] = gmb.v
+    up_t[r:].reshape(n_o, n_i, n_o, gmb.b_o)[j, :, j] = gmb.sigma[..., None] * gmb.u
+    return down, up_t.T
 
 
 @dataclass(frozen=True)
 class Branches:
-    """One layer's fitted side branches and their dense matrices.
+    """One layer's fitted side branches, kept as factors.
 
-    ``post`` is the branch matrix applied to the rotated activation: the
-    LRB product, plus the GMB block assembly under the post placement.
-    ``pre`` is the GMB block assembly applied to the raw activation under
-    the pre placement, and None otherwise.  ``branch_decomposition`` builds
-    both from the matrices it peels off the weight, and every bit-width
-    quantized from the fit shares them.
+    ``post`` is the (down, up) ``factor_pair`` of the branches applied to
+    the rotated activation: the LRB, plus the GMB under the post placement.
+    ``pre`` is the pair of the GMB applied to the raw activation under the
+    pre placement, and None otherwise.  Each pair is built on first use and
+    kept; every bit-width quantized from one fit shares them.
     """
 
     lrb: LrbFactors
     gmb: GmbFactors | None
     placement: str
-    post: np.ndarray
-    pre: np.ndarray | None
+
+    @cached_property
+    def post(self) -> tuple:
+        return factor_pair(self.lrb, self.gmb if self.placement == "post" else None)
+
+    @cached_property
+    def pre(self) -> tuple | None:
+        if self.gmb is None or self.placement == "post":
+            return None
+        return factor_pair(None, self.gmb)
 
 
 @dataclass(frozen=True)
@@ -218,11 +212,12 @@ class QuantizedLinear:
     """One quantized layer: integer-grid residual plus floating branches.
 
     The forward path is
-        y = R @ Q_act(x) + branches.post @ (H^T x) [+ branches.pre @ x]
+        y = R @ Q_act(x) + up @ (down @ H^T x) [+ up' @ (down' @ x)]
     where R, with entry (c, j) equal to scale[c] * (q[c, j] * delta) of
-    ``weight``, is the quantized residual and Q_act rotates the activation
-    and quantizes it at the weight's bit-width and step: a layer quantizes
-    weights and activations alike.  With the default post-rotation
+    ``weight``, is the quantized residual, Q_act rotates the activation
+    and quantizes it at the weight's bit-width and step (a layer quantizes
+    weights and activations alike), and (down, up) and (down', up') are
+    ``branches.post`` and ``branches.pre``.  With the default post-rotation
     placement every branch acts on H^T x and ``branches.pre`` is absent.
     The layer holds only its residual grid and a reference to the shared
     ``branches``.
@@ -253,15 +248,15 @@ def branch_decomposition(
     """Fit the branches of one weight or a stack; independent of any bit-width.
 
     Default pipeline: W_H = W @ H, with H = ``hadamard(n)`` the rotation
-    ``layer_input`` applies to activations; LRB fitted on W_H, GMB fitted
-    on W_H - LRB; ``r_gmb`` 0 fits no GMB.  ``order`` swaps which branch is
+    the forward applies to activations; LRB fitted on W_H, GMB fitted on
+    W_H - LRB; ``r_gmb`` 0 fits no GMB.  ``order`` swaps which branch is
     fitted first; ``placement`` "pre" fits the GMB on the raw weight W
     instead (its output then feeds on x, not H^T x).  ``lrb`` may carry an
     earlier rank-``r_lrb`` fit of W_H; it replaces the refit where
     ``lrb_fitted_first`` holds and is ignored otherwise.  Returns
-    (branches, w_res): the fitted ``Branches``, whose ``post`` and ``pre``
-    are the very matrices subtracted from W_H (``pre`` through H), and
-    w_res the leftover handed to the residual quantizer.
+    (branches, w_res): the fitted ``Branches`` and w_res, W_H less the
+    dense products of those factors (the GMB's through H under "pre"), the
+    leftover handed to the residual quantizer.
 
     ``w`` may also be a (B, m, n) stack of same-shape weights, with ``lrb``
     then a list of B fits or None.  Every variant fits all LRBs of the
@@ -296,32 +291,25 @@ def branch_decomposition(
             raise InvalidRankError(
                 f"given LRBs are not {count} of rank {r_lrb} on {(rows, cols)}"
             )
-    gmb = pre = [None] * count
+    gmb = [None] * count
     if not with_gmb:
-        post = _lrb_products(lrb)
-        w_res = w_h - post
+        w_res = w_h - _lrb_products(lrb)
     elif placement == "pre":
         # branch lives outside the rotation; fit on the raw weight,
         # then remove its rotated image from the residual
         gmb, pre = _fit_gmbs(stack, n_o, n_i)
         shadow = np.einsum("bij,jk->bik", pre, h)
         lrb = _fit_lrbs(w_h - shadow, r_lrb)
-        post = _lrb_products(lrb)
-        w_res = w_h - shadow - post
+        w_res = w_h - shadow - _lrb_products(lrb)
     elif order == "lrb_first":
         lrb_h = _lrb_products(lrb)
         gmb, gmb_h = _fit_gmbs(w_h - lrb_h, n_o, n_i)
         w_res = w_h - lrb_h - gmb_h
-        post = lrb_h + gmb_h
     else:
         gmb, gmb_h = _fit_gmbs(w_h, n_o, n_i)
         lrb = _fit_lrbs(w_h - gmb_h, r_lrb)
-        lrb_h = _lrb_products(lrb)
-        w_res = w_h - gmb_h - lrb_h
-        post = lrb_h + gmb_h
-    fits = [
-        (Branches(lrb[k], gmb[k], placement, post[k], pre[k]), w_res[k]) for k in range(count)
-    ]
+        w_res = w_h - gmb_h - _lrb_products(lrb)
+    fits = [(Branches(lrb[k], gmb[k], placement), w_res[k]) for k in range(count)]
     return fits[0] if single else fits
 
 
@@ -363,9 +351,9 @@ def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
 
     ``grid`` holds the activations' integers (one token per row) and
     ``step`` their per-token steps.  The integer product runs as one BLAS
-    ``matmul`` on float64 copies of both grids, which is exact (see the
-    module docstring), so the result is the same bits on every BLAS build,
-    thread count and SIMD target.
+    ``matmul`` on float64 copies of both grids.  Every term is an integer
+    of magnitude at most 2^14 and every row sum at most 2^24, so it is
+    exact in any order (README's determinism contract).
     """
     out = np.matmul(grid, weight.q.astype(np.float64).T)
     out *= step[:, None]
@@ -373,64 +361,32 @@ def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LayerInput:
-    """A layer's bit-independent work on one activation batch.
+def forward_quantized_batch(layer: QuantizedLinear, xs):
+    """Quantized forward of the activation matrix ``xs``, one token per row.
 
-    ``rotated`` is xs @ H, ``post`` the branch term rotated @ post^T and
-    ``pre`` the term xs @ pre^T under the pre-rotation placement (None
-    otherwise), with xs the activation batch and post and pre the matrices
-    of one ``Branches``.  Each is one BLAS ``matmul`` over the whole batch
-    (see the module docstring for what its bits depend on).  No field
-    depends on a bit-width, so one record serves every layer quantized
-    from those branches.
+    ``xs`` is rotated by the Hadamard matrix of its width and quantized at
+    the weight's bit-width with the weight's step ``delta``.  The residual
+    product multiplies the two integer grids exactly and then scales row
+    i, column c by step_a[i] * step_w[c]; the post branch term, on the
+    rotated activation, and then the pre branch term, on ``xs``, are
+    added to it, each as (x @ down.T) @ up.T from its ``factor_pair``.
+    ``xs`` is not checked for non-finite entries: ``forward_batch`` checks
+    its input once per forward.
     """
-
-    rotated: np.ndarray
-    post: np.ndarray
-    pre: np.ndarray | None
-
-
-def layer_input(branches: Branches, xs) -> LayerInput:
-    """Rotate ``xs`` (one token per row) and apply ``branches`` to it."""
-    xs = as_matrix(xs)
-    n = branches.post.shape[1]
-    if xs.shape[1] != n:
+    weight, branches = layer.weight, layer.branches
+    n = weight.q.shape[1]
+    if xs.shape[-1] != n:
         raise InvalidDimensionError(
-            f"activation width {xs.shape[1]} does not match layer width {n}"
+            f"activation width {xs.shape[-1]} does not match layer width {n}"
         )
     rotated = xs @ hadamard(n)
-    post = rotated @ branches.post.T
-    pre = None if branches.pre is None else xs @ branches.pre.T
-    return LayerInput(rotated, post, pre)
-
-
-def forward_quantized_batch(layer: QuantizedLinear, xs):
-    """Quantized forward, one token per row of ``xs``.
-
-    ``xs`` is an activation matrix or a ``LayerInput`` built from
-    ``layer.branches``; a matrix is first turned into one, so a caller
-    that keeps the ``LayerInput`` can run the layer at other bit-widths
-    without redoing the rotation and the branch products.  Activations
-    are quantized at the weight's bit-width with the weight's step
-    ``delta``.  The residual product multiplies the two integer grids
-    exactly (see the module docstring) and then scales row i, column c by
-    step_a[i] * step_w[c]; the post and then the pre branch term are added
-    to it.
-    """
-    weight = layer.weight
-    if not isinstance(xs, LayerInput):
-        xs = layer_input(layer.branches, xs)
-    n = weight.q.shape[1]
-    if xs.rotated.shape[1] != n:
-        raise InvalidDimensionError(
-            f"activation width {xs.rotated.shape[1]} does not match layer width {n}"
-        )
-    grid, step = quantize_rotated_batch(xs.rotated, weight.bits, weight.delta)
+    grid, step = quantize_rotated_batch(rotated, weight.bits, weight.delta)
     out = residual_product(grid, step, weight)
-    out += xs.post
-    if xs.pre is not None:
-        out += xs.pre
+    down, up = branches.post
+    out += (rotated @ down.T) @ up.T
+    if branches.pre is not None:
+        down, up = branches.pre
+        out += (xs @ down.T) @ up.T
     return out
 
 

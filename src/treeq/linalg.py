@@ -1,12 +1,9 @@
 """Deterministic dense linear algebra: Hadamard transforms and truncated SVD.
 
-Every routine here is a pure function of its input: on one build (numpy
-version and CPU) it returns the same bits on every run.  Products and
+Every routine here is a pure function of its input.  Products and
 reductions go through ``np.einsum``, which fixes the accumulation order and
-calls no BLAS, so no BLAS setting or kernel enters.  The package's BLAS
-products are the forward's (see ``branches``): they are byte-identical on
-one numpy build, SIMD target and BLAS kernel, whatever the BLAS thread
-count, and the integer residual product is exact on any build.
+calls no BLAS, so no BLAS setting or kernel enters; README's determinism
+contract says what the package's bits depend on.
 
 The SVD is direct, with fixed step counts and no BLAS or LAPACK, in four
 steps on the tall form A of each problem (Golub & Kahan, SIAM J. Numer.

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidBitsError
+from .errors import InvalidBitsError, InvalidDimensionError
 from .linalg import as_matrix
 
 QUANT_BITS = (2, 3, 4, 5, 6, 7, 8)
@@ -112,14 +112,16 @@ def quantize_rotated_batch(y, bits: int, delta: float | None = None):
 
     ``y`` has one token per row, ``bits`` one of QUANT_BITS
     (InvalidBitsError otherwise) and ``delta`` the grid step (by default
-    the calibrated step of ``bits``).  ``y`` must be a finite matrix
-    (InvalidDimensionError otherwise).  Returns ``(grid, step)``: the
+    the calibrated step of ``bits``).  ``y`` must be a float64 matrix
+    (InvalidDimensionError if it is not 2-D); its entries are not checked,
+    and a non-finite one gives a non-finite row.  Returns ``(grid, step)``: the
     integer grid clamp(round(y / sigma / delta)) as float64, and the
     per-token step sigma * delta, with sigma the row's RMS (1 for a zero
     row, whose grid is zero).  The quantized activation is
     ``grid * step[:, None]``; the integer forward never forms it.
     """
-    y = as_matrix(y)
+    if np.ndim(y) != 2:
+        raise InvalidDimensionError(f"expected a 2-D matrix, got ndim={np.ndim(y)}")
     check_bits(bits)
     if delta is None:
         delta = default_delta_table()[bits]
@@ -163,8 +165,11 @@ def quantize_weight_channelwise(w) -> dict:
     array.
     """
     w = as_matrix(w)
-    sigma = np.std(w, axis=1)
     peak = np.max(np.abs(w), axis=1)
+    # each row's std at a power-of-two scale of its peak, so the squares
+    # neither overflow nor underflow; exact wherever unscaled ones do neither
+    exponent = np.frexp(peak)[1]
+    sigma = np.ldexp(np.std(np.ldexp(w, -exponent[:, None]), axis=1), exponent)
     constant = sigma <= _CONST_ROW_RTOL * peak
     scale = np.where(constant, peak, sigma)
     safe = np.where(scale == 0.0, 1.0, scale)

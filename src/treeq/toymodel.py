@@ -41,11 +41,9 @@ import numpy as np
 from .branches import (
     GMB_ORDERS,
     GMB_PLACEMENTS,
-    LayerInput,
     QuantizedLinear,
     branch_decomposition,
     forward_quantized_batch,
-    layer_input,
     lrb_fitted_first,
     quantize_fit,
 )
@@ -180,7 +178,7 @@ class ModelSpec:
 
 
 class EvalCache:
-    """Prefix activations, their prepared layer inputs and the MSE memo of one scope.
+    """Prefix activations and the MSE memo of one scope.
 
     A scope is one calibration input matrix (compared by identity, so two
     calibration sets of one seed and size never alias) under one context
@@ -190,22 +188,14 @@ class EvalCache:
     bits of the layers that produced them (``bits[j]`` for ``acts[j + 1]``,
     so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
     way), and the MSE of every allocation evaluated, keyed by bit tuple.
-    ``inputs[j]`` is layer j's ``LayerInput`` on ``acts[j]`` (the rotation
-    and branch products), built by the first quantized forward of layer j
-    on that activation and None until then; it is dropped with its
-    activation, so ``len(inputs) == len(acts)``.  A layer's branches are
-    fixed within a scope, so the record serves every bit-width tried at
-    that layer.  A level thus holds up to three activation-sized arrays:
-    the activation, its rotation and the post branch term (four under the
-    pre-rotation placement).  Entering a new scope drops all of it, so the
-    cache never holds more than one scope.
+    A level holds one activation-sized array.  Entering a new scope drops
+    all of it, so the cache never holds more than one scope.
     """
 
     def __init__(self):
         self.ctx = None
         self.bits = []
         self.acts = []
-        self.inputs = []
         self.mse = {}
 
     def holds(self, xs: np.ndarray, ctx: QuantContext) -> bool:
@@ -219,15 +209,7 @@ class EvalCache:
         self.ctx = ctx
         self.bits = []
         self.acts = [xs]
-        self.inputs = [None]
         self.mse = {}
-
-    def input_for(self, i: int, layer: QuantizedLinear) -> LayerInput:
-        """Layer i's prepared input on ``acts[i]``, built on first use."""
-        prepared = self.inputs[i]
-        if prepared is None:
-            prepared = self.inputs[i] = layer_input(layer.branches, self.acts[i])
-        return prepared
 
 
 class FitCache:
@@ -247,7 +229,7 @@ class FitCache:
       width of QUANT_BITS, keyed by width.  The rotation and the steps are
       the same for every context, so a layer's fit and a width fix the
       layer, and contexts that share a fit share its layers.  All widths
-      share one ``Branches``, dense matrices included, and one array of
+      share one ``Branches``, which keeps only factors, and one array of
       row scales; each layer adds only its residual's int8 grid (n_out x
       n_in bytes) and its row steps (n_out floats);
     * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
@@ -448,16 +430,16 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     the cache's last forward: it starts from the cached activation
     entering the first differing layer (the last layer's output is not
     cached, so that layer always runs) and caches the activations of the
-    layers it runs.  A quantized layer runs on its level's cached
-    ``LayerInput``, so the rotation and branch products of an activation
-    are computed once for all the bit-widths tried on it; a 32-bit layer
-    runs its dense weight on the activation, as one BLAS ``matmul``.  So
-    the result's bits depend on the BLAS kernel but not on its thread
-    count (see ``branches``), and a row of a batch may differ from that
-    row forwarded alone.  A cached activation is the very array an earlier
+    layers it runs.  A quantized layer runs ``forward_quantized_batch`` on
+    the activation; a 32-bit layer runs its dense weight on it, as one
+    BLAS ``matmul``.  README's determinism contract says what the result's
+    bits depend on; in particular a row of a batch may differ from that row
+    forwarded alone.  A cached activation is the very array an earlier
     forward in the same scope computed from the same input through the
     same layers, so every layer sees the inputs a full forward would give
     it and the result is bit-identical to a forward on a fresh cache.
+    ``xs`` is checked once, here: it must be a finite matrix of the
+    model's input width (InvalidDimensionError otherwise).
     """
     xs = as_matrix(xs)
     if xs.shape[1] != model.dims[0]:
@@ -474,18 +456,15 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
         start += 1
     xs = cache.acts[start]
     del cache.acts[start + 1:]
-    del cache.inputs[start + 1:]
     del cache.bits[start:]
     for i in range(start, n):
         if bits[i] == PASSTHROUGH_BITS:
             xs = xs @ model.weights[i].T
         else:
-            layer = _layer_for(model, i, bits[i], ctx)
-            xs = forward_quantized_batch(layer, cache.input_for(i, layer))
+            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs)
         if i < n - 1:
             xs = np.maximum(xs, LEAKY_SLOPE * xs)  # the leaky rectifier, 0 < slope < 1
             cache.acts.append(xs)
-            cache.inputs.append(None)
             cache.bits.append(bits[i])
     return xs
 
@@ -545,7 +524,9 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     were evaluated in it.  A miss runs ``forward_batch``, which checks the
     allocation, enters the scope and resumes from the longest layer
     prefix shared with the previous evaluation, so it gives the value a
-    full forward gives, bit for bit.
+    full forward gives, bit for bit.  A value that is not finite (the
+    quantized forward overflowed) raises InvalidDimensionError naming the
+    allocation, and is not memoized.
     """
     cache = model.eval_cache
     key = tuple(alloc.get(i) for i in range(model.n_layers))
@@ -553,9 +534,14 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
         hit = cache.mse.get(key)
         if hit is not None:
             return hit
-    out = forward_batch(model, alloc, calib.input_matrix, ctx)
-    diff = out - calib.output_matrix
-    mse = float(np.mean(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = forward_batch(model, alloc, calib.input_matrix, ctx)
+        diff = out - calib.output_matrix
+        mse = float(np.mean(diff * diff))
+    if not math.isfinite(mse):
+        raise InvalidDimensionError(
+            f"the quantized forward of allocation {list(key)} gives a non-finite MSE ({mse})"
+        )
     cache.mse[key] = mse
     return mse
 

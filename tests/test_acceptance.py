@@ -29,10 +29,9 @@ import pytest
 from treeq.baselines import build_sensitivity_table, ip_allocate, uniform_allocate
 from treeq.branches import (
     branch_decomposition,
-    gmb_build_factored,
+    factor_pair,
     gmb_decompose,
     gmb_reconstruct_blocks,
-    permutation_matrix,
 )
 from treeq.cli import main as cli_main
 from treeq.linalg import hadamard
@@ -134,16 +133,18 @@ def test_criterion_2_hadamard_exactness(suite_models):
         n = 1 << p
         h = hadamard(n)
         worst_orth = max(worst_orth, float(np.max(np.abs(h @ h.T - np.eye(n)))))
-    # round trip: every layer rebuilt as leaky((x H) (w_res + post)^T) from
-    # its branch decomposition, against the dense chain
+    # round trip: every layer rebuilt as leaky((x H) w_res^T + branch term)
+    # from its branch decomposition, the branch term as the forward applies
+    # it from its factor pair, against the dense chain
     h = hadamard(64)
     worst_rt = 0.0
     for seed, model in suite_models.items():
         xs = ys = gen_calibration(model, 8, seed).input_matrix
         fits = branch_decomposition(np.stack(model.weights), 16, 4)
         for i, (w, (fit, w_res)) in enumerate(zip(model.weights, fits)):
-            rebuilt = w_res + fit.post
-            xs, ys = (xs @ h) @ rebuilt.T, ys @ w.T
+            down, up = fit.post
+            rotated = xs @ h
+            xs, ys = rotated @ w_res.T + (rotated @ down.T) @ up.T, ys @ w.T
             if i < model.n_layers - 1:
                 xs, ys = np.where(xs > 0.0, xs, 0.1 * xs), np.where(ys > 0.0, ys, 0.1 * ys)
         worst_rt = max(worst_rt, float(np.sqrt(np.mean((xs - ys) ** 2))))
@@ -168,16 +169,14 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
         ((8, 24), (4, 12)), ((48, 48), (6, 6)),
     ]
     assert len(combos) == 20
-    worst_fact = 0.0
+    exact_pairs = 0
     worst_block = 0.0
     for idx, (shape, grid) in enumerate(combos):
         m = seeded_matrix(*shape, seed=1000 + idx)
         f = gmb_decompose(m, *grid)
-        l, perm, r = gmb_build_factored(f)
-        dense = l @ permutation_matrix(perm) @ r
-        worst_fact = max(
-            worst_fact, float(np.max(np.abs(dense - gmb_reconstruct_blocks(f))))
-        )
+        # the (down, up) pair the forward applies is the block assembly exactly
+        down, up = factor_pair(None, f)
+        exact_pairs += np.array_equal(up @ down, gmb_reconstruct_blocks(f))
         b_o, b_i = shape[0] // grid[0], shape[1] // grid[1]
         for j in range(grid[0]):
             for k in range(grid[1]):
@@ -193,19 +192,28 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
             assert n_i * n_o * (b_i + b_o) == rr * (n_o * b_o + n_i * b_i)
 
     monotone_ok = True
+    fitted, exact_fitted = 0, 0
     for model in suite_models.values():
         for w in model.weights:
             fit, res_full = branch_decomposition(w, 8, 4)
             # the LRB-only residual is the full residual with the GMB put back
-            res_lrb = res_full + gmb_reconstruct_blocks(fit.gmb)
+            gmb_h = gmb_reconstruct_blocks(fit.gmb)
+            res_lrb = res_full + gmb_h
             if np.linalg.norm(res_full) > np.linalg.norm(res_lrb):
                 monotone_ok = False
+            # a fitted layer's post pair: the LRB's rows, then the GMB's
+            down, up = fit.post
+            r = fit.lrb.rank
+            fitted += 1
+            exact_fitted += np.array_equal(up[:, r:] @ down[r:], gmb_h)
     elapsed = time.perf_counter() - started
     report(
         3,
         "GMB factored form, block oracle, budget identity, residual monotone",
-        worst_fact < 1e-12 and worst_block < 1e-8 and monotone_ok and elapsed < 30.0,
-        f"factored vs assembly {worst_fact:.2e} (tol 1e-12) on 20 combos, "
+        exact_pairs == len(combos) and exact_fitted == fitted and worst_block < 1e-8
+        and monotone_ok and elapsed < 30.0,
+        f"factor pair equals the block assembly exactly on {exact_pairs}/{len(combos)} "
+        f"combos and {exact_fitted}/{fitted} fitted layers, "
         f"block vs SVD oracle {worst_block:.2e} (tol 1e-8), "
         f"residual monotone on all weights: {monotone_ok}, {elapsed:.1f}s (cap 30s)",
     )

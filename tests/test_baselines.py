@@ -20,7 +20,8 @@ from treeq.baselines import (
     layer_sensitivity,
     uniform_allocate,
 )
-from treeq.errors import InvalidBitsError
+from treeq import toymodel
+from treeq.errors import InvalidBitsError, InvalidDimensionError
 from treeq.suite import exhaustive_spec
 from treeq.toymodel import gen_calibration, gen_model, mean_bitwidth
 
@@ -75,6 +76,17 @@ class TestSensitivity:
     def test_rejects_unknown_metric(self, sens_model, sens_calib):
         with pytest.raises(InvalidBitsError):
             layer_sensitivity(sens_model, 0, 4, "Linf", sens_calib)
+
+    @pytest.mark.parametrize("metric", ["L1", "L2"])
+    def test_non_finite_score_raises(self, monkeypatch, metric):
+        # a NaN output of the quantized layer would otherwise be the score
+        model = gen_model(exhaustive_spec(3))
+        calib = gen_calibration(model, 16, 7)
+        run = toymodel.forward_quantized_batch
+        monkeypatch.setattr(toymodel, "forward_quantized_batch",
+                            lambda layer, xs: run(layer, xs) * np.nan)
+        with pytest.raises(InvalidDimensionError, match=f"layer 3 at 4 bits.*non-finite {metric}"):
+            layer_sensitivity(model, 3, 4, metric, calib)
 
     def test_table_matches_direct_calls(self, sens_model, sens_calib):
         table = build_sensitivity_table(sens_model, "L2", sens_calib)

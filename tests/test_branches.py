@@ -1,7 +1,8 @@
 """Low-rank and block-factored branch tests.
 
 Per-block correctness is checked against numpy's SVD (test-only oracle);
-the factored form is checked against the dense block assembly it must equal.
+the factor pair the forward applies is checked against the dense block
+assembly it must equal.
 """
 
 import json
@@ -19,16 +20,13 @@ from treeq.branches import (
     LrbFactors,
     QuantizedLinear,
     branch_decomposition,
+    factor_pair,
     forward_quantized_batch,
     gmb_budget_partitions,
-    gmb_build_factored,
     gmb_decompose,
-    gmb_permutation,
     gmb_reconstruct_blocks,
     init_lrb,
-    layer_input,
     lrb_fitted_first,
-    permutation_matrix,
     qlinear_doc,
     quantize_fit,
     quantize_layer,
@@ -56,6 +54,12 @@ def times_h(m):
     return np.einsum("ij,jk->ik", m, hadamard(m.shape[1]))
 
 
+def branch_term(x, pair):
+    """(x @ down.T) @ up.T for a (down, up) factor pair."""
+    down, up = pair
+    return (x @ down.T) @ up.T
+
+
 def matmul_forward(layer, x):
     """The forward of ``x`` by hand, with ``np.matmul`` for its float products.
 
@@ -65,14 +69,15 @@ def matmul_forward(layer, x):
     rot = x @ hadamard(x.shape[1])
     grid, step = quantize_rotated_batch(rot, layer.weight.bits)
     ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
-    want = ints * step[:, None] * layer.weight.step + rot @ layer.branches.post.T
+    want = ints * step[:, None] * layer.weight.step + branch_term(rot, layer.branches.post)
     if layer.branches.pre is not None:
-        want += x @ layer.branches.pre.T
+        want += branch_term(x, layer.branches.pre)
     return want
 
 
 def branch_matrices(lrb, gmb, placement):
-    """(post, pre) of a fit, rebuilt from its factors with ``np.einsum``."""
+    """(post, pre) dense matrices of a fit, rebuilt from its factors with
+    ``np.einsum`` as the fit forms the matrices it subtracts."""
     post = np.einsum("ir,rj->ij", lrb.a, lrb.b)
     if gmb is None:
         return post, None
@@ -192,19 +197,6 @@ class TestGmbDecompose:
 
 
 class TestGmbFactored:
-    def test_permutation_formula(self):
-        perm = gmb_permutation(2, 3)
-        # position k*n_o + j holds j*n_i + k
-        want = np.empty(6, dtype=np.int64)
-        for j in range(2):
-            for k in range(3):
-                want[k * 2 + j] = j * 3 + k
-        assert np.array_equal(perm, want)
-
-    def test_permutation_matrix_is_orthogonal(self):
-        p = permutation_matrix(gmb_permutation(3, 4))
-        assert np.array_equal(p @ p.T, np.eye(12))
-
     @pytest.mark.parametrize(
         "shape,grid",
         [((8, 8), (2, 2)), ((12, 8), (4, 2)), ((6, 9), (3, 3)), ((16, 4), (2, 4))],
@@ -212,16 +204,21 @@ class TestGmbFactored:
     def test_factored_equals_assembly(self, shape, grid):
         m = seeded_matrix(*shape, seed=shape[0] * 10 + grid[0])
         f = gmb_decompose(m, *grid)
-        l, perm, r = gmb_build_factored(f)
-        dense = l @ permutation_matrix(perm) @ r
-        assert np.array_equal(dense, gmb_reconstruct_blocks(f))
+        down, up = factor_pair(None, f)
+        assert np.array_equal(up @ down, gmb_reconstruct_blocks(f))
 
     def test_factor_shapes(self):
         f = gmb_decompose(seeded_matrix(12, 8, seed=7), 4, 2)
-        l, perm, r = gmb_build_factored(f)
-        assert l.shape == (12, 8)  # (n_o*b_o, n_i*n_o)
-        assert r.shape == (8, 8)  # (n_i*n_o, n_i*b_i)
-        assert perm.shape == (8,)
+        lrb = init_lrb(seeded_matrix(12, 8, seed=8), 3)
+        down, up = factor_pair(lrb, f)
+        assert down.shape == (3 + 8, 8)  # (r + n_o*n_i, n_in)
+        assert up.shape == (12, 3 + 8)  # (n_out, r + n_o*n_i)
+        # the LRB's factors come first, as they are
+        assert np.array_equal(down[:3], lrb.b) and np.array_equal(up[:, :3], lrb.a)
+        # block (j, k) = (2, 1): v in input column block 1, sigma * u in output row block 2
+        row = 2 * 2 + 1
+        assert np.array_equal(down[3 + row], np.r_[np.zeros(4), f.v[2, 1]])
+        assert np.array_equal(up[:, 3 + row], np.r_[np.zeros(6), f.sigma[2, 1] * f.u[2, 1], np.zeros(3)])
 
 
 class TestBranchDecomposition:
@@ -236,15 +233,16 @@ class TestBranchDecomposition:
         self, suite_models, placement
     ):
         # w_res + post (+ pre @ H under "pre") is W @ H: all a layer adds
-        # back to its quantized residual is the branches' own matrices
+        # back to its quantized residual is the products of its factors
         worst = 0.0
         for model in suite_models.values():
             stack = np.stack(model.weights)
             fits = branch_decomposition(stack, 16, 4, placement=placement)
             for w, (fit, w_res) in zip(stack, fits):
-                total = w_res + fit.post
-                if fit.pre is not None:
-                    total += times_h(fit.pre)
+                post, pre = branch_matrices(fit.lrb, fit.gmb, placement)
+                total = w_res + post
+                if pre is not None:
+                    total += times_h(pre)
                 worst = max(worst, float(np.max(np.abs(total - times_h(w)))))
         assert worst <= 1e-14
 
@@ -288,7 +286,7 @@ class TestBranchDecomposition:
         assert (reused.lrb is shared) is first
         assert np.array_equal(fresh.lrb.a, reused.lrb.a)
         assert np.array_equal(fresh.lrb.b, reused.lrb.b)
-        assert np.array_equal(fresh.post, reused.post)
+        assert same_pair(fresh.post, reused.post)
         assert np.array_equal(fresh_res, reused_res)
 
     def test_rejects_lrb_of_wrong_rank(self):
@@ -309,6 +307,13 @@ class TestBranchDecomposition:
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_pair(a, b):
+    """Whether two factor pairs, or two Nones, hold the same bytes."""
+    if a is None or b is None:
+        return a is b
+    return all(same_bits(x, y) for x, y in zip(a, b))
 
 
 PIPELINES = [{"r_gmb": 0}, {"order": "lrb_first"}, {"order": "gmb_first"}, {"placement": "pre"}]
@@ -337,25 +342,29 @@ class TestStackedDecomposition:
             assert np.array_equal(layer.weight.q, alone.weight.q)
             assert same_bits(layer.weight.scale, alone.weight.scale)
             assert layer.weight.delta == alone.weight.delta
-            assert same_bits(layer.branches.post, alone.branches.post)
-            assert (fit.pre is None) == (a_fit.pre is None)
-            if fit.pre is not None:
-                assert same_bits(fit.pre, a_fit.pre)
+            assert same_pair(layer.branches.post, alone.branches.post)
+            assert same_pair(fit.pre, a_fit.pre)
 
     @pytest.mark.parametrize("kwargs", PIPELINES)
     def test_branch_matrices_equal_an_einsum_of_the_factors(self, kwargs):
-        # the matrices the fit returns are its factors' products, bit for bit
+        # the pairs the forward applies hold the fit's factors: the LRB's
+        # as they are, the GMB's multiplying out to its block assembly
         stack = np.stack([seeded_matrix(16, 32, seed=40 + k) for k in range(3)])
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
         placement = kwargs.get("placement", "post")
         for fit, _ in branch_decomposition(stack, 4, r_gmb, **kwargs):
             assert fit.placement == placement
-            post, pre = branch_matrices(fit.lrb, fit.gmb, placement)
-            assert same_bits(fit.post, post)
-            assert (fit.pre is None) == (pre is None) == (placement == "post" or r_gmb == 0)
-            if pre is not None:
-                assert same_bits(fit.pre, pre)
+            assert (fit.pre is None) == (placement == "post" or r_gmb == 0)
+            (down, up), r = fit.post, fit.lrb.rank
+            assert same_bits(down[:r], fit.lrb.b) and same_bits(up[:, :r], fit.lrb.a)
+            if fit.gmb is None:
+                assert down.shape[0] == r
+                continue
+            if fit.pre is not None:
+                (down, up), r = fit.pre, 0
+            assert down.shape[0] == r + fit.gmb.n_o * fit.gmb.n_i
+            assert np.array_equal(up[:, r:] @ down[r:], gmb_reconstruct_blocks(fit.gmb))
 
     def test_one_svd_call_per_branch_type(self, monkeypatch):
         calls = []
@@ -397,7 +406,7 @@ class TestQuantizedLayer:
         sigma = np.sqrt(np.mean(rot * rot, axis=1))
         grid = np.clip(round_half_away(rot / sigma[:, None] / delta), -4, 3)
         ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
-        want = ints * (sigma * delta)[:, None] * layer.weight.step + rot @ layer.branches.post.T
+        want = ints * (sigma * delta)[:, None] * layer.weight.step + branch_term(rot, layer.branches.post)
         assert np.array_equal(forward_quantized_batch(layer, x), want)
 
     def test_one_row_equals_its_matmul_reference(self):
@@ -423,7 +432,7 @@ class TestQuantizedLayer:
         assert err_with < err_without
 
     def test_pre_placement_forward_uses_raw_activation(self):
-        # the reference adds x @ pre^T, on the activation before rotation
+        # the reference adds the pre pair's term on the activation before rotation
         layer = quantize_layer(seeded_matrix(8, 8, seed=22), 3, 2, 2, placement="pre")
         assert layer.branches.pre is not None
         x = seeded_matrix(1, 8, seed=23)
@@ -433,33 +442,6 @@ class TestQuantizedLayer:
         layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)
         with pytest.raises(InvalidDimensionError):
             forward_quantized_batch(layer, np.ones((1, 16)))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"r_gmb": 4}, {"r_gmb": 4, "placement": "pre"}, {"r_gmb": 0},
-    ], ids=["post", "pre", "no-gmb"])
-    def test_one_layer_input_serves_every_bit_width(self, kwargs):
-        # layers of one fit share their Branches, so one prepared input
-        # runs each of them as the activation matrix itself does
-        w = seeded_matrix(16, 16, seed=32)
-        kwargs = dict(kwargs)
-        r_gmb = kwargs.pop("r_gmb")
-        shared, w_res = branch_decomposition(w, 2, r_gmb, **kwargs)
-        xs = seeded_matrix(6, 16, seed=33)
-        prepared = layer_input(shared, xs)
-        assert (prepared.pre is not None) == (kwargs.get("placement") == "pre")
-        for bits, layer in quantize_fit(w_res, shared).items():
-            assert np.array_equal(
-                forward_quantized_batch(layer, prepared), forward_quantized_batch(layer, xs)
-            )
-
-    def test_layer_input_width_mismatch(self):
-        wide = quantize_layer(seeded_matrix(16, 16, seed=34), 3, 1, 1)
-        layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)
-        prepared = layer_input(wide.branches, seeded_matrix(2, 16, seed=35))
-        with pytest.raises(InvalidDimensionError):
-            forward_quantized_batch(layer, prepared)
-        with pytest.raises(InvalidDimensionError):
-            layer_input(layer.branches, np.ones((1, 16)))
 
     def test_residual_is_an_int8_grid(self):
         layer = quantize_layer(seeded_matrix(16, 16, seed=28), 8, 2, 2)
@@ -551,9 +533,7 @@ def layer_from_doc(doc: dict) -> QuantizedLinear:
         bits=doc["bits_w"],
     )
     lrb = LrbFactors(matrix(doc["lrb"]["a"]), matrix(doc["lrb"]["b"]))
-    placement = doc.get("gmb_placement", "post")
-    post, pre = branch_matrices(lrb, gmb, placement)
-    return QuantizedLinear(weight, Branches(lrb, gmb, placement, post, pre))
+    return QuantizedLinear(weight, Branches(lrb, gmb, doc.get("gmb_placement", "post")))
 
 
 class TestSerialization:

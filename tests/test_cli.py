@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from treeq import linalg
@@ -281,7 +282,8 @@ class TestSearch:
 
 
 class TestDispatchRobustness:
-    """The default ``treeq search`` under other SIMD targets and BLAS thread counts.
+    """The default ``treeq search`` under other SIMD targets, BLAS thread
+    counts and BLAS kernels.
 
     Each run is a child process; the environment variables reach only the
     children.  The allocation and the evaluation count must not move.  The
@@ -290,8 +292,10 @@ class TestDispatchRobustness:
     loops.  Measured on a 2-core AVX-512 Xeon, the indicator under
     ``NPY_DISABLE_CPU_FEATURES=X86_V4`` differed by 1.6e-15 relative, and
     by 3.1e-15 in an earlier measurement with another SVD; BLAS thread
-    counts changed nothing.  The tolerance, 1e-14 relative, is about three
-    times the larger of those.
+    counts changed nothing, and neither did OpenBLAS's Haswell kernel in
+    place of its default SkylakeX one on that machine, although the two
+    round some products differently.  The tolerance, 1e-14 relative, is
+    about three times the larger of those.
     """
 
     VARIANTS = [
@@ -299,6 +303,7 @@ class TestDispatchRobustness:
         {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
         {"OPENBLAS_NUM_THREADS": "1"},
         {"OPENBLAS_NUM_THREADS": "2"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
     ]
 
     @pytest.fixture(scope="class")
@@ -359,6 +364,20 @@ class TestQuantize:
     def test_rounds_up_past_midpoint(self, cfg_path):
         assert main(["quantize", "--config", cfg_path, "--target", "3.6"]) == 0
         assert read_out(cfg_path, "quantize.json")["bits"] == 4
+
+    def test_huge_outliers_give_finite_row_scales(self, tmp_path, capsys):
+        # quantize draws no calibration set, so no dense-forward bound
+        # stops these weights; each row's std is taken at a power-of-two
+        # scale of its peak, so its squares do not overflow to Infinity
+        cfg = {"model": {"n_layers": 4, "dims": [32] * 5, "outlier_scale": 1e200},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["quantize", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        layers = json.loads((tmp_path / "out" / "quantize.json").read_text())["layers"]
+        scales = np.concatenate([layer["w_scale"] for layer in layers])
+        assert scales.shape == (128,) and np.all(np.isfinite(scales)) and np.all(scales > 0)
 
     def test_32_bit_candidate_exits_2(self, tmp_path, capsys):
         # 32 bits is the dense weight, which has no quantized layer to write
