@@ -14,9 +14,11 @@ subtract them from the weight, with fixed-order ``einsum`` calls as in
 ``linalg``, and keeps only the factors.  The forward applies the branches
 from those factors (``factor_pair``): together the LRB and the GMB have
 rank at most r + n_o * n_i, so the branch term is two thin BLAS products.
-README's determinism contract says what the forward's bits depend on; the
-residual product multiplies two integer grids and is exact on any build
-(see ``residual_product``).
+A GMB placed before the rotation has its rows folded through H once, so
+every layer adds one branch term, on the rotated activation.  README's
+determinism contract says what the forward's bits depend on; the residual
+product multiplies two integer grids and is exact on any build (see
+``residual_product``).
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from .linalg import as_matrix, as_stack, hadamard, top_singular_pair, truncated_svd
+from .linalg import as_stack, hadamard, top_singular_pair, truncated_svd
 from .quantizer import (
     WeightGrid,
-    check_bits,
     quantize_rotated_batch,
     quantize_weight_channelwise,
 )
@@ -55,8 +56,12 @@ class LrbFactors:
         return self.a.shape[1]
 
 
-def _fit_lrbs(w_h, r: int) -> list:
-    """Rank-r LRB of every matrix of a (B, m, n) stack, one truncated SVD call."""
+def fit_lrbs(w_h, r: int) -> list:
+    """Rank-r LRB of every matrix of a (B, m, n) stack, in one truncated SVD call.
+
+    a absorbs the singular values (a = U_r diag(s_r), b = V_r^T).  r = 0
+    gives empty factors whose product is the zero matrix.
+    """
     count, rows, cols = w_h.shape
     if r == 0:
         return [LrbFactors(a=np.zeros((rows, 0)), b=np.zeros((0, cols)))] * count
@@ -66,15 +71,6 @@ def _fit_lrbs(w_h, r: int) -> list:
     a = t.u * t.sigma[:, None, :]
     b = np.swapaxes(t.v, 1, 2).copy()
     return [LrbFactors(a=a[k], b=b[k]) for k in range(count)]
-
-
-def init_lrb(w_h, r: int) -> LrbFactors:
-    """Rank-r factors of a rotated weight via truncated SVD.
-
-    a absorbs the singular values (a = U_r diag(s_r), b = V_r^T).  r = 0
-    returns empty factors whose product is the zero matrix.
-    """
-    return _fit_lrbs(as_matrix(w_h)[None], r)[0]
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,14 @@ def gmb_budget_partitions(n_out: int, n_in: int, r: int) -> tuple[int, int]:
     return (r, r)
 
 
-def _fit_gmbs(m, n_o: int, n_i: int):
-    """GMB of every matrix of a (B, rows, cols) stack, one top_singular_pair call.
+def fit_gmbs(m, n_o: int, n_i: int):
+    """GMB of every matrix of a (B, rows, cols) stack over an n_o x n_i grid.
 
-    Returns the B fits and their (B, rows, cols) block assemblies.
+    Every block of every matrix goes through one batched
+    ``top_singular_pair`` call, so each block's triple is bit-identical to
+    the call on that block alone; a zero block gets sigma 0 with canonical
+    unit vectors.  Returns the B fits and their (B, rows, cols) block
+    assemblies.
     """
     count, rows, cols = m.shape
     if n_o < 1 or n_i < 1 or rows % n_o or cols % n_i:
@@ -137,24 +137,13 @@ def _fit_gmbs(m, n_o: int, n_i: int):
     return fits, gmb_reconstruct_blocks(stacked)
 
 
-def gmb_decompose(m, n_o: int, n_i: int) -> GmbFactors:
-    """Top singular pair of every block in an n_o x n_i partition of ``m``.
-
-    All blocks go through one batched ``top_singular_pair`` call; each
-    block's triple is bit-identical to the call on that block alone, and a
-    zero block gets sigma 0 with canonical unit vectors.
-    """
-    fits, _ = _fit_gmbs(as_matrix(m)[None], n_o, n_i)
-    return fits[0]
-
-
 def gmb_reconstruct_blocks(f: GmbFactors) -> np.ndarray:
     """Assemble the dense branch matrix (or a stack of them) block by block."""
     blocks = np.einsum("...jk,...jko,...jki->...joki", f.sigma, f.u, f.v)
     return blocks.reshape(f.sigma.shape[:-2] + (f.n_o * f.b_o, f.n_i * f.b_i))
 
 
-def factor_pair(lrb: LrbFactors | None, gmb: GmbFactors | None):
+def factor_pair(lrb: LrbFactors, gmb: GmbFactors | None):
     """(down, up) with up @ down equal to lrb's a @ b plus gmb's block assembly.
 
     ``down`` stacks the LRB's b, then one row per block (j, k), holding v of
@@ -163,17 +152,14 @@ def factor_pair(lrb: LrbFactors | None, gmb: GmbFactors | None):
     rows and columns are a Monarch L (P R) with the grid-transpose
     permutation P absorbed (Dao et al., ICML 2022).  A branch term is then
     (x @ down.T) @ up.T, at rank r + n_o * n_i instead of the layer's width.
-    ``lrb`` may be None, and so may ``gmb`` if ``lrb`` is not.
     """
     if gmb is None:
         return lrb.b, lrb.a
-    r = 0 if lrb is None else lrb.rank
-    n_o, n_i = gmb.n_o, gmb.n_i
+    r, n_o, n_i = lrb.rank, gmb.n_o, gmb.n_i
     down = np.zeros((r + n_o * n_i, n_i * gmb.b_i))
     up_t = np.zeros((r + n_o * n_i, n_o * gmb.b_o))
-    if lrb is not None:
-        down[:r] = lrb.b
-        up_t[:r] = lrb.a.T
+    down[:r] = lrb.b
+    up_t[:r] = lrb.a.T
     # row r + j * n_i + k of each belongs to block (j, k)
     k, j = np.arange(n_i), np.arange(n_o)
     down[r:].reshape(n_o, n_i, n_i, gmb.b_i)[:, k, k] = gmb.v
@@ -185,11 +171,12 @@ def factor_pair(lrb: LrbFactors | None, gmb: GmbFactors | None):
 class Branches:
     """One layer's fitted side branches, kept as factors.
 
-    ``post`` is the (down, up) ``factor_pair`` of the branches applied to
-    the rotated activation: the LRB, plus the GMB under the post placement.
-    ``pre`` is the pair of the GMB applied to the raw activation under the
-    pre placement, and None otherwise.  Each pair is built on first use and
-    kept; every bit-width quantized from one fit shares them.
+    ``pair`` is the (down, up) ``factor_pair`` the forward applies to the
+    rotated activation H^T x.  Under the pre placement the GMB acts on the
+    raw activation x = H (H^T x) instead, so its rows of ``down`` are
+    multiplied by H once, when the pair is built (QuaRot's rotation
+    folding, Ashkboos et al., NeurIPS 2024).  The pair is built on first
+    use and kept; every bit-width quantized from one fit shares it.
     """
 
     lrb: LrbFactors
@@ -197,14 +184,12 @@ class Branches:
     placement: str
 
     @cached_property
-    def post(self) -> tuple:
-        return factor_pair(self.lrb, self.gmb if self.placement == "post" else None)
-
-    @cached_property
-    def pre(self) -> tuple | None:
-        if self.gmb is None or self.placement == "post":
-            return None
-        return factor_pair(None, self.gmb)
+    def pair(self) -> tuple:
+        down, up = factor_pair(self.lrb, self.gmb)
+        if self.gmb is not None and self.placement == "pre":
+            r = self.lrb.rank
+            down[r:] = down[r:] @ hadamard(down.shape[1])
+        return down, up
 
 
 @dataclass(frozen=True)
@@ -212,15 +197,13 @@ class QuantizedLinear:
     """One quantized layer: integer-grid residual plus floating branches.
 
     The forward path is
-        y = R @ Q_act(x) + up @ (down @ H^T x) [+ up' @ (down' @ x)]
+        y = R @ Q_act(x) + up @ (down @ H^T x)
     where R, with entry (c, j) equal to scale[c] * (q[c, j] * delta) of
     ``weight``, is the quantized residual, Q_act rotates the activation
     and quantizes it at the weight's bit-width and step (a layer quantizes
-    weights and activations alike), and (down, up) and (down', up') are
-    ``branches.post`` and ``branches.pre``.  With the default post-rotation
-    placement every branch acts on H^T x and ``branches.pre`` is absent.
-    The layer holds only its residual grid and a reference to the shared
-    ``branches``.
+    weights and activations alike), and (down, up) is ``branches.pair``,
+    which carries a pre-placed GMB folded through H.  The layer holds only
+    its residual grid and a reference to the shared ``branches``.
     """
 
     weight: WeightGrid
@@ -243,35 +226,30 @@ def branch_decomposition(
     *,
     order: str = "lrb_first",
     placement: str = "post",
-    lrb: LrbFactors | list | None = None,
+    lrb: list | None = None,
 ):
-    """Fit the branches of one weight or a stack; independent of any bit-width.
+    """Fit the branches of a (B, m, n) stack of weights; independent of any bit-width.
 
     Default pipeline: W_H = W @ H, with H = ``hadamard(n)`` the rotation
     the forward applies to activations; LRB fitted on W_H, GMB fitted on
     W_H - LRB; ``r_gmb`` 0 fits no GMB.  ``order`` swaps which branch is
     fitted first; ``placement`` "pre" fits the GMB on the raw weight W
-    instead (its output then feeds on x, not H^T x).  ``lrb`` may carry an
-    earlier rank-``r_lrb`` fit of W_H; it replaces the refit where
-    ``lrb_fitted_first`` holds and is ignored otherwise.  Returns
-    (branches, w_res): the fitted ``Branches`` and w_res, W_H less the
-    dense products of those factors (the GMB's through H under "pre"), the
-    leftover handed to the residual quantizer.
+    instead (its output then feeds on x, not H^T x).  ``lrb`` may carry a
+    list of B earlier rank-``r_lrb`` fits of W_H; they replace the refit
+    where ``lrb_fitted_first`` holds and are ignored otherwise.
 
-    ``w`` may also be a (B, m, n) stack of same-shape weights, with ``lrb``
-    then a list of B fits or None.  Every variant fits all LRBs of the
-    stack in one ``truncated_svd`` call and all GMB blocks in one
-    ``top_singular_pair`` call, forms every product in one stacked
-    ``einsum``, and returns a list of B pairs, each bit-identical to
-    fitting that weight alone.
+    Every variant fits all LRBs of the stack in one ``truncated_svd`` call
+    (``fit_lrbs``) and all GMB blocks in one ``top_singular_pair`` call
+    (``fit_gmbs``), and forms every product in one stacked ``einsum``, so
+    each weight's fit is bit-identical to fitting a stack of that weight
+    alone.  Returns a list of B pairs (branches, w_res): the fitted
+    ``Branches`` and w_res, W_H less the dense products of those factors
+    (the GMB's through H under "pre"), the leftover handed to the residual
+    quantizer.
     """
     stack = as_stack(w)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[None]
-        lrb = None if lrb is None else [lrb]
     if stack.ndim != 3:
-        raise InvalidDimensionError(f"expected a weight or a stack of them, got ndim={stack.ndim}")
+        raise InvalidDimensionError(f"expected a stack of weights, got ndim={stack.ndim}")
     if order not in GMB_ORDERS:
         raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
     if placement not in GMB_PLACEMENTS:
@@ -284,7 +262,7 @@ def branch_decomposition(
     w_h = np.einsum("bij,jk->bik", stack, h)
     if lrb_fitted_first(r_gmb, order=order, placement=placement):
         if lrb is None:
-            lrb = _fit_lrbs(w_h, r_lrb)
+            lrb = fit_lrbs(w_h, r_lrb)
         elif len(lrb) != count or any(
             f.rank != r_lrb or f.a.shape[0] != rows or f.b.shape[1] != cols for f in lrb
         ):
@@ -297,20 +275,19 @@ def branch_decomposition(
     elif placement == "pre":
         # branch lives outside the rotation; fit on the raw weight,
         # then remove its rotated image from the residual
-        gmb, pre = _fit_gmbs(stack, n_o, n_i)
+        gmb, pre = fit_gmbs(stack, n_o, n_i)
         shadow = np.einsum("bij,jk->bik", pre, h)
-        lrb = _fit_lrbs(w_h - shadow, r_lrb)
+        lrb = fit_lrbs(w_h - shadow, r_lrb)
         w_res = w_h - shadow - _lrb_products(lrb)
     elif order == "lrb_first":
         lrb_h = _lrb_products(lrb)
-        gmb, gmb_h = _fit_gmbs(w_h - lrb_h, n_o, n_i)
+        gmb, gmb_h = fit_gmbs(w_h - lrb_h, n_o, n_i)
         w_res = w_h - lrb_h - gmb_h
     else:
-        gmb, gmb_h = _fit_gmbs(w_h, n_o, n_i)
-        lrb = _fit_lrbs(w_h - gmb_h, r_lrb)
+        gmb, gmb_h = fit_gmbs(w_h, n_o, n_i)
+        lrb = fit_lrbs(w_h - gmb_h, r_lrb)
         w_res = w_h - gmb_h - _lrb_products(lrb)
-    fits = [(Branches(lrb[k], gmb[k], placement), w_res[k]) for k in range(count)]
-    return fits[0] if single else fits
+    return [(Branches(lrb[k], gmb[k], placement), w_res[k]) for k in range(count)]
 
 
 def _lrb_products(lrbs) -> np.ndarray:
@@ -324,26 +301,6 @@ def quantize_fit(w_res, branches: Branches) -> dict:
     """The fit's layer at every width, from one quantizer pass over ``w_res``."""
     return {bits: QuantizedLinear(grid, branches)
             for bits, grid in quantize_weight_channelwise(w_res).items()}
-
-
-def quantize_layer(
-    w,
-    bits: int,
-    r_lrb: int,
-    r_gmb: int,
-    *,
-    order: str = "lrb_first",
-    placement: str = "post",
-) -> QuantizedLinear:
-    """Rotate a weight, peel off the branches, and quantize the residual.
-
-    See branch_decomposition for the pipeline and its variants; the layer
-    holds the ``Branches`` it returns.  The layer quantizes its weights and
-    its activations at ``bits``.
-    """
-    check_bits(bits)
-    fit, w_res = branch_decomposition(w, r_lrb, r_gmb, order=order, placement=placement)
-    return quantize_fit(w_res, fit)[bits]
 
 
 def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
@@ -367,13 +324,12 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
     ``xs`` is rotated by the Hadamard matrix of its width and quantized at
     the weight's bit-width with the weight's step ``delta``.  The residual
     product multiplies the two integer grids exactly and then scales row
-    i, column c by step_a[i] * step_w[c]; the post branch term, on the
-    rotated activation, and then the pre branch term, on ``xs``, are
-    added to it, each as (x @ down.T) @ up.T from its ``factor_pair``.
+    i, column c by step_a[i] * step_w[c]; the branch term, (rotated @
+    down.T) @ up.T from ``branches.pair``, is added to it.
     ``xs`` is not checked for non-finite entries: ``forward_batch`` checks
     its input once per forward.
     """
-    weight, branches = layer.weight, layer.branches
+    weight = layer.weight
     n = weight.q.shape[1]
     if xs.shape[-1] != n:
         raise InvalidDimensionError(
@@ -382,11 +338,8 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
     rotated = xs @ hadamard(n)
     grid, step = quantize_rotated_batch(rotated, weight.bits, weight.delta)
     out = residual_product(grid, step, weight)
-    down, up = branches.post
+    down, up = layer.branches.pair
     out += (rotated @ down.T) @ up.T
-    if branches.pre is not None:
-        down, up = branches.pre
-        out += (xs @ down.T) @ up.T
     return out
 
 

@@ -51,26 +51,24 @@ _EPS = np.finfo(np.float64).eps
 _hadamard_cache: dict[int, np.ndarray] = {}
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D float64 array or raise InvalidDimensionError."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidDimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise InvalidDimensionError("matrix contains non-finite entries")
-    return m
-
-
 def as_stack(m) -> np.ndarray:
     """Coerce ``m`` to a finite float64 array of shape (..., rows, cols), both >= 1."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim < 2:
         raise InvalidDimensionError(f"expected a matrix or a stack, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise InvalidDimensionError("matrix contains non-finite entries")
     if a.shape[-2] < 1 or a.shape[-1] < 1:
         raise InvalidDimensionError("matrix must be at least 1 x 1")
     return a
+
+
+def as_matrix(a) -> np.ndarray:
+    """``as_stack`` of ``a``, which must be a single 2-D matrix."""
+    m = as_stack(a)
+    if m.ndim != 2:
+        raise InvalidDimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return m
 
 
 def hadamard(n: int) -> np.ndarray:
@@ -449,18 +447,15 @@ def truncated_svd(m, r: int) -> SvdTriple:
 
 
 def top_singular_pair(m):
-    """Leading singular triple ``(sigma, u, v)`` of a matrix or a stack of them.
+    """Leading singular triple ``(sigma, u, v)`` of each matrix of a stack.
 
-    A 2-D input gives a float sigma and vectors u (m,), v (n,).  An input
-    of shape (..., m, n) is solved in one batched call and gives
+    An input of shape (..., m, n) is solved in one batched call and gives
     sigma (...), u (..., m) and v (..., n); each entry is bit-identical to
-    the 2-D call on that matrix.  The sign convention makes the first
-    significant entry of u positive (of v when n > m), so results are
-    reproducible across runs.  A zero matrix yields sigma 0 with u and v
+    the call on that matrix alone (a 2-D input gives a 0-d sigma).  The
+    sign convention makes the first significant entry of u positive (of v
+    when n > m), so results are reproducible across runs.  A zero matrix yields sigma 0 with u and v
     the first canonical basis vectors.  This is ``truncated_svd(m, 1)``
     with the rank axis dropped.
     """
     t = truncated_svd(m, 1)
-    if t.sigma.ndim == 1:
-        return float(t.sigma[0]), t.u[:, 0], t.v[:, 0]
     return t.sigma[..., 0], t.u[..., 0], t.v[..., 0]

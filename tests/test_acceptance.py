@@ -30,7 +30,8 @@ from treeq.baselines import build_sensitivity_table, ip_allocate, uniform_alloca
 from treeq.branches import (
     branch_decomposition,
     factor_pair,
-    gmb_decompose,
+    fit_gmbs,
+    fit_lrbs,
     gmb_reconstruct_blocks,
 )
 from treeq.cli import main as cli_main
@@ -142,7 +143,7 @@ def test_criterion_2_hadamard_exactness(suite_models):
         xs = ys = gen_calibration(model, 8, seed).input_matrix
         fits = branch_decomposition(np.stack(model.weights), 16, 4)
         for i, (w, (fit, w_res)) in enumerate(zip(model.weights, fits)):
-            down, up = fit.post
+            down, up = fit.pair
             rotated = xs @ h
             xs, ys = rotated @ w_res.T + (rotated @ down.T) @ up.T, ys @ w.T
             if i < model.n_layers - 1:
@@ -173,9 +174,9 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
     worst_block = 0.0
     for idx, (shape, grid) in enumerate(combos):
         m = seeded_matrix(*shape, seed=1000 + idx)
-        f = gmb_decompose(m, *grid)
+        (f,), _ = fit_gmbs(m[None], *grid)
         # the (down, up) pair the forward applies is the block assembly exactly
-        down, up = factor_pair(None, f)
+        down, up = factor_pair(fit_lrbs(m[None], 0)[0], f)
         exact_pairs += np.array_equal(up @ down, gmb_reconstruct_blocks(f))
         b_o, b_i = shape[0] // grid[0], shape[1] // grid[1]
         for j in range(grid[0]):
@@ -194,15 +195,14 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
     monotone_ok = True
     fitted, exact_fitted = 0, 0
     for model in suite_models.values():
-        for w in model.weights:
-            fit, res_full = branch_decomposition(w, 8, 4)
+        for fit, res_full in branch_decomposition(np.stack(model.weights), 8, 4):
             # the LRB-only residual is the full residual with the GMB put back
             gmb_h = gmb_reconstruct_blocks(fit.gmb)
             res_lrb = res_full + gmb_h
             if np.linalg.norm(res_full) > np.linalg.norm(res_lrb):
                 monotone_ok = False
-            # a fitted layer's post pair: the LRB's rows, then the GMB's
-            down, up = fit.post
+            # a fitted layer's pair: the LRB's rows, then the GMB's
+            down, up = fit.pair
             r = fit.lrb.rank
             fitted += 1
             exact_fitted += np.array_equal(up[:, r:] @ down[r:], gmb_h)

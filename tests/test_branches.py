@@ -21,15 +21,14 @@ from treeq.branches import (
     QuantizedLinear,
     branch_decomposition,
     factor_pair,
+    fit_gmbs,
+    fit_lrbs,
     forward_quantized_batch,
     gmb_budget_partitions,
-    gmb_decompose,
     gmb_reconstruct_blocks,
-    init_lrb,
     lrb_fitted_first,
     qlinear_doc,
     quantize_fit,
-    quantize_layer,
     residual_product,
 )
 from treeq.errors import (
@@ -60,19 +59,27 @@ def branch_term(x, pair):
     return (x @ down.T) @ up.T
 
 
+def fit_one(w, r_lrb, r_gmb, **kwargs):
+    """(branches, w_res) of ``w`` alone, from the stack of that one weight."""
+    return branch_decomposition(w[None], r_lrb, r_gmb, **kwargs)[0]
+
+
+def make_layer(w, bits, r_lrb, r_gmb, **kwargs):
+    """``w`` rotated, its branches peeled off, the residual quantized at ``bits``."""
+    fit, w_res = fit_one(w, r_lrb, r_gmb, **kwargs)
+    return quantize_fit(w_res, fit)[bits]
+
+
 def matmul_forward(layer, x):
     """The forward of ``x`` by hand, with ``np.matmul`` for its float products.
 
     The residual term is the int64 product of the two grids, then the two
-    steps; the post and then the pre branch term are added to it.
+    steps; the branch term of the layer's one pair is added to it.
     """
     rot = x @ hadamard(x.shape[1])
     grid, step = quantize_rotated_batch(rot, layer.weight.bits)
     ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
-    want = ints * step[:, None] * layer.weight.step + branch_term(rot, layer.branches.post)
-    if layer.branches.pre is not None:
-        want += branch_term(x, layer.branches.pre)
-    return want
+    return ints * step[:, None] * layer.weight.step + branch_term(rot, layer.branches.pair)
 
 
 def branch_matrices(lrb, gmb, placement):
@@ -87,38 +94,41 @@ def branch_matrices(lrb, gmb, placement):
 
 
 class TestLrb:
+    """``fit_lrbs`` on stacks; each fit is checked against its own matrix."""
+
     def test_rank_zero_is_empty(self):
-        f = init_lrb(seeded_matrix(4, 6, seed=0), 0)
-        assert f.rank == 0
-        assert np.array_equal(f.a @ f.b, np.zeros((4, 6)))
+        stack = np.stack([seeded_matrix(4, 6, seed=k) for k in range(2)])
+        for f in fit_lrbs(stack, 0):
+            assert f.rank == 0
+            assert np.array_equal(f.a @ f.b, np.zeros((4, 6)))
 
     def test_full_rank_recovers_matrix(self):
-        m = seeded_matrix(5, 5, seed=1)
-        f = init_lrb(m, 5)
-        assert np.allclose(f.a @ f.b, m, atol=1e-10)
+        stack = np.stack([seeded_matrix(5, 5, seed=1 + 10 * k) for k in range(3)])
+        for m, f in zip(stack, fit_lrbs(stack, 5)):
+            assert np.allclose(f.a @ f.b, m, atol=1e-10)
 
     def test_truncation_error_is_optimal(self):
         # Eckart-Young: no rank-r matrix comes closer in Frobenius norm.
-        m = seeded_matrix(8, 8, seed=2)
-        sig = np.linalg.svd(m, compute_uv=False)
+        stack = np.stack([seeded_matrix(8, 8, seed=2 + 10 * k) for k in range(3)])
         for r in (1, 3, 5):
-            f = init_lrb(m, r)
-            err = np.linalg.norm(m - f.a @ f.b)
-            assert err == pytest.approx(np.sqrt(np.sum(sig[r:] ** 2)), abs=1e-9)
+            for m, f in zip(stack, fit_lrbs(stack, r)):
+                sig = np.linalg.svd(m, compute_uv=False)
+                err = np.linalg.norm(m - f.a @ f.b)
+                assert err == pytest.approx(np.sqrt(np.sum(sig[r:] ** 2)), abs=1e-9)
 
     def test_a_absorbs_singular_values(self):
-        m = seeded_matrix(6, 4, seed=3)
-        f = init_lrb(m, 3)
-        sig = np.linalg.svd(m, compute_uv=False)
-        assert np.allclose(np.linalg.norm(f.a, axis=0), sig[:3], atol=1e-10)
-        # b rows stay unit length
-        assert np.allclose(np.linalg.norm(f.b, axis=1), 1.0, atol=1e-10)
+        stack = np.stack([seeded_matrix(6, 4, seed=3 + 10 * k) for k in range(2)])
+        for m, f in zip(stack, fit_lrbs(stack, 3)):
+            sig = np.linalg.svd(m, compute_uv=False)
+            assert np.allclose(np.linalg.norm(f.a, axis=0), sig[:3], atol=1e-10)
+            # b rows stay unit length
+            assert np.allclose(np.linalg.norm(f.b, axis=1), 1.0, atol=1e-10)
 
     def test_invalid_rank(self):
         with pytest.raises(InvalidRankError):
-            init_lrb(np.ones((3, 4)), 4)
+            fit_lrbs(np.ones((2, 3, 4)), 4)
         with pytest.raises(InvalidRankError):
-            init_lrb(np.ones((3, 4)), -1)
+            fit_lrbs(np.ones((2, 3, 4)), -1)
 
 
 class TestGmbPartition:
@@ -143,39 +153,42 @@ class TestGmbPartition:
 
 
 class TestGmbDecompose:
+    """``fit_gmbs`` on stacks; each fit is checked against its own matrix."""
+
     def test_blocks_match_svd_oracle(self):
-        m = seeded_matrix(12, 8, seed=4)
-        f = gmb_decompose(m, 4, 2)
-        for j in range(4):
-            for k in range(2):
-                block = m[j * 3 : (j + 1) * 3, k * 4 : (k + 1) * 4]
-                s = np.linalg.svd(block, compute_uv=False)[0]
-                assert f.sigma[j, k] == pytest.approx(s, abs=1e-8)
-                rank1 = f.sigma[j, k] * np.outer(f.u[j, k], f.v[j, k])
-                best = None
-                u_, s_, vt_ = np.linalg.svd(block)
-                best = s_[0] * np.outer(u_[:, 0], vt_[0])
-                assert np.allclose(rank1, best, atol=1e-8)
+        stack = np.stack([seeded_matrix(12, 8, seed=4 + 10 * k) for k in range(2)])
+        fits, _ = fit_gmbs(stack, 4, 2)
+        for m, f in zip(stack, fits):
+            for j in range(4):
+                for k in range(2):
+                    block = m[j * 3 : (j + 1) * 3, k * 4 : (k + 1) * 4]
+                    s = np.linalg.svd(block, compute_uv=False)[0]
+                    assert f.sigma[j, k] == pytest.approx(s, abs=1e-8)
+                    rank1 = f.sigma[j, k] * np.outer(f.u[j, k], f.v[j, k])
+                    u_, s_, vt_ = np.linalg.svd(block)
+                    best = s_[0] * np.outer(u_[:, 0], vt_[0])
+                    assert np.allclose(rank1, best, atol=1e-8)
 
     def test_reconstruct_shape_and_content(self):
-        m = seeded_matrix(6, 6, seed=5)
-        f = gmb_decompose(m, 3, 3)
+        stack = seeded_matrix(6, 6, seed=5)[None]
+        (f,), assembled = fit_gmbs(stack, 3, 3)
         dense = gmb_reconstruct_blocks(f)
         assert dense.shape == (6, 6)
+        assert np.array_equal(assembled[0], dense)
         blk = f.sigma[1, 2] * np.outer(f.u[1, 2], f.v[1, 2])
         assert np.allclose(dense[2:4, 4:6], blk, atol=1e-12)
 
     def test_block_approx_never_worse_than_zero(self):
         # Each rank-1 block is the best rank-1 fit, so it cannot increase
         # the per-block error over leaving the block at zero.
-        m = seeded_matrix(8, 8, seed=6)
-        f = gmb_decompose(m, 2, 2)
-        dense = gmb_reconstruct_blocks(f)
-        assert np.linalg.norm(m - dense) <= np.linalg.norm(m)
+        stack = np.stack([seeded_matrix(8, 8, seed=6 + 10 * k) for k in range(2)])
+        _, dense = fit_gmbs(stack, 2, 2)
+        for m, d in zip(stack, dense):
+            assert np.linalg.norm(m - d) <= np.linalg.norm(m)
 
     def test_invalid_partition(self):
         with pytest.raises(InvalidPartitionError):
-            gmb_decompose(np.ones((6, 6)), 4, 2)
+            fit_gmbs(np.ones((1, 6, 6)), 4, 2)
 
     @pytest.mark.parametrize("shape,grid", [((12, 8), (4, 2)), ((8, 16), (2, 2)), ((9, 9), (3, 3))])
     def test_equals_per_block_loop_bit_for_bit(self, shape, grid):
@@ -183,7 +196,7 @@ class TestGmbDecompose:
         n_o, n_i = grid
         b_o, b_i = shape[0] // n_o, shape[1] // n_i
         m[:b_o, b_i : 2 * b_i] = 0.0  # a zero block among live ones
-        f = gmb_decompose(m, n_o, n_i)
+        (f,), _ = fit_gmbs(m[None], n_o, n_i)
         for j in range(n_o):
             for k in range(n_i):
                 block = m[j * b_o : (j + 1) * b_o, k * b_i : (k + 1) * b_i]
@@ -203,13 +216,14 @@ class TestGmbFactored:
     )
     def test_factored_equals_assembly(self, shape, grid):
         m = seeded_matrix(*shape, seed=shape[0] * 10 + grid[0])
-        f = gmb_decompose(m, *grid)
-        down, up = factor_pair(None, f)
+        (f,), _ = fit_gmbs(m[None], *grid)
+        (empty,) = fit_lrbs(m[None], 0)
+        down, up = factor_pair(empty, f)
         assert np.array_equal(up @ down, gmb_reconstruct_blocks(f))
 
     def test_factor_shapes(self):
-        f = gmb_decompose(seeded_matrix(12, 8, seed=7), 4, 2)
-        lrb = init_lrb(seeded_matrix(12, 8, seed=8), 3)
+        (f,), _ = fit_gmbs(seeded_matrix(12, 8, seed=7)[None], 4, 2)
+        (lrb,) = fit_lrbs(seeded_matrix(12, 8, seed=8)[None], 3)
         down, up = factor_pair(lrb, f)
         assert down.shape == (3 + 8, 8)  # (r + n_o*n_i, n_in)
         assert up.shape == (12, 3 + 8)  # (n_out, r + n_o*n_i)
@@ -224,7 +238,7 @@ class TestGmbFactored:
 class TestBranchDecomposition:
     def test_residual_reassembles(self):
         w = seeded_matrix(16, 16, seed=9)
-        fit, w_res = branch_decomposition(w, 4, 4)
+        fit, w_res = fit_one(w, 4, 4)
         total = fit.lrb.a @ fit.lrb.b + gmb_reconstruct_blocks(fit.gmb) + w_res
         assert np.allclose(total, times_h(w), atol=1e-12)
 
@@ -248,13 +262,13 @@ class TestBranchDecomposition:
 
     def test_gmb_reduces_residual(self):
         w = seeded_matrix(16, 16, seed=10)
-        _, w_res = branch_decomposition(w, 4, 4)
-        _, res_no = branch_decomposition(w, 4, 0)
+        _, w_res = fit_one(w, 4, 4)
+        _, res_no = fit_one(w, 4, 0)
         assert np.linalg.norm(w_res) <= np.linalg.norm(res_no)
 
     def test_pre_placement_accounts_for_rotation(self):
         w = seeded_matrix(8, 8, seed=11)
-        fit, w_res = branch_decomposition(w, 2, 2, placement="pre")
+        fit, w_res = fit_one(w, 2, 2, placement="pre")
         shadow = times_h(gmb_reconstruct_blocks(fit.gmb))
         assert np.allclose(
             w_res + fit.lrb.a @ fit.lrb.b + shadow, times_h(w), atol=1e-12
@@ -262,8 +276,8 @@ class TestBranchDecomposition:
 
     def test_order_changes_split(self):
         w = seeded_matrix(8, 8, seed=12)
-        a, _ = branch_decomposition(w, 2, 2, order="lrb_first")
-        b, _ = branch_decomposition(w, 2, 2, order="gmb_first")
+        a, _ = fit_one(w, 2, 2, order="lrb_first")
+        b, _ = fit_one(w, 2, 2, order="gmb_first")
         assert not np.allclose(a.lrb.a @ a.lrb.b, b.lrb.a @ b.lrb.b)
 
     @pytest.mark.parametrize(
@@ -280,28 +294,33 @@ class TestBranchDecomposition:
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
         assert lrb_fitted_first(r_gmb, **kwargs) is first
-        fresh, fresh_res = branch_decomposition(w, 4, r_gmb, **kwargs)
-        shared = init_lrb(times_h(w), 4)
-        reused, reused_res = branch_decomposition(w, 4, r_gmb, lrb=shared, **kwargs)
+        fresh, fresh_res = fit_one(w, 4, r_gmb, **kwargs)
+        (shared,) = fit_lrbs(times_h(w)[None], 4)
+        reused, reused_res = fit_one(w, 4, r_gmb, lrb=[shared], **kwargs)
         assert (reused.lrb is shared) is first
         assert np.array_equal(fresh.lrb.a, reused.lrb.a)
         assert np.array_equal(fresh.lrb.b, reused.lrb.b)
-        assert same_pair(fresh.post, reused.post)
+        assert same_pair(fresh.pair, reused.pair)
         assert np.array_equal(fresh_res, reused_res)
 
     def test_rejects_lrb_of_wrong_rank(self):
         w = seeded_matrix(8, 8, seed=15)
         with pytest.raises(InvalidRankError):
-            branch_decomposition(w, 2, 2, lrb=init_lrb(times_h(w), 3))
+            fit_one(w, 2, 2, lrb=fit_lrbs(times_h(w)[None], 3))
 
     def test_rejects_unknown_order(self):
         with pytest.raises(InvalidPartitionError):
-            branch_decomposition(np.ones((4, 4)), 1, 1, order="both")
+            fit_one(np.ones((4, 4)), 1, 1, order="both")
+
+    def test_rejects_a_single_matrix(self):
+        # a weight is fitted as a stack of one
+        with pytest.raises(InvalidDimensionError, match="stack of weights"):
+            branch_decomposition(np.ones((4, 4)), 1, 1)
 
     def test_rejects_width_with_no_hadamard(self):
         # the rotation is hadamard(n), which exists for powers of two only
         with pytest.raises(InvalidDimensionError, match="power of two"):
-            branch_decomposition(np.ones((4, 12)), 1, 1)
+            fit_one(np.ones((4, 12)), 1, 1)
 
 
 def same_bits(a, b):
@@ -329,7 +348,7 @@ class TestStackedDecomposition:
         fits = branch_decomposition(stack, 4, r_gmb, **kwargs)
         assert len(fits) == 5
         for k, (fit, w_res) in enumerate(fits):
-            a_fit, a_res = branch_decomposition(stack[k], 4, r_gmb, **kwargs)
+            a_fit, a_res = branch_decomposition(stack[k : k + 1], 4, r_gmb, **kwargs)[0]
             lrb, gmb, a_lrb, a_gmb = fit.lrb, fit.gmb, a_fit.lrb, a_fit.gmb
             assert same_bits(lrb.a, a_lrb.a) and same_bits(lrb.b, a_lrb.b)
             assert same_bits(w_res, a_res)
@@ -342,29 +361,32 @@ class TestStackedDecomposition:
             assert np.array_equal(layer.weight.q, alone.weight.q)
             assert same_bits(layer.weight.scale, alone.weight.scale)
             assert layer.weight.delta == alone.weight.delta
-            assert same_pair(layer.branches.post, alone.branches.post)
-            assert same_pair(fit.pre, a_fit.pre)
+            assert same_pair(layer.branches.pair, alone.branches.pair)
 
     @pytest.mark.parametrize("kwargs", PIPELINES)
     def test_branch_matrices_equal_an_einsum_of_the_factors(self, kwargs):
-        # the pairs the forward applies hold the fit's factors: the LRB's
-        # as they are, the GMB's multiplying out to its block assembly
+        # the pair the forward applies holds the fit's factors: the LRB's
+        # as they are, the GMB's multiplying out to its block assembly (its
+        # rows folded through H under "pre")
         stack = np.stack([seeded_matrix(16, 32, seed=40 + k) for k in range(3)])
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
         placement = kwargs.get("placement", "post")
         for fit, _ in branch_decomposition(stack, 4, r_gmb, **kwargs):
             assert fit.placement == placement
-            assert (fit.pre is None) == (placement == "post" or r_gmb == 0)
-            (down, up), r = fit.post, fit.lrb.rank
+            (down, up), r = fit.pair, fit.lrb.rank
             assert same_bits(down[:r], fit.lrb.b) and same_bits(up[:, :r], fit.lrb.a)
             if fit.gmb is None:
                 assert down.shape[0] == r
                 continue
-            if fit.pre is not None:
-                (down, up), r = fit.pre, 0
             assert down.shape[0] == r + fit.gmb.n_o * fit.gmb.n_i
-            assert np.array_equal(up[:, r:] @ down[r:], gmb_reconstruct_blocks(fit.gmb))
+            raw_down, raw_up = factor_pair(fit.lrb, fit.gmb)
+            assert same_bits(up, raw_up)
+            if placement == "pre":
+                assert same_bits(down[r:], raw_down[r:] @ hadamard(32))
+            else:
+                assert same_bits(down, raw_down)
+            assert np.array_equal(up[:, r:] @ raw_down[r:], gmb_reconstruct_blocks(fit.gmb))
 
     def test_one_svd_call_per_branch_type(self, monkeypatch):
         calls = []
@@ -379,7 +401,7 @@ class TestStackedDecomposition:
 
     def test_given_lrbs_must_match_the_stack(self):
         stack = np.stack([seeded_matrix(8, 8, seed=60 + k) for k in range(2)])
-        lrbs = [init_lrb(times_h(w), 2) for w in stack]
+        lrbs = fit_lrbs(np.stack([times_h(w) for w in stack]), 2)
         with pytest.raises(InvalidRankError):
             branch_decomposition(stack, 2, 2, lrb=lrbs[:1])
         reused = branch_decomposition(stack, 2, 2, lrb=lrbs)
@@ -388,7 +410,7 @@ class TestStackedDecomposition:
 
 class TestQuantizedLayer:
     def test_forward_reference(self):
-        layer = quantize_layer(seeded_matrix(8, 8, seed=13), 3, 2, 2)
+        layer = make_layer(seeded_matrix(8, 8, seed=13), 3, 2, 2)
         x = seeded_matrix(1, 8, seed=14)
         assert np.array_equal(forward_quantized_batch(layer, x), matmul_forward(layer, x))
 
@@ -398,7 +420,7 @@ class TestQuantizedLayer:
         w = seeded_matrix(8, 8, seed=30)
         h = hadamard(8)
         delta = 0.5  # the default 3-bit step is about 0.586
-        built = quantize_layer(w, 3, 2, 2)
+        built = make_layer(w, 3, 2, 2)
         weight = WeightGrid(q=built.weight.q, scale=built.weight.scale, delta=delta, bits=3)
         layer = QuantizedLinear(weight, built.branches)
         x = seeded_matrix(1, 8, seed=31)
@@ -406,14 +428,14 @@ class TestQuantizedLayer:
         sigma = np.sqrt(np.mean(rot * rot, axis=1))
         grid = np.clip(round_half_away(rot / sigma[:, None] / delta), -4, 3)
         ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
-        want = ints * (sigma * delta)[:, None] * layer.weight.step + branch_term(rot, layer.branches.post)
+        want = ints * (sigma * delta)[:, None] * layer.weight.step + branch_term(rot, layer.branches.pair)
         assert np.array_equal(forward_quantized_batch(layer, x), want)
 
     def test_one_row_equals_its_matmul_reference(self):
         # a one-row forward runs the same BLAS products as a hand-built
         # reference of that row; a row of a larger batch may round otherwise
         w = seeded_matrix(16, 16, seed=15)
-        layer = quantize_layer(w, 4, 4, 4)
+        layer = make_layer(w, 4, 4, 4)
         xs = seeded_matrix(5, 16, seed=16)
         for i in range(5):
             x = xs[i : i + 1]
@@ -425,26 +447,51 @@ class TestQuantizedLayer:
         w = seeded_matrix(32, 32, seed=20) + 4.0 * np.eye(32)
         xs = seeded_matrix(16, 32, seed=21)
         want = np.einsum("nd,od->no", xs, w)
-        with_b = quantize_layer(w, 3, 4, 4)
-        without = quantize_layer(w, 3, 0, 0)
+        with_b = make_layer(w, 3, 4, 4)
+        without = make_layer(w, 3, 0, 0)
         err_with = np.mean((forward_quantized_batch(with_b, xs) - want) ** 2)
         err_without = np.mean((forward_quantized_batch(without, xs) - want) ** 2)
         assert err_with < err_without
 
     def test_pre_placement_forward_uses_raw_activation(self):
-        # the reference adds the pre pair's term on the activation before rotation
-        layer = quantize_layer(seeded_matrix(8, 8, seed=22), 3, 2, 2, placement="pre")
-        assert layer.branches.pre is not None
+        # the pre-placed GMB acts on the raw activation through its folded
+        # rows, inside the layer's one pair on the rotated activation
+        layer = make_layer(seeded_matrix(8, 8, seed=22), 3, 2, 2, placement="pre")
+        assert layer.branches.placement == "pre" and layer.branches.gmb is not None
         x = seeded_matrix(1, 8, seed=23)
         assert np.array_equal(forward_quantized_batch(layer, x), matmul_forward(layer, x))
 
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_pre_pair_folds_the_gmb_through_the_rotation(self, n):
+        # the pre pair's GMB rows are the unfolded rows @ H, bit for bit, and
+        # the forward agrees with adding the GMB's term on the raw activation
+        r_lrb, r_gmb = max(1, n // 16), max(1, n // 32)
+        worst = 0.0
+        for seed in range(5):
+            w = seeded_matrix(n, n, seed=200 + seed)
+            layer = make_layer(w, 4, r_lrb, r_gmb, placement="pre")
+            lrb, gmb = layer.branches.lrb, layer.branches.gmb
+            raw_down, raw_up = factor_pair(lrb, gmb)
+            down, up = layer.branches.pair
+            assert same_bits(up, raw_up) and same_bits(down[:r_lrb], raw_down[:r_lrb])
+            assert same_bits(down[r_lrb:], raw_down[r_lrb:] @ hadamard(n))
+            xs = seeded_matrix(16, n, seed=300 + seed)
+            rot = xs @ hadamard(n)
+            grid, step = quantize_rotated_batch(rot, 4)
+            raw = residual_product(grid, step, layer.weight)
+            raw += branch_term(rot, (lrb.b, lrb.a))
+            raw += branch_term(xs, (raw_down[r_lrb:], raw_up[:, r_lrb:]))
+            y = forward_quantized_batch(layer, xs)
+            worst = max(worst, float(np.max(np.abs(y - raw)) / np.max(np.abs(y))))
+        assert worst <= 1e-15
+
     def test_width_mismatch(self):
-        layer = quantize_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)
+        layer = make_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)
         with pytest.raises(InvalidDimensionError):
             forward_quantized_batch(layer, np.ones((1, 16)))
 
     def test_residual_is_an_int8_grid(self):
-        layer = quantize_layer(seeded_matrix(16, 16, seed=28), 8, 2, 2)
+        layer = make_layer(seeded_matrix(16, 16, seed=28), 8, 2, 2)
         assert layer.weight.q.dtype == np.int8 and layer.weight.q.shape == (16, 16)
         assert layer.weight.scale.shape == (16,)
 
@@ -540,9 +587,7 @@ class TestSerialization:
     """``quantize.json``'s layer document alone rebuilds the layer, bit for bit."""
 
     def _layer(self, **kw):
-        return quantize_layer(
-            seeded_matrix(8, 8, seed=25), 3, 2, 2, **kw
-        )
+        return make_layer(seeded_matrix(8, 8, seed=25), 3, 2, 2, **kw)
 
     @staticmethod
     def _written(layer):
@@ -587,7 +632,7 @@ class TestSerialization:
         assert same_bits(forward_quantized_batch(back, xs), forward_quantized_batch(layer, xs))
 
     def test_no_gmb(self):
-        layer = quantize_layer(seeded_matrix(8, 8, seed=27), 3, 2, 0)
+        layer = make_layer(seeded_matrix(8, 8, seed=27), 3, 2, 0)
         back = self._round_trip(layer)
         assert back.branches.gmb is None
         xs = seeded_matrix(5, 8, seed=29)
@@ -598,7 +643,7 @@ class TestSerialization:
         # what quantize.json writes is a layer some quantization could give:
         # bits_a and n restate the grid, every entry is on the bits' integers,
         # one positive finite scale per row, and the calibrated step
-        layer = quantize_layer(seeded_matrix(8, 16, seed=31), bits, 2, 2)
+        layer = make_layer(seeded_matrix(8, 16, seed=31), bits, 2, 2)
         doc = self._written(layer)
         grid = doc["w_grid"]
         assert (doc["bits_w"], doc["bits_a"], doc["n"]) == (bits, bits, 16)

@@ -43,6 +43,12 @@ class TestCoercion:
         with pytest.raises(InvalidDimensionError):
             as_matrix([[1.0, float("nan")]])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 3, 4)])
+    def test_as_matrix_rejects_empty_axes_and_stacks(self, shape):
+        # the checks of as_stack, plus one of the number of axes
+        with pytest.raises(InvalidDimensionError):
+            as_matrix(np.ones(shape))
+
 
 class TestHadamard:
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
@@ -178,10 +184,10 @@ class TestSvd:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_top_singular_pair_zero_matrix(self):
-        sigma, u, v = top_singular_pair(np.zeros((3, 4)))
-        assert sigma == 0.0
-        assert np.linalg.norm(u) == pytest.approx(1.0)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
+        sigma, u, v = top_singular_pair(np.zeros((2, 3, 4)))
+        assert sigma.shape == (2,) and np.all(sigma == 0.0)
+        assert np.allclose(np.linalg.norm(u, axis=-1), 1.0)
+        assert np.allclose(np.linalg.norm(v, axis=-1), 1.0)
 
 
 def same_bits(a, b):

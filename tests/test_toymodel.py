@@ -349,7 +349,7 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         low, high = quantized_layer(m, 1, 2), quantized_layer(m, 1, 5)
         assert low.branches is high.branches
-        assert low.branches.post is high.branches.post
+        assert low.branches.pair is high.branches.pair
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_entry_holds_a_byte_grid_and_row_scales(self, n):
@@ -416,7 +416,7 @@ class TestLayerCache:
         for (i, *_), layers in m.fit_cache.fits.items():
             assert sorted(layers) == sorted(QUANT_BITS)
             (fit,) = {id(layer.branches): layer.branches for layer in layers.values()}.values()
-            assert "post" in vars(fit)  # the forward built the factor pair
+            assert "pair" in vars(fit)  # the forward built the factor pair
             dense = [a for a in self._float_matrices(layers, set()) if a.shape == m.weights[i].shape]
             assert dense == [], (i, len(dense))
 
@@ -463,7 +463,7 @@ class TestLayerCache:
             assert np.array_equal(layer.weight.q, alone.weight.q)
             assert np.array_equal(layer.weight.scale, alone.weight.scale)
             assert layer.weight.delta == alone.weight.delta
-            assert all(map(np.array_equal, layer.branches.post, alone.branches.post))
+            assert all(map(np.array_equal, layer.branches.pair, alone.branches.pair))
 
 
 def two_group_spec(seed):
@@ -504,7 +504,7 @@ class TestStackedFit:
                 assert got.weight.q.tobytes() == layer.weight.q.tobytes()
                 assert got.weight.scale.tobytes() == layer.weight.scale.tobytes()
                 assert got.weight.delta == layer.weight.delta
-                for got_f, want_f in zip(got.branches.post, layer.branches.post):
+                for got_f, want_f in zip(got.branches.pair, layer.branches.pair):
                     assert got_f.tobytes() == want_f.tobytes()
                 assert got.branches.lrb.a.tobytes() == layer.branches.lrb.a.tobytes()
                 assert got.branches.gmb.u.tobytes() == layer.branches.gmb.u.tobytes()
