@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,67 +18,49 @@ from .errors import InvalidBitsError, InvalidDimensionError
 from .toymodel import (ALLOWED_BITS, PASSTHROUGH_BITS, CalibrationSet, QuantContext, ToyModel,
                        forward_batch)
 
-METRICS = ("L1", "L2")
 MAX_BUDGET_UNITS = 10**6
 
 
-@dataclass(frozen=True)
-class SensitivityTable:
-    """Per-(layer, bits) isolation scores under one metric."""
+def sensitivity_tables(model: ToyModel, calib: CalibrationSet, ctx: QuantContext = QuantContext(),
+                       candidates=(2, 3, 4, 5)) -> dict:
+    """Isolation scores ``{"L1": {layer: {bits: score}}, "L2": {...}}``.
 
-    metric: str
-    scores: dict
-
-    def score(self, layer: int, bits: int) -> float:
-        return self.scores[layer][bits]
-
-
-def layer_sensitivity(model: ToyModel, layer: int, bits: int, metric: str,
-                      calib: CalibrationSet, ctx: QuantContext = QuantContext()) -> float:
-    """Mean output distance when only ``layer`` is quantized (rest at FP).
-
-    The forward runs through the model's ``EvalCache``, so consecutive
-    calls on one calibration set resume after the dense prefix they share.
-    A score that is not finite (the quantized forward overflowed) raises
-    InvalidDimensionError naming the layer and its bits.
+    Each (layer, bits) pair gets one quantized forward with every other
+    layer at PASSTHROUGH_BITS; its score under each metric is the mean
+    over calibration rows of that norm of the output error.  Layers run
+    in order and bits ascending, so each forward resumes through the
+    model's ``EvalCache`` after the dense prefix it shares with the last.
+    A non-finite score (the quantized forward overflowed) raises
+    InvalidDimensionError naming the layer, its bits and each metric that
+    failed.  Warns if a layer's scores under a metric are not
+    non-increasing in bits (more precision should never hurt).
     """
-    if metric not in METRICS:
-        raise InvalidBitsError(f"metric must be one of {METRICS}")
-    alloc = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
-    alloc[layer] = bits
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = forward_batch(model, alloc, calib.input_matrix, ctx)
-        diff = out - calib.output_matrix
-        if metric == "L1":
-            score = float(np.mean(np.sum(np.abs(diff), axis=1)))
-        else:
-            score = float(np.mean(np.sqrt(np.sum(diff * diff, axis=1))))
-    if not math.isfinite(score):
-        raise InvalidDimensionError(
-            f"the quantized forward with layer {layer} at {bits} bits, every other at "
-            f"{PASSTHROUGH_BITS}, gives a non-finite {metric} score ({score})"
-        )
-    return score
-
-
-def build_sensitivity_table(model: ToyModel, metric: str, calib: CalibrationSet,
-                            ctx: QuantContext = QuantContext(),
-                            candidates=(2, 3, 4, 5)) -> SensitivityTable:
-    """Score every (layer, bits) pair; warns if any layer's scores are not
-    non-increasing in bits (more precision should never hurt)."""
-    scores = {}
+    tables = {"L1": {}, "L2": {}}
     for layer in range(model.n_layers):
-        row = {}
+        rows = {"L1": {}, "L2": {}}
         for b in sorted(candidates):
-            row[b] = layer_sensitivity(model, layer, b, metric, calib, ctx)
-        scores[layer] = row
-        ordered = [row[b] for b in sorted(row)]
-        if any(lo < hi - 1e-12 for lo, hi in zip(ordered, ordered[1:])):
-            warnings.warn(
-                f"layer {layer} sensitivity not monotone in bits: {row}",
-                stacklevel=2,
-            )
-    return SensitivityTable(metric=metric, scores=scores)
+            alloc = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
+            alloc[layer] = b
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = forward_batch(model, alloc, calib.input_matrix, ctx) - calib.output_matrix
+                rows["L1"][b] = float(np.mean(np.sum(np.abs(diff), axis=1)))
+                rows["L2"][b] = float(np.mean(np.sqrt(np.sum(diff * diff, axis=1))))
+            bad = [f"{metric} score ({row[b]})" for metric, row in rows.items()
+                   if not math.isfinite(row[b])]
+            if bad:
+                raise InvalidDimensionError(
+                    f"the quantized forward with layer {layer} at {b} bits, every other at "
+                    f"{PASSTHROUGH_BITS}, gives a non-finite {' and '.join(bad)}"
+                )
+        for metric, row in rows.items():
+            ordered = list(row.values())  # bits ascending
+            if any(lo < hi - 1e-12 for lo, hi in zip(ordered, ordered[1:])):
+                warnings.warn(
+                    f"layer {layer} {metric} sensitivity not monotone in bits: {row}",
+                    stacklevel=2,
+                )
+            tables[metric][layer] = row
+    return tables
 
 
 def _budget_units(flops) -> list:
@@ -98,8 +79,10 @@ def _budget_units(flops) -> list:
     return units
 
 
-def ip_allocate(sensitivity: SensitivityTable, flops, target: float, candidates=(2, 3, 4, 5)) -> dict:
+def ip_allocate(scores: dict, flops, target: float, candidates=(2, 3, 4, 5)) -> dict:
     """Exact knapsack: minimize summed scores subject to the bit budget.
+
+    ``scores[layer][bits]`` is one metric's table from sensitivity_tables.
 
     Dynamic program over integer budget units.  Ties break toward lower
     total bits, then toward the lexicographically smallest per-layer
@@ -115,7 +98,7 @@ def ip_allocate(sensitivity: SensitivityTable, flops, target: float, candidates=
         )
     for layer in range(n):
         for b in candidates:
-            sensitivity.score(layer, b)  # raises KeyError if the table is incomplete
+            scores[layer][b]  # raises KeyError if the table is incomplete
     units = _budget_units(flops)
     budget = int(math.floor(target * sum(units) + 1e-9))
     inf = float("inf")
@@ -132,7 +115,7 @@ def ip_allocate(sensitivity: SensitivityTable, flops, target: float, candidates=
                 continue
             cand_score = np.full(budget + 1, inf)
             cand_bits = np.zeros(budget + 1, dtype=np.int64)
-            cand_score[cost:] = sensitivity.score(layer, b) + next_score[: budget + 1 - cost]
+            cand_score[cost:] = scores[layer][b] + next_score[: budget + 1 - cost]
             cand_bits[cost:] = b + next_bits[: budget + 1 - cost]
             better = (cand_score < cur_score) | (
                 (cand_score == cur_score) & (cand_bits < cur_bits)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, replace
 
-from .baselines import build_sensitivity_table, ip_allocate, uniform_allocate
+from .baselines import ip_allocate, sensitivity_tables, uniform_allocate
 from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_doc
 from .errors import ConvergenceError
 from .quantizer import default_delta_table
@@ -142,6 +143,9 @@ def load_run_config(args) -> RunConfig:
             cfg[section][key] = getattr(args, flag)
     if getattr(args, "out", None) is not None:
         output_dir = args.out
+    # json reads NaN and Infinity, and argparse's float reads "nan" and "inf"
+    if not math.isfinite(cfg["search"]["target"]):
+        raise ConfigError("config field 'search.target' must be finite")
 
     try:
         spec = ModelSpec(**cfg["model"])
@@ -306,9 +310,9 @@ def cmd_baseline(cfg: RunConfig, args) -> int:
     candidates = tuple(cfg.search["candidates"])
 
     allocs = {"uniform": uniform_allocate(model.n_layers, _uniform_bits(cfg))}
+    tables = sensitivity_tables(model, sens_calib, ctx, candidates)
     for metric, label in (("L1", "ip_l1"), ("L2", "ip_l2")):
-        table = build_sensitivity_table(model, metric, sens_calib, ctx, candidates)
-        allocs[label] = ip_allocate(table, model.flops, target, candidates)
+        allocs[label] = ip_allocate(tables[metric], model.flops, target, candidates)
     allocs["tss"] = _run_search(cfg, model, calib).final
 
     rows = []

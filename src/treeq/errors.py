@@ -23,11 +23,15 @@ class InvalidSpanError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to converge within its iteration cap.
+    """A solver's answer failed its accuracy check.
 
-    Carries the message without the residual and the last observed
-    residual, so callers can decide whether the partial answer is usable
-    or re-raise with more context.
+    The SVD (``linalg``) is direct and does not iterate to a tolerance; it
+    raises this only when its residual max ||A v_j - sigma_j u_j||
+    exceeds ``linalg.SVD_RESIDUAL_FACTOR`` * max(m, n) * eps * sigma_1,
+    or is not finite.
+
+    Carries the message without the residual and the worst residual of
+    the failing problems, so callers can re-raise with more context.
     """
 
     def __init__(self, message, residual):

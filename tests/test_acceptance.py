@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from treeq.baselines import build_sensitivity_table, ip_allocate, uniform_allocate
+from treeq.baselines import ip_allocate, sensitivity_tables, uniform_allocate
 from treeq.branches import (
     branch_decomposition,
     factor_pair,
@@ -93,7 +93,7 @@ def suite_results(suite_models, suite_calibs, ctx):
             for env in (2, 3, 32)
         }
         sens_calib = gen_calibration(model, 256, substream(77, TAG_DERIVE, 1))
-        table = build_sensitivity_table(model, "L2", sens_calib, ctx)
+        table = sensitivity_tables(model, sens_calib, ctx)["L2"]
         ip = ip_allocate(table, model.flops, 3.0)
         uni = uniform_allocate(model.n_layers, 3)
         out[seed] = {

@@ -11,19 +11,17 @@ import math
 import numpy as np
 import pytest
 
+from treeq import baselines, toymodel
 from treeq.baselines import (
     MAX_BUDGET_UNITS,
-    SensitivityTable,
     _budget_units,
-    build_sensitivity_table,
     ip_allocate,
-    layer_sensitivity,
+    sensitivity_tables,
     uniform_allocate,
 )
-from treeq import toymodel
 from treeq.errors import InvalidBitsError, InvalidDimensionError
 from treeq.suite import exhaustive_spec
-from treeq.toymodel import gen_calibration, gen_model, mean_bitwidth
+from treeq.toymodel import PASSTHROUGH_BITS, gen_calibration, gen_model, mean_bitwidth, quantized_layer
 
 
 def brute_force_ip(table, flops, target, candidates):
@@ -34,7 +32,7 @@ def brute_force_ip(table, flops, target, candidates):
     for combo in itertools.product(sorted(candidates), repeat=len(flops)):
         if sum(u * b for u, b in zip(units, combo)) > budget:
             continue
-        score = sum(table.score(i, b) for i, b in enumerate(combo))
+        score = sum(table[i][b] for i, b in enumerate(combo))
         key = (score, sum(combo), combo)
         if best_key is None or key < best_key:
             best_key = key
@@ -49,7 +47,7 @@ def random_table(n, seed, candidates=(2, 3, 4, 5)):
     for layer in range(n):
         drops = np.sort(rng.random(len(candidates)))[::-1] * rng.uniform(0.5, 2.0)
         scores[layer] = {b: float(s) for b, s in zip(sorted(candidates), drops)}
-    return SensitivityTable(metric="L2", scores=scores)
+    return scores
 
 
 @pytest.fixture(scope="module")
@@ -64,44 +62,85 @@ def sens_calib(sens_model):
 
 class TestSensitivity:
     def test_full_precision_scores_zero(self, sens_model, sens_calib):
-        assert layer_sensitivity(sens_model, 0, 32, "L2", sens_calib) == 0.0
-        assert layer_sensitivity(sens_model, 0, 32, "L1", sens_calib) == 0.0
+        tables = sensitivity_tables(sens_model, sens_calib, candidates=(32,))
+        for metric in ("L1", "L2"):
+            assert tables[metric] == {layer: {32: 0.0} for layer in range(4)}
 
     def test_l2_never_exceeds_l1(self, sens_model, sens_calib):
+        tables = sensitivity_tables(sens_model, sens_calib, candidates=(2, 4))
         for bits in (2, 4):
-            l1 = layer_sensitivity(sens_model, 1, bits, "L1", sens_calib)
-            l2 = layer_sensitivity(sens_model, 1, bits, "L2", sens_calib)
+            l1 = tables["L1"][1][bits]
+            l2 = tables["L2"][1][bits]
             assert 0.0 < l2 <= l1
 
-    def test_rejects_unknown_metric(self, sens_model, sens_calib):
-        with pytest.raises(InvalidBitsError):
-            layer_sensitivity(sens_model, 0, 4, "Linf", sens_calib)
-
-    @pytest.mark.parametrize("metric", ["L1", "L2"])
-    def test_non_finite_score_raises(self, monkeypatch, metric):
-        # a NaN output of the quantized layer would otherwise be the score
+    @pytest.mark.parametrize("factor, named", [
+        (np.nan, r"non-finite L1 score \(nan\) and L2 score \(nan\)$"),
+        # the squares overflow but the absolute values do not
+        (1e200, r"non-finite L2 score \(inf\)$"),
+    ], ids=["L1", "L2"])  # the metric each case must name
+    def test_non_finite_score_raises(self, monkeypatch, factor, named):
+        # a non-finite score would otherwise enter the knapsack; only layer
+        # 3 at 4 bits is scaled, so the forwards before it are scored
         model = gen_model(exhaustive_spec(3))
         calib = gen_calibration(model, 16, 7)
+        bad = quantized_layer(model, 3, 4)
         run = toymodel.forward_quantized_batch
         monkeypatch.setattr(toymodel, "forward_quantized_batch",
-                            lambda layer, xs: run(layer, xs) * np.nan)
-        with pytest.raises(InvalidDimensionError, match=f"layer 3 at 4 bits.*non-finite {metric}"):
-            layer_sensitivity(model, 3, 4, metric, calib)
+                            lambda layer, xs: run(layer, xs) * (factor if layer is bad else 1.0))
+        with pytest.raises(InvalidDimensionError, match=f"layer 3 at 4 bits.*{named}"):
+            sensitivity_tables(model, calib)
+
+    def test_one_forward_per_layer_and_bits(self, monkeypatch, sens_model, sens_calib):
+        # both metrics reduce the same forward, run layer-major with bits
+        # ascending; each score equals a norm of a direct forward's error
+        allocs = []
+
+        def counted(model, alloc, xs, ctx):
+            allocs.append(dict(alloc))
+            return toymodel.forward_batch(model, alloc, xs, ctx)
+
+        monkeypatch.setattr(baselines, "forward_batch", counted)
+        tables = sensitivity_tables(sens_model, sens_calib)
+        order = [(layer, b) for layer in range(4) for b in (2, 3, 4, 5)]
+        assert len(allocs) == 16
+        for alloc, (layer, b) in zip(allocs, order):
+            assert alloc == {i: b if i == layer else PASSTHROUGH_BITS for i in range(4)}
+        for alloc, (layer, b) in zip(allocs, order):
+            diff = toymodel.forward_batch(sens_model, alloc, sens_calib.input_matrix)
+            diff = diff - sens_calib.output_matrix
+            assert tables["L1"][layer][b] == np.linalg.norm(diff, ord=1, axis=1).mean()
+            assert tables["L2"][layer][b] == np.linalg.norm(diff, axis=1).mean()
+        assert set(tables) == {"L1", "L2"}
 
     def test_table_matches_direct_calls(self, sens_model, sens_calib):
-        table = build_sensitivity_table(sens_model, "L2", sens_calib)
-        assert set(table.scores) == set(range(4))
-        for layer in range(4):
-            assert set(table.scores[layer]) == {2, 3, 4, 5}
-        want = layer_sensitivity(sens_model, 2, 3, "L2", sens_calib)
-        assert table.score(2, 3) == want
+        # a score does not depend on which other widths the table holds
+        tables = sensitivity_tables(sens_model, sens_calib)
+        for table in tables.values():
+            assert set(table) == set(range(4))
+            for layer in range(4):
+                assert set(table[layer]) == {2, 3, 4, 5}
+        alone = sensitivity_tables(sens_model, sens_calib, candidates=(3,))
+        for metric in ("L1", "L2"):
+            assert tables[metric][2][3] == alone[metric][2][3]
 
     def test_scores_monotone_on_suite_model(self, sens_model, sens_calib):
-        table = build_sensitivity_table(sens_model, "L1", sens_calib)
-        for layer, row in table.scores.items():
-            vals = [row[b] for b in sorted(row)]
-            assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+        for table in sensitivity_tables(sens_model, sens_calib).values():
+            for layer, row in table.items():
+                vals = [row[b] for b in sorted(row)]
+                assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_non_monotone_row_warns_with_its_metric(self, monkeypatch):
+        # 5 bits made worse than 4 on layer 2 only: both metrics warn for it
+        model = gen_model(exhaustive_spec(3))
+        calib = gen_calibration(model, 16, 7)
+        worse = quantized_layer(model, 2, 5)
+        run = toymodel.forward_quantized_batch
+        monkeypatch.setattr(toymodel, "forward_quantized_batch",
+                            lambda layer, xs: run(layer, xs) * (4.0 if layer is worse else 1.0))
+        with pytest.warns(UserWarning) as caught:
+            sensitivity_tables(model, calib)
+        messages = sorted(str(w.message).split(":")[0] for w in caught)
+        assert messages == [f"layer 2 {m} sensitivity not monotone in bits" for m in ("L1", "L2")]
 
 
 class TestBudgetUnits:
@@ -126,7 +165,7 @@ class TestIpAllocate:
         assert got == want
 
     def test_respects_budget(self, sens_model, sens_calib):
-        table = build_sensitivity_table(sens_model, "L2", sens_calib)
+        table = sensitivity_tables(sens_model, sens_calib)["L2"]
         for target in (2.5, 3.0, 3.75):
             alloc = ip_allocate(table, sens_model.flops, target)
             assert mean_bitwidth(alloc, sens_model) <= target + 1e-9
@@ -149,7 +188,7 @@ class TestIpAllocate:
         # Identical rows everywhere: many optima, the smallest assignment
         # (after spending down to equal scores) must be returned.
         row = {2: 4.0, 3: 3.0, 4: 2.0, 5: 1.0}
-        table = SensitivityTable(metric="L2", scores={0: dict(row), 1: dict(row)})
+        table = {0: dict(row), 1: dict(row)}
         got = ip_allocate(table, (256, 256), 3.5)
         want = brute_force_ip(table, (256, 256), 3.5, (2, 3, 4, 5))
         assert got == want
@@ -160,7 +199,7 @@ class TestIpAllocate:
             ip_allocate(table, (256, 256), 1.5)
 
     def test_incomplete_table(self):
-        table = SensitivityTable(metric="L2", scores={0: {2: 1.0}})
+        table = {0: {2: 1.0}}
         with pytest.raises(KeyError):
             ip_allocate(table, (256,), 2.5)
 

@@ -176,6 +176,32 @@ class TestConfigHandling:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, flags", [
+        ('{"search": {"target": NaN}}', []),
+        ('{"search": {"target": Infinity}}', []),
+        ("{}", ["--target", "nan"]),
+    ], ids=["json-NaN", "json-Infinity", "flag-nan"])
+    def test_non_finite_target(self, tmp_path, capsys, config, flags):
+        # json and argparse's float both read these; quantize would write
+        # a 2-bit result for them
+        p = tmp_path / "cfg.json"
+        p.write_text(config)
+        argv = ["quantize", "--config", str(p), "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: config field 'search.target' must be finite"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["gen-model"], ["calibrate-delta"], ["search"], ["eval", "alloc.json"],
+        ["baseline"], ["ablate", "k"], ["ablate", "calib"], ["ablate", "gmb"],
+    ], ids=lambda c: "-".join(c))
+    def test_non_finite_target_stops_every_command(self, tmp_path, capsys, command):
+        assert main([*command, "--target=-inf", "--out", str(tmp_path / "o")]) == 2
+        assert "search.target" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("model, where", [
         ({"n_layers": 4, "dims": [32] * 5, "outlier_scale": 1e200}, "entering layer 1"),
         ({"n_layers": 64, "dims": [8] * 65, "outlier_fraction": 0.5, "outlier_scale": 1e6},
