@@ -159,6 +159,10 @@ def load_run_config(args) -> RunConfig:
         check_calibration(**cfg["calib"])
     except ValueError as e:
         raise ConfigError(f"invalid calib config: {e}")
+    try:
+        SearchParams(calib=None, **cfg["search"])
+    except ValueError as e:
+        raise ConfigError(f"invalid search config: {e}")
     return RunConfig(spec, cfg["search"], quant, cfg["calib"], output_dir)
 
 
@@ -201,14 +205,8 @@ def cmd_calibrate_delta(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _run_search(cfg: RunConfig, model, calib, k=None):
-    params = SearchParams(
-        calib=calib,
-        candidates=tuple(cfg.search["candidates"]),
-        k=k if k is not None else cfg.search["k"],
-        target=cfg.search["target"],
-        env_bits=cfg.search["env_bits"],
-    )
+def _run_search(cfg: RunConfig, model, calib, **overrides):
+    params = SearchParams(calib=calib, **{**cfg.search, **overrides})
     return tss_search(model, params, cfg.quant)
 
 

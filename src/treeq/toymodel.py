@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -189,7 +188,8 @@ class EvalCache:
     so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
     way), and the MSE of every allocation evaluated, keyed by bit tuple.
     A level holds one activation-sized array.  Entering a new scope drops
-    all of it, so the cache never holds more than one scope.
+    all of it, so the cache never holds more than one scope.  Identity is
+    a sound scope because ``gen_calibration`` makes the matrix read-only.
     """
 
     def __init__(self):
@@ -268,7 +268,8 @@ def gen_model(spec: ModelSpec) -> ToyModel:
 
     Layer i uses substream (TAG_WEIGHT, i) for the Gaussian entries and
     (TAG_OUTLIER, i) for the outlier mask; a fraction of entries is
-    multiplied by outlier_scale.
+    multiplied by outlier_scale.  Weights are read-only, as the
+    ``fit_cache`` keys a layer's fits by its index alone.
     """
     weights = []
     for i in range(spec.n_layers):
@@ -279,25 +280,22 @@ def gen_model(spec: ModelSpec) -> ToyModel:
             u = uniform_stream(substream(spec.seed, TAG_OUTLIER, i), n_out * n_in)
             mask = u.reshape(n_out, n_in) < spec.outlier_fraction
             w = np.where(mask, w * spec.outlier_scale, w)
+        w.setflags(write=False)
         weights.append(w)
     return ToyModel(spec=spec, weights=weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationSet:
-    """Inputs plus their exact full-precision outputs; immutable after build."""
+    """Inputs, one per row, and their exact dense outputs.
 
-    inputs: tuple
-    fp_outputs: tuple
+    Both matrices are read-only and a set equals only itself, so the input
+    matrix can scope an ``EvalCache`` by identity.
+    """
+
+    input_matrix: np.ndarray
+    output_matrix: np.ndarray
     seed: int
-
-    @cached_property
-    def input_matrix(self) -> np.ndarray:
-        return np.stack(self.inputs, axis=0)
-
-    @cached_property
-    def output_matrix(self) -> np.ndarray:
-        return np.stack(self.fp_outputs, axis=0)
 
 
 @dataclass(frozen=True)
@@ -481,12 +479,13 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     """``count`` i.i.d. standard-normal inputs plus exact dense outputs.
 
     Input j comes from substream (TAG_CALIB, j) of ``seed``; see
-    ``check_calibration`` for the arguments' ranges.  The dense forward
-    runs through the model's ``eval_cache``, and every activation it
-    leaves there and its output must stay within DENSE_BOUND in
-    magnitude: otherwise the model's outliers make the forward overflow,
-    and InvalidDimensionError names the first layer past the bound and
-    the outlier settings.
+    ``check_calibration`` for the arguments' ranges.  The set holds the very
+    arrays of the dense forward, made read-only (see ``CalibrationSet``).
+    That forward runs through the model's ``eval_cache``, and every
+    activation it leaves there and its output must stay within DENSE_BOUND
+    in magnitude: otherwise the model's outliers make the forward overflow,
+    and InvalidDimensionError names the first layer past the bound and the
+    outlier settings.
     """
     seed = check_calibration(count, seed)
     d0 = model.dims[0]
@@ -494,6 +493,7 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
         [gaussian_stream(substream(seed, TAG_CALIB, j), d0) for j in range(count)],
         axis=0,
     )
+    xs.setflags(write=False)
     all32 = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
     with np.errstate(over="ignore", invalid="ignore"):
         fp = forward_batch(model, all32, xs)
@@ -506,11 +506,8 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
                 f"above 2^500 = {DENSE_BOUND:.3g} (outlier_fraction {model.spec.outlier_fraction}, "
                 f"outlier_scale {model.spec.outlier_scale:g})"
             )
-    return CalibrationSet(
-        inputs=tuple(xs[j] for j in range(count)),
-        fp_outputs=tuple(fp[j] for j in range(count)),
-        seed=seed,
-    )
+    fp.setflags(write=False)
+    return CalibrationSet(input_matrix=xs, output_matrix=fp, seed=seed)
 
 
 def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantContext = QuantContext()) -> float:
@@ -519,12 +516,12 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     This is the search's performance indicator once environment bits are
     folded into ``alloc``.  Results are memoized in the model's
     ``EvalCache`` by bit tuple, for the current scope only: the
-    calibration's input matrix (by identity) and ``ctx``.  A hit needs
-    the scope and an allocation of exactly the model's layers whose bits
-    were evaluated in it.  A miss runs ``forward_batch``, which checks the
-    allocation, enters the scope and resumes from the longest layer
-    prefix shared with the previous evaluation, so it gives the value a
-    full forward gives, bit for bit.  A value that is not finite (the
+    calibration's input matrix (by identity: it is read-only) and ``ctx``.
+    A hit needs the scope and an allocation of exactly the model's layers
+    whose bits were evaluated in it.  A miss runs ``forward_batch``, which
+    checks the allocation, enters the scope and resumes from the longest
+    layer prefix shared with the previous evaluation, so it gives the value
+    a full forward gives, bit for bit.  A value that is not finite (the
     quantized forward overflowed) raises InvalidDimensionError naming the
     allocation, and is not memoized.
     """

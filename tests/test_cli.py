@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from treeq import linalg
+from treeq import linalg, toymodel
 from treeq.cli import _gmb_settings, main
 from treeq.quantizer import default_delta_table
 from treeq.toymodel import ModelSpec, QuantContext
@@ -201,6 +201,27 @@ class TestConfigHandling:
         assert main([*command, "--target=-inf", "--out", str(tmp_path / "o")]) == 2
         assert "search.target" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, message", [
+        (["quantize"], "--target=9", "target 9.0 outside candidate hull (2, 3, 4, 5)"),
+        (["baseline"], "--target=1.5", "target 1.5 outside candidate hull (2, 3, 4, 5)"),
+        (["gen-model"], "--k=2", "k=2 smaller than candidate count 4"),
+    ], ids=["quantize-target-9", "baseline-target-1.5", "gen-model-k-2"])
+    def test_search_section_checked_at_load(self, tmp_path, capsys, monkeypatch,
+                                            command, flag, message):
+        # checked like calib, before any command runs a forward
+        forwards = []
+        run = toymodel.forward_batch
+
+        def counted(*args, **kwargs):
+            forwards.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(toymodel, "forward_batch", counted)
+        assert main([*command, flag, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == f"error: invalid search config: {message}"
+        assert not (tmp_path / "o").exists()
+        assert forwards == []
 
     @pytest.mark.parametrize("model, where", [
         ({"n_layers": 4, "dims": [32] * 5, "outlier_scale": 1e200}, "entering layer 1"),
@@ -412,7 +433,9 @@ class TestQuantize:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["quantize", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.strip() == "error: bits 32 not in (2, 3, 4, 5, 6, 7, 8)"
+        assert capsys.readouterr().err.strip() == (
+            "error: invalid search config: candidate bits 32 unsupported"
+        )
         assert not (tmp_path / "out" / "quantize.json").exists()
 
 

@@ -214,6 +214,14 @@ class TestGenModel:
         )
         assert m.weights[0][0, 0] == pytest.approx(-0.05545128, abs=1e-7)
 
+    def test_weights_are_read_only(self):
+        # the fit cache is keyed by layer index: an edited weight would
+        # keep its stale fits
+        m = gen_model(ModelSpec(n_layers=2, dims=(16,) * 3, seed=4, outlier_fraction=0.1))
+        for w in m.weights:
+            with pytest.raises(ValueError, match="read-only"):
+                w[:] *= 2
+
 
 class TestForward:
     def test_one_row_equals_its_matmul_reference(self):
@@ -525,13 +533,26 @@ class TestCalibration:
         m = gen_model(exhaustive_spec(1))
         c = gen_calibration(m, 3, 123)
         want = gaussian_stream(substream(123, TAG_CALIB, 1), 32)
-        assert np.array_equal(c.inputs[1], want)
+        assert np.array_equal(c.input_matrix[1], want)
 
     def test_outputs_are_dense_forward(self):
         m = gen_model(exhaustive_spec(1))
         c = gen_calibration(m, 4, 5)
         want = forward_batch(m, {i: 32 for i in range(4)}, c.input_matrix)
         assert np.array_equal(c.output_matrix, want)
+
+    @pytest.mark.parametrize("name", ["input_matrix", "output_matrix"])
+    def test_matrices_are_read_only(self, name):
+        # the eval cache's scope is the input matrix by identity: a write
+        # into either matrix would leave its memo stale
+        c = gen_calibration(gen_model(exhaustive_spec(1)), 4, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(c, name)[:] *= 2
+
+    def test_dense_forward_leaves_the_input_matrix_as_scope(self):
+        m = gen_model(exhaustive_spec(1))
+        c = gen_calibration(m, 4, 5)
+        assert m.eval_cache.acts[0] is c.input_matrix
 
     def test_rejects_empty(self):
         m = gen_model(exhaustive_spec(1))
@@ -746,7 +767,7 @@ class TestEvalCache:
         m = gen_model(exhaustive_spec(2))
         a = gen_calibration(m, 8, 3)
         b = dataclasses.replace(gen_calibration(m, 8, 4), seed=3)
-        assert (a.seed, len(a.inputs)) == (b.seed, len(b.inputs))
+        assert (a.seed, len(a.input_matrix)) == (b.seed, len(b.input_matrix))
         alloc = {i: 3 for i in range(4)}
         got_a = end_to_end_mse(m, alloc, a)
         got_b = end_to_end_mse(m, alloc, b)
