@@ -219,30 +219,92 @@ def lrb_fitted_first(r_gmb: int, *, order: str = "lrb_first", placement: str = "
     return r_gmb <= 0 or (order == "lrb_first" and placement == "post")
 
 
-def branch_decomposition(
-    w,
-    r_lrb: int,
-    r_gmb: int,
-    *,
-    order: str = "lrb_first",
-    placement: str = "post",
-    lrb: list | None = None,
-):
-    """Fit the branches of a (B, m, n) stack of weights; independent of any bit-width.
+@dataclass(frozen=True)
+class FitPlan:
+    """The distinct problems that a list of settings poses on each weight.
 
-    Default pipeline: W_H = W @ H, with H = ``hadamard(n)`` the rotation
-    the forward applies to activations; LRB fitted on W_H, GMB fitted on
-    W_H - LRB; ``r_gmb`` 0 fits no GMB.  ``order`` swaps which branch is
-    fitted first; ``placement`` "pre" fits the GMB on the raw weight W
-    instead (its output then feeds on x, not H^T x).  ``lrb`` may carry a
-    list of B earlier rank-``r_lrb`` fits of W_H; they replace the refit
-    where ``lrb_fitted_first`` holds and are ignored otherwise.
+    A stage maps the argument of one stacked fit call to its problems, in
+    the order the settings first pose them:
 
-    Every variant fits all LRBs of the stack in one ``truncated_svd`` call
-    (``fit_lrbs``) and all GMB blocks in one ``top_singular_pair`` call
-    (``fit_gmbs``), and forms every product in one stacked ``einsum``, so
-    each weight's fit is bit-identical to fitting a stack of that weight
-    alone.  Returns a list of B pairs (branches, w_res): the fitted
+    * ``before``: a GMB grid to the placements of the GMBs fitted before
+      the LRB: "post" (gmb_first) fits on W_H, "pre" on the raw W;
+    * ``lrb``: an LRB rank to its sources: ``None`` fits on W_H itself, a
+      ``before`` key (grid, placement) on W_H less that GMB's image;
+    * ``after``: a GMB grid to the LRB ranks whose products its problems
+      subtract from W_H (lrb_first under "post").
+
+    ``routes`` holds, per setting, its LRB's source and its GMB's key,
+    (grid, placement) in ``before`` or (grid, rank) in ``after``, or
+    ``None`` for no GMB.
+    """
+
+    settings: tuple
+    routes: tuple
+    before: dict
+    lrb: dict
+    after: dict
+
+    @property
+    def width(self) -> int:
+        """The most problems per weight that one fit call stacks."""
+        stages = (self.before, self.lrb, self.after)
+        return max((len(p) for stage in stages for p in stage.values()), default=0)
+
+
+def fit_plan(settings, rows: int, cols: int) -> FitPlan:
+    """The ``FitPlan`` of (r_lrb, r_gmb, order, placement) settings on rows x cols weights.
+
+    An unknown order or placement, and a GMB rank whose grid does not
+    divide the shape, raise here, before anything is fitted.
+    """
+    settings = tuple(settings)
+    routes, before, lrb, after = [], {}, {}, {}
+    for r_lrb, r_gmb, order, placement in settings:
+        if order not in GMB_ORDERS:
+            raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
+        if placement not in GMB_PLACEMENTS:
+            raise InvalidPartitionError(f"placement must be one of {GMB_PLACEMENTS}")
+        source = gmb_key = None
+        if r_gmb > 0:
+            grid = gmb_budget_partitions(rows, cols, r_gmb)
+            if lrb_fitted_first(r_gmb, order=order, placement=placement):
+                gmb_key = (grid, _add(after, grid, r_lrb))
+            else:
+                source = gmb_key = (grid, _add(before, grid, placement))
+        _add(lrb, r_lrb, source)
+        routes.append((source, gmb_key))
+    return FitPlan(settings, tuple(routes), before, lrb, after)
+
+
+def _add(stage: dict, key, problem):
+    """Pose ``problem`` in ``stage``'s call for ``key``, once; returns it."""
+    problems = stage.setdefault(key, [])
+    if problem not in problems:
+        problems.append(problem)
+    return problem
+
+
+def branch_decomposition(w, settings):
+    """Fit each setting on every weight of a (B, m, n) stack; independent of any bit-width.
+
+    A setting is (r_lrb, r_gmb, order, placement).  Default pipeline:
+    W_H = W @ H, with H = ``hadamard(n)`` the rotation the forward applies
+    to activations; LRB fitted on W_H, GMB fitted on W_H - LRB; ``r_gmb``
+    0 fits no GMB.  ``order`` "gmb_first" swaps which branch is fitted
+    first; ``placement`` "pre" fits the GMB first, on the raw weight W
+    (its output then feeds on x, not H^T x).
+
+    All settings are fitted at once, in the three stages of ``fit_plan``:
+    the GMBs that come before the LRB, in one ``fit_gmbs`` call per block
+    grid; every LRB, in one ``fit_lrbs`` call per rank; the GMBs that
+    follow the LRB, in one call per grid.  A problem that several settings
+    pose is fitted once: settings that differ only in GMB rank share the
+    LRB fitted on W_H.  A call stacks its problems for all B weights, and
+    every product is one stacked ``einsum``, so each weight's fit under
+    each setting is bit-identical to fitting that weight alone under that
+    setting alone.
+
+    Returns, per setting, a list of B pairs (branches, w_res): the fitted
     ``Branches`` and w_res, W_H less the dense products of those factors
     (the GMB's through H under "pre"), the leftover handed to the residual
     quantizer.
@@ -250,44 +312,55 @@ def branch_decomposition(
     stack = as_stack(w)
     if stack.ndim != 3:
         raise InvalidDimensionError(f"expected a stack of weights, got ndim={stack.ndim}")
-    if order not in GMB_ORDERS:
-        raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
-    if placement not in GMB_PLACEMENTS:
-        raise InvalidPartitionError(f"placement must be one of {GMB_PLACEMENTS}")
     count, rows, cols = stack.shape
+    plan = fit_plan(settings, rows, cols)
     h = hadamard(cols)
-    with_gmb = r_gmb > 0
-    if with_gmb:
-        n_o, n_i = gmb_budget_partitions(rows, cols, r_gmb)
     w_h = np.einsum("bij,jk->bik", stack, h)
-    if lrb_fitted_first(r_gmb, order=order, placement=placement):
-        if lrb is None:
-            lrb = fit_lrbs(w_h, r_lrb)
-        elif len(lrb) != count or any(
-            f.rank != r_lrb or f.a.shape[0] != rows or f.b.shape[1] != cols for f in lrb
-        ):
-            raise InvalidRankError(
-                f"given LRBs are not {count} of rank {r_lrb} on {(rows, cols)}"
-            )
-    gmb = [None] * count
-    if not with_gmb:
-        w_res = w_h - _lrb_products(lrb)
-    elif placement == "pre":
-        # branch lives outside the rotation; fit on the raw weight,
-        # then remove its rotated image from the residual
-        gmb, pre = fit_gmbs(stack, n_o, n_i)
-        shadow = np.einsum("bij,jk->bik", pre, h)
-        lrb = fit_lrbs(w_h - shadow, r_lrb)
-        w_res = w_h - shadow - _lrb_products(lrb)
-    elif order == "lrb_first":
-        lrb_h = _lrb_products(lrb)
-        gmb, gmb_h = fit_gmbs(w_h - lrb_h, n_o, n_i)
-        w_res = w_h - lrb_h - gmb_h
-    else:
-        gmb, gmb_h = fit_gmbs(w_h, n_o, n_i)
-        lrb = fit_lrbs(w_h - gmb_h, r_lrb)
-        w_res = w_h - gmb_h - _lrb_products(lrb)
-    return [(Branches(lrb[k], gmb[k], placement), w_res[k]) for k in range(count)]
+    # every fitted problem: its B fits and their (B, m, n) dense products
+    gmbs, lrbs = {}, {}
+    for grid, placements in plan.before.items():
+        # a "pre" branch lives outside the rotation: fit on the raw weight,
+        # then carry its rotated image
+        sources = [stack if p == "pre" else w_h for p in placements]
+        for p, (fits, image) in zip(placements, _split_gmbs(sources, grid, count)):
+            if p == "pre":
+                image = np.einsum("bij,jk->bik", image, h)
+            gmbs[(grid, p)] = fits, image
+    for r, sources in plan.lrb.items():
+        fits = fit_lrbs(_joined([w_h if s is None else w_h - gmbs[s][1] for s in sources]), r)
+        for k, s in enumerate(sources):
+            part = fits[k * count : (k + 1) * count]
+            lrbs[(r, s)] = part, _lrb_products(part)
+    for grid, ranks in plan.after.items():
+        sources = [w_h - lrbs[(r, None)][1] for r in ranks]
+        for r, fitted in zip(ranks, _split_gmbs(sources, grid, count)):
+            gmbs[(grid, r)] = fitted
+    out = []
+    for (r_lrb, _, _, placement), (source, gmb_key) in zip(plan.settings, plan.routes):
+        lrb, lrb_h = lrbs[(r_lrb, source)]
+        if gmb_key is None:
+            gmb, w_res = [None] * count, w_h - lrb_h
+        elif source is None:
+            gmb, gmb_h = gmbs[gmb_key]
+            w_res = w_h - lrb_h - gmb_h
+        else:
+            gmb, gmb_h = gmbs[gmb_key]
+            w_res = w_h - gmb_h - lrb_h
+        out.append([(Branches(lrb[k], gmb[k], placement), w_res[k]) for k in range(count)])
+    return out
+
+
+def _joined(parts) -> np.ndarray:
+    """(B, m, n) stacks joined into one, the first stack first; one is itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _split_gmbs(sources, grid, count: int) -> list:
+    """``fit_gmbs`` of the joined ``sources`` in one call, split back into
+    one (fits, assemblies) pair per source."""
+    fits, images = fit_gmbs(_joined(sources), *grid)
+    return [(fits[k * count : (k + 1) * count], images[k * count : (k + 1) * count])
+            for k in range(len(sources))]
 
 
 def _lrb_products(lrbs) -> np.ndarray:

@@ -43,7 +43,7 @@ from .branches import (
     QuantizedLinear,
     branch_decomposition,
     forward_quantized_batch,
-    lrb_fitted_first,
+    fit_plan,
     quantize_fit,
 )
 from .errors import (
@@ -76,8 +76,8 @@ TAG_DERIVE = 4
 # squares of such values, and sums of 1024 of them, stay finite in float64
 DENSE_BOUND = 2.0**500
 
-# bytes of weights per stacked branch fit: a shape group of layers larger
-# than this is fitted in several calls (a layer alone if it is larger)
+# bytes per stacked SVD input of a branch fit: fits that would stack more
+# are split over several calls (a problem alone if it is larger)
 FIT_STACK_BYTES = 1 << 24
 
 
@@ -216,38 +216,45 @@ class FitCache:
     """Every branch fit of one model, finished at every bit-width.
 
     Fits are eager and stacked: the first time a branch context needs any
-    layer, every layer is fitted under it, with one ``branch_decomposition``
-    call per group of same-shape layers (split to stay within
-    FIT_STACK_BYTES), and each layer's residual is quantized at every width
-    of QUANT_BITS straight away, in one pass over its rows
-    (``branches.quantize_fit``).  The float residual is dropped once that
-    is done.  A layer's branch key is its effective ranks, order and
-    placement, so contexts that agree on them share one fit.  The cache
-    holds:
-
-    * ``fits[(i,) + branch key]``: layer i's quantized layers, one per
-      width of QUANT_BITS, keyed by width.  The rotation and the steps are
-      the same for every context, so a layer's fit and a width fix the
-      layer, and contexts that share a fit share its layers.  All widths
-      share one ``Branches``, which keeps only factors, and one array of
-      row scales; each layer adds only its residual's int8 grid (n_out x
-      n_in bytes) and its row steps (n_out floats);
-    * ``lrbs[(i, r_lrb)]``: layer i's rank-r_lrb LRB fitted on W_i @ H
-      alone, which every pipeline for which ``lrb_fitted_first`` holds
-      reuses, whatever its GMB rank.
+    layer, every layer is fitted under it (``fit_all``).  Layers of one
+    shape are fitted together, and so are the contexts that are asked for
+    at once, in the stacked stages of ``branches.branch_decomposition``;
+    the calls are split to keep each stacked fit within FIT_STACK_BYTES.
+    Each layer's residual is quantized at every width of QUANT_BITS
+    straight away, in one pass over its rows (``branches.quantize_fit``),
+    and the float residual is dropped once that is done.  A layer's branch
+    key is its effective ranks, order and placement, so contexts that
+    agree on them share one fit.  The cache holds
+    ``fits[(i,) + branch key]``: layer i's quantized layers, one per width
+    of QUANT_BITS, keyed by width.  The rotation and the steps are the
+    same for every context, so a layer's fit and a width fix the layer,
+    and contexts that share a fit share its layers.  All widths share one
+    ``Branches``, which keeps only factors, and one array of row scales;
+    each layer adds only its residual's int8 grid (n_out x n_in bytes) and
+    its row steps (n_out floats).
     """
 
     def __init__(self):
         self.fits = {}
-        self.lrbs = {}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ToyModel:
+    """A chain's spec and its weights, a tuple of read-only matrices.
+
+    The model is frozen, its weights are a tuple and ``gen_model`` makes
+    each matrix read-only, because the ``fit_cache`` keys a layer's fits
+    by its index alone: no weight may change under its fits.  A model
+    equals only itself.
+    """
+
     spec: ModelSpec
-    weights: list
-    fit_cache: FitCache = field(default_factory=FitCache, repr=False, compare=False)
-    eval_cache: EvalCache = field(default_factory=EvalCache, repr=False, compare=False)
+    weights: tuple
+    fit_cache: FitCache = field(default_factory=FitCache, repr=False)
+    eval_cache: EvalCache = field(default_factory=EvalCache, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
 
     @property
     def n_layers(self) -> int:
@@ -268,8 +275,8 @@ def gen_model(spec: ModelSpec) -> ToyModel:
 
     Layer i uses substream (TAG_WEIGHT, i) for the Gaussian entries and
     (TAG_OUTLIER, i) for the outlier mask; a fraction of entries is
-    multiplied by outlier_scale.  Weights are read-only, as the
-    ``fit_cache`` keys a layer's fits by its index alone.
+    multiplied by outlier_scale.  Each matrix is made read-only (see
+    ``ToyModel``).
     """
     weights = []
     for i in range(spec.n_layers):
@@ -346,48 +353,58 @@ def _branch_key(ctx: QuantContext, shape) -> tuple:
     return _effective_ranks(ctx, *shape) + (ctx.gmb_order, ctx.gmb_placement)
 
 
-def _fit_all(model: ToyModel, ctx: QuantContext) -> None:
-    """Fit every layer that has no fit under ``ctx`` yet, stacked by shape,
-    and quantize each at every width of QUANT_BITS in one
-    ``quantize_fit`` call per layer."""
+def fit_all(model: ToyModel, ctxs) -> None:
+    """Fit every layer under each context of the sequence ``ctxs`` that it
+    has no fit under yet.
+
+    Layers are grouped by shape and by the branch keys they lack, and each
+    group is fitted in one ``branch_decomposition`` call over all its
+    layers and keys, so every stacked fit problem the keys share (see
+    ``branches.fit_plan``) is solved once, in one SVD call per stage.  To
+    keep every stacked SVD input within FIT_STACK_BYTES, unless it holds a
+    single problem, a group's keys are split into runs whose plan stacks
+    at most that many bytes per layer, and each run's layers into chunks.
+    A single context makes one call per shape and chunk.  Every fit is
+    quantized at every width of QUANT_BITS, in one ``quantize_fit`` call
+    per layer and key.
+    """
     cache = model.fit_cache
     groups = {}
     for i, w in enumerate(model.weights):
-        if (i,) + _branch_key(ctx, w.shape) not in cache.fits:
-            groups.setdefault(w.shape, []).append(i)
-    for (n_out, n_in), layers in groups.items():
-        key = _branch_key(ctx, (n_out, n_in))
-        r_l, r_g = key[:2]
-        first = lrb_fitted_first(r_g, order=ctx.gmb_order, placement=ctx.gmb_placement)
+        keys = dict.fromkeys(_branch_key(ctx, w.shape) for ctx in ctxs)
+        missing = tuple(key for key in keys if (i,) + key not in cache.fits)
+        if missing:
+            groups.setdefault((w.shape, missing), []).append(i)
+    for ((n_out, n_in), keys), layers in groups.items():
         per_call = max(1, FIT_STACK_BYTES // (8 * n_out * n_in))
-        for start in range(0, len(layers), per_call):
-            chunk = layers[start : start + per_call]
-            lrbs = [cache.lrbs.get((i, r_l)) for i in chunk]
-            try:
-                fitted = branch_decomposition(
-                    np.stack([model.weights[i] for i in chunk]),
-                    r_l,
-                    r_g,
-                    order=ctx.gmb_order,
-                    placement=ctx.gmb_placement,
-                    lrb=lrbs if first and all(f is not None for f in lrbs) else None,
-                )
-            except ConvergenceError as e:
-                names = ", ".join(map(str, chunk))
-                raise ConvergenceError(
-                    f"branch fit of layers {names}: {e.message}", e.residual
-                ) from e
-            for i, (fit, w_res) in zip(chunk, fitted):
-                cache.fits[(i,) + key] = quantize_fit(w_res, fit)
-                if first:
-                    cache.lrbs[(i, r_l)] = fit.lrb
+        runs = [[]]
+        for key in keys:
+            if runs[-1] and fit_plan(runs[-1] + [key], n_out, n_in).width > per_call:
+                runs.append([])
+            runs[-1].append(key)
+        for run in runs:
+            per_chunk = max(1, per_call // fit_plan(run, n_out, n_in).width)
+            for start in range(0, len(layers), per_chunk):
+                chunk = layers[start : start + per_chunk]
+                try:
+                    fitted = branch_decomposition(
+                        np.stack([model.weights[i] for i in chunk]), run
+                    )
+                except ConvergenceError as e:
+                    names = ", ".join(map(str, chunk))
+                    raise ConvergenceError(
+                        f"branch fit of layers {names}: {e.message}", e.residual
+                    ) from e
+                for key, fits in zip(run, fitted):
+                    for i, (fit, w_res) in zip(chunk, fits):
+                        cache.fits[(i,) + key] = quantize_fit(w_res, fit)
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
     fits = model.fit_cache.fits
     key = (i,) + _branch_key(ctx, model.weights[i].shape)
     if key not in fits:
-        _fit_all(model, ctx)
+        fit_all(model, (ctx,))
     return fits[key][bits]
 
 

@@ -59,9 +59,15 @@ def branch_term(x, pair):
     return (x @ down.T) @ up.T
 
 
+def fit_stack(stack, r_lrb, r_gmb, order="lrb_first", placement="post"):
+    """(branches, w_res) of each weight of ``stack`` under one setting."""
+    (fits,) = branch_decomposition(stack, [(r_lrb, r_gmb, order, placement)])
+    return fits
+
+
 def fit_one(w, r_lrb, r_gmb, **kwargs):
     """(branches, w_res) of ``w`` alone, from the stack of that one weight."""
-    return branch_decomposition(w[None], r_lrb, r_gmb, **kwargs)[0]
+    return fit_stack(w[None], r_lrb, r_gmb, **kwargs)[0]
 
 
 def make_layer(w, bits, r_lrb, r_gmb, **kwargs):
@@ -251,7 +257,7 @@ class TestBranchDecomposition:
         worst = 0.0
         for model in suite_models.values():
             stack = np.stack(model.weights)
-            fits = branch_decomposition(stack, 16, 4, placement=placement)
+            fits = fit_stack(stack, 16, 4, placement=placement)
             for w, (fit, w_res) in zip(stack, fits):
                 post, pre = branch_matrices(fit.lrb, fit.gmb, placement)
                 total = w_res + post
@@ -290,14 +296,19 @@ class TestBranchDecomposition:
         ],
     )
     def test_given_lrb_replaces_the_first_fit(self, kwargs, first):
+        # fitted beside a no-GMB setting of its LRB rank, a setting whose
+        # LRB is fitted first, on W_H, is given that setting's LRB
         w = seeded_matrix(16, 16, seed=14)
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
+        order, placement = kwargs.get("order", "lrb_first"), kwargs.get("placement", "post")
         assert lrb_fitted_first(r_gmb, **kwargs) is first
         fresh, fresh_res = fit_one(w, 4, r_gmb, **kwargs)
-        (shared,) = fit_lrbs(times_h(w)[None], 4)
-        reused, reused_res = fit_one(w, 4, r_gmb, lrb=[shared], **kwargs)
-        assert (reused.lrb is shared) is first
+        given, together = branch_decomposition(
+            w[None], [(4, 0, "lrb_first", "post"), (4, r_gmb, order, placement)]
+        )
+        (shared, _), (reused, reused_res) = given[0], together[0]
+        assert (reused.lrb is shared.lrb) is first
         assert np.array_equal(fresh.lrb.a, reused.lrb.a)
         assert np.array_equal(fresh.lrb.b, reused.lrb.b)
         assert same_pair(fresh.pair, reused.pair)
@@ -306,7 +317,7 @@ class TestBranchDecomposition:
     def test_rejects_lrb_of_wrong_rank(self):
         w = seeded_matrix(8, 8, seed=15)
         with pytest.raises(InvalidRankError):
-            fit_one(w, 2, 2, lrb=fit_lrbs(times_h(w)[None], 3))
+            fit_one(w, 9, 2)
 
     def test_rejects_unknown_order(self):
         with pytest.raises(InvalidPartitionError):
@@ -315,7 +326,7 @@ class TestBranchDecomposition:
     def test_rejects_a_single_matrix(self):
         # a weight is fitted as a stack of one
         with pytest.raises(InvalidDimensionError, match="stack of weights"):
-            branch_decomposition(np.ones((4, 4)), 1, 1)
+            fit_stack(np.ones((4, 4)), 1, 1)
 
     def test_rejects_width_with_no_hadamard(self):
         # the rotation is hadamard(n), which exists for powers of two only
@@ -345,10 +356,10 @@ class TestStackedDecomposition:
         stack[3] *= 1e-3  # its own number of sweeps
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
-        fits = branch_decomposition(stack, 4, r_gmb, **kwargs)
+        fits = fit_stack(stack, 4, r_gmb, **kwargs)
         assert len(fits) == 5
         for k, (fit, w_res) in enumerate(fits):
-            a_fit, a_res = branch_decomposition(stack[k : k + 1], 4, r_gmb, **kwargs)[0]
+            a_fit, a_res = fit_stack(stack[k : k + 1], 4, r_gmb, **kwargs)[0]
             lrb, gmb, a_lrb, a_gmb = fit.lrb, fit.gmb, a_fit.lrb, a_fit.gmb
             assert same_bits(lrb.a, a_lrb.a) and same_bits(lrb.b, a_lrb.b)
             assert same_bits(w_res, a_res)
@@ -372,7 +383,7 @@ class TestStackedDecomposition:
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
         placement = kwargs.get("placement", "post")
-        for fit, _ in branch_decomposition(stack, 4, r_gmb, **kwargs):
+        for fit, _ in fit_stack(stack, 4, r_gmb, **kwargs):
             assert fit.placement == placement
             (down, up), r = fit.pair, fit.lrb.rank
             assert same_bits(down[:r], fit.lrb.b) and same_bits(up[:, :r], fit.lrb.a)
@@ -396,16 +407,46 @@ class TestStackedDecomposition:
                 branches, name, lambda m, *a, _f=fit, _n=name: calls.append((_n, m.shape)) or _f(m, *a)
             )
         stack = np.stack([seeded_matrix(16, 16, seed=50 + k) for k in range(3)])
-        branch_decomposition(stack, 4, 4, order="gmb_first")
+        fit_stack(stack, 4, 4, order="gmb_first")
         assert calls == [("top_singular_pair", (3, 4, 4, 4, 4)), ("truncated_svd", (3, 16, 16))]
 
-    def test_given_lrbs_must_match_the_stack(self):
-        stack = np.stack([seeded_matrix(8, 8, seed=60 + k) for k in range(2)])
-        lrbs = fit_lrbs(np.stack([times_h(w) for w in stack]), 2)
-        with pytest.raises(InvalidRankError):
-            branch_decomposition(stack, 2, 2, lrb=lrbs[:1])
-        reused = branch_decomposition(stack, 2, 2, lrb=lrbs)
-        assert all(fit.lrb is given for (fit, _), given in zip(reused, lrbs))
+    def test_settings_share_one_call_per_stage(self, monkeypatch):
+        # the eight settings of ``ablate gmb``, at ranks for a 16-wide
+        # stack: the GMBs fitted first (gmb_first on W_H, pre on W) share
+        # one call, the LRBs one call, and the GMBs fitted after the LRB
+        # take one call per grid
+        calls = []
+        for name in ("truncated_svd", "top_singular_pair"):
+            fit = getattr(branches, name)
+            monkeypatch.setattr(
+                branches, name, lambda m, *a, _f=fit, _n=name: calls.append((_n, m.shape)) or _f(m, *a)
+            )
+        stack = np.stack([seeded_matrix(16, 16, seed=70 + k) for k in range(2)])
+        settings = [(4, r, "lrb_first", "post") for r in (0, 1, 2, 4)] + [
+            (4, 1, "lrb_first", "post"), (4, 1, "gmb_first", "post"),
+            (4, 1, "lrb_first", "post"), (4, 1, "lrb_first", "pre"),
+        ]
+        fitted = branch_decomposition(stack, settings)
+        assert calls == [
+            ("top_singular_pair", (4, 1, 1, 16, 16)),
+            ("truncated_svd", (6, 16, 16)),
+            ("top_singular_pair", (2, 1, 1, 16, 16)),
+            ("top_singular_pair", (2, 2, 2, 8, 8)),
+            ("top_singular_pair", (2, 4, 4, 4, 4)),
+        ]
+        assert len(fitted) == len(settings)
+        for setting, fits in zip(settings, fitted):
+            for k, (fit, w_res) in enumerate(fits):
+                alone, alone_res = fit_one(stack[k], *setting[:2], order=setting[2],
+                                           placement=setting[3])
+                assert same_bits(fit.lrb.a, alone.lrb.a) and same_bits(fit.lrb.b, alone.lrb.b)
+                assert same_bits(w_res, alone_res)
+                assert same_pair(fit.pair, alone.pair)
+                if fit.gmb is not None:
+                    assert same_bits(fit.gmb.sigma, alone.gmb.sigma)
+                    assert same_bits(fit.gmb.u, alone.gmb.u) and same_bits(fit.gmb.v, alone.gmb.v)
+        # settings that differ only in GMB rank share the LRB fitted on W_H
+        assert all(fitted[j][k][0].lrb is fitted[0][k][0].lrb for j in (1, 2, 3) for k in (0, 1))
 
 
 class TestQuantizedLayer:

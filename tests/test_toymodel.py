@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from treeq import branches, linalg, quantizer, toymodel
+from treeq.cli import _gmb_settings
 from treeq.errors import (
     ConvergenceError,
     InvalidBitsError,
@@ -39,6 +40,7 @@ from treeq.toymodel import (
     ToyModel,
     _gen_block,
     end_to_end_mse,
+    fit_all,
     forward_batch,
     gaussian_stream,
     gen,
@@ -221,6 +223,18 @@ class TestGenModel:
         for w in m.weights:
             with pytest.raises(ValueError, match="read-only"):
                 w[:] *= 2
+
+    def test_weights_cannot_be_replaced(self):
+        # a replaced weight would keep the stale fits of its index: a model
+        # built with it reads 0.03147 where the original reads 0.007868
+        m = gen_model(ModelSpec(n_layers=4, dims=(32,) * 5, seed=1))
+        with pytest.raises(TypeError):
+            m.weights[0] = m.weights[0] * 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.weights = (m.weights[0] * 2,) + m.weights[1:]
+        assert isinstance(ToyModel(m.spec, list(m.weights)).weights, tuple)
+        fresh = _fresh(m)
+        assert fresh.fit_cache is m.fit_cache and fresh.eval_cache is not m.eval_cache
 
 
 class TestForward:
@@ -450,22 +464,26 @@ class TestLayerCache:
         assert grown / m.n_layers < 12 * n * n, grown / (m.n_layers * n * n)
 
     def test_lrb_fit_shared_across_gmb_ranks(self, monkeypatch):
-        # the settings of `treeq ablate gmb`: the lrb_first rows and the
-        # no-GMB row all fit the same LRB on W @ H
+        # settings like those of `treeq ablate gmb`, all at LRB rank 16 and
+        # fitted in one call: the lrb_first rows and the no-GMB row share
+        # the LRB on W @ H, and gmb_first and pre stack their own problems
+        # beside it, in one SVD call for every layer
         settings = [
             QuantContext(r_gmb=0, scale_ranks=False),
             QuantContext(r_gmb=2, scale_ranks=False),
             QuantContext(r_gmb=4, scale_ranks=False),
             QuantContext(r_gmb=8, scale_ranks=False),
-            QuantContext(gmb_order="gmb_first"),
-            QuantContext(gmb_placement="pre"),
+            QuantContext(gmb_order="gmb_first", scale_ranks=False),
+            QuantContext(gmb_placement="pre", scale_ranks=False),
         ]
         calls = []
         fit = branches.truncated_svd
-        monkeypatch.setattr(branches, "truncated_svd", lambda *a: calls.append(1) or fit(*a))
+        monkeypatch.setattr(branches, "truncated_svd", lambda *a: calls.append(a[0].shape) or fit(*a))
         shared = gen_model(exhaustive_spec(7))
+        fit_all(shared, settings)
+        assert calls == [(4 * 3, 32, 32)]  # W @ H, then gmb_first's and pre's
         layers = [quantized_layer(shared, 0, 3, ctx) for ctx in settings]
-        assert len(calls) == 3  # W @ H once, then gmb_first and pre
+        assert len(calls) == 1
         for ctx, layer in zip(settings, layers):
             alone = quantized_layer(gen_model(exhaustive_spec(7)), 0, 3, ctx)
             assert np.array_equal(layer.weight.q, alone.weight.q)
@@ -517,6 +535,88 @@ class TestStackedFit:
                 assert got.branches.lrb.a.tobytes() == layer.branches.lrb.a.tobytes()
                 assert got.branches.gmb.u.tobytes() == layer.branches.gmb.u.tobytes()
         assert all(shape[0] == 1 for shape in shapes) and len(shapes) == 4 * 3
+
+    ABLATION = [ctx for _, ctx in _gmb_settings(QuantContext())]
+
+    def _count_fit_calls(self, monkeypatch):
+        """(name, input shape) of every stacked SVD call, in call order."""
+        calls = []
+        for name in ("truncated_svd", "top_singular_pair"):
+            fit = getattr(branches, name)
+            monkeypatch.setattr(
+                branches, name, lambda m, *a, _f=fit, _n=name: calls.append((_n, m.shape)) or _f(m, *a)
+            )
+        return calls
+
+    def _assert_fitted_alone(self, m, spec, ctxs):
+        """Each context's layers of ``m`` equal that context's on a fresh model, at every width."""
+        for ctx in ctxs:
+            alone = gen_model(spec)
+            for i in range(m.n_layers):
+                for bits in QUANT_BITS:
+                    got, want = quantized_layer(m, i, bits, ctx), quantized_layer(alone, i, bits, ctx)
+                    assert np.array_equal(got.weight.q, want.weight.q)
+                    assert np.array_equal(got.weight.scale, want.weight.scale)
+                    assert got.weight.delta == want.weight.delta
+                    assert all(map(np.array_equal, got.branches.pair, want.branches.pair))
+
+    def test_ablation_settings_fit_in_one_call(self, monkeypatch):
+        # on one 64-wide layer the eight settings pose three LRB problems
+        # (W_H, W_H less the gmb_first GMB, W_H less the pre GMB's image) and
+        # four GMB calls: the two GMBs fitted first share one, and the
+        # r=4, 8 and 16 grids after the LRB take one each
+        spec = ModelSpec(1, (64, 64), seed=3)
+        m = gen_model(spec)
+        calls = self._count_fit_calls(monkeypatch)
+        fit_all(m, self.ABLATION)
+        assert [shape for name, shape in calls if name == "truncated_svd"] == [(3, 64, 64)]
+        assert [name for name, _ in calls].count("top_singular_pair") == 4
+        assert len(m.fit_cache.fits) == 6  # r=4, order=lrb_first and placement=post agree
+        monkeypatch.undo()
+        self._assert_fitted_alone(m, spec, self.ABLATION)
+
+    def test_ablation_settings_on_two_shapes(self, monkeypatch):
+        # at width 32 the class-default rows scale to LRB rank 8 and GMB rank 2,
+        # while the r= rows keep rank 16: two LRB calls and five GMB calls per shape
+        spec = two_group_spec(8)
+        m = gen_model(spec)
+        calls = self._count_fit_calls(monkeypatch)
+        fit_all(m, self.ABLATION)
+        svds = [shape for name, shape in calls if name == "truncated_svd"]
+        assert sorted(svds) == [(2, 32, 64), (2, 64, 32), (6, 32, 64), (6, 64, 32)]
+        assert [name for name, _ in calls].count("top_singular_pair") == 2 * 5
+        monkeypatch.undo()
+        self._assert_fitted_alone(m, spec, self.ABLATION)
+
+    def test_one_context_makes_one_call_per_branch_type(self, monkeypatch):
+        m = gen_model(ModelSpec(4, (64,) * 5, seed=3))
+        calls = self._count_fit_calls(monkeypatch)
+        quantized_layer(m, 0, 3)
+        assert calls == [("truncated_svd", (4, 64, 64)), ("top_singular_pair", (4, 4, 4, 16, 16))]
+
+    @pytest.mark.parametrize("budget", [1, 2 * 8 * 64 * 32, 5 * 8 * 64 * 32])
+    def test_stack_budget_holds_across_contexts(self, monkeypatch, budget):
+        # every stacked SVD input stays within FIT_STACK_BYTES unless it
+        # holds one problem, and the split fit gives the unsplit fit's bits
+        spec = two_group_spec(9)
+        whole = gen_model(spec)
+        fit_all(whole, self.ABLATION)
+        monkeypatch.setattr(toymodel, "FIT_STACK_BYTES", budget)
+        calls = self._count_fit_calls(monkeypatch)
+        split = gen_model(spec)
+        fit_all(split, self.ABLATION)
+        problems = [shape[0] for _, shape in calls]
+        assert all(p == 1 or p * 8 * 64 * 32 <= budget for p in problems), calls
+        assert (max(problems) > 1) == (budget >= 2 * 8 * 64 * 32)  # still stacked where it may
+        assert split.fit_cache.fits.keys() == whole.fit_cache.fits.keys()
+        for key, layers in whole.fit_cache.fits.items():
+            for bits, want in layers.items():
+                got = split.fit_cache.fits[key][bits]
+                assert got.weight.q.tobytes() == want.weight.q.tobytes()
+                assert got.weight.scale.tobytes() == want.weight.scale.tobytes()
+                assert got.weight.delta == want.weight.delta
+                for got_f, want_f in zip(got.branches.pair, want.branches.pair):
+                    assert got_f.tobytes() == want_f.tobytes()
 
     def test_non_convergence_names_the_layers(self, monkeypatch):
         # with a zero residual bound every fit fails its check
