@@ -416,7 +416,8 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
     return out
 
 
-def _matrix_to_json(m: np.ndarray) -> dict:
+def matrix_to_json(m: np.ndarray) -> dict:
+    """A 2-D matrix as its row and column counts and its row-major entries."""
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
@@ -432,11 +433,11 @@ def qlinear_doc(layer: QuantizedLinear) -> dict:
         "bits_a": weight.bits,
         "n": weight.q.shape[1],
         "lrb": {
-            "a": _matrix_to_json(lrb.a),
-            "b": _matrix_to_json(lrb.b),
+            "a": matrix_to_json(lrb.a),
+            "b": matrix_to_json(lrb.b),
         },
         "gmb": None,
-        "w_grid": _matrix_to_json(weight.q),
+        "w_grid": matrix_to_json(weight.q),
         "w_scale": [float(v) for v in weight.scale],
         "w_delta": weight.delta,
     }

@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .baselines import ip_allocate, sensitivity_tables, uniform_allocate
 from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_doc
 from .errors import ConvergenceError
@@ -34,8 +36,6 @@ from .toymodel import (
     quantized_layer,
     substream,
 )
-
-SEED_ENV_VAR = "TREEQ_SEED"
 
 DEFAULT_MODEL = {
     "n_layers": 12,
@@ -133,12 +133,6 @@ def load_run_config(args) -> RunConfig:
     if not isinstance(output_dir, str):
         raise ConfigError("config field 'output_dir' must be a string")
 
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            cfg["model"]["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
     for flag, (section, key) in FLAG_FIELDS.items():
         if getattr(args, flag, None) is not None:
             cfg[section][key] = getattr(args, flag)
@@ -363,8 +357,6 @@ def _ablate_k(cfg: RunConfig, model, calib) -> list:
 
 
 def _ablate_calib(cfg: RunConfig, model, calib) -> list:
-    import numpy as np
-
     draws = 8
     bits = _uniform_bits(cfg)
     alloc = uniform_allocate(model.n_layers, bits)

@@ -75,13 +75,6 @@ class ParetoQueue:
     raw_frontier_size: int | None = None  # pre-pruning size, for merge traces
 
 
-def dominates(a: ParetoEntry, b: ParetoEntry) -> bool:
-    """True iff a is at least as good on both axes and better on one."""
-    if a.indicator > b.indicator or a.mean_bits > b.mean_bits:
-        return False
-    return a.indicator < b.indicator or a.mean_bits < b.mean_bits
-
-
 def _config_span(config: dict) -> tuple:
     keys = sorted(config)
     if not keys or keys != list(range(keys[0], keys[-1] + 1)):
@@ -114,9 +107,8 @@ def build_frontier(entries: list) -> ParetoQueue:
 
 
 def apply_eng(alloc: dict, env_bits: int, n: int) -> dict:
-    """Extend a module-local config to all n layers, filling with env_bits."""
-    if env_bits not in ALLOWED_BITS:
-        raise InvalidBitsError(f"env_bits {env_bits} not in {ALLOWED_BITS}")
+    """Extend a module-local config to all n layers, filling with env_bits
+    (``SearchParams`` checks it, and ``forward_batch`` every allocation)."""
     return {i: alloc.get(i, env_bits) for i in range(n)}
 
 

@@ -44,6 +44,7 @@ from .branches import (
     branch_decomposition,
     forward_quantized_batch,
     fit_plan,
+    matrix_to_json,
     quantize_fit,
 )
 from .errors import (
@@ -189,7 +190,9 @@ class EvalCache:
     way), and the MSE of every allocation evaluated, keyed by bit tuple.
     A level holds one activation-sized array.  Entering a new scope drops
     all of it, so the cache never holds more than one scope.  Identity is
-    a sound scope because ``gen_calibration`` makes the matrix read-only.
+    a sound scope because the matrix is read-only and owns its data:
+    ``gen_calibration`` makes it so, and ``forward_batch`` scopes a
+    read-only copy of any other input.
     """
 
     def __init__(self):
@@ -212,45 +215,30 @@ class EvalCache:
         self.mse = {}
 
 
-class FitCache:
-    """Every branch fit of one model, finished at every bit-width.
+@dataclass(frozen=True, eq=False)
+class ToyModel:
+    """A chain's spec, its weights (a tuple of read-only matrices) and
+    every branch fit of it, finished at every bit-width.
 
-    Fits are eager and stacked: the first time a branch context needs any
-    layer, every layer is fitted under it (``fit_all``).  Layers of one
-    shape are fitted together, and so are the contexts that are asked for
-    at once, in the stacked stages of ``branches.branch_decomposition``;
-    the calls are split to keep each stacked fit within FIT_STACK_BYTES.
-    Each layer's residual is quantized at every width of QUANT_BITS
-    straight away, in one pass over its rows (``branches.quantize_fit``),
-    and the float residual is dropped once that is done.  A layer's branch
-    key is its effective ranks, order and placement, so contexts that
-    agree on them share one fit.  The cache holds
-    ``fits[(i,) + branch key]``: layer i's quantized layers, one per width
-    of QUANT_BITS, keyed by width.  The rotation and the steps are the
+    ``fits[(i,) + branch key]`` holds layer i's quantized layers, one per
+    width of QUANT_BITS, keyed by width (see ``fit_all``).  A layer's
+    branch key is its effective ranks, order and placement, so contexts
+    that agree on them share one fit.  The rotation and the steps are the
     same for every context, so a layer's fit and a width fix the layer,
     and contexts that share a fit share its layers.  All widths share one
     ``Branches``, which keeps only factors, and one array of row scales;
     each layer adds only its residual's int8 grid (n_out x n_in bytes) and
     its row steps (n_out floats).
-    """
-
-    def __init__(self):
-        self.fits = {}
-
-
-@dataclass(frozen=True, eq=False)
-class ToyModel:
-    """A chain's spec and its weights, a tuple of read-only matrices.
 
     The model is frozen, its weights are a tuple and ``gen_model`` makes
-    each matrix read-only, because the ``fit_cache`` keys a layer's fits
-    by its index alone: no weight may change under its fits.  A model
-    equals only itself.
+    each matrix read-only, because ``fits`` keys a layer's fits by its
+    index alone: no weight may change under its fits.  A model equals
+    only itself.
     """
 
     spec: ModelSpec
     weights: tuple
-    fit_cache: FitCache = field(default_factory=FitCache, repr=False)
+    fits: dict = field(default_factory=dict, repr=False)
     eval_cache: EvalCache = field(default_factory=EvalCache, repr=False)
 
     def __post_init__(self):
@@ -355,24 +343,26 @@ def _branch_key(ctx: QuantContext, shape) -> tuple:
 
 def fit_all(model: ToyModel, ctxs) -> None:
     """Fit every layer under each context of the sequence ``ctxs`` that it
-    has no fit under yet.
+    has no fit under yet, into ``model.fits``.
 
-    Layers are grouped by shape and by the branch keys they lack, and each
-    group is fitted in one ``branch_decomposition`` call over all its
-    layers and keys, so every stacked fit problem the keys share (see
-    ``branches.fit_plan``) is solved once, in one SVD call per stage.  To
-    keep every stacked SVD input within FIT_STACK_BYTES, unless it holds a
-    single problem, a group's keys are split into runs whose plan stacks
-    at most that many bytes per layer, and each run's layers into chunks.
-    A single context makes one call per shape and chunk.  Every fit is
-    quantized at every width of QUANT_BITS, in one ``quantize_fit`` call
-    per layer and key.
+    Fits are eager and stacked: the first time a branch context needs any
+    layer, every layer is fitted under it.  Layers are grouped by shape
+    and by the branch keys they lack, and each group is fitted in one
+    ``branch_decomposition`` call over all its layers and keys, so every
+    stacked fit problem the keys share (see ``branches.fit_plan``) is
+    solved once, in one SVD call per stage.  To keep every stacked SVD
+    input within FIT_STACK_BYTES, unless it holds a single problem, a
+    group's keys are split into runs whose plan stacks at most that many
+    bytes per layer, and each run's layers into chunks.  A single context
+    makes one call per shape and chunk.  Every fit is
+    quantized at every width of QUANT_BITS straight away, in one
+    ``quantize_fit`` call per layer and key (one pass over its rows), and
+    the float residual is dropped once that is done.
     """
-    cache = model.fit_cache
     groups = {}
     for i, w in enumerate(model.weights):
         keys = dict.fromkeys(_branch_key(ctx, w.shape) for ctx in ctxs)
-        missing = tuple(key for key in keys if (i,) + key not in cache.fits)
+        missing = tuple(key for key in keys if (i,) + key not in model.fits)
         if missing:
             groups.setdefault((w.shape, missing), []).append(i)
     for ((n_out, n_in), keys), layers in groups.items():
@@ -397,25 +387,25 @@ def fit_all(model: ToyModel, ctxs) -> None:
                     ) from e
                 for key, fits in zip(run, fitted):
                     for i, (fit, w_res) in zip(chunk, fits):
-                        cache.fits[(i,) + key] = quantize_fit(w_res, fit)
+                        model.fits[(i,) + key] = quantize_fit(w_res, fit)
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
-    fits = model.fit_cache.fits
     key = (i,) + _branch_key(ctx, model.weights[i].shape)
-    if key not in fits:
+    if key not in model.fits:
         fit_all(model, (ctx,))
-    return fits[key][bits]
+    return model.fits[key][bits]
 
 
 def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext = QuantContext()) -> QuantizedLinear:
-    """Layer i quantized at ``bits`` under ``ctx``, from the model's ``fit_cache``.
+    """Layer i quantized at ``bits`` under ``ctx``, from the model's ``fits``.
 
     The first layer asked for under a branch context fits every layer of
     the model under it and quantizes each at every width (see
-    ``FitCache``); every later call is a lookup that returns the same
-    object.
+    ``fit_all``); every later call is a lookup that returns the same
+    object.  ``i`` must be an integer layer index (InvalidDimensionError).
     """
+    i = as_int(i, "layer")
     if not (0 <= i < model.n_layers):
         raise InvalidDimensionError(f"layer {i} out of range")
     if bits not in QUANT_BITS:
@@ -453,14 +443,22 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     forward in the same scope computed from the same input through the
     same layers, so every layer sees the inputs a full forward would give
     it and the result is bit-identical to a forward on a fresh cache.
-    ``xs`` is checked once, here: it must be a finite matrix of the
-    model's input width (InvalidDimensionError otherwise).
+    That needs an input no one can write: an ``xs`` that is writable, or
+    a view that does not own its data (its base may be writable), is
+    replaced by a read-only copy before it becomes the scope, so such an
+    input never resumes a forward.  ``gen_calibration``'s matrices are
+    read-only and own their data, so they scope as they are.  ``xs`` is
+    checked once, here: it must be a finite matrix of the model's input
+    width (InvalidDimensionError otherwise).
     """
     xs = as_matrix(xs)
     if xs.shape[1] != model.dims[0]:
         raise InvalidDimensionError(
             f"input width {xs.shape[1]} does not match model width {model.dims[0]}"
         )
+    if xs.flags.writeable or not xs.flags.owndata:
+        xs = xs.copy()
+        xs.setflags(write=False)
     _validate_alloc(model, alloc)
     n = model.n_layers
     bits = tuple(alloc[i] for i in range(n))
@@ -485,9 +483,10 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
 
 
 def check_calibration(count: int, seed) -> int:
-    """``seed`` as an int; InvalidDimensionError unless ``count`` >= 1 and
-    ``seed`` is an integer in [0, 2^64), as a model's seed must be."""
-    if count < 1:
+    """``seed`` as an int; InvalidDimensionError unless ``count`` is an
+    integer >= 1 and ``seed`` an integer in [0, 2^64), as a model's seed
+    must be."""
+    if as_int(count, "count") < 1:
         raise InvalidDimensionError(f"count must be >= 1, got {count}")
     return _check_seed(seed)
 
@@ -574,12 +573,10 @@ def mean_bitwidth(alloc, model: ToyModel) -> float:
 
 
 def model_to_json(model: ToyModel) -> str:
-    from .branches import _matrix_to_json
-
     return json.dumps(
         {
             "spec": asdict(model.spec),
             "flops": list(model.flops),
-            "weights": [_matrix_to_json(w) for w in model.weights],
+            "weights": [matrix_to_json(w) for w in model.weights],
         }
     )

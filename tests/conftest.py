@@ -8,8 +8,9 @@ regeneration.  Everything is seeded; nothing here depends on test order.
 import numpy as np
 import pytest
 
-from treeq.suite import SUITE_SEEDS, suite_spec
 from treeq.toymodel import QuantContext, gen_calibration, gen_model
+
+from suite import SUITE_SEEDS, suite_spec
 
 
 def seeded_matrix(rows, cols, seed, scale=1.0):

@@ -150,6 +150,13 @@ def stationary_delta(bits):
     )
 
 
+def dominates(a, b) -> bool:
+    """True iff a is at least as good on both axes and better on one."""
+    if a.indicator > b.indicator or a.mean_bits > b.mean_bits:
+        return False
+    return a.indicator < b.indicator or a.mean_bits < b.mean_bits
+
+
 def frontier_oracle(entries):
     """Quadratic-time Pareto filter over (mean_bits, indicator) pairs.
 
@@ -164,15 +171,10 @@ def frontier_oracle(entries):
         for j, o in enumerate(entries):
             if j == i:
                 continue
-            beats = (
-                o.mean_bits <= e.mean_bits
-                and o.indicator <= e.indicator
-                and (o.mean_bits < e.mean_bits or o.indicator < e.indicator)
-            )
             duplicate = (
                 o.mean_bits == e.mean_bits and o.indicator == e.indicator and j < i
             )
-            if beats or duplicate:
+            if dominates(o, e) or duplicate:
                 dominated = True
                 break
         if not dominated:

@@ -1,4 +1,4 @@
-"""Bundled model specs used by the comparison experiments and the test suite.
+"""Frozen model specs that the acceptance criteria and unit tests share.
 
 Five fixed-seed 12-layer models at width 64 with a small heavy-outlier
 population, plus helper specs for exhaustive-oracle (4-layer) and scaling
@@ -6,7 +6,7 @@ experiments.  Seeds are arbitrary but frozen: downstream checks pin results
 against these exact models.
 """
 
-from .toymodel import PASSTHROUGH_BITS, ModelSpec
+from treeq.toymodel import PASSTHROUGH_BITS, ModelSpec
 
 SUITE_SEEDS = (101, 202, 303, 404, 505)
 SUITE_LAYERS = 12

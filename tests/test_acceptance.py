@@ -38,15 +38,6 @@ from treeq.cli import main as cli_main
 from treeq.linalg import hadamard
 from treeq.quantizer import calibrate_delta
 from treeq.search import SearchParams, select_entry, tss_search
-from treeq.suite import (
-    EXHAUSTIVE_CALIB_COUNT,
-    EXHAUSTIVE_CALIB_SEED,
-    EXHAUSTIVE_ENV_BITS,
-    EXHAUSTIVE_SEEDS,
-    SUITE_SEEDS,
-    exhaustive_spec,
-    scaling_spec,
-)
 from treeq.toymodel import (
     TAG_DERIVE,
     QuantContext,
@@ -65,6 +56,15 @@ from oracles import (
     frontier_oracle,
     gaussian_quant_mse,
     grid_optimal_delta,
+)
+from suite import (
+    EXHAUSTIVE_CALIB_COUNT,
+    EXHAUSTIVE_CALIB_SEED,
+    EXHAUSTIVE_ENV_BITS,
+    EXHAUSTIVE_SEEDS,
+    SUITE_SEEDS,
+    exhaustive_spec,
+    scaling_spec,
 )
 
 

@@ -20,8 +20,9 @@ from treeq.baselines import (
     uniform_allocate,
 )
 from treeq.errors import InvalidBitsError, InvalidDimensionError
-from treeq.suite import exhaustive_spec
 from treeq.toymodel import PASSTHROUGH_BITS, gen_calibration, gen_model, mean_bitwidth, quantized_layer
+
+from suite import exhaustive_spec
 
 
 def brute_force_ip(table, flops, target, candidates):

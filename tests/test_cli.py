@@ -247,29 +247,11 @@ class TestConfigHandling:
 
 
 class TestSeedPrecedence:
-    def test_env_var_overrides_config(self, cfg_path, tmp_path, monkeypatch):
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        monkeypatch.setenv("TREEQ_SEED", "99")
-        assert main(["gen-model", "--config", cfg_path, "--out", out_a]) == 0
-        monkeypatch.delenv("TREEQ_SEED")
-        assert main(["gen-model", "--config", cfg_path, "--seed", "99", "--out", out_b]) == 0
-        a = (tmp_path / "a" / "model.json").read_text()
-        b = (tmp_path / "b" / "model.json").read_text()
-        assert a == b
-        assert json.loads(a)["spec"]["seed"] == 99
-
-    def test_flag_beats_env_var(self, cfg_path, tmp_path, monkeypatch):
+    def test_flag_beats_config_seed(self, cfg_path, tmp_path):
         out = str(tmp_path / "c")
-        monkeypatch.setenv("TREEQ_SEED", "99")
         assert main(["gen-model", "--config", cfg_path, "--seed", "7", "--out", out]) == 0
         doc = read_json(os.path.join(out, "model.json"))
-        assert doc["spec"]["seed"] == 7
-
-    def test_garbage_env_var(self, cfg_path, monkeypatch, capsys):
-        monkeypatch.setenv("TREEQ_SEED", "seven")
-        assert main(["gen-model", "--config", cfg_path]) == 2
-        assert "TREEQ_SEED" in capsys.readouterr().err
+        assert SMALL_CFG["model"]["seed"] != 7 and doc["spec"]["seed"] == 7
 
 
 class TestGenModel:
@@ -580,3 +562,26 @@ class TestAblate:
         with pytest.raises(SystemExit):
             main(["ablate", "--config", cfg_path])
 
+
+class TestPackage:
+    def test_the_command_imports_every_module(self):
+        # a module that no command imports is test or dead code, which
+        # belongs outside the package; a fresh interpreter sees only what
+        # `import treeq.cli` loads
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        package = os.path.join(src, "treeq")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys, treeq.cli\n"
+            "for name, module in sys.modules.items():\n"
+            "    if name == 'treeq' or name.startswith('treeq.'):\n"
+            "        print(module.__file__)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        loaded = {os.path.realpath(path) for path in run.stdout.split()}
+        files = {os.path.realpath(os.path.join(package, name))
+                 for name in os.listdir(package) if name.endswith(".py")}
+        assert sorted(files - loaded) == []

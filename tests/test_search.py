@@ -19,7 +19,6 @@ from treeq.search import (
     SearchParams,
     apply_eng,
     build_frontier,
-    dominates,
     leaf_queue,
     merge,
     module_mean_bits,
@@ -36,7 +35,7 @@ from treeq.toymodel import (
     mean_bitwidth,
 )
 
-from oracles import frontier_oracle
+from oracles import dominates, frontier_oracle
 
 
 def entry(config, indicator, mean_bits):
@@ -208,9 +207,12 @@ class TestApplyEng:
     def test_env_32(self):
         assert apply_eng({0: 2}, 32, 3) == {0: 2, 1: 32, 2: 32}
 
-    def test_rejects_bad_env(self):
-        with pytest.raises(InvalidBitsError):
-            apply_eng({0: 2}, 1, 2)
+    def test_rejects_bad_env(self, small_model, small_calib):
+        # apply_eng fills in what it is given; the forward rejects bits 1
+        alloc = apply_eng({0: 2}, 1, 2)
+        assert alloc == {0: 2, 1: 1}
+        with pytest.raises(InvalidBitsError, match="layer 1 bits 1 not in"):
+            end_to_end_mse(small_model, alloc, small_calib)
 
 
 class TestLeafQueue:

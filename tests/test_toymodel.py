@@ -31,10 +31,10 @@ from treeq.quantizer import (
     quantize_rotated_batch,
 )
 from treeq.search import SearchParams, tss_search
-from treeq.suite import exhaustive_spec
 from treeq.toymodel import (
     TAG_CALIB,
     TAG_WEIGHT,
+    CalibrationSet,
     ModelSpec,
     QuantContext,
     ToyModel,
@@ -54,6 +54,7 @@ from treeq.toymodel import (
 )
 
 from oracles import stationary_delta
+from suite import exhaustive_spec
 
 
 class TestGenerator:
@@ -217,7 +218,7 @@ class TestGenModel:
         assert m.weights[0][0, 0] == pytest.approx(-0.05545128, abs=1e-7)
 
     def test_weights_are_read_only(self):
-        # the fit cache is keyed by layer index: an edited weight would
+        # the model's fits are keyed by layer index: an edited weight would
         # keep its stale fits
         m = gen_model(ModelSpec(n_layers=2, dims=(16,) * 3, seed=4, outlier_fraction=0.1))
         for w in m.weights:
@@ -234,7 +235,7 @@ class TestGenModel:
             m.weights = (m.weights[0] * 2,) + m.weights[1:]
         assert isinstance(ToyModel(m.spec, list(m.weights)).weights, tuple)
         fresh = _fresh(m)
-        assert fresh.fit_cache is m.fit_cache and fresh.eval_cache is not m.eval_cache
+        assert fresh.fits is m.fits and fresh.eval_cache is not m.eval_cache
 
 
 class TestForward:
@@ -335,14 +336,22 @@ class TestLayerCache:
         )
         m = gen_model(exhaustive_spec(7))
         quantized_layer(m, 1, 2)
-        n_fits = (len(calls), len(m.fit_cache.fits))
+        n_fits = (len(calls), len(m.fits))
         quantized_layer(m, 1, 5)
-        assert (len(calls), len(m.fit_cache.fits)) == n_fits
+        assert (len(calls), len(m.fits)) == n_fits
 
     def test_range_check(self):
         m = gen_model(exhaustive_spec(7))
         with pytest.raises(InvalidDimensionError):
             quantized_layer(m, 4, 3)
+
+    @pytest.mark.parametrize("i", [1.5, True], ids=["1.5", "True"])
+    def test_index_must_be_an_integer(self, i):
+        # as for every other integer input: int() would truncate 1.5, and
+        # True is an int that would name layer 1
+        m = gen_model(exhaustive_spec(7))
+        with pytest.raises(InvalidDimensionError, match="layer must be an integer"):
+            quantized_layer(m, i, 3)
 
     # each call asks for a 32-bit quantized form of layer 0 of a model
     AT_32_BITS = {
@@ -356,7 +365,7 @@ class TestLayerCache:
         m = gen_model(exhaustive_spec(7))
         with pytest.raises(InvalidBitsError):
             self.AT_32_BITS[call](m)
-        assert all(32 not in layers for layers in m.fit_cache.fits.values())
+        assert all(32 not in layers for layers in m.fits.values())
 
     def test_contexts_that_share_a_fit_share_its_layers(self):
         # ``ablate gmb``'s r=4 row fits what the default context fits on a
@@ -365,7 +374,7 @@ class TestLayerCache:
         for i in range(2):
             layer = quantized_layer(m, i, 3, QuantContext())
             assert quantized_layer(m, i, 3, QuantContext(r_gmb=4, scale_ranks=False)) is layer
-        assert len(m.fit_cache.fits) == 2
+        assert len(m.fits) == 2
 
     def test_bit_widths_share_the_branch_matrix(self):
         m = gen_model(exhaustive_spec(7))
@@ -435,7 +444,7 @@ class TestLayerCache:
         # layer, no float matrix of a weight's shape is left
         m = gen_model(two_group_spec(5))
         forward_batch(m, {i: 3 for i in range(m.n_layers)}, np.ones((2, 32)), ctx)
-        for (i, *_), layers in m.fit_cache.fits.items():
+        for (i, *_), layers in m.fits.items():
             assert sorted(layers) == sorted(QUANT_BITS)
             (fit,) = {id(layer.branches): layer.branches for layer in layers.values()}.values()
             assert "pair" in vars(fit)  # the forward built the factor pair
@@ -513,7 +522,7 @@ class TestStackedFit:
         quantized_layer(m, 2, 3)
         # the first use fits every layer, stacked by shape
         assert sorted(shapes) == [(2, 32, 64), (2, 64, 32)]
-        assert len(m.fit_cache.fits) == 4
+        assert len(m.fits) == 4
         for i in range(4):
             quantized_layer(m, i, 4)
         assert len(shapes) == 2
@@ -571,7 +580,7 @@ class TestStackedFit:
         fit_all(m, self.ABLATION)
         assert [shape for name, shape in calls if name == "truncated_svd"] == [(3, 64, 64)]
         assert [name for name, _ in calls].count("top_singular_pair") == 4
-        assert len(m.fit_cache.fits) == 6  # r=4, order=lrb_first and placement=post agree
+        assert len(m.fits) == 6  # r=4, order=lrb_first and placement=post agree
         monkeypatch.undo()
         self._assert_fitted_alone(m, spec, self.ABLATION)
 
@@ -608,10 +617,10 @@ class TestStackedFit:
         problems = [shape[0] for _, shape in calls]
         assert all(p == 1 or p * 8 * 64 * 32 <= budget for p in problems), calls
         assert (max(problems) > 1) == (budget >= 2 * 8 * 64 * 32)  # still stacked where it may
-        assert split.fit_cache.fits.keys() == whole.fit_cache.fits.keys()
-        for key, layers in whole.fit_cache.fits.items():
+        assert split.fits.keys() == whole.fits.keys()
+        for key, layers in whole.fits.items():
             for bits, want in layers.items():
-                got = split.fit_cache.fits[key][bits]
+                got = split.fits[key][bits]
                 assert got.weight.q.tobytes() == want.weight.q.tobytes()
                 assert got.weight.scale.tobytes() == want.weight.scale.tobytes()
                 assert got.weight.delta == want.weight.delta
@@ -625,7 +634,7 @@ class TestStackedFit:
         with pytest.raises(ConvergenceError, match=r"^branch fit of layers 0, 2: SVD residual") as err:
             quantized_layer(m, 3, 3)
         assert err.value.residual > 0.0
-        assert m.fit_cache.fits == {}
+        assert m.fits == {}
 
 
 class TestCalibration:
@@ -658,6 +667,13 @@ class TestCalibration:
         m = gen_model(exhaustive_spec(1))
         with pytest.raises(InvalidDimensionError):
             gen_calibration(m, 0, 5)
+
+    @pytest.mark.parametrize("count", [2.5, "3", True], ids=["2.5", "str", "True"])
+    def test_count_must_be_an_integer(self, count):
+        # as for the seed: a bool is an int, and True would draw one row
+        m = gen_model(exhaustive_spec(1))
+        with pytest.raises(InvalidDimensionError, match="count must be an integer"):
+            gen_calibration(m, count, 7)
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["-1", "2^64"])
     def test_rejects_seed_outside_64_bits(self, seed):
@@ -772,7 +788,7 @@ def _fresh(model):
     return ToyModel(
         spec=model.spec,
         weights=model.weights,
-        fit_cache=model.fit_cache,
+        fits=model.fits,
     )
 
 
@@ -862,6 +878,31 @@ class TestEvalCache:
             assert len(cache.acts) <= m.n_layers
             # the memo holds this search's evaluations and nothing older
             assert len(cache.mse) == len(forwards) > 0
+
+    @pytest.mark.parametrize("view", [False, True], ids=["writable", "read-only-view"])
+    def test_input_written_between_forwards(self, view):
+        # the scope is the input by identity, so a forward may resume only
+        # from an input no one can write: neither a writable matrix nor a
+        # read-only view of a writable base
+        m = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=1))
+        base = np.ones((4, 32))
+        xs = base
+        if view:
+            xs = base.view()
+            xs.setflags(write=False)
+        forward_batch(m, {0: 3, 1: 3, 2: 3}, xs)
+        base[:] = 2.0
+        b = {0: 3, 1: 3, 2: 4}
+        assert np.array_equal(forward_batch(m, b, xs), forward_batch(_fresh(m), b, xs))
+
+    def test_calibration_matrix_written_between_evaluations(self):
+        m = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=1))
+        xs = np.ones((4, 32))
+        calib = CalibrationSet(input_matrix=xs, output_matrix=np.zeros((4, 32)), seed=0)
+        alloc = {0: 3, 1: 3, 2: 3}
+        end_to_end_mse(m, alloc, calib)
+        xs[:] = 2.0
+        assert end_to_end_mse(m, alloc, calib) == end_to_end_mse(_fresh(m), alloc, calib)
 
     def test_equal_calibration_keys_do_not_alias(self):
         m = gen_model(exhaustive_spec(2))
