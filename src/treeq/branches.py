@@ -11,7 +11,10 @@ Both branches stay in floating point; only the residual left after
 subtracting them gets quantized, to an int8 grid with one scale per row.
 The fit (``branch_decomposition``) forms the dense branch matrices to
 subtract them from the weight, with fixed-order ``einsum`` calls as in
-``linalg``, and keeps only the factors.  The forward applies the branches
+``linalg``, and keeps only the factors.  A setting fits a chain of one or
+two steps (``fit_chain``), each prefix of which is one fit problem, named
+by that prefix; ``fit_plan`` stacks the problems of many settings into
+one call per branch kind and rank or grid.  The forward applies the branches
 from those factors (``factor_pair``): together the LRB and the GMB have
 rank at most r + n_o * n_i, so the branch term is two thin BLAS products.
 A GMB placed before the rotation has its rows folded through H once, so
@@ -219,69 +222,47 @@ def lrb_fitted_first(r_gmb: int, *, order: str = "lrb_first", placement: str = "
     return r_gmb <= 0 or (order == "lrb_first" and placement == "post")
 
 
-@dataclass(frozen=True)
-class FitPlan:
-    """The distinct problems that a list of settings poses on each weight.
+def fit_chain(setting, rows: int, cols: int) -> tuple:
+    """The steps, in fitting order, of an (r_lrb, r_gmb, order, placement)
+    setting on rows x cols weights.
 
-    A stage maps the argument of one stacked fit call to its problems, in
-    the order the settings first pose them:
-
-    * ``before``: a GMB grid to the placements of the GMBs fitted before
-      the LRB: "post" (gmb_first) fits on W_H, "pre" on the raw W;
-    * ``lrb``: an LRB rank to its sources: ``None`` fits on W_H itself, a
-      ``before`` key (grid, placement) on W_H less that GMB's image;
-    * ``after``: a GMB grid to the LRB ranks whose products its problems
-      subtract from W_H (lrb_first under "post").
-
-    ``routes`` holds, per setting, its LRB's source and its GMB's key,
-    (grid, placement) in ``before`` or (grid, rank) in ``after``, or
-    ``None`` for no GMB.
-    """
-
-    settings: tuple
-    routes: tuple
-    before: dict
-    lrb: dict
-    after: dict
-
-    @property
-    def width(self) -> int:
-        """The most problems per weight that one fit call stacks."""
-        stages = (self.before, self.lrb, self.after)
-        return max((len(p) for stage in stages for p in stage.values()), default=0)
-
-
-def fit_plan(settings, rows: int, cols: int) -> FitPlan:
-    """The ``FitPlan`` of (r_lrb, r_gmb, order, placement) settings on rows x cols weights.
-
+    A step is ("lrb", r) or ("gmb", grid, placement): the LRB alone when
+    r_gmb is 0, else the LRB and the GMB in ``lrb_fitted_first`` order.
     An unknown order or placement, and a GMB rank whose grid does not
     divide the shape, raise here, before anything is fitted.
     """
-    settings = tuple(settings)
-    routes, before, lrb, after = [], {}, {}, {}
-    for r_lrb, r_gmb, order, placement in settings:
-        if order not in GMB_ORDERS:
-            raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
-        if placement not in GMB_PLACEMENTS:
-            raise InvalidPartitionError(f"placement must be one of {GMB_PLACEMENTS}")
-        source = gmb_key = None
-        if r_gmb > 0:
-            grid = gmb_budget_partitions(rows, cols, r_gmb)
-            if lrb_fitted_first(r_gmb, order=order, placement=placement):
-                gmb_key = (grid, _add(after, grid, r_lrb))
-            else:
-                source = gmb_key = (grid, _add(before, grid, placement))
-        _add(lrb, r_lrb, source)
-        routes.append((source, gmb_key))
-    return FitPlan(settings, tuple(routes), before, lrb, after)
+    r_lrb, r_gmb, order, placement = setting
+    if order not in GMB_ORDERS:
+        raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
+    if placement not in GMB_PLACEMENTS:
+        raise InvalidPartitionError(f"placement must be one of {GMB_PLACEMENTS}")
+    lrb = ("lrb", r_lrb)
+    if r_gmb <= 0:
+        return (lrb,)
+    gmb = ("gmb", gmb_budget_partitions(rows, cols, r_gmb), placement)
+    return (lrb, gmb) if lrb_fitted_first(r_gmb, order=order, placement=placement) else (gmb, lrb)
 
 
-def _add(stage: dict, key, problem):
-    """Pose ``problem`` in ``stage``'s call for ``key``, once; returns it."""
-    problems = stage.setdefault(key, [])
-    if problem not in problems:
-        problems.append(problem)
-    return problem
+def fit_plan(settings, rows: int, cols: int) -> list:
+    """The stacked fit calls that (r_lrb, r_gmb, order, placement) settings
+    pose on rows x cols weights.
+
+    Each prefix of a setting's ``fit_chain`` is one problem, named by that
+    prefix, so settings that share a prefix share its problem.  A call is
+    ((kind, rank or grid), problems): one ``fit_lrbs`` call per rank, one
+    ``fit_gmbs`` call per grid.  The calls come in three stages, so that a
+    problem's parent is fitted before it: the GMBs that start a chain,
+    every LRB, then the GMBs that follow an LRB.  Within a stage, calls and
+    their problems keep the order in which the settings first pose them.
+    """
+    calls = {}  # (stage, kind, arg) -> its problems, as keys in first-posed order
+    for setting in settings:
+        chain = fit_chain(setting, rows, cols)
+        for depth, (kind, arg, *_) in enumerate(chain):
+            stage = 1 if kind == "lrb" else 2 * depth
+            calls.setdefault((stage, kind, arg), {})[chain[: depth + 1]] = None
+    return [((kind, arg), list(problems))
+            for (_, kind, arg), problems in sorted(calls.items(), key=lambda c: c[0][0])]
 
 
 def branch_decomposition(w, settings):
@@ -294,80 +275,57 @@ def branch_decomposition(w, settings):
     first; ``placement`` "pre" fits the GMB first, on the raw weight W
     (its output then feeds on x, not H^T x).
 
-    All settings are fitted at once, in the three stages of ``fit_plan``:
-    the GMBs that come before the LRB, in one ``fit_gmbs`` call per block
-    grid; every LRB, in one ``fit_lrbs`` call per rank; the GMBs that
-    follow the LRB, in one call per grid.  A problem that several settings
-    pose is fitted once: settings that differ only in GMB rank share the
-    LRB fitted on W_H.  A call stacks its problems for all B weights, and
+    All settings are fitted at once, one stacked call per ``fit_plan``
+    call, for both branch kinds alike.  A problem's source is W_H (W for a
+    "pre" GMB) when it starts its chain, and W_H less its parent's image
+    otherwise; its image is the dense product of its factors, a "pre"
+    GMB's taken through H.  A problem that several settings pose is
+    fitted once: settings that differ only in GMB rank share the LRB
+    fitted on W_H, and settings that fit the same GMB first share it
+    across LRB ranks.  A call stacks its problems for all B weights, and
     every product is one stacked ``einsum``, so each weight's fit under
     each setting is bit-identical to fitting that weight alone under that
     setting alone.
 
     Returns, per setting, a list of B pairs (branches, w_res): the fitted
-    ``Branches`` and w_res, W_H less the dense products of those factors
-    (the GMB's through H under "pre"), the leftover handed to the residual
-    quantizer.
+    ``Branches`` and w_res, W_H less each image of the setting's chain in
+    order, the leftover handed to the residual quantizer.
     """
     stack = as_stack(w)
     if stack.ndim != 3:
         raise InvalidDimensionError(f"expected a stack of weights, got ndim={stack.ndim}")
     count, rows, cols = stack.shape
-    plan = fit_plan(settings, rows, cols)
+    chains = [fit_chain(setting, rows, cols) for setting in settings]
     h = hadamard(cols)
     w_h = np.einsum("bij,jk->bik", stack, h)
-    # every fitted problem: its B fits and their (B, m, n) dense products
-    gmbs, lrbs = {}, {}
-    for grid, placements in plan.before.items():
-        # a "pre" branch lives outside the rotation: fit on the raw weight,
-        # then carry its rotated image
-        sources = [stack if p == "pre" else w_h for p in placements]
-        for p, (fits, image) in zip(placements, _split_gmbs(sources, grid, count)):
-            if p == "pre":
-                image = np.einsum("bij,jk->bik", image, h)
-            gmbs[(grid, p)] = fits, image
-    for r, sources in plan.lrb.items():
-        fits = fit_lrbs(_joined([w_h if s is None else w_h - gmbs[s][1] for s in sources]), r)
-        for k, s in enumerate(sources):
-            part = fits[k * count : (k + 1) * count]
-            lrbs[(r, s)] = part, _lrb_products(part)
-    for grid, ranks in plan.after.items():
-        sources = [w_h - lrbs[(r, None)][1] for r in ranks]
-        for r, fitted in zip(ranks, _split_gmbs(sources, grid, count)):
-            gmbs[(grid, r)] = fitted
-    out = []
-    for (r_lrb, _, _, placement), (source, gmb_key) in zip(plan.settings, plan.routes):
-        lrb, lrb_h = lrbs[(r_lrb, source)]
-        if gmb_key is None:
-            gmb, w_res = [None] * count, w_h - lrb_h
-        elif source is None:
-            gmb, gmb_h = gmbs[gmb_key]
-            w_res = w_h - lrb_h - gmb_h
+    fitted = {}  # problem -> its B fits and their (B, m, n) images
+    for (kind, arg), problems in fit_plan(settings, rows, cols):
+        # a problem's source: W_H less its parent's image, or, at the start
+        # of a chain, W_H (the raw W for a "pre" GMB, outside the rotation)
+        joined = np.concatenate([
+            w_h - fitted[p[:-1]][1] if len(p) > 1 else stack if p[-1][-1] == "pre" else w_h
+            for p in problems
+        ])
+        if kind == "lrb":
+            fits = fit_lrbs(joined, arg)
+            images = np.einsum("bir,brj->bij", np.stack([f.a for f in fits]),
+                               np.stack([f.b for f in fits]))
         else:
-            gmb, gmb_h = gmbs[gmb_key]
-            w_res = w_h - gmb_h - lrb_h
-        out.append([(Branches(lrb[k], gmb[k], placement), w_res[k]) for k in range(count)])
+            fits, images = fit_gmbs(joined, *arg)
+        for k, p in enumerate(problems):
+            part = slice(k * count, (k + 1) * count)
+            if p[-1][-1] == "pre":
+                images[part] = np.einsum("bij,jk->bik", images[part], h)
+            fitted[p] = fits[part], images[part]
+    out = []
+    for (_, _, _, placement), chain in zip(settings, chains):
+        branch, w_res = {}, w_h
+        for depth, (kind, *_) in enumerate(chain):
+            branch[kind], image = fitted[chain[: depth + 1]]
+            w_res = w_res - image
+        gmb = branch.get("gmb", [None] * count)
+        out.append([(Branches(branch["lrb"][k], gmb[k], placement), w_res[k]) for k in range(count)])
     return out
-
-
-def _joined(parts) -> np.ndarray:
-    """(B, m, n) stacks joined into one, the first stack first; one is itself."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _split_gmbs(sources, grid, count: int) -> list:
-    """``fit_gmbs`` of the joined ``sources`` in one call, split back into
-    one (fits, assemblies) pair per source."""
-    fits, images = fit_gmbs(_joined(sources), *grid)
-    return [(fits[k * count : (k + 1) * count], images[k * count : (k + 1) * count])
-            for k in range(len(sources))]
-
-
-def _lrb_products(lrbs) -> np.ndarray:
-    """a @ b of every LRB of a list, in one stacked einsum."""
-    a = np.stack([f.a for f in lrbs])
-    b = np.stack([f.b for f in lrbs])
-    return np.einsum("bir,brj->bij", a, b)
 
 
 def quantize_fit(w_res, branches: Branches) -> dict:

@@ -107,12 +107,12 @@ def default_delta_table() -> Mapping[int, float]:
     return MappingProxyType({b: calibrate_delta(b) for b in QUANT_BITS})
 
 
-def quantize_rotated_batch(y, bits: int, delta: float | None = None):
+def quantize_rotated_batch(y, bits: int, delta: float):
     """Per-token dynamic quantization of already-rotated activations.
 
     ``y`` has one token per row, ``bits`` one of QUANT_BITS
-    (InvalidBitsError otherwise) and ``delta`` the grid step (by default
-    the calibrated step of ``bits``).  ``y`` must be a float64 matrix
+    (InvalidBitsError otherwise) and ``delta`` the grid step.  ``y`` must
+    be a float64 matrix
     (InvalidDimensionError if it is not 2-D); its entries are not checked,
     and a non-finite one gives a non-finite row.  Returns ``(grid, step)``: the
     integer grid clamp(round(y / sigma / delta)) as float64, and the
@@ -123,8 +123,6 @@ def quantize_rotated_batch(y, bits: int, delta: float | None = None):
     if np.ndim(y) != 2:
         raise InvalidDimensionError(f"expected a 2-D matrix, got ndim={np.ndim(y)}")
     check_bits(bits)
-    if delta is None:
-        delta = default_delta_table()[bits]
     # np.mean's own sum and division, without its Python-level wrapper
     sigma = np.sqrt(np.add.reduce(y * y, axis=1) / y.shape[1])
     safe = np.where(sigma == 0.0, 1.0, sigma)

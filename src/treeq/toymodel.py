@@ -180,39 +180,53 @@ class ModelSpec:
 class EvalCache:
     """Prefix activations and the MSE memo of one scope.
 
-    A scope is one calibration input matrix (compared by identity, so two
-    calibration sets of one seed and size never alias) under one context
+    A scope is one input matrix (compared by value) under one context
     (compared by value).  For it the cache keeps the activations entering
-    each layer of the last forward (``acts[0]`` is the input matrix itself,
-    ``acts[j + 1]`` the output of layer j after the leaky rectifier), the
-    bits of the layers that produced them (``bits[j]`` for ``acts[j + 1]``,
-    so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
-    way), and the MSE of every allocation evaluated, keyed by bit tuple.
-    A level holds one activation-sized array.  Entering a new scope drops
-    all of it, so the cache never holds more than one scope.  Identity is
-    a sound scope because the matrix is read-only and owns its data:
-    ``gen_calibration`` makes it so, and ``forward_batch`` scopes a
-    read-only copy of any other input.
+    each layer of the last forward (``acts[0]`` is the cache's own
+    read-only copy of the input matrix, ``acts[j + 1]`` the output of
+    layer j after the leaky rectifier), the bits of the layers that
+    produced them (``bits[j]`` for ``acts[j + 1]``, so ``len(acts) ==
+    len(bits) + 1`` holds even if a forward raises part way), and the MSE
+    of every allocation evaluated against one ``target`` (dense outputs,
+    also a private read-only copy), keyed by bit tuple.  A level holds one
+    activation-sized array.  Entering a new scope drops all of it, so the
+    cache never holds more than one scope.  The copies are private, so no
+    caller can write into them: an input whose values changed since it
+    was entered, through any flag or view, is a new scope, and a target
+    that differs by value has no memo.
     """
 
     def __init__(self):
         self.ctx = None
         self.bits = []
         self.acts = []
+        self.target = None
         self.mse = {}
 
     def holds(self, xs: np.ndarray, ctx: QuantContext) -> bool:
         """Whether (``xs``, ``ctx``) is the scope."""
-        return bool(self.acts) and self.acts[0] is xs and self.ctx == ctx
+        return bool(self.acts) and self.ctx == ctx and np.array_equal(self.acts[0], xs)
 
     def enter(self, xs: np.ndarray, ctx: QuantContext) -> None:
         """Make (``xs``, ``ctx``) the scope, dropping any other one."""
         if self.holds(xs, ctx):
             return
+        scope = xs.copy()
+        scope.setflags(write=False)
         self.ctx = ctx
         self.bits = []
-        self.acts = [xs]
+        self.acts = [scope]
+        self.target = None
         self.mse = {}
+
+    def memo(self, target: np.ndarray) -> dict:
+        """The scope's MSE memo against ``target``, after dropping the memo
+        of any other target."""
+        if self.target is None or not np.array_equal(self.target, target):
+            self.target = target.copy()
+            self.target.setflags(write=False)
+            self.mse = {}
+        return self.mse
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,8 +298,10 @@ def gen_model(spec: ModelSpec) -> ToyModel:
 class CalibrationSet:
     """Inputs, one per row, and their exact dense outputs.
 
-    Both matrices are read-only and a set equals only itself, so the input
-    matrix can scope an ``EvalCache`` by identity.
+    Both matrices are read-only and a set equals only itself.  An
+    ``EvalCache`` scopes the input matrix by value, through a copy of its
+    own, so a caller that makes a matrix writable again and writes into it
+    gets fresh results, never a stale memo.
     """
 
     input_matrix: np.ndarray
@@ -349,12 +365,13 @@ def fit_all(model: ToyModel, ctxs) -> None:
     layer, every layer is fitted under it.  Layers are grouped by shape
     and by the branch keys they lack, and each group is fitted in one
     ``branch_decomposition`` call over all its layers and keys, so every
-    stacked fit problem the keys share (see ``branches.fit_plan``) is
-    solved once, in one SVD call per stage.  To keep every stacked SVD
-    input within FIT_STACK_BYTES, unless it holds a single problem, a
-    group's keys are split into runs whose plan stacks at most that many
-    bytes per layer, and each run's layers into chunks.  A single context
-    makes one call per shape and chunk.  Every fit is
+    fit problem the keys share (see ``branches.fit_plan``) is solved
+    once, in one SVD call per plan call.  To keep every stacked SVD input
+    within FIT_STACK_BYTES, unless it holds a single problem, a group's
+    keys are split into runs whose width, the problem count of the
+    plan's largest call, stacks at most that many bytes per layer, and
+    each run's layers into chunks.  A single context makes one call per
+    shape and chunk.  Every fit is
     quantized at every width of QUANT_BITS straight away, in one
     ``quantize_fit`` call per layer and key (one pass over its rows), and
     the float residual is dropped once that is done.
@@ -369,11 +386,11 @@ def fit_all(model: ToyModel, ctxs) -> None:
         per_call = max(1, FIT_STACK_BYTES // (8 * n_out * n_in))
         runs = [[]]
         for key in keys:
-            if runs[-1] and fit_plan(runs[-1] + [key], n_out, n_in).width > per_call:
+            if runs[-1] and _plan_width(runs[-1] + [key], n_out, n_in) > per_call:
                 runs.append([])
             runs[-1].append(key)
         for run in runs:
-            per_chunk = max(1, per_call // fit_plan(run, n_out, n_in).width)
+            per_chunk = max(1, per_call // _plan_width(run, n_out, n_in))
             for start in range(0, len(layers), per_chunk):
                 chunk = layers[start : start + per_chunk]
                 try:
@@ -388,6 +405,11 @@ def fit_all(model: ToyModel, ctxs) -> None:
                 for key, fits in zip(run, fitted):
                     for i, (fit, w_res) in zip(chunk, fits):
                         model.fits[(i,) + key] = quantize_fit(w_res, fit)
+
+
+def _plan_width(keys, n_out: int, n_in: int) -> int:
+    """The most problems per layer that one call of the keys' ``fit_plan`` stacks."""
+    return max(len(problems) for _, problems in fit_plan(keys, n_out, n_in))
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
@@ -443,22 +465,17 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     forward in the same scope computed from the same input through the
     same layers, so every layer sees the inputs a full forward would give
     it and the result is bit-identical to a forward on a fresh cache.
-    That needs an input no one can write: an ``xs`` that is writable, or
-    a view that does not own its data (its base may be writable), is
-    replaced by a read-only copy before it becomes the scope, so such an
-    input never resumes a forward.  ``gen_calibration``'s matrices are
-    read-only and own their data, so they scope as they are.  ``xs`` is
-    checked once, here: it must be a finite matrix of the model's input
-    width (InvalidDimensionError otherwise).
+    The cache starts every forward from its own read-only copy of the
+    scope's input and compares ``xs`` with it by value, so an input
+    written since an earlier forward never resumes it.  ``xs`` is checked
+    once, here: it must be a finite matrix of the model's input width
+    (InvalidDimensionError otherwise).
     """
     xs = as_matrix(xs)
     if xs.shape[1] != model.dims[0]:
         raise InvalidDimensionError(
             f"input width {xs.shape[1]} does not match model width {model.dims[0]}"
         )
-    if xs.flags.writeable or not xs.flags.owndata:
-        xs = xs.copy()
-        xs.setflags(write=False)
     _validate_alloc(model, alloc)
     n = model.n_layers
     bits = tuple(alloc[i] for i in range(n))
@@ -532,7 +549,8 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     This is the search's performance indicator once environment bits are
     folded into ``alloc``.  Results are memoized in the model's
     ``EvalCache`` by bit tuple, for the current scope only: the
-    calibration's input matrix (by identity: it is read-only) and ``ctx``.
+    calibration's input matrix and ``ctx``, and its output matrix as the
+    memo's target, each compared by value.
     A hit needs the scope and an allocation of exactly the model's layers
     whose bits were evaluated in it.  A miss runs ``forward_batch``, which
     checks the allocation, enters the scope and resumes from the longest
@@ -543,10 +561,11 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     """
     cache = model.eval_cache
     key = tuple(alloc.get(i) for i in range(model.n_layers))
+    memo = None
     if len(alloc) == model.n_layers and cache.holds(calib.input_matrix, ctx):
-        hit = cache.mse.get(key)
-        if hit is not None:
-            return hit
+        memo = cache.memo(calib.output_matrix)
+        if key in memo:
+            return memo[key]
     with np.errstate(over="ignore", invalid="ignore"):
         out = forward_batch(model, alloc, calib.input_matrix, ctx)
         diff = out - calib.output_matrix
@@ -555,7 +574,10 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
         raise InvalidDimensionError(
             f"the quantized forward of allocation {list(key)} gives a non-finite MSE ({mse})"
         )
-    cache.mse[key] = mse
+    # a scope held before the forward is kept by it, and so is its memo
+    if memo is None:
+        memo = cache.memo(calib.output_matrix)
+    memo[key] = mse
     return mse
 
 

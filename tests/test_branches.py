@@ -83,7 +83,8 @@ def matmul_forward(layer, x):
     steps; the branch term of the layer's one pair is added to it.
     """
     rot = x @ hadamard(x.shape[1])
-    grid, step = quantize_rotated_batch(rot, layer.weight.bits)
+    grid, step = quantize_rotated_batch(rot, layer.weight.bits,
+                                        default_delta_table()[layer.weight.bits])
     ints = grid.astype(np.int64) @ layer.weight.q.astype(np.int64).T
     return ints * step[:, None] * layer.weight.step + branch_term(rot, layer.branches.pair)
 
@@ -448,6 +449,26 @@ class TestStackedDecomposition:
         # settings that differ only in GMB rank share the LRB fitted on W_H
         assert all(fitted[j][k][0].lrb is fitted[0][k][0].lrb for j in (1, 2, 3) for k in (0, 1))
 
+    def test_gmb_fitted_first_is_one_problem_across_lrb_ranks(self, monkeypatch):
+        # both settings start with the same GMB on W_H: one block call fits
+        # it for both, and each LRB rank then takes its own call
+        calls = []
+        for name in ("truncated_svd", "top_singular_pair"):
+            fit = getattr(branches, name)
+            monkeypatch.setattr(
+                branches, name, lambda m, *a, _f=fit, _n=name: calls.append((_n, m.shape)) or _f(m, *a)
+            )
+        stack = np.stack([seeded_matrix(16, 16, seed=80 + k) for k in range(2)])
+        settings = [(2, 4, "gmb_first", "post"), (4, 4, "gmb_first", "post")]
+        fitted = branch_decomposition(stack, settings)
+        assert calls == [
+            ("top_singular_pair", (2, 4, 4, 4, 4)),
+            ("truncated_svd", (2, 16, 16)),
+            ("truncated_svd", (2, 16, 16)),
+        ]
+        assert [fits[0][0].lrb.rank for fits in fitted] == [2, 4]
+        assert all(fitted[1][k][0].gmb is fitted[0][k][0].gmb for k in (0, 1))
+
 
 class TestQuantizedLayer:
     def test_forward_reference(self):
@@ -518,7 +539,7 @@ class TestQuantizedLayer:
             assert same_bits(down[r_lrb:], raw_down[r_lrb:] @ hadamard(n))
             xs = seeded_matrix(16, n, seed=300 + seed)
             rot = xs @ hadamard(n)
-            grid, step = quantize_rotated_batch(rot, 4)
+            grid, step = quantize_rotated_batch(rot, 4, default_delta_table()[4])
             raw = residual_product(grid, step, layer.weight)
             raw += branch_term(rot, (lrb.b, lrb.a))
             raw += branch_term(xs, (raw_down[r_lrb:], raw_up[:, r_lrb:]))

@@ -75,7 +75,7 @@ class TestSpec:
     def test_rejects_bad_bits(self):
         for bits in (1, 32):
             with pytest.raises(InvalidBitsError):
-                quantize_rotated_batch(np.ones((1, 8)), bits)
+                quantize_rotated_batch(np.ones((1, 8)), bits, 1.0)
 
 
 class TestUniform:
@@ -165,7 +165,7 @@ class TestDeltaTable:
         # no calibrated step for 9 bits, so no activation grid either
         assert 9 not in default_delta_table()
         with pytest.raises(InvalidBitsError):
-            quantize_rotated_batch(np.ones((1, 8)), 9)
+            quantize_rotated_batch(np.ones((1, 8)), 9, 1.0)
 
     def test_json_keys_are_strings(self, tmp_path):
         # the table as ``treeq calibrate-delta`` writes it to delta.json
@@ -187,19 +187,19 @@ class TestActivation:
         h = hadamard(16)
         rng = np.random.default_rng(3)
         y = rotate(rng.standard_normal((1, 16)), h)
-        grid, step = quantize_rotated_batch(y, 4)
+        grid, step = quantize_rotated_batch(y, 4, default_delta_table()[4])
         assert np.array_equal(grid, np.round(grid))
         assert grid.min() >= -8 and grid.max() <= 7
         assert step[0] == np.sqrt(np.mean(y * y)) * default_delta_table()[4]
 
     def test_zero_vector(self):
-        grid, _ = quantize_rotated_batch(np.zeros((1, 8)), 3)
+        grid, _ = quantize_rotated_batch(np.zeros((1, 8)), 3, default_delta_table()[3])
         assert np.array_equal(grid, np.zeros((1, 8)))
 
     def test_dimension_mismatch(self):
         # a bare vector is not a batch of tokens
         with pytest.raises(InvalidDimensionError):
-            quantize_rotated_batch(np.ones(8), 4)
+            quantize_rotated_batch(np.ones(8), 4, default_delta_table()[4])
 
     def test_relative_error_vs_bits(self):
         # Averaged over many tokens the RMS error must drop as bits grow
@@ -211,7 +211,7 @@ class TestActivation:
             tot = 0.0
             for t in range(32):
                 y = rotate(rng.standard_normal((1, 64)), h)
-                grid, step = quantize_rotated_batch(y, bits)
+                grid, step = quantize_rotated_batch(y, bits, default_delta_table()[bits])
                 tot += float(np.mean((grid * step[:, None] - y) ** 2))
             errs[bits] = tot / 32
         assert errs[2] > errs[4] > errs[6] > errs[8]
@@ -228,15 +228,15 @@ class TestRotatedBatch:
         h = hadamard(32)
         rng = np.random.default_rng(5)
         y = rotate(rng.standard_normal((6, 32)), h)
-        grid, step = quantize_rotated_batch(y, 3)
+        grid, step = quantize_rotated_batch(y, 3, default_delta_table()[3])
         for i in range(6):
-            row_grid, row_step = quantize_rotated_batch(y[i : i + 1], 3)
+            row_grid, row_step = quantize_rotated_batch(y[i : i + 1], 3, default_delta_table()[3])
             assert np.array_equal(grid[i], row_grid[0]) and step[i] == row_step[0]
 
     def test_zero_row_stays_zero(self):
         y = np.zeros((2, 8))
         y[1] = 1.0
-        grid, _ = quantize_rotated_batch(y, 2)
+        grid, _ = quantize_rotated_batch(y, 2, default_delta_table()[2])
         assert np.array_equal(grid[0], np.zeros(8))
         assert np.any(grid[1] != 0)
 
@@ -250,7 +250,7 @@ class TestRotatedBatch:
             np.arange(-32, 32) + 0.5,
             np.zeros(64),
         ])
-        grid, step = quantize_rotated_batch(y, bits)
+        grid, step = quantize_rotated_batch(y, bits, delta)
         sigma = np.sqrt(np.mean(y * y, axis=1))
         safe = np.where(sigma == 0.0, 1.0, sigma)
         assert np.array_equal(grid, sign_floor_grid(y / safe[:, None] / delta, bits))

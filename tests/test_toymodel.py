@@ -355,7 +355,7 @@ class TestLayerCache:
 
     # each call asks for a 32-bit quantized form of layer 0 of a model
     AT_32_BITS = {
-        "quantize_rotated_batch": lambda m: quantize_rotated_batch(m.weights[0], 32),
+        "quantize_rotated_batch": lambda m: quantize_rotated_batch(m.weights[0], 32, 1.0),
         "quantized_layer": lambda m: quantized_layer(m, 0, 32),
     }
 
@@ -661,7 +661,7 @@ class TestCalibration:
     def test_dense_forward_leaves_the_input_matrix_as_scope(self):
         m = gen_model(exhaustive_spec(1))
         c = gen_calibration(m, 4, 5)
-        assert m.eval_cache.acts[0] is c.input_matrix
+        assert np.array_equal(m.eval_cache.acts[0], c.input_matrix)
 
     def test_rejects_empty(self):
         m = gen_model(exhaustive_spec(1))
@@ -874,16 +874,16 @@ class TestEvalCache:
             calib = gen_calibration(m, 8, seed)
             forwards.clear()
             tss_search(m, SearchParams(calib=calib, k=4))
-            assert cache.acts[0] is calib.input_matrix
+            assert np.array_equal(cache.acts[0], calib.input_matrix)
             assert len(cache.acts) <= m.n_layers
             # the memo holds this search's evaluations and nothing older
             assert len(cache.mse) == len(forwards) > 0
 
     @pytest.mark.parametrize("view", [False, True], ids=["writable", "read-only-view"])
     def test_input_written_between_forwards(self, view):
-        # the scope is the input by identity, so a forward may resume only
-        # from an input no one can write: neither a writable matrix nor a
-        # read-only view of a writable base
+        # a forward resumes only from the input it was given: neither a
+        # writable matrix nor a read-only view of a writable base keeps
+        # the scope once it is written
         m = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=1))
         base = np.ones((4, 32))
         xs = base
@@ -903,6 +903,30 @@ class TestEvalCache:
         end_to_end_mse(m, alloc, calib)
         xs[:] = 2.0
         assert end_to_end_mse(m, alloc, calib) == end_to_end_mse(_fresh(m), alloc, calib)
+
+    def test_calibration_matrix_made_writable_again(self):
+        # the cache compares the input by value, so flipping the read-only
+        # flag back and writing leaves no stale memo
+        m = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=1))
+        c = gen_calibration(m, 4, 5)
+        alloc = {0: 3, 1: 3, 2: 3}
+        end_to_end_mse(m, alloc, c)
+        c.input_matrix.setflags(write=True)
+        c.input_matrix[:] = 2.0
+        assert end_to_end_mse(m, alloc, c) == end_to_end_mse(_fresh(m), alloc, c)
+
+    def test_equal_inputs_with_other_targets_do_not_alias(self):
+        # a calibration set's inputs depend only on its seed and width, so
+        # another model's set of that seed has the same inputs and other
+        # dense outputs: its MSE is not the memo of the first set's
+        m = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=1))
+        other = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=2))
+        a, b = gen_calibration(m, 4, 5), gen_calibration(other, 4, 5)
+        assert np.array_equal(a.input_matrix, b.input_matrix)
+        alloc = {0: 3, 1: 3, 2: 3}
+        end_to_end_mse(m, alloc, a)
+        assert end_to_end_mse(m, alloc, b) == end_to_end_mse(_fresh(m), alloc, b)
+        assert end_to_end_mse(m, alloc, a) == end_to_end_mse(_fresh(m), alloc, a)
 
     def test_equal_calibration_keys_do_not_alias(self):
         m = gen_model(exhaustive_spec(2))
