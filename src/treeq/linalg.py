@@ -27,12 +27,13 @@ it alone.  Nothing iterates to a tolerance, so the routine cannot fail to
 converge; it checks its answer instead, and raises ConvergenceError when
 max ||A v_j - sigma_j u_j|| exceeds SVD_RESIDUAL_FACTOR * max(m, n) * eps
 * sigma_1.  No routine here writes its input, and ``hadamard`` hands out
-one shared read-only array.
+one shared ``frozen`` array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -47,8 +48,6 @@ STURM_ROOM = 2**14  # Sturm terms a buffer may always hold, over the whole stack
 
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
-
-_hadamard_cache: dict[int, np.ndarray] = {}
 
 
 def as_stack(m) -> np.ndarray:
@@ -71,26 +70,53 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def frozen(a) -> np.ndarray:
+    """``a`` as a float64 array that nothing can make writable again.
+
+    That is ``a`` itself if it lies on a read-only memoryview (it is frozen,
+    or a view of a frozen array), else a C-ordered copy on one.  numpy
+    refuses ``setflags(write=True)`` on such an array and on every view of
+    it, so a cache may key on its identity.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    root = a
+    while isinstance(root, np.ndarray) and root.base is not None:
+        root = root.base
+    if isinstance(root, memoryview) and root.readonly:
+        return a
+    return np.asarray(memoryview(np.array(a, order="C")).toreadonly())
+
+
+def splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer (see ``toymodel``) of each entry of a uint64 array."""
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def hadamard(n: int) -> np.ndarray:
     """Normalized Sylvester Hadamard matrix of order ``n``.
 
     ``n`` must be a power of two, at most 4096.  Entries are +-1/sqrt(n) and
     the matrix is symmetric and orthogonal.  Results are cached and shared:
-    every caller gets the same read-only array, so no layer holds a copy.
+    every caller gets the same ``frozen`` array, so no layer holds a copy
+    and no caller can write into another's rotation.
     """
     if not isinstance(n, (int, np.integer)) or n < 1 or (n & (n - 1)) != 0:
         raise InvalidDimensionError(f"Hadamard order must be a power of two, got {n}")
     if n > MAX_HADAMARD:
         raise InvalidDimensionError(f"Hadamard order {n} exceeds cap {MAX_HADAMARD}")
-    cached = _hadamard_cache.get(n)
-    if cached is None:
-        h = np.ones((1, 1))
-        while h.shape[0] < n:
-            h = np.block([[h, h], [h, -h]])
-        cached = h / np.sqrt(n)
-        cached.setflags(write=False)
-        _hadamard_cache[n] = cached
-    return cached
+    return _sylvester(int(n))
+
+
+@cache
+def _sylvester(n: int) -> np.ndarray:
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return frozen(h / np.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -222,11 +248,8 @@ def _start_vectors(r: int, size: int) -> np.ndarray:
     Pseudo-random, so no two rows project onto an eigenspace in proportion,
     and exact integer arithmetic, so the same on every machine.
     """
-    z = (np.arange(r, dtype=np.uint64)[:, None] << np.uint64(32)) | np.arange(
-        size, dtype=np.uint64
-    )
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    rows = np.arange(r, dtype=np.uint64)[:, None] << np.uint64(32)
+    z = splitmix64(rows | np.arange(size, dtype=np.uint64))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
 
 

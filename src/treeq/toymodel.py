@@ -54,7 +54,7 @@ from .errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, frozen, splitmix64
 from .quantizer import QUANT_BITS
 
 LEAKY_SLOPE = 0.1
@@ -64,8 +64,6 @@ ALLOWED_BITS = QUANT_BITS + (PASSTHROUGH_BITS,)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 # substream tags (see module docstring)
 TAG_WEIGHT = 1
@@ -85,24 +83,13 @@ FIT_STACK_BYTES = 1 << 24
 def gen(seed: int, index: int) -> int:
     """The counter-based generator: value of stream ``seed`` at ``index``."""
     z = (int(seed) + (int(index) + 1) * _GAMMA) & _MASK
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    z ^= z >> 31
-    return z
+    return int(splitmix64(np.array([z], dtype=np.uint64))[0])
 
 
 def _gen_block(seed: int, count: int) -> np.ndarray:
     """Vectorized gen(seed, 0..count-1); bit-identical to the scalar form."""
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
+    return splitmix64(np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA))
 
 
 def substream(seed: int, tag: int, i: int) -> int:
@@ -148,7 +135,12 @@ def _check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Blueprint for a synthetic chain: sizes, seed, and outlier structure."""
+    """Blueprint for a synthetic chain: sizes, seed, and outlier structure.
+
+    No accepted shape comes near float64 underflow in the dense forward:
+    the weakest chain measured, 128 layers of width 8 with no outliers,
+    has an output power of 1.9e-58, against a smallest normal of 2.2e-308.
+    """
 
     n_layers: int
     dims: tuple
@@ -180,58 +172,39 @@ class ModelSpec:
 class EvalCache:
     """Prefix activations and the MSE memo of one scope.
 
-    A scope is one input matrix (compared by value) under one context
-    (compared by value).  For it the cache keeps the activations entering
-    each layer of the last forward (``acts[0]`` is the cache's own
-    read-only copy of the input matrix, ``acts[j + 1]`` the output of
-    layer j after the leaky rectifier), the bits of the layers that
-    produced them (``bits[j]`` for ``acts[j + 1]``, so ``len(acts) ==
-    len(bits) + 1`` holds even if a forward raises part way), and the MSE
-    of every allocation evaluated against one ``target`` (dense outputs,
-    also a private read-only copy), keyed by bit tuple.  A level holds one
-    activation-sized array.  Entering a new scope drops all of it, so the
-    cache never holds more than one scope.  The copies are private, so no
-    caller can write into them: an input whose values changed since it
-    was entered, through any flag or view, is a new scope, and a target
-    that differs by value has no memo.
+    A scope is one ``frozen`` input matrix (by identity) under one context
+    (by value).  For it the cache keeps the activations entering each
+    layer of the last forward (``acts[0]`` is the input matrix itself,
+    ``acts[j + 1]`` the output of layer j after the leaky rectifier), the
+    bits of the layers that produced them (``bits[j]`` for ``acts[j + 1]``,
+    so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
+    way), and the MSE of every allocation evaluated against one ``target``
+    (a ``frozen`` matrix of dense outputs, by identity), keyed by bit
+    tuple.  A level holds one activation-sized array.  Entering a new
+    scope drops all of it, so the cache never holds more than one scope.
+    Identity is sound because no caller can make a ``frozen`` array
+    writable again: an array that is the scope holds the values it held
+    when it was entered, and the cache keeps no copy of its own.
     """
 
     def __init__(self):
-        self.ctx = None
-        self.bits = []
-        self.acts = []
-        self.target = None
-        self.mse = {}
+        self.ctx, self.bits, self.acts, self.target, self.mse = None, [], [], None, {}
 
-    def holds(self, xs: np.ndarray, ctx: QuantContext) -> bool:
-        """Whether (``xs``, ``ctx``) is the scope."""
-        return bool(self.acts) and self.ctx == ctx and np.array_equal(self.acts[0], xs)
-
-    def enter(self, xs: np.ndarray, ctx: QuantContext) -> None:
-        """Make (``xs``, ``ctx``) the scope, dropping any other one."""
-        if self.holds(xs, ctx):
-            return
-        scope = xs.copy()
-        scope.setflags(write=False)
-        self.ctx = ctx
-        self.bits = []
-        self.acts = [scope]
-        self.target = None
-        self.mse = {}
-
-    def memo(self, target: np.ndarray) -> dict:
-        """The scope's MSE memo against ``target``, after dropping the memo
-        of any other target."""
-        if self.target is None or not np.array_equal(self.target, target):
-            self.target = target.copy()
-            self.target.setflags(write=False)
-            self.mse = {}
+    def enter(self, xs: np.ndarray, ctx: QuantContext, target: np.ndarray | None = None) -> dict:
+        """Make (``xs``, ``ctx``) the scope, dropping any other one, and
+        return the scope's MSE memo.  A ``target`` other than the memo's
+        drops the memo and becomes its target; with none, as from a
+        forward, the memo stays as it is."""
+        if not (self.acts and self.acts[0] is xs and self.ctx == ctx):
+            self.ctx, self.bits, self.acts, self.target, self.mse = ctx, [], [xs], None, {}
+        if target is not None and target is not self.target:
+            self.target, self.mse = target, {}
         return self.mse
 
 
 @dataclass(frozen=True, eq=False)
 class ToyModel:
-    """A chain's spec, its weights (a tuple of read-only matrices) and
+    """A chain's spec, its weights (a tuple of frozen matrices) and
     every branch fit of it, finished at every bit-width.
 
     ``fits[(i,) + branch key]`` holds layer i's quantized layers, one per
@@ -245,7 +218,7 @@ class ToyModel:
     its row steps (n_out floats).
 
     The model is frozen, its weights are a tuple and ``gen_model`` makes
-    each matrix read-only, because ``fits`` keys a layer's fits by its
+    each matrix ``frozen``, because ``fits`` keys a layer's fits by its
     index alone: no weight may change under its fits.  A model equals
     only itself.
     """
@@ -277,8 +250,8 @@ def gen_model(spec: ModelSpec) -> ToyModel:
 
     Layer i uses substream (TAG_WEIGHT, i) for the Gaussian entries and
     (TAG_OUTLIER, i) for the outlier mask; a fraction of entries is
-    multiplied by outlier_scale.  Each matrix is made read-only (see
-    ``ToyModel``).
+    multiplied by outlier_scale.  Each matrix is ``frozen``, so that no
+    caller can make it writable again (see ``ToyModel``).
     """
     weights = []
     for i in range(spec.n_layers):
@@ -289,8 +262,7 @@ def gen_model(spec: ModelSpec) -> ToyModel:
             u = uniform_stream(substream(spec.seed, TAG_OUTLIER, i), n_out * n_in)
             mask = u.reshape(n_out, n_in) < spec.outlier_fraction
             w = np.where(mask, w * spec.outlier_scale, w)
-        w.setflags(write=False)
-        weights.append(w)
+        weights.append(frozen(w))
     return ToyModel(spec=spec, weights=weights)
 
 
@@ -298,15 +270,20 @@ def gen_model(spec: ModelSpec) -> ToyModel:
 class CalibrationSet:
     """Inputs, one per row, and their exact dense outputs.
 
-    Both matrices are read-only and a set equals only itself.  An
-    ``EvalCache`` scopes the input matrix by value, through a copy of its
-    own, so a caller that makes a matrix writable again and writes into it
-    gets fresh results, never a stale memo.
+    Both matrices are ``frozen`` when the set is built (a copy unless the
+    matrix given is frozen already), hand-built sets included, and a set
+    equals only itself.  An ``EvalCache`` scopes the input matrix and
+    memoizes against the output matrix by identity, which is sound
+    because no caller can make either writable again.
     """
 
     input_matrix: np.ndarray
     output_matrix: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "input_matrix", frozen(self.input_matrix))
+        object.__setattr__(self, "output_matrix", frozen(self.output_matrix))
 
 
 @dataclass(frozen=True)
@@ -320,9 +297,9 @@ class QuantContext:
     at N/16 (floor 1, N = min layer dim), so small toy layers keep
     proportionate branches; r_gmb 0 fits no GMB.  Ranks must be integers
     >= 0 (InvalidRankError), and gmb_order and gmb_placement one of
-    GMB_ORDERS and GMB_PLACEMENTS (InvalidPartitionError); both are checked
-    when the context is built.  A context is hashable and scopes the
-    ``EvalCache``.
+    GMB_ORDERS and GMB_PLACEMENTS (InvalidPartitionError), and scale_ranks
+    a bool (InvalidRankError); all are checked when the context is built.
+    A context is hashable and scopes the ``EvalCache``.
     """
 
     r_lrb: int = 16
@@ -340,6 +317,8 @@ class QuantContext:
             value = getattr(self, name)
             if value not in allowed:
                 raise InvalidPartitionError(f"{name} must be one of {allowed}, got {value!r}")
+        if not isinstance(self.scale_ranks, (bool, np.bool_)):
+            raise InvalidRankError(f"scale_ranks must be a bool, got {self.scale_ranks!r}")
 
 
 def _effective_ranks(ctx: QuantContext, n_out: int, n_in: int) -> tuple[int, int]:
@@ -465,13 +444,13 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     forward in the same scope computed from the same input through the
     same layers, so every layer sees the inputs a full forward would give
     it and the result is bit-identical to a forward on a fresh cache.
-    The cache starts every forward from its own read-only copy of the
-    scope's input and compares ``xs`` with it by value, so an input
-    written since an earlier forward never resumes it.  ``xs`` is checked
-    once, here: it must be a finite matrix of the model's input width
-    (InvalidDimensionError otherwise).
+    The scope is ``frozen(xs)``: ``xs`` itself if it is frozen already (a
+    calibration set's input matrix), otherwise a new copy, so an input
+    that can still be written never resumes an earlier forward.  ``xs`` is
+    checked once, here: it must be a finite matrix of the model's input
+    width (InvalidDimensionError otherwise).
     """
-    xs = as_matrix(xs)
+    xs = frozen(as_matrix(xs))
     if xs.shape[1] != model.dims[0]:
         raise InvalidDimensionError(
             f"input width {xs.shape[1]} does not match model width {model.dims[0]}"
@@ -512,21 +491,19 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     """``count`` i.i.d. standard-normal inputs plus exact dense outputs.
 
     Input j comes from substream (TAG_CALIB, j) of ``seed``; see
-    ``check_calibration`` for the arguments' ranges.  The set holds the very
-    arrays of the dense forward, made read-only (see ``CalibrationSet``).
-    That forward runs through the model's ``eval_cache``, and every
-    activation it leaves there and its output must stay within DENSE_BOUND
-    in magnitude: otherwise the model's outliers make the forward overflow,
-    and InvalidDimensionError names the first layer past the bound and the
-    outlier settings.
+    ``check_calibration`` for the arguments' ranges.  The input matrix is
+    ``frozen`` first, so the set holds the very scope of its dense forward
+    (see ``CalibrationSet``).  That forward runs through the model's
+    ``eval_cache``, and every activation it leaves there and its output
+    must stay within DENSE_BOUND in magnitude: otherwise the model's
+    outliers make the forward overflow, and InvalidDimensionError names
+    the first layer past the bound and the outlier settings.
     """
     seed = check_calibration(count, seed)
     d0 = model.dims[0]
-    xs = np.stack(
-        [gaussian_stream(substream(seed, TAG_CALIB, j), d0) for j in range(count)],
-        axis=0,
+    xs = frozen(
+        np.stack([gaussian_stream(substream(seed, TAG_CALIB, j), d0) for j in range(count)])
     )
-    xs.setflags(write=False)
     all32 = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
     with np.errstate(over="ignore", invalid="ignore"):
         fp = forward_batch(model, all32, xs)
@@ -539,7 +516,6 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
                 f"above 2^500 = {DENSE_BOUND:.3g} (outlier_fraction {model.spec.outlier_fraction}, "
                 f"outlier_scale {model.spec.outlier_scale:g})"
             )
-    fp.setflags(write=False)
     return CalibrationSet(input_matrix=xs, output_matrix=fp, seed=seed)
 
 
@@ -548,24 +524,21 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
 
     This is the search's performance indicator once environment bits are
     folded into ``alloc``.  Results are memoized in the model's
-    ``EvalCache`` by bit tuple, for the current scope only: the
-    calibration's input matrix and ``ctx``, and its output matrix as the
-    memo's target, each compared by value.
-    A hit needs the scope and an allocation of exactly the model's layers
-    whose bits were evaluated in it.  A miss runs ``forward_batch``, which
-    checks the allocation, enters the scope and resumes from the longest
-    layer prefix shared with the previous evaluation, so it gives the value
-    a full forward gives, bit for bit.  A value that is not finite (the
-    quantized forward overflowed) raises InvalidDimensionError naming the
-    allocation, and is not memoized.
+    ``EvalCache`` by bit tuple, for one scope only: the calibration's
+    (``frozen``) input matrix and ``ctx``, with its output matrix as the
+    memo's target, the matrices by identity.  The call enters that scope
+    and looks the allocation up once; a hit needs an allocation of exactly
+    the model's layers whose bits were evaluated in it.  A miss runs
+    ``forward_batch``, which checks the allocation and resumes from the
+    longest layer prefix shared with the previous evaluation of the same
+    scope, so it gives the value a full forward gives, bit for bit.  A
+    value that is not finite (the quantized forward overflowed) raises
+    InvalidDimensionError naming the allocation, and is not memoized.
     """
-    cache = model.eval_cache
     key = tuple(alloc.get(i) for i in range(model.n_layers))
-    memo = None
-    if len(alloc) == model.n_layers and cache.holds(calib.input_matrix, ctx):
-        memo = cache.memo(calib.output_matrix)
-        if key in memo:
-            return memo[key]
+    memo = model.eval_cache.enter(calib.input_matrix, ctx, calib.output_matrix)
+    if len(alloc) == model.n_layers and key in memo:
+        return memo[key]
     with np.errstate(over="ignore", invalid="ignore"):
         out = forward_batch(model, alloc, calib.input_matrix, ctx)
         diff = out - calib.output_matrix
@@ -574,9 +547,6 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
         raise InvalidDimensionError(
             f"the quantized forward of allocation {list(key)} gives a non-finite MSE ({mse})"
         )
-    # a scope held before the forward is kept by it, and so is its memo
-    if memo is None:
-        memo = cache.memo(calib.output_matrix)
     memo[key] = mse
     return mse
 

@@ -15,7 +15,9 @@ from treeq.errors import ConvergenceError, InvalidDimensionError
 from treeq.linalg import (
     MAX_HADAMARD,
     as_matrix,
+    frozen,
     hadamard,
+    splitmix64,
     top_singular_pair,
     truncated_svd,
 )
@@ -50,6 +52,53 @@ class TestCoercion:
             as_matrix(np.ones(shape))
 
 
+class TestFrozen:
+    @pytest.mark.parametrize("layout", ["F-ordered", "strided"])
+    def test_copies_come_back_equal_and_read_only(self, layout):
+        m = seeded_matrix(6, 9, seed=4)
+        a = np.asfortranarray(m) if layout == "F-ordered" else m[::2, ::3]
+        f = frozen(a)
+        assert np.array_equal(f, a) and f.dtype == np.float64
+        for view in (f, f[1:], f.T):
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
+        # the copy is the array's own: writing the input leaves it as it was
+        want = f.copy()
+        a[...] = 0.0
+        assert np.array_equal(f, want)
+
+    def test_frozen_arrays_and_their_views_come_back_as_they_are(self):
+        f = frozen([[1, 2], [3, 4]])
+        assert f.dtype == np.float64
+        assert frozen(f) is f
+        view = f[1:]
+        assert frozen(view) is view
+
+    def test_a_read_only_flag_alone_is_copied(self):
+        # a read-only array that owns its memory can be made writable again
+        a = np.ones((2, 3))
+        a.setflags(write=False)
+        assert frozen(a) is not a
+
+
+class TestSplitmix64:
+    def test_matches_the_python_int_finalizer(self):
+        mask = (1 << 64) - 1
+
+        def mix(z):
+            z ^= z >> 30
+            z = (z * 0xBF58476D1CE4E5B9) & mask
+            z ^= z >> 27
+            z = (z * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        zs = [0, 1, 0x9E3779B97F4A7C15, mask, 1 << 63, 0xDEADBEEF12345678]
+        z = np.array(zs, dtype=np.uint64)
+        got = splitmix64(z)
+        assert [int(v) for v in got] == [mix(v) for v in zs]
+        assert [int(v) for v in z] == zs  # the input is not written
+
+
 class TestHadamard:
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
     def test_orthonormal(self, n):
@@ -76,6 +125,13 @@ class TestHadamard:
             a[0, 0] = 99.0
         assert hadamard(8) is a
         assert np.array_equal(hadamard(8), want)
+
+    def test_cannot_be_made_writable_again(self):
+        # every layer of a width shares this array
+        h = hadamard(16)
+        for view in (h, h[2:], h.T):
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
 
     def test_sylvester_recursion(self):
         # H_{2n} = [[H_n, H_n], [H_n, -H_n]] / sqrt(2)

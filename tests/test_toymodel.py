@@ -64,6 +64,12 @@ class TestGenerator:
             scalar = np.array([gen(seed, i) for i in range(17)], dtype=np.uint64)
             assert np.array_equal(block, scalar)
 
+    def test_matches_the_splitmix64_reference(self):
+        # the first outputs of the reference SplitMix64 seeded with 0
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [gen(0, i) for i in range(3)] == want
+        assert [int(z) for z in _gen_block(0, 3)] == want
+
     def test_substream_formula(self):
         assert substream(42, 3, 7) == gen(42, (3 << 32) | 7)
 
@@ -170,6 +176,15 @@ class TestQuantContext:
         with pytest.raises(InvalidPartitionError, match=field):
             QuantContext(**{field: "x"})
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_scale_ranks_must_be_a_bool(self, value):
+        # any truthy value used to scale the ranks
+        with pytest.raises(InvalidRankError, match="scale_ranks must be a bool"):
+            QuantContext(scale_ranks=value)
+
+    def test_numpy_bools_are_bools(self):
+        assert QuantContext(scale_ranks=np.False_) == QuantContext(scale_ranks=False)
+
     def test_zero_ranks_fit_no_branches(self):
         ctx = QuantContext(r_lrb=0, r_gmb=np.int64(0))
         assert toymodel._effective_ranks(ctx, 64, 64) == (0, 0)
@@ -224,6 +239,14 @@ class TestGenModel:
         for w in m.weights:
             with pytest.raises(ValueError, match="read-only"):
                 w[:] *= 2
+
+    def test_weights_cannot_be_made_writable_again(self):
+        # doubling weight 0 behind the flag would leave its stale fits:
+        # a uniform 3-bit MSE of 0.1689 where a refit gives 0.0545
+        m = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=1))
+        for w in m.weights:
+            with pytest.raises(ValueError):
+                w.setflags(write=True)
 
     def test_weights_cannot_be_replaced(self):
         # a replaced weight would keep the stale fits of its index: a model
@@ -905,15 +928,24 @@ class TestEvalCache:
         assert end_to_end_mse(m, alloc, calib) == end_to_end_mse(_fresh(m), alloc, calib)
 
     def test_calibration_matrix_made_writable_again(self):
-        # the cache compares the input by value, so flipping the read-only
-        # flag back and writing leaves no stale memo
+        # the cache keys on both matrices by identity, so neither may be
+        # made writable again, in a drawn set or in a hand-built one
         m = gen_model(ModelSpec(n_layers=3, dims=(32,) * 4, seed=1))
-        c = gen_calibration(m, 4, 5)
-        alloc = {0: 3, 1: 3, 2: 3}
-        end_to_end_mse(m, alloc, c)
-        c.input_matrix.setflags(write=True)
-        c.input_matrix[:] = 2.0
-        assert end_to_end_mse(m, alloc, c) == end_to_end_mse(_fresh(m), alloc, c)
+        drawn = gen_calibration(m, 4, 5)
+        built = CalibrationSet(input_matrix=np.ones((4, 32)), output_matrix=np.zeros((4, 32)), seed=0)
+        for c in (drawn, built):
+            for matrix in (c.input_matrix, c.output_matrix):
+                with pytest.raises(ValueError):
+                    matrix.setflags(write=True)
+
+    def test_scope_is_the_calibration_matrices_themselves(self):
+        # the cache keeps no copy of its own: a search leaves the set's
+        # very matrices as the scope and the memo's target
+        m = gen_model(ModelSpec(n_layers=3, dims=(16,) * 4, seed=1))
+        c = gen_calibration(m, 8, 2)
+        tss_search(m, SearchParams(calib=c, k=4))
+        assert m.eval_cache.acts[0] is c.input_matrix
+        assert m.eval_cache.target is c.output_matrix
 
     def test_equal_inputs_with_other_targets_do_not_alias(self):
         # a calibration set's inputs depend only on its seed and width, so
