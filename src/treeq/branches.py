@@ -11,10 +11,11 @@ Both branches stay in floating point; only the residual left after
 subtracting them gets quantized, to an int8 grid with one scale per row.
 The fit (``branch_decomposition``) forms the dense branch matrices to
 subtract them from the weight, with fixed-order ``einsum`` calls as in
-``linalg``, and keeps only the factors.  A setting fits a chain of one or
-two steps (``fit_chain``), each prefix of which is one fit problem, named
-by that prefix; ``fit_plan`` stacks the problems of many settings into
-one call per branch kind and rank or grid.  The forward applies the branches
+``linalg``, and keeps only the factors.  A ``QuantContext`` poses on
+each layer a chain of one or two steps (``QuantContext.chain``), the only
+name a fit has; each prefix of a chain is one fit problem, named by that
+prefix, and ``fit_plan`` stacks the problems of many chains into one
+call per branch kind and rank or grid.  The forward applies the branches
 from those factors (``factor_pair``): together the LRB and the GMB have
 rank at most r + n_o * n_i, so the branch term is two thin BLAS products.
 A GMB placed before the rotation has its rows folded through H once, so
@@ -36,7 +37,7 @@ from .errors import (
     InvalidPartitionError,
     InvalidRankError,
 )
-from .linalg import as_stack, hadamard, top_singular_pair, truncated_svd
+from .linalg import as_int, as_stack, hadamard, top_singular_pair, truncated_svd
 from .quantizer import (
     WeightGrid,
     quantize_rotated_batch,
@@ -178,8 +179,9 @@ class Branches:
     rotated activation H^T x.  Under the pre placement the GMB acts on the
     raw activation x = H (H^T x) instead, so its rows of ``down`` are
     multiplied by H once, when the pair is built (QuaRot's rotation
-    folding, Ashkboos et al., NeurIPS 2024).  The pair is built on first
-    use and kept; every bit-width quantized from one fit shares it.
+    folding, Ashkboos et al., NeurIPS 2024).  ``placement`` is the GMB's,
+    "post" when there is none.  The pair is built on first use and kept;
+    every bit-width quantized from one fit shares it.
     """
 
     lrb: LrbFactors
@@ -213,51 +215,78 @@ class QuantizedLinear:
     branches: Branches
 
 
-def lrb_fitted_first(r_gmb: int, *, order: str = "lrb_first", placement: str = "post") -> bool:
-    """Whether branch_decomposition fits the LRB on W_H itself, before any GMB.
+@dataclass(frozen=True)
+class QuantContext:
+    """Branch settings shared by every layer.
 
-    Such an LRB depends only on the weight and its rank, so one fit can
-    serve every GMB rank.  With ``r_gmb`` 0 there is no GMB at all.
+    Only the branches vary between contexts: every layer is rotated by the
+    Hadamard matrix of its width and quantized with the calibrated step of
+    its bit-width (``default_delta_table``).  Ranks must be integers >= 0
+    (InvalidRankError), gmb_order and gmb_placement one of GMB_ORDERS and
+    GMB_PLACEMENTS (InvalidPartitionError), and scale_ranks a bool
+    (InvalidRankError); all are checked here, once, when the context is
+    built.  ``chain`` names what a context fits on a layer.  A context is
+    hashable and scopes the ``EvalCache``.
     """
-    return r_gmb <= 0 or (order == "lrb_first" and placement == "post")
+
+    r_lrb: int = 16
+    r_gmb: int = 4
+    gmb_order: str = "lrb_first"
+    gmb_placement: str = "post"
+    scale_ranks: bool = True
+
+    def __post_init__(self):
+        for name in ("r_lrb", "r_gmb"):
+            r = as_int(getattr(self, name), name, InvalidRankError)
+            if r < 0:
+                raise InvalidRankError(f"{name} must be >= 0, got {r}")
+        for name, allowed in (("gmb_order", GMB_ORDERS), ("gmb_placement", GMB_PLACEMENTS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise InvalidPartitionError(f"{name} must be one of {allowed}, got {value!r}")
+        if not isinstance(self.scale_ranks, (bool, np.bool_)):
+            raise InvalidRankError(f"scale_ranks must be a bool, got {self.scale_ranks!r}")
+
+    def chain(self, rows: int, cols: int) -> tuple:
+        """The steps, in fitting order, that the context fits on rows x cols
+        weights: the name of its fit.
+
+        A step is ("lrb", r) or ("gmb", grid, placement).  With scale_ranks
+        on, the ranks are capped per layer, r_lrb at N/4 and r_gmb at N/16
+        (floor 1, N = min(rows, cols)), so small layers keep proportionate
+        branches; off, r_lrb is capped at N.  A GMB rank of 0 fits the LRB
+        alone.  Otherwise the LRB is fitted first, on W_H, only in the
+        default order and placement, and second in the others.  A GMB rank
+        whose grid does not divide the shape raises here
+        (``gmb_budget_partitions``).
+        """
+        n = min(rows, cols)
+        if self.scale_ranks:
+            r_lrb, r_gmb = min(self.r_lrb, max(1, n // 4)), min(self.r_gmb, max(1, n // 16))
+        else:
+            r_lrb, r_gmb = min(self.r_lrb, n), self.r_gmb
+        lrb = ("lrb", r_lrb)
+        if r_gmb == 0:
+            return (lrb,)
+        gmb = ("gmb", gmb_budget_partitions(rows, cols, r_gmb), self.gmb_placement)
+        if (self.gmb_order, self.gmb_placement) == ("lrb_first", "post"):
+            return (lrb, gmb)
+        return (gmb, lrb)
 
 
-def fit_chain(setting, rows: int, cols: int) -> tuple:
-    """The steps, in fitting order, of an (r_lrb, r_gmb, order, placement)
-    setting on rows x cols weights.
+def fit_plan(chains) -> list:
+    """The stacked fit calls that ``QuantContext.chain`` chains pose.
 
-    A step is ("lrb", r) or ("gmb", grid, placement): the LRB alone when
-    r_gmb is 0, else the LRB and the GMB in ``lrb_fitted_first`` order.
-    An unknown order or placement, and a GMB rank whose grid does not
-    divide the shape, raise here, before anything is fitted.
-    """
-    r_lrb, r_gmb, order, placement = setting
-    if order not in GMB_ORDERS:
-        raise InvalidPartitionError(f"order must be one of {GMB_ORDERS}")
-    if placement not in GMB_PLACEMENTS:
-        raise InvalidPartitionError(f"placement must be one of {GMB_PLACEMENTS}")
-    lrb = ("lrb", r_lrb)
-    if r_gmb <= 0:
-        return (lrb,)
-    gmb = ("gmb", gmb_budget_partitions(rows, cols, r_gmb), placement)
-    return (lrb, gmb) if lrb_fitted_first(r_gmb, order=order, placement=placement) else (gmb, lrb)
-
-
-def fit_plan(settings, rows: int, cols: int) -> list:
-    """The stacked fit calls that (r_lrb, r_gmb, order, placement) settings
-    pose on rows x cols weights.
-
-    Each prefix of a setting's ``fit_chain`` is one problem, named by that
-    prefix, so settings that share a prefix share its problem.  A call is
-    ((kind, rank or grid), problems): one ``fit_lrbs`` call per rank, one
-    ``fit_gmbs`` call per grid.  The calls come in three stages, so that a
-    problem's parent is fitted before it: the GMBs that start a chain,
-    every LRB, then the GMBs that follow an LRB.  Within a stage, calls and
-    their problems keep the order in which the settings first pose them.
+    Each prefix of a chain is one problem, named by that prefix, so chains
+    that share a prefix share its problem.  A call is ((kind, rank or
+    grid), problems): one ``fit_lrbs`` call per rank, one ``fit_gmbs``
+    call per grid.  The calls come in three stages, so that a problem's
+    parent is fitted before it: the GMBs that start a chain, every LRB,
+    then the GMBs that follow an LRB.  Within a stage, calls and their
+    problems keep the order in which the chains first pose them.
     """
     calls = {}  # (stage, kind, arg) -> its problems, as keys in first-posed order
-    for setting in settings:
-        chain = fit_chain(setting, rows, cols)
+    for chain in chains:
         for depth, (kind, arg, *_) in enumerate(chain):
             stage = 1 if kind == "lrb" else 2 * depth
             calls.setdefault((stage, kind, arg), {})[chain[: depth + 1]] = None
@@ -265,41 +294,39 @@ def fit_plan(settings, rows: int, cols: int) -> list:
             for (_, kind, arg), problems in sorted(calls.items(), key=lambda c: c[0][0])]
 
 
-def branch_decomposition(w, settings):
-    """Fit each setting on every weight of a (B, m, n) stack; independent of any bit-width.
+def branch_decomposition(w, chains):
+    """Fit each chain on every weight of a (B, m, n) stack; independent of any bit-width.
 
-    A setting is (r_lrb, r_gmb, order, placement).  Default pipeline:
-    W_H = W @ H, with H = ``hadamard(n)`` the rotation the forward applies
-    to activations; LRB fitted on W_H, GMB fitted on W_H - LRB; ``r_gmb``
-    0 fits no GMB.  ``order`` "gmb_first" swaps which branch is fitted
-    first; ``placement`` "pre" fits the GMB first, on the raw weight W
-    (its output then feeds on x, not H^T x).
+    A chain (``QuantContext.chain``) lists its steps in fitting order.  W_H
+    = W @ H, with H = ``hadamard(n)`` the rotation the forward applies to
+    activations; the first step is fitted on W_H, and the second on W_H
+    less the first step's image.  A "pre" GMB is fitted on the raw weight
+    W instead (its output then feeds on x, not H^T x).
 
-    All settings are fitted at once, one stacked call per ``fit_plan``
-    call, for both branch kinds alike.  A problem's source is W_H (W for a
-    "pre" GMB) when it starts its chain, and W_H less its parent's image
+    All chains are fitted at once, one stacked call per ``fit_plan`` call,
+    for both branch kinds alike.  A problem's source is W_H (W for a "pre"
+    GMB) when it starts its chain, and W_H less its parent's image
     otherwise; its image is the dense product of its factors, a "pre"
-    GMB's taken through H.  A problem that several settings pose is
-    fitted once: settings that differ only in GMB rank share the LRB
-    fitted on W_H, and settings that fit the same GMB first share it
-    across LRB ranks.  A call stacks its problems for all B weights, and
-    every product is one stacked ``einsum``, so each weight's fit under
-    each setting is bit-identical to fitting that weight alone under that
-    setting alone.
+    GMB's taken through H.  A problem that several chains pose is fitted
+    once: chains that differ only in GMB rank share the LRB fitted on W_H,
+    and chains that fit the same GMB first share it across LRB ranks.  A
+    call stacks its problems for all B weights, and every product is one
+    stacked ``einsum``, so each weight's fit under each chain is
+    bit-identical to fitting that weight alone under that chain alone.
 
-    Returns, per setting, a list of B pairs (branches, w_res): the fitted
-    ``Branches`` and w_res, W_H less each image of the setting's chain in
-    order, the leftover handed to the residual quantizer.
+    Returns, per chain, a list of B pairs (branches, w_res): the fitted
+    ``Branches``, whose placement is the chain's GMB placement ("post"
+    with no GMB), and w_res, W_H less each image of the chain in order,
+    the leftover handed to the residual quantizer.
     """
     stack = as_stack(w)
     if stack.ndim != 3:
         raise InvalidDimensionError(f"expected a stack of weights, got ndim={stack.ndim}")
-    count, rows, cols = stack.shape
-    chains = [fit_chain(setting, rows, cols) for setting in settings]
-    h = hadamard(cols)
+    count = stack.shape[0]
+    h = hadamard(stack.shape[2])
     w_h = np.einsum("bij,jk->bik", stack, h)
     fitted = {}  # problem -> its B fits and their (B, m, n) images
-    for (kind, arg), problems in fit_plan(settings, rows, cols):
+    for (kind, arg), problems in fit_plan(chains):
         # a problem's source: W_H less its parent's image, or, at the start
         # of a chain, W_H (the raw W for a "pre" GMB, outside the rotation)
         joined = np.concatenate([
@@ -318,12 +345,13 @@ def branch_decomposition(w, settings):
                 images[part] = np.einsum("bij,jk->bik", images[part], h)
             fitted[p] = fits[part], images[part]
     out = []
-    for (_, _, _, placement), chain in zip(settings, chains):
+    for chain in chains:
         branch, w_res = {}, w_h
         for depth, (kind, *_) in enumerate(chain):
             branch[kind], image = fitted[chain[: depth + 1]]
             w_res = w_res - image
         gmb = branch.get("gmb", [None] * count)
+        placement = "pre" if any(step[-1] == "pre" for step in chain) else "post"
         out.append([(Branches(branch["lrb"][k], gmb[k], placement), w_res[k]) for k in range(count)])
     return out
 

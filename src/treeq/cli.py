@@ -75,7 +75,7 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     model: ModelSpec
-    search: dict
+    search: SearchParams  # with no calibration set: a command draws its own
     quant: QuantContext
     calib: dict
     output_dir: str
@@ -155,10 +155,10 @@ def load_run_config(args) -> RunConfig:
     except ValueError as e:
         raise ConfigError(f"invalid calib config: {e}")
     try:
-        SearchParams(calib=None, **cfg["search"])
+        search = SearchParams(calib=None, **cfg["search"])
     except ValueError as e:
         raise ConfigError(f"invalid search config: {e}")
-    return RunConfig(spec, cfg["search"], quant, cfg["calib"], output_dir)
+    return RunConfig(spec, search, quant, cfg["calib"], output_dir)
 
 
 def _write(cfg: RunConfig, name: str, text: str) -> str:
@@ -174,8 +174,8 @@ def _dump(doc: dict) -> str:
 
 
 def _uniform_bits(cfg: RunConfig) -> int:
-    target = cfg.search["target"]
-    return min(cfg.search["candidates"], key=lambda b: (abs(b - target), b))
+    target = cfg.search.target
+    return min(cfg.search.candidates, key=lambda b: (abs(b - target), b))
 
 
 def cmd_gen_model(cfg: RunConfig, args) -> int:
@@ -201,8 +201,7 @@ def cmd_calibrate_delta(cfg: RunConfig, args) -> int:
 
 
 def _run_search(cfg: RunConfig, model, calib, **overrides):
-    params = SearchParams(calib=calib, **{**cfg.search, **overrides})
-    return tss_search(model, params, cfg.quant)
+    return tss_search(model, replace(cfg.search, calib=calib, **overrides), cfg.quant)
 
 
 def cmd_search(cfg: RunConfig, args) -> int:
@@ -299,8 +298,7 @@ def cmd_baseline(cfg: RunConfig, args) -> int:
     sens_calib = gen_calibration(
         model, 4 * cfg.calib["count"], substream(cfg.calib["seed"], TAG_DERIVE, 1)
     )
-    target = cfg.search["target"]
-    candidates = tuple(cfg.search["candidates"])
+    target, candidates = cfg.search.target, cfg.search.candidates
 
     allocs = {"uniform": uniform_allocate(model.n_layers, _uniform_bits(cfg))}
     tables = sensitivity_tables(model, sens_calib, ctx, candidates)
@@ -322,7 +320,7 @@ def cmd_baseline(cfg: RunConfig, args) -> int:
         )
     doc = {
         "target": target,
-        "env_bits": cfg.search["env_bits"],
+        "env_bits": cfg.search.env_bits,
         "rows": rows,
         "wall_ms": (time.perf_counter() - started) * 1e3,
     }

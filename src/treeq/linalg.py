@@ -70,6 +70,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_int(value, what: str, error=InvalidDimensionError) -> int:
+    """``value`` as an int; ``error`` unless it is an integer (numpy's too) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def frozen(a) -> np.ndarray:
     """``a`` as a float64 array that nothing can make writable again.
 
@@ -99,16 +106,18 @@ def splitmix64(z: np.ndarray) -> np.ndarray:
 def hadamard(n: int) -> np.ndarray:
     """Normalized Sylvester Hadamard matrix of order ``n``.
 
-    ``n`` must be a power of two, at most 4096.  Entries are +-1/sqrt(n) and
-    the matrix is symmetric and orthogonal.  Results are cached and shared:
-    every caller gets the same ``frozen`` array, so no layer holds a copy
-    and no caller can write into another's rotation.
+    ``n`` must be an integer (``as_int``) and a power of two, at most
+    4096.  Entries are +-1/sqrt(n) and the matrix is symmetric and
+    orthogonal.  Results are cached and shared: every caller gets the same
+    ``frozen`` array, so no layer holds a copy and no caller can write
+    into another's rotation.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1 or (n & (n - 1)) != 0:
+    n = as_int(n, "Hadamard order")
+    if n < 1 or (n & (n - 1)) != 0:
         raise InvalidDimensionError(f"Hadamard order must be a power of two, got {n}")
     if n > MAX_HADAMARD:
         raise InvalidDimensionError(f"Hadamard order {n} exceeds cap {MAX_HADAMARD}")
-    return _sylvester(int(n))
+    return _sylvester(n)
 
 
 @cache
@@ -456,12 +465,14 @@ def truncated_svd(m, r: int) -> SvdTriple:
     sigma (..., r) and v (..., n, r), each entry bit-identical to the 2-D
     call on that matrix.  Deterministic: fixed step counts and fixed
     start vectors; exact singular-value ties get orthonormal vectors.
+    ``r`` must be an integer (``as_int``) in [1, min(m, n)].
     """
     a = as_stack(m)
     *batch, rows, cols = a.shape
-    if not isinstance(r, (int, np.integer)) or r < 1 or r > min(rows, cols):
+    r = as_int(r, "rank", InvalidRankError)
+    if r < 1 or r > min(rows, cols):
         raise InvalidRankError(f"rank {r} invalid for shape {a.shape}")
-    u, sigma, v = _svd(a.reshape(-1, rows, cols), int(r))
+    u, sigma, v = _svd(a.reshape(-1, rows, cols), r)
     return SvdTriple(
         u=u.reshape(*batch, rows, r),
         sigma=sigma.reshape(*batch, r),

@@ -16,20 +16,28 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InvalidBitsError, InvalidSpanError
+from .linalg import as_int
 from .quantizer import QUANT_BITS
 from .toymodel import (
     ALLOWED_BITS,
     CalibrationSet,
     QuantContext,
     ToyModel,
-    as_int,
     end_to_end_mse,
     module_mean_bits,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchParams:
+    """A search's settings, checked and normalized once, when built.
+
+    ``candidates`` become a sorted tuple of ints, and ``k`` and
+    ``env_bits`` ints (``as_int``; InvalidBitsError otherwise).  The
+    params are frozen, so no later assignment skips these checks; derive
+    other params with ``dataclasses.replace``, which checks them again.
+    """
+
     calib: CalibrationSet
     candidates: tuple = (2, 3, 4, 5)
     k: int = 16
@@ -37,11 +45,12 @@ class SearchParams:
     env_bits: int = 3
 
     def __post_init__(self):
-        self.candidates = tuple(
+        candidates = tuple(
             sorted(as_int(b, "candidate bits", InvalidBitsError) for b in self.candidates)
         )
-        self.k = as_int(self.k, "k", InvalidBitsError)
-        self.env_bits = as_int(self.env_bits, "env_bits", InvalidBitsError)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "k", as_int(self.k, "k", InvalidBitsError))
+        object.__setattr__(self, "env_bits", as_int(self.env_bits, "env_bits", InvalidBitsError))
         if not self.candidates:
             raise InvalidBitsError("candidate set must not be empty")
         for b in self.candidates:

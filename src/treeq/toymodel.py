@@ -38,8 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .branches import (
-    GMB_ORDERS,
-    GMB_PLACEMENTS,
+    QuantContext,
     QuantizedLinear,
     branch_decomposition,
     forward_quantized_batch,
@@ -47,14 +46,8 @@ from .branches import (
     matrix_to_json,
     quantize_fit,
 )
-from .errors import (
-    ConvergenceError,
-    InvalidBitsError,
-    InvalidDimensionError,
-    InvalidPartitionError,
-    InvalidRankError,
-)
-from .linalg import as_matrix, frozen, splitmix64
+from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
+from .linalg import as_int, as_matrix, frozen, splitmix64
 from .quantizer import QUANT_BITS
 
 LEAKY_SLOPE = 0.1
@@ -116,13 +109,6 @@ def gaussian_stream(seed: int, count: int) -> np.ndarray:
 
 def _power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def as_int(value, what: str, error=InvalidDimensionError) -> int:
-    """``value`` as an int; ``error`` unless it is an integer (numpy's too) and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_seed(seed) -> int:
@@ -207,18 +193,18 @@ class ToyModel:
     """A chain's spec, its weights (a tuple of frozen matrices) and
     every branch fit of it, finished at every bit-width.
 
-    ``fits[(i,) + branch key]`` holds layer i's quantized layers, one per
-    width of QUANT_BITS, keyed by width (see ``fit_all``).  A layer's
-    branch key is its effective ranks, order and placement, so contexts
-    that agree on them share one fit.  The rotation and the steps are the
-    same for every context, so a layer's fit and a width fix the layer,
-    and contexts that share a fit share its layers.  All widths share one
-    ``Branches``, which keeps only factors, and one array of row scales;
-    each layer adds only its residual's int8 grid (n_out x n_in bytes) and
-    its row steps (n_out floats).
+    ``fits[(i, chain)]`` holds layer i's quantized layers, one per width
+    of QUANT_BITS, keyed by width (see ``fit_all``).  A layer's fit is
+    named by the ``QuantContext.chain`` a context poses on it, so contexts
+    that pose the same chain share one fit.  The rotation and the steps
+    are the same for every context, so a layer's fit and a width fix the
+    layer, and contexts that share a fit share its layers.  All widths
+    share one ``Branches``, which keeps only factors, and one array of row
+    scales; each layer adds only its residual's int8 grid (n_out x n_in
+    bytes) and its row steps (n_out floats).
 
     The model is frozen, its weights are a tuple and ``gen_model`` makes
-    each matrix ``frozen``, because ``fits`` keys a layer's fits by its
+    each matrix ``frozen``, because ``fits`` names a layer's weight by its
     index alone: no weight may change under its fits.  A model equals
     only itself.
     """
@@ -286,90 +272,42 @@ class CalibrationSet:
         object.__setattr__(self, "output_matrix", frozen(self.output_matrix))
 
 
-@dataclass(frozen=True)
-class QuantContext:
-    """Branch settings shared by every layer.
-
-    Only the branches vary between contexts: every layer is rotated by the
-    Hadamard matrix of its width and quantized with the calibrated step of
-    its bit-width (``default_delta_table``).  Requested branch ranks are
-    scaled per layer when scale_ranks is on: r_lrb capped at N/4 and r_gmb
-    at N/16 (floor 1, N = min layer dim), so small toy layers keep
-    proportionate branches; r_gmb 0 fits no GMB.  Ranks must be integers
-    >= 0 (InvalidRankError), and gmb_order and gmb_placement one of
-    GMB_ORDERS and GMB_PLACEMENTS (InvalidPartitionError), and scale_ranks
-    a bool (InvalidRankError); all are checked when the context is built.
-    A context is hashable and scopes the ``EvalCache``.
-    """
-
-    r_lrb: int = 16
-    r_gmb: int = 4
-    gmb_order: str = "lrb_first"
-    gmb_placement: str = "post"
-    scale_ranks: bool = True
-
-    def __post_init__(self):
-        for name in ("r_lrb", "r_gmb"):
-            r = as_int(getattr(self, name), name, InvalidRankError)
-            if r < 0:
-                raise InvalidRankError(f"{name} must be >= 0, got {r}")
-        for name, allowed in (("gmb_order", GMB_ORDERS), ("gmb_placement", GMB_PLACEMENTS)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise InvalidPartitionError(f"{name} must be one of {allowed}, got {value!r}")
-        if not isinstance(self.scale_ranks, (bool, np.bool_)):
-            raise InvalidRankError(f"scale_ranks must be a bool, got {self.scale_ranks!r}")
-
-
-def _effective_ranks(ctx: QuantContext, n_out: int, n_in: int) -> tuple[int, int]:
-    n = min(n_out, n_in)
-    if ctx.scale_ranks:
-        r_l = min(ctx.r_lrb, max(1, n // 4))
-        r_g = min(ctx.r_gmb, max(1, n // 16))
-    else:
-        r_l = min(ctx.r_lrb, n)
-        r_g = ctx.r_gmb
-    return r_l, r_g
-
-
-def _branch_key(ctx: QuantContext, shape) -> tuple:
-    return _effective_ranks(ctx, *shape) + (ctx.gmb_order, ctx.gmb_placement)
-
-
 def fit_all(model: ToyModel, ctxs) -> None:
-    """Fit every layer under each context of the sequence ``ctxs`` that it
-    has no fit under yet, into ``model.fits``.
+    """Fit every layer under each context of the sequence ``ctxs`` whose
+    chain it has no fit under yet, into ``model.fits``.
 
-    Fits are eager and stacked: the first time a branch context needs any
-    layer, every layer is fitted under it.  Layers are grouped by shape
-    and by the branch keys they lack, and each group is fitted in one
-    ``branch_decomposition`` call over all its layers and keys, so every
-    fit problem the keys share (see ``branches.fit_plan``) is solved
+    A layer's fit is named by its ``QuantContext.chain``, so contexts that
+    pose the same chain on a layer share one fit.  Fits are eager and
+    stacked: the first time a chain is asked of any layer, every layer is
+    fitted under its context.  Layers are grouped by shape and by the
+    chains they lack, and each group is fitted in one
+    ``branch_decomposition`` call over all its layers and chains, so every
+    fit problem the chains share (see ``branches.fit_plan``) is solved
     once, in one SVD call per plan call.  To keep every stacked SVD input
     within FIT_STACK_BYTES, unless it holds a single problem, a group's
-    keys are split into runs whose width, the problem count of the
+    chains are split into runs whose width, the problem count of the
     plan's largest call, stacks at most that many bytes per layer, and
     each run's layers into chunks.  A single context makes one call per
-    shape and chunk.  Every fit is
-    quantized at every width of QUANT_BITS straight away, in one
-    ``quantize_fit`` call per layer and key (one pass over its rows), and
-    the float residual is dropped once that is done.
+    shape and chunk.  Every fit is quantized at every width of QUANT_BITS
+    straight away, in one ``quantize_fit`` call per layer and chain (one
+    pass over its rows), and the float residual is dropped once that is
+    done.
     """
     groups = {}
     for i, w in enumerate(model.weights):
-        keys = dict.fromkeys(_branch_key(ctx, w.shape) for ctx in ctxs)
-        missing = tuple(key for key in keys if (i,) + key not in model.fits)
+        chains = dict.fromkeys(ctx.chain(*w.shape) for ctx in ctxs)
+        missing = tuple(chain for chain in chains if (i, chain) not in model.fits)
         if missing:
             groups.setdefault((w.shape, missing), []).append(i)
-    for ((n_out, n_in), keys), layers in groups.items():
+    for ((n_out, n_in), chains), layers in groups.items():
         per_call = max(1, FIT_STACK_BYTES // (8 * n_out * n_in))
         runs = [[]]
-        for key in keys:
-            if runs[-1] and _plan_width(runs[-1] + [key], n_out, n_in) > per_call:
+        for chain in chains:
+            if runs[-1] and _plan_width(runs[-1] + [chain]) > per_call:
                 runs.append([])
-            runs[-1].append(key)
+            runs[-1].append(chain)
         for run in runs:
-            per_chunk = max(1, per_call // _plan_width(run, n_out, n_in))
+            per_chunk = max(1, per_call // _plan_width(run))
             for start in range(0, len(layers), per_chunk):
                 chunk = layers[start : start + per_chunk]
                 try:
@@ -381,18 +319,18 @@ def fit_all(model: ToyModel, ctxs) -> None:
                     raise ConvergenceError(
                         f"branch fit of layers {names}: {e.message}", e.residual
                     ) from e
-                for key, fits in zip(run, fitted):
+                for chain, fits in zip(run, fitted):
                     for i, (fit, w_res) in zip(chunk, fits):
-                        model.fits[(i,) + key] = quantize_fit(w_res, fit)
+                        model.fits[(i, chain)] = quantize_fit(w_res, fit)
 
 
-def _plan_width(keys, n_out: int, n_in: int) -> int:
-    """The most problems per layer that one call of the keys' ``fit_plan`` stacks."""
-    return max(len(problems) for _, problems in fit_plan(keys, n_out, n_in))
+def _plan_width(chains) -> int:
+    """The most problems per layer that one call of the chains' ``fit_plan`` stacks."""
+    return max(len(problems) for _, problems in fit_plan(chains))
 
 
 def _layer_for(model: ToyModel, i: int, bits: int, ctx: QuantContext) -> QuantizedLinear:
-    key = (i,) + _branch_key(ctx, model.weights[i].shape)
+    key = (i, ctx.chain(*model.weights[i].shape))
     if key not in model.fits:
         fit_all(model, (ctx,))
     return model.fits[key][bits]
@@ -423,8 +361,13 @@ def _validate_alloc(model: ToyModel, alloc: Mapping[int, int]):
                 f"layer {i} bits {alloc[i]} not in {ALLOWED_BITS}"
             )
     for key in alloc:
-        # an int only: int() would truncate 1.5 and -0.5 into range
-        if not (isinstance(key, int) and 0 <= key < model.n_layers):
+        # a layer index by as_int's rule: int() would truncate 1.5 and -0.5
+        # into range, and True would name layer 1
+        try:
+            known = 0 <= as_int(key, "layer") < model.n_layers
+        except InvalidDimensionError:
+            known = False
+        if not known:
             raise InvalidBitsError(f"allocation names unknown layer {key!r}")
 
 

@@ -141,7 +141,7 @@ def test_criterion_2_hadamard_exactness(suite_models):
     worst_rt = 0.0
     for seed, model in suite_models.items():
         xs = ys = gen_calibration(model, 8, seed).input_matrix
-        (fits,) = branch_decomposition(np.stack(model.weights), [(16, 4, "lrb_first", "post")])
+        (fits,) = branch_decomposition(np.stack(model.weights), [(("lrb", 16), ("gmb", (4, 4), "post"))])
         for i, (w, (fit, w_res)) in enumerate(zip(model.weights, fits)):
             down, up = fit.pair
             rotated = xs @ h
@@ -195,7 +195,7 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
     monotone_ok = True
     fitted, exact_fitted = 0, 0
     for model in suite_models.values():
-        (fits,) = branch_decomposition(np.stack(model.weights), [(8, 4, "lrb_first", "post")])
+        (fits,) = branch_decomposition(np.stack(model.weights), [(("lrb", 8), ("gmb", (4, 4), "post"))])
         for fit, res_full in fits:
             # the LRB-only residual is the full residual with the GMB put back
             gmb_h = gmb_reconstruct_blocks(fit.gmb)

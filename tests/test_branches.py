@@ -18,6 +18,7 @@ from treeq.branches import (
     Branches,
     GmbFactors,
     LrbFactors,
+    QuantContext,
     QuantizedLinear,
     branch_decomposition,
     factor_pair,
@@ -26,7 +27,6 @@ from treeq.branches import (
     forward_quantized_batch,
     gmb_budget_partitions,
     gmb_reconstruct_blocks,
-    lrb_fitted_first,
     qlinear_doc,
     quantize_fit,
     residual_product,
@@ -59,9 +59,14 @@ def branch_term(x, pair):
     return (x @ down.T) @ up.T
 
 
+def chain_of(shape, r_lrb, r_gmb, order="lrb_first", placement="post"):
+    """The chain of a context with these ranks, unscaled, on weights of ``shape``."""
+    return QuantContext(r_lrb, r_gmb, order, placement, scale_ranks=False).chain(*shape[-2:])
+
+
 def fit_stack(stack, r_lrb, r_gmb, order="lrb_first", placement="post"):
-    """(branches, w_res) of each weight of ``stack`` under one setting."""
-    (fits,) = branch_decomposition(stack, [(r_lrb, r_gmb, order, placement)])
+    """(branches, w_res) of each weight of ``stack`` under one context's chain."""
+    (fits,) = branch_decomposition(stack, [chain_of(np.shape(stack), r_lrb, r_gmb, order, placement)])
     return fits
 
 
@@ -281,6 +286,15 @@ class TestBranchDecomposition:
             w_res + fit.lrb.a @ fit.lrb.b + shadow, times_h(w), atol=1e-12
         )
 
+    def test_a_chain_with_no_gmb_is_placed_post(self):
+        # a fit depends on its chain alone, and a chain with no GMB names
+        # no placement, so the one fit of r_gmb 0 serves "pre" contexts too
+        w = seeded_matrix(16, 16, seed=16)
+        chain = QuantContext(r_lrb=4, r_gmb=0, gmb_placement="pre").chain(16, 16)
+        ((fit, _),) = branch_decomposition(w[None], [chain])[0]
+        assert fit.gmb is None and fit.placement == "post"
+        assert "gmb_placement" not in qlinear_doc(quantize_fit(np.zeros((16, 16)), fit)[3])
+
     def test_order_changes_split(self):
         w = seeded_matrix(8, 8, seed=12)
         a, _ = fit_one(w, 2, 2, order="lrb_first")
@@ -302,12 +316,10 @@ class TestBranchDecomposition:
         w = seeded_matrix(16, 16, seed=14)
         kwargs = dict(kwargs)
         r_gmb = kwargs.pop("r_gmb", 4)
-        order, placement = kwargs.get("order", "lrb_first"), kwargs.get("placement", "post")
-        assert lrb_fitted_first(r_gmb, **kwargs) is first
+        chain = chain_of(w.shape, 4, r_gmb, **kwargs)
+        assert (chain[0] == ("lrb", 4)) is first
         fresh, fresh_res = fit_one(w, 4, r_gmb, **kwargs)
-        given, together = branch_decomposition(
-            w[None], [(4, 0, "lrb_first", "post"), (4, r_gmb, order, placement)]
-        )
+        given, together = branch_decomposition(w[None], [(("lrb", 4),), chain])
         (shared, _), (reused, reused_res) = given[0], together[0]
         assert (reused.lrb is shared.lrb) is first
         assert np.array_equal(fresh.lrb.a, reused.lrb.a)
@@ -318,7 +330,7 @@ class TestBranchDecomposition:
     def test_rejects_lrb_of_wrong_rank(self):
         w = seeded_matrix(8, 8, seed=15)
         with pytest.raises(InvalidRankError):
-            fit_one(w, 9, 2)
+            branch_decomposition(w[None], [(("lrb", 9), ("gmb", (2, 2), "post"))])
 
     def test_rejects_unknown_order(self):
         with pytest.raises(InvalidPartitionError):
@@ -427,7 +439,7 @@ class TestStackedDecomposition:
             (4, 1, "lrb_first", "post"), (4, 1, "gmb_first", "post"),
             (4, 1, "lrb_first", "post"), (4, 1, "lrb_first", "pre"),
         ]
-        fitted = branch_decomposition(stack, settings)
+        fitted = branch_decomposition(stack, [chain_of(stack.shape, *s) for s in settings])
         assert calls == [
             ("top_singular_pair", (4, 1, 1, 16, 16)),
             ("truncated_svd", (6, 16, 16)),
@@ -460,7 +472,7 @@ class TestStackedDecomposition:
             )
         stack = np.stack([seeded_matrix(16, 16, seed=80 + k) for k in range(2)])
         settings = [(2, 4, "gmb_first", "post"), (4, 4, "gmb_first", "post")]
-        fitted = branch_decomposition(stack, settings)
+        fitted = branch_decomposition(stack, [chain_of(stack.shape, *s) for s in settings])
         assert calls == [
             ("top_singular_pair", (2, 4, 4, 4, 4)),
             ("truncated_svd", (2, 16, 16)),

@@ -118,6 +118,15 @@ class TestHadamard:
         with pytest.raises(InvalidDimensionError):
             hadamard(MAX_HADAMARD * 2)
 
+    @pytest.mark.parametrize("n", [True, 8.0, "8"])
+    def test_order_must_be_an_integer(self, n):
+        # True is an int equal to 1, which returned [[1.]]
+        with pytest.raises(InvalidDimensionError, match="Hadamard order must be an integer"):
+            hadamard(n)
+
+    def test_numpy_integer_order(self):
+        assert hadamard(np.int64(8)) is hadamard(8)
+
     def test_cache_is_shared_and_read_only(self):
         a = hadamard(8)
         want = a.copy()
@@ -230,6 +239,14 @@ class TestSvd:
             truncated_svd(np.ones((3, 3)), 0)
         with pytest.raises(InvalidRankError):
             truncated_svd(np.ones((3, 3)), 4)
+
+    @pytest.mark.parametrize("r", [True, 2.0])
+    def test_rank_must_be_an_integer(self, r):
+        # True passed the range check and failed in a reshape with a TypeError
+        from treeq.errors import InvalidRankError
+
+        with pytest.raises(InvalidRankError, match="rank must be an integer"):
+            truncated_svd(np.ones((3, 3)), r)
 
     def test_top_singular_pair(self):
         m = seeded_matrix(5, 8, seed=10)

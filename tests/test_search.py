@@ -5,6 +5,7 @@ search is checked against exhaustive enumeration on a 2-layer model (the
 4-layer version is an acceptance criterion and lives in test_acceptance).
 """
 
+import dataclasses
 import itertools
 import warnings
 
@@ -116,6 +117,17 @@ class TestParams:
         )
         assert p.candidates == (2, 3, 5) and all(type(b) is int for b in p.candidates)
         assert (p.k, p.env_bits) == (8, 3)
+
+
+    def test_is_frozen(self, small_calib):
+        # an assignment would skip every check: k=1 broke the search's
+        # eval bound, a 32-bit candidate was searched, target 9 picked 5 bits
+        p = SearchParams(calib=small_calib)
+        for field, value in (("k", 1), ("candidates", (2, 32)), ("target", 9.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field, value)
+        with pytest.raises(InvalidBitsError, match="smaller than candidate count"):
+            dataclasses.replace(p, k=1)
 
 
 class TestDominates:

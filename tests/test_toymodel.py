@@ -187,7 +187,35 @@ class TestQuantContext:
 
     def test_zero_ranks_fit_no_branches(self):
         ctx = QuantContext(r_lrb=0, r_gmb=np.int64(0))
-        assert toymodel._effective_ranks(ctx, 64, 64) == (0, 0)
+        assert ctx.chain(64, 64) == (("lrb", 0),)
+
+    @pytest.mark.parametrize("shape,fields,chain", [
+        # r_gmb 0 fits the LRB alone, whatever the order and placement
+        ((64, 32), {"r_gmb": 0}, (("lrb", 8),)),
+        ((64, 32), {"r_gmb": 0, "gmb_order": "gmb_first"}, (("lrb", 8),)),
+        ((64, 32), {"r_gmb": 0, "gmb_placement": "pre"}, (("lrb", 8),)),
+        ((64, 32), {"r_gmb": 0, "scale_ranks": False}, (("lrb", 16),)),
+        # the LRB goes first only under lrb_first and post
+        ((64, 32), {}, (("lrb", 8), ("gmb", (2, 2), "post"))),
+        ((64, 32), {"gmb_order": "gmb_first"}, (("gmb", (2, 2), "post"), ("lrb", 8))),
+        ((64, 32), {"gmb_placement": "pre"}, (("gmb", (2, 2), "pre"), ("lrb", 8))),
+        ((64, 32), {"gmb_order": "gmb_first", "gmb_placement": "pre"},
+         (("gmb", (2, 2), "pre"), ("lrb", 8))),
+        # scaled ranks are capped at N/4 and N/16 (floor 1), unscaled the LRB at N
+        ((64, 32), {"scale_ranks": False}, (("lrb", 16), ("gmb", (4, 4), "post"))),
+        ((64, 32), {"r_lrb": 64, "r_gmb": 32}, (("lrb", 8), ("gmb", (2, 2), "post"))),
+        ((64, 32), {"r_lrb": 64, "r_gmb": 32, "scale_ranks": False},
+         (("lrb", 32), ("gmb", (32, 32), "post"))),
+        ((8, 8), {}, (("lrb", 2), ("gmb", (1, 1), "post"))),
+        ((8, 8), {"gmb_order": "gmb_first", "scale_ranks": False},
+         (("gmb", (4, 4), "post"), ("lrb", 8))),
+    ])
+    def test_chain(self, shape, fields, chain):
+        assert QuantContext(**fields).chain(*shape) == chain
+
+    def test_chain_rejects_a_grid_that_does_not_divide(self):
+        with pytest.raises(InvalidPartitionError, match="must divide both dimensions"):
+            QuantContext(r_gmb=3, scale_ranks=False).chain(64, 32)
 
 
 class TestGenModel:
@@ -306,15 +334,23 @@ class TestForward:
         with pytest.raises(InvalidBitsError):
             forward_batch(m, {0: 32, 1: 32, 2: 32, 3: 16}, x)  # 16 not allowed
 
-    @pytest.mark.parametrize("key", [1.5, -0.5, "x"])
+    @pytest.mark.parametrize("key", [1.5, -0.5, "x", True])
     def test_alloc_key_must_be_a_layer_index(self, key):
         # int() truncates 1.5 and -0.5 into range and raises ValueError on
-        # "x"; every key that is not an int layer index is an unknown layer
+        # "x", and True is an int equal to 1; every key that is not an
+        # integer layer index is an unknown layer
         m = gen_model(exhaustive_spec(1))
-        alloc = {0: 32, 1: 32, 2: 32, 3: 32}
-        alloc[key] = 32
+        alloc = {0: 32, 2: 32, 3: 32, key: 32}
+        alloc.setdefault(1, 32)  # a True key already stands for layer 1
         with pytest.raises(InvalidBitsError, match="unknown layer"):
             forward_batch(m, alloc, np.ones((1, 32)))
+
+    def test_numpy_integer_keys_are_layer_indices(self):
+        m = gen_model(exhaustive_spec(1))
+        xs = np.ones((1, 32))
+        want = forward_batch(m, {i: 3 for i in range(4)}, xs)
+        got = forward_batch(m, {np.int64(i): 3 for i in range(4)}, xs)
+        assert np.array_equal(got, want)
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # A 256-wide quantized layer and a 32-bit layer forward one fixed
@@ -398,6 +434,22 @@ class TestLayerCache:
             layer = quantized_layer(m, i, 3, QuantContext())
             assert quantized_layer(m, i, 3, QuantContext(r_gmb=4, scale_ranks=False)) is layer
         assert len(m.fits) == 2
+
+    @pytest.mark.parametrize("ctxs", [
+        (QuantContext(r_gmb=0), QuantContext(r_gmb=0, gmb_order="gmb_first", gmb_placement="pre")),
+        (QuantContext(gmb_placement="pre"), QuantContext(gmb_order="gmb_first", gmb_placement="pre")),
+    ], ids=["no-gmb", "pre"])
+    def test_contexts_with_one_chain_share_one_fit(self, monkeypatch, ctxs):
+        # each pair poses one chain per layer, so it is fitted and quantized once
+        calls = []
+        quantize = toymodel.quantize_fit
+        monkeypatch.setattr(toymodel, "quantize_fit", lambda *a: calls.append(1) or quantize(*a))
+        m = gen_model(ModelSpec(3, (32,) * 4, seed=1))
+        fit_all(m, ctxs)
+        assert len(m.fits) == len(calls) == 3
+        for i in range(3):
+            assert quantized_layer(m, i, 3, ctxs[0]) is quantized_layer(m, i, 3, ctxs[1])
+        assert len(calls) == 3
 
     def test_bit_widths_share_the_branch_matrix(self):
         m = gen_model(exhaustive_spec(7))
