@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidBitsError, InvalidDimensionError
+from .linalg import as_int
 from .toymodel import (ALLOWED_BITS, PASSTHROUGH_BITS, CalibrationSet, QuantContext, ToyModel,
                        forward_batch)
 
@@ -86,9 +87,10 @@ def ip_allocate(scores: dict, flops, target: float, candidates=(2, 3, 4, 5)) -> 
 
     Dynamic program over integer budget units.  Ties break toward lower
     total bits, then toward the lexicographically smallest per-layer
-    assignment.  Raises if the target sits below the cheapest candidate.
+    assignment.  Candidates must be integers (``as_int``) and the target
+    must not sit below the cheapest of them (InvalidBitsError otherwise).
     """
-    candidates = tuple(sorted(int(b) for b in candidates))
+    candidates = tuple(sorted(as_int(b, "candidate bits", InvalidBitsError) for b in candidates))
     n = len(flops)
     if n == 0 or any(f <= 0 for f in flops):
         raise InvalidBitsError("flops must be positive")
@@ -138,7 +140,8 @@ def ip_allocate(scores: dict, flops, target: float, candidates=(2, 3, 4, 5)) -> 
 
 
 def uniform_allocate(n: int, bits: int) -> dict:
-    """Every layer at the same width."""
+    """Every layer at the same width, an integer (``as_int``) of ALLOWED_BITS."""
+    bits = as_int(bits, "bits", InvalidBitsError)
     if bits not in ALLOWED_BITS:
         raise InvalidBitsError(f"bits {bits} unsupported for uniform allocation")
-    return {i: int(bits) for i in range(n)}
+    return {i: bits for i in range(n)}

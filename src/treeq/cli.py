@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -20,6 +19,7 @@ import numpy as np
 from .baselines import ip_allocate, sensitivity_tables, uniform_allocate
 from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_doc
 from .errors import ConvergenceError
+from .linalg import is_int
 from .quantizer import default_delta_table
 from .search import SearchParams, result_doc, tss_search
 from .toymodel import (
@@ -81,22 +81,17 @@ class RunConfig:
     output_dir: str
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, and no field takes a bool
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _checked(path: str, value, default):
     """``value`` if it has the kind of ``default`` (see DEFAULTS), else ConfigError."""
     if isinstance(default, list):
-        if isinstance(value, list) and all(_is_int(v) for v in value):
+        if isinstance(value, list) and all(is_int(v) for v in value):
             return value
         raise ConfigError(f"config field '{path}' must be a list of integers")
     if isinstance(default, float):
-        if _is_int(value) or isinstance(value, float):
+        if is_int(value) or isinstance(value, float):
             return float(value)
         raise ConfigError(f"config field '{path}' must be of type number")
-    if _is_int(value):
+    if is_int(value):
         return value
     raise ConfigError(f"config field '{path}' must be of type int")
 
@@ -138,9 +133,6 @@ def load_run_config(args) -> RunConfig:
             cfg[section][key] = getattr(args, flag)
     if getattr(args, "out", None) is not None:
         output_dir = args.out
-    # json reads NaN and Infinity, and argparse's float reads "nan" and "inf"
-    if not math.isfinite(cfg["search"]["target"]):
-        raise ConfigError("config field 'search.target' must be finite")
 
     try:
         spec = ModelSpec(**cfg["model"])
@@ -241,7 +233,11 @@ def cmd_quantize(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_alloc(path: str, n_layers: int) -> dict:
+def _load_alloc(path: str) -> dict:
+    """The layer -> bits table of a search.json's ``final_alloc`` or of a
+    bare JSON object.  Only what is particular to JSON is checked here
+    (ConfigError): the file holds an object whose keys are canonical
+    decimals.  ``alloc_bits`` checks the layers and bits on evaluation."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -254,27 +250,18 @@ def _load_alloc(path: str, n_layers: int) -> dict:
         raise ConfigError("allocation file must map layer index to bits")
     alloc = {}
     for key, value in table.items():
-        # a JSON integer only: int() would truncate 3.7 and read true as 1
-        if not _is_int(value):
-            raise ConfigError(f"allocation entry {key!r}: {value!r} is not an integer")
         # canonical decimal only, as search.json writes it: int() would read
         # "011" and " 11" as layer 11 and let the last of them win
         if not (key.isdecimal() and key == str(int(key))):
             raise ConfigError(f"allocation entry {key!r} is not a layer index")
         alloc[int(key)] = value
-    for i in range(n_layers):
-        if i not in alloc:
-            raise ConfigError(f"allocation missing layer {i}")
-    if len(alloc) != n_layers:
-        extra = sorted(set(alloc) - set(range(n_layers)))
-        raise ConfigError(f"allocation names unknown layers {extra}")
     return alloc
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     model = gen_model(cfg.model)
-    alloc = _load_alloc(args.alloc, model.n_layers)
+    alloc = _load_alloc(args.alloc)
     calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
     mse = end_to_end_mse(model, alloc, calib, cfg.quant)
     doc = {

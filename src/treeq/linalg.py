@@ -70,9 +70,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer (numpy's too) and not a bool: ``as_int``'s rule."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_int(value, what: str, error=InvalidDimensionError) -> int:
-    """``value`` as an int; ``error`` unless it is an integer (numpy's too) and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as an int; ``error`` unless ``is_int(value)``."""
+    if not is_int(value):
         raise error(f"{what} must be an integer, got {value!r}")
     return int(value)
 

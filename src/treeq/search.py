@@ -117,7 +117,7 @@ def build_frontier(entries: list) -> ParetoQueue:
 
 def apply_eng(alloc: dict, env_bits: int, n: int) -> dict:
     """Extend a module-local config to all n layers, filling with env_bits
-    (``SearchParams`` checks it, and ``forward_batch`` every allocation)."""
+    (``SearchParams`` checks it, and ``alloc_bits`` every allocation)."""
     return {i: alloc.get(i, env_bits) for i in range(n)}
 
 

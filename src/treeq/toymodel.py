@@ -47,7 +47,7 @@ from .branches import (
     quantize_fit,
 )
 from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
-from .linalg import as_int, as_matrix, frozen, splitmix64
+from .linalg import as_int, as_matrix, frozen, is_int, splitmix64
 from .quantizer import QUANT_BITS
 
 LEAKY_SLOPE = 0.1
@@ -352,23 +352,27 @@ def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext = Quan
     return _layer_for(model, i, bits, ctx)
 
 
-def _validate_alloc(model: ToyModel, alloc: Mapping[int, int]):
+def alloc_bits(model: ToyModel, alloc: Mapping[int, int]) -> tuple:
+    """The bits of ``alloc`` as a tuple of ints, layer by layer: the one
+    check of an allocation.  Its keys must be exactly layers 0..n-1 and its
+    values widths of ALLOWED_BITS, all integers by ``as_int``'s rule
+    (``is_int``), which refuses ``True``, ``1.0`` and ``3.0`` although a
+    dict takes them for 1 and 3.  InvalidBitsError names the first key or
+    layer at fault."""
+    for key in alloc:
+        if not (is_int(key) and 0 <= key < model.n_layers):
+            raise InvalidBitsError(f"allocation names unknown layer {key!r}")
+    bits = []
     for i in range(model.n_layers):
         if i not in alloc:
             raise InvalidBitsError(f"allocation missing layer {i}")
-        if alloc[i] not in ALLOWED_BITS:
-            raise InvalidBitsError(
-                f"layer {i} bits {alloc[i]} not in {ALLOWED_BITS}"
-            )
-    for key in alloc:
-        # a layer index by as_int's rule: int() would truncate 1.5 and -0.5
-        # into range, and True would name layer 1
-        try:
-            known = 0 <= as_int(key, "layer") < model.n_layers
-        except InvalidDimensionError:
-            known = False
-        if not known:
-            raise InvalidBitsError(f"allocation names unknown layer {key!r}")
+        b = alloc[i]
+        if not is_int(b):
+            raise InvalidBitsError(f"layer {i} bits must be an integer, got {b!r}")
+        if b not in ALLOWED_BITS:
+            raise InvalidBitsError(f"layer {i} bits {b} not in {ALLOWED_BITS}")
+        bits.append(int(b))
+    return tuple(bits)
 
 
 def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()) -> np.ndarray:
@@ -391,16 +395,15 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     calibration set's input matrix), otherwise a new copy, so an input
     that can still be written never resumes an earlier forward.  ``xs`` is
     checked once, here: it must be a finite matrix of the model's input
-    width (InvalidDimensionError otherwise).
+    width (InvalidDimensionError otherwise), and ``alloc`` by ``alloc_bits``.
     """
     xs = frozen(as_matrix(xs))
     if xs.shape[1] != model.dims[0]:
         raise InvalidDimensionError(
             f"input width {xs.shape[1]} does not match model width {model.dims[0]}"
         )
-    _validate_alloc(model, alloc)
+    bits = alloc_bits(model, alloc)
     n = model.n_layers
-    bits = tuple(alloc[i] for i in range(n))
     cache = model.eval_cache
     cache.enter(xs, ctx)
     start = 0
@@ -467,20 +470,20 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
 
     This is the search's performance indicator once environment bits are
     folded into ``alloc``.  Results are memoized in the model's
-    ``EvalCache`` by bit tuple, for one scope only: the calibration's
-    (``frozen``) input matrix and ``ctx``, with its output matrix as the
-    memo's target, the matrices by identity.  The call enters that scope
-    and looks the allocation up once; a hit needs an allocation of exactly
-    the model's layers whose bits were evaluated in it.  A miss runs
-    ``forward_batch``, which checks the allocation and resumes from the
+    ``EvalCache`` by the tuple ``alloc_bits`` returns, for one scope only:
+    the calibration's (``frozen``) input matrix and ``ctx``, with its
+    output matrix as the memo's target, the matrices by identity.  The
+    allocation is checked first, so a hit and a miss accept and reject the
+    same allocations; then the call enters that scope and looks the tuple
+    up once.  A miss runs ``forward_batch``, which resumes from the
     longest layer prefix shared with the previous evaluation of the same
     scope, so it gives the value a full forward gives, bit for bit.  A
     value that is not finite (the quantized forward overflowed) raises
     InvalidDimensionError naming the allocation, and is not memoized.
     """
-    key = tuple(alloc.get(i) for i in range(model.n_layers))
+    key = alloc_bits(model, alloc)
     memo = model.eval_cache.enter(calib.input_matrix, ctx, calib.output_matrix)
-    if len(alloc) == model.n_layers and key in memo:
+    if key in memo:
         return memo[key]
     with np.errstate(over="ignore", invalid="ignore"):
         out = forward_batch(model, alloc, calib.input_matrix, ctx)
@@ -502,8 +505,8 @@ def module_mean_bits(config: dict, model: ToyModel) -> float:
 
 
 def mean_bitwidth(alloc, model: ToyModel) -> float:
-    """FLOPs-weighted average bit-width over the full allocation."""
-    _validate_alloc(model, alloc)
+    """FLOPs-weighted average bit-width over the full allocation (``alloc_bits``)."""
+    alloc_bits(model, alloc)
     return module_mean_bits(alloc, model)
 
 

@@ -209,6 +209,12 @@ class TestIpAllocate:
         with pytest.raises(InvalidBitsError):
             ip_allocate(table, (256, 0), 3.0)
 
+    def test_rejects_non_integer_candidates(self):
+        # int() would truncate these to 2 and 3 and return {0: 2, 1: 3}
+        table = {0: {2: 1.0, 3: 0.5}, 1: {2: 1.0, 3: 0.4}}
+        with pytest.raises(InvalidBitsError, match="candidate bits must be an integer, got 2.9"):
+            ip_allocate(table, (10, 10), 2.6, candidates=(2.9, 3.2))
+
 
 class TestUniform:
     def test_allocates_every_layer(self):
@@ -220,3 +226,8 @@ class TestUniform:
     def test_rejects_unsupported(self):
         with pytest.raises(InvalidBitsError):
             uniform_allocate(2, 16)
+
+    def test_rejects_non_integer_bits(self):
+        # 3.0 == 3, but no allocation takes a float width (as_int's rule)
+        with pytest.raises(InvalidBitsError, match="bits must be an integer, got 3.0"):
+            uniform_allocate(2, 3.0)

@@ -176,20 +176,21 @@ class TestConfigHandling:
         )
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("config, flags", [
-        ('{"search": {"target": NaN}}', []),
-        ('{"search": {"target": Infinity}}', []),
-        ("{}", ["--target", "nan"]),
+    @pytest.mark.parametrize("config, flags, target", [
+        ('{"search": {"target": NaN}}', [], "nan"),
+        ('{"search": {"target": Infinity}}', [], "inf"),
+        ("{}", ["--target", "nan"], "nan"),
     ], ids=["json-NaN", "json-Infinity", "flag-nan"])
-    def test_non_finite_target(self, tmp_path, capsys, config, flags):
+    def test_non_finite_target(self, tmp_path, capsys, config, flags, target):
         # json and argparse's float both read these; quantize would write
-        # a 2-bit result for them
+        # a 2-bit result for them.  SearchParams rejects them: no comparison
+        # with NaN holds, so NaN lies outside the hull as inf does
         p = tmp_path / "cfg.json"
         p.write_text(config)
         argv = ["quantize", "--config", str(p), "--out", str(tmp_path / "o"), *flags]
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == (
-            "error: config field 'search.target' must be finite"
+            f"error: invalid search config: target {target} outside candidate hull (2, 3, 4, 5)"
         )
         assert not (tmp_path / "o").exists()
 
@@ -199,7 +200,7 @@ class TestConfigHandling:
     ], ids=lambda c: "-".join(c))
     def test_non_finite_target_stops_every_command(self, tmp_path, capsys, command):
         assert main([*command, "--target=-inf", "--out", str(tmp_path / "o")]) == 2
-        assert "search.target" in capsys.readouterr().err
+        assert "invalid search config: target -inf outside" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag, message", [
@@ -453,7 +454,7 @@ class TestEval:
         p = tmp_path / "alloc.json"
         p.write_text(json.dumps({str(i): 3 for i in range(5)}))
         assert main(["eval", str(p), "--config", cfg_path]) == 2
-        assert "unknown layers" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == "error: allocation names unknown layer 4"
 
     @pytest.mark.parametrize(
         "key",
@@ -477,14 +478,18 @@ class TestEval:
         p = tmp_path / "alloc.json"
         p.write_text(json.dumps({"0": "three", "1": 3, "2": 3, "3": 3}))
         assert main(["eval", str(p), "--config", cfg_path]) == 2
-        assert "not an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == (
+            "error: layer 0 bits must be an integer, got 'three'"
+        )
 
     @pytest.mark.parametrize("value", [3.7, 3.0, True])
     def test_bits_must_be_json_integers(self, cfg_path, tmp_path, capsys, value):
         p = tmp_path / "alloc.json"
         p.write_text(json.dumps({"0": value, "1": 3, "2": 3, "3": 3}))
         assert main(["eval", str(p), "--config", cfg_path]) == 2
-        assert "allocation entry '0'" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == (
+            f"error: layer 0 bits must be an integer, got {value!r}"
+        )
 
 
 class TestBaseline:

@@ -840,6 +840,35 @@ class TestEndToEndMse:
         monkeypatch.undo()
         assert end_to_end_mse(m, alloc, c) == end_to_end_mse(_fresh(m), alloc, c)
 
+    def test_a_hit_accepts_only_what_a_miss_accepts(self, monkeypatch):
+        # the allocation is checked before the memo lookup: a dict takes True
+        # and 1.0 for layer 1, and `in` takes 3.0 for 3 bits, but alloc_bits
+        # does not, so a memoized tuple answers none of them
+        m = gen_model(ModelSpec(3, (32,) * 4, 1))
+        c = gen_calibration(m, 4, 5)
+        forwards = count_forwards(monkeypatch, m)
+        first = end_to_end_mse(m, {0: 3, 1: 3, 2: 3}, c)
+        for alloc, message in [
+            ({0: 3, True: 3, 2: 3}, "allocation names unknown layer True"),
+            ({0: 3, 1.0: 3, 2: 3}, "allocation names unknown layer 1.0"),
+            ({0: 3, 1: 3.0, 2: 3}, "layer 1 bits must be an integer, got 3.0"),
+        ]:
+            with pytest.raises(InvalidBitsError, match=message):
+                end_to_end_mse(m, alloc, c)
+        assert end_to_end_mse(m, {0: 3, np.int64(1): np.int64(3), 2: 3}, c) == first
+        assert len(forwards) == 1
+        assert [tuple(map(type, key)) for key in m.eval_cache.mse] == [(int, int, int)]
+
+    def test_rejected_allocation_runs_no_forward(self, monkeypatch):
+        m = gen_model(exhaustive_spec(9))
+        c = gen_calibration(m, 8, 2)
+        forwards = count_forwards(monkeypatch, m)
+        missing, bad_bits = {0: 2, 1: 3, 2: 4}, {0: 2, 1: 3, 2: 4, 3: 16}
+        for alloc in (missing, bad_bits, {0: 2, 1: 3, 2: 4, 3: 5, 4: 5}):
+            with pytest.raises(InvalidBitsError):
+                end_to_end_mse(m, alloc, c)
+        assert forwards == []
+
 
 def count_forwards(monkeypatch, model):
     """A list that gains an entry per ``forward_batch`` call on ``model``.
