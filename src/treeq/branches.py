@@ -19,10 +19,13 @@ call per branch kind and rank or grid.  The forward applies the branches
 from those factors (``factor_pair``): together the LRB and the GMB have
 rank at most r + n_o * n_i, so the branch term is two thin BLAS products.
 A GMB placed before the rotation has its rows folded through H once, so
-every layer adds one branch term, on the rotated activation.  README's
-determinism contract says what the forward's bits depend on; the residual
-product multiplies two integer grids and is exact on any build (see
-``residual_product``).
+every layer adds one branch term, on the rotated activation.  The
+quantized forward splits where bits enter: its first half, a
+``LayerHalf`` (the rotation, the per-token RMS and the branch term),
+serves every width of one fit, and its second rounds the activation at
+the layer's bits and multiplies the two integer grids in float32.
+README's determinism contract says what the forward's bits depend on;
+the residual product is exact on any build (see ``residual_product``).
 """
 
 from __future__ import annotations
@@ -38,10 +41,12 @@ from .errors import (
     InvalidRankError,
 )
 from .linalg import as_int, as_stack, hadamard, top_singular_pair, truncated_svd
-from .quantizer import (
+from .quantizer import (  # quantize_rotated_batch is kept here for bench/spans.py to wrap
     WeightGrid,
     quantize_rotated_batch,
     quantize_weight_channelwise,
+    round_tokens,
+    token_rms,
 )
 
 GMB_ORDERS = ("lrb_first", "gmb_first")
@@ -258,8 +263,20 @@ class QuantContext:
         alone.  Otherwise the LRB is fitted first, on W_H, only in the
         default order and placement, and second in the others.  A GMB rank
         whose grid does not divide the shape raises here
-        (``gmb_budget_partitions``).
+        (``gmb_budget_partitions``).  A context works out each shape's chain
+        once and keeps it.
         """
+        chains = self._chains
+        key = (rows, cols)
+        if key not in chains:
+            chains[key] = self._pose(rows, cols)
+        return chains[key]
+
+    @cached_property
+    def _chains(self) -> dict:
+        return {}  # (rows, cols) -> chain; outside the fields, so not compared or hashed
+
+    def _pose(self, rows: int, cols: int) -> tuple:
         n = min(rows, cols)
         if self.scale_ranks:
             r_lrb, r_gmb = min(self.r_lrb, max(1, n // 4)), min(self.r_gmb, max(1, n // 16))
@@ -365,28 +382,64 @@ def quantize_fit(w_res, branches: Branches) -> dict:
 def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
     """(grid @ weight.q^T) * step[:, None] * weight.step, the grid product exact.
 
-    ``grid`` holds the activations' integers (one token per row) and
-    ``step`` their per-token steps.  The integer product runs as one BLAS
-    ``matmul`` on float64 copies of both grids.  Every term is an integer
-    of magnitude at most 2^14 and every row sum at most 2^24, so it is
-    exact in any order (README's determinism contract).
+    ``grid`` holds the activations' integers as float32 (one token per
+    row) and ``step`` their float64 per-token steps.  The integer product
+    runs as one BLAS ``matmul`` in float32, on a float32 copy of the int8
+    weight grid made for the call.  Every term is an integer of magnitude
+    at most 2^7 * 2^7 = 2^14, and every row sum and partial sum at most
+    1024 * 2^14 = 2^24 at the widest layer ``ModelSpec`` accepts: float32
+    holds every integer up to 2^24, so the product is exact in any order
+    (README's determinism contract).  Multiplying it by the float64 steps
+    promotes it to float64 exactly.
     """
-    out = np.matmul(grid, weight.q.astype(np.float64).T)
-    out *= step[:, None]
+    out = np.matmul(grid, weight.q.astype(np.float32).T) * step[:, None]
     out *= weight.step
     return out
 
 
-def forward_quantized_batch(layer: QuantizedLinear, xs):
+class LayerHalf:
+    """The half of a quantized layer's forward that no bit-width enters.
+
+    For an input ``xs`` and its rotation y = xs @ H, the half is the
+    per-token RMS ``sigma`` of y (1 for a zero row), the unit rows
+    ``unit`` = y / sigma (``quantizer.token_rms``), and the branch term
+    ``branch`` = (y @ down.T) @ up.T of one ``Branches``' pair.  y itself
+    is not kept.  A half starts empty; ``fill`` computes it, and
+    ``forward_quantized_batch`` refills a half it is given only when it was
+    not filled from the same ``xs`` and the same ``Branches``, both by
+    identity.  Every width of one fit shares one ``Branches``, so one half
+    serves a layer at every width.  A filled half holds two arrays of
+    ``xs``'s rows, ``unit`` as wide as the layer's input and ``branch`` as
+    its output.
+    """
+
+    __slots__ = ("xs", "branches", "unit", "sigma", "branch")
+
+    def __init__(self):
+        self.xs = self.branches = None
+
+    def fill(self, xs, branches: Branches) -> None:
+        rotated = xs @ hadamard(xs.shape[1])
+        self.unit, self.sigma = token_rms(rotated)
+        down, up = branches.pair
+        self.branch = (rotated @ down.T) @ up.T
+        self.xs, self.branches = xs, branches
+
+
+def forward_quantized_batch(layer: QuantizedLinear, xs, half: LayerHalf | None = None):
     """Quantized forward of the activation matrix ``xs``, one token per row.
 
-    ``xs`` is rotated by the Hadamard matrix of its width and quantized at
-    the weight's bit-width with the weight's step ``delta``.  The residual
-    product multiplies the two integer grids exactly and then scales row
-    i, column c by step_a[i] * step_w[c]; the branch term, (rotated @
-    down.T) @ up.T from ``branches.pair``, is added to it.
-    ``xs`` is not checked for non-finite entries: ``forward_batch`` checks
-    its input once per forward.
+    It runs in two halves.  The first, a ``LayerHalf``, rotates ``xs`` by
+    the Hadamard matrix of its width, takes each token's RMS sigma and the
+    unit rows, and the branch term from ``branches.pair``; bits do not
+    enter it.  ``half``, if given, is filled here unless it already holds
+    that half of ``xs`` under the layer's ``Branches``, so a caller that
+    keeps it beside ``xs`` pays for it once over all widths.  The second
+    half rounds the unit rows at the weight's bit-width and step ``delta``
+    (``quantizer.round_tokens``), multiplies the two integer grids exactly,
+    scales row i, column c by step_a[i] * step_w[c] (``residual_product``)
+    and adds the branch term.  ``xs`` is not checked for non-finite
+    entries: ``forward_batch`` checks its input once per forward.
     """
     weight = layer.weight
     n = weight.q.shape[1]
@@ -394,11 +447,13 @@ def forward_quantized_batch(layer: QuantizedLinear, xs):
         raise InvalidDimensionError(
             f"activation width {xs.shape[-1]} does not match layer width {n}"
         )
-    rotated = xs @ hadamard(n)
-    grid, step = quantize_rotated_batch(rotated, weight.bits, weight.delta)
+    if half is None:
+        half = LayerHalf()
+    if half.xs is not xs or half.branches is not layer.branches:
+        half.fill(xs, layer.branches)
+    grid, step = round_tokens(half.unit, half.sigma, weight.bits, weight.delta)
     out = residual_product(grid, step, weight)
-    down, up = layer.branches.pair
-    out += (rotated @ down.T) @ up.T
+    out += half.branch
     return out
 
 

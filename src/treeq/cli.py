@@ -21,7 +21,7 @@ from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_doc
 from .errors import ConvergenceError
 from .linalg import is_int
 from .quantizer import default_delta_table
-from .search import SearchParams, result_doc, tss_search
+from .search import BUDGET_TOLERANCE, SearchParams, SearchResult, result_doc, tss_search
 from .toymodel import (
     TAG_DERIVE,
     ModelSpec,
@@ -196,11 +196,25 @@ def _run_search(cfg: RunConfig, model, calib, **overrides):
     return tss_search(model, replace(cfg.search, calib=calib, **overrides), cfg.quant)
 
 
+def _check_budget(result: SearchResult) -> None:
+    """ValueError (exit 2) if the search's pick misses its target by more
+    than BUDGET_TOLERANCE bits: no entry of the root frontier meets the
+    budget, and the message gives the frontier's bit range."""
+    if abs(result.mean_bits - result.target) > BUDGET_TOLERANCE:
+        bits = [e.mean_bits for e in result.root.entries]
+        raise ValueError(
+            f"the search missed its budget: it picked mean_bits={result.mean_bits:.4f} "
+            f"against target {result.target:g} (tolerance {BUDGET_TOLERANCE}); its root "
+            f"frontier spans {min(bits):.4f}-{max(bits):.4f} bits"
+        )
+
+
 def cmd_search(cfg: RunConfig, args) -> int:
     started = time.perf_counter()
     model = gen_model(cfg.model)
     calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
     result = _run_search(cfg, model, calib)
+    _check_budget(result)
     doc = result_doc(result)
     doc["wall_ms"] = (time.perf_counter() - started) * 1e3
     path = _write(cfg, "search.json", _dump(doc))
@@ -287,11 +301,14 @@ def cmd_baseline(cfg: RunConfig, args) -> int:
     )
     target, candidates = cfg.search.target, cfg.search.candidates
 
+    # the search first, so that a missed budget exits before the tables
+    result = _run_search(cfg, model, calib)
+    _check_budget(result)
     allocs = {"uniform": uniform_allocate(model.n_layers, _uniform_bits(cfg))}
     tables = sensitivity_tables(model, sens_calib, ctx, candidates)
     for metric, label in (("L1", "ip_l1"), ("L2", "ip_l2")):
         allocs[label] = ip_allocate(tables[metric], model.flops, target, candidates)
-    allocs["tss"] = _run_search(cfg, model, calib).final
+    allocs["tss"] = result.final
 
     rows = []
     for method in ("uniform", "ip_l1", "ip_l2", "tss"):
@@ -302,7 +319,7 @@ def cmd_baseline(cfg: RunConfig, args) -> int:
                 "method": method,
                 "mse": end_to_end_mse(model, alloc, calib, ctx),
                 "mean_bits": mean,
-                "within_budget": abs(mean - target) <= 0.25,
+                "within_budget": abs(mean - target) <= BUDGET_TOLERANCE,
             }
         )
     doc = {

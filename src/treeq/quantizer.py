@@ -36,17 +36,19 @@ def check_bits(bits) -> None:
         raise InvalidBitsError(f"bits must be one of {QUANT_BITS}, got {bits}")
 
 
-def _grid(t, bits: int):
-    """Round ``t`` onto the ``bits``-bit integers in place, and return it.
+def _grid(t, bits: int, out=None):
+    """Round ``t`` onto the ``bits``-bit integers in place, and return it,
+    or write the result into ``out`` (a float32 array of t's shape) instead.
 
     Halves round away from zero (unlike banker's rounding), as
     trunc(t + copysign(1/2, t)); a zero, or anything that rounds to zero,
     keeps its sign.  The clamp is the two's-complement range
-    [-2^(bits-1), 2^(bits-1) - 1].
+    [-2^(bits-1), 2^(bits-1) - 1], whose integers float32 holds exactly.
     """
     t += np.copysign(0.5, t)
     np.trunc(t, out=t)
-    return np.clip(t, -(1 << (bits - 1)), (1 << (bits - 1)) - 1, out=t)
+    np.maximum(t, -(1 << (bits - 1)), out=t)
+    return np.minimum(t, (1 << (bits - 1)) - 1, out=t if out is None else out)
 
 
 def _stationarity(delta: float, bits: int) -> float:
@@ -107,28 +109,42 @@ def default_delta_table() -> Mapping[int, float]:
     return MappingProxyType({b: calibrate_delta(b) for b in QUANT_BITS})
 
 
+def token_rms(y):
+    """The sigma step of activation quantization: ``(y / sigma, sigma)``,
+    with sigma the RMS of each row of the float64 matrix ``y`` (1 for a zero
+    row).  It does not depend on bits."""
+    # np.mean's own sum and division, without its Python-level wrapper
+    sigma = np.sqrt(np.add.reduce(y * y, axis=1) / y.shape[1])
+    safe = np.where(sigma == 0.0, 1.0, sigma)
+    return y / safe[:, None], safe
+
+
+def round_tokens(unit, sigma, bits: int, delta: float):
+    """The rounding step of activation quantization, on ``token_rms``'s
+    output: ``(grid, step)``, the float32 grid clamp(round(unit / delta)) at
+    ``bits`` and the per-token step sigma * delta.  ``unit`` is not changed."""
+    t = unit / delta
+    return _grid(t, bits, np.empty(t.shape, np.float32)), sigma * delta
+
+
 def quantize_rotated_batch(y, bits: int, delta: float):
     """Per-token dynamic quantization of already-rotated activations.
 
     ``y`` has one token per row, ``bits`` one of QUANT_BITS
     (InvalidBitsError otherwise) and ``delta`` the grid step.  ``y`` must
-    be a float64 matrix
-    (InvalidDimensionError if it is not 2-D); its entries are not checked,
-    and a non-finite one gives a non-finite row.  Returns ``(grid, step)``: the
-    integer grid clamp(round(y / sigma / delta)) as float64, and the
-    per-token step sigma * delta, with sigma the row's RMS (1 for a zero
-    row, whose grid is zero).  The quantized activation is
-    ``grid * step[:, None]``; the integer forward never forms it.
+    be a float64 matrix (InvalidDimensionError if it is not 2-D); its
+    entries are not checked, and a non-finite one gives a non-finite row.
+    Returns ``(grid, step)``: the integer grid clamp(round(y / sigma /
+    delta)) as float32, and the per-token step sigma * delta, with sigma the
+    row's RMS (1 for a zero row, whose grid is zero).  The quantized
+    activation is ``grid * step[:, None]``; the integer forward never forms
+    it.  This is ``token_rms`` then ``round_tokens``: the quantized layer
+    forward keeps the first, which no bit-width enters, once per input.
     """
     if np.ndim(y) != 2:
         raise InvalidDimensionError(f"expected a 2-D matrix, got ndim={np.ndim(y)}")
     check_bits(bits)
-    # np.mean's own sum and division, without its Python-level wrapper
-    sigma = np.sqrt(np.add.reduce(y * y, axis=1) / y.shape[1])
-    safe = np.where(sigma == 0.0, 1.0, sigma)
-    t = y / safe[:, None]
-    t /= delta
-    return _grid(t, bits), safe * delta
+    return round_tokens(*token_rms(y), bits, delta)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,10 @@ class SearchResult:
     indicator: float
 
 
+# how far a pick's mean bits may lie from the target and still meet the budget
+BUDGET_TOLERANCE = 0.25
+
+
 def _closeness(target: float):
     """Sort key: mean_bits nearest ``target`` first, then lower indicator, then lower bits."""
     return lambda e: (abs(e.mean_bits - target), e.indicator, e.mean_bits)

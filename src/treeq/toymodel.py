@@ -38,6 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .branches import (
+    LayerHalf,
     QuantContext,
     QuantizedLinear,
     branch_decomposition,
@@ -156,7 +157,8 @@ class ModelSpec:
 
 
 class EvalCache:
-    """Prefix activations and the MSE memo of one scope.
+    """Prefix activations, their layers' bits-independent halves and the
+    MSE memo of one scope.
 
     A scope is one ``frozen`` input matrix (by identity) under one context
     (by value).  For it the cache keeps the activations entering each
@@ -164,17 +166,23 @@ class EvalCache:
     ``acts[j + 1]`` the output of layer j after the leaky rectifier), the
     bits of the layers that produced them (``bits[j]`` for ``acts[j + 1]``,
     so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
-    way), and the MSE of every allocation evaluated against one ``target``
-    (a ``frozen`` matrix of dense outputs, by identity), keyed by bit
-    tuple.  A level holds one activation-sized array.  Entering a new
-    scope drops all of it, so the cache never holds more than one scope.
-    Identity is sound because no caller can make a ``frozen`` array
+    way), beside each activation the ``LayerHalf`` of the layer it enters
+    (``halves[j]`` for ``acts[j]``, empty until a quantized layer runs on
+    it, so ``len(halves) == len(acts)``), and the MSE of every allocation
+    evaluated against one ``target`` (a ``frozen`` matrix of dense outputs,
+    by identity), keyed by bit tuple.  A level holds one activation-sized
+    array, and two more once its half is filled: the unit rows and the
+    branch term.  A half is truncated with its activation, and entering a
+    new scope drops all of it, so the cache never holds more than one
+    scope.  Identity is sound because no caller can make a ``frozen`` array
     writable again: an array that is the scope holds the values it held
-    when it was entered, and the cache keeps no copy of its own.
+    when it was entered, and the cache owns every other activation and
+    every half.
     """
 
     def __init__(self):
-        self.ctx, self.bits, self.acts, self.target, self.mse = None, [], [], None, {}
+        self.ctx, self.bits, self.acts, self.halves, self.target, self.mse = (
+            None, [], [], [], None, {})
 
     def enter(self, xs: np.ndarray, ctx: QuantContext, target: np.ndarray | None = None) -> dict:
         """Make (``xs``, ``ctx``) the scope, dropping any other one, and
@@ -182,7 +190,8 @@ class EvalCache:
         drops the memo and becomes its target; with none, as from a
         forward, the memo stays as it is."""
         if not (self.acts and self.acts[0] is xs and self.ctx == ctx):
-            self.ctx, self.bits, self.acts, self.target, self.mse = ctx, [], [xs], None, {}
+            self.ctx, self.bits, self.acts, self.halves, self.target, self.mse = (
+                ctx, [], [xs], [LayerHalf()], None, {})
         if target is not None and target is not self.target:
             self.target, self.mse = target, {}
         return self.mse
@@ -384,18 +393,22 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     entering the first differing layer (the last layer's output is not
     cached, so that layer always runs) and caches the activations of the
     layers it runs.  A quantized layer runs ``forward_quantized_batch`` on
-    the activation; a 32-bit layer runs its dense weight on it, as one
-    BLAS ``matmul``.  README's determinism contract says what the result's
-    bits depend on; in particular a row of a batch may differ from that row
-    forwarded alone.  A cached activation is the very array an earlier
-    forward in the same scope computed from the same input through the
-    same layers, so every layer sees the inputs a full forward would give
-    it and the result is bit-identical to a forward on a fresh cache.
-    The scope is ``frozen(xs)``: ``xs`` itself if it is frozen already (a
-    calibration set's input matrix), otherwise a new copy, so an input
-    that can still be written never resumes an earlier forward.  ``xs`` is
-    checked once, here: it must be a finite matrix of the model's input
-    width (InvalidDimensionError otherwise), and ``alloc`` by ``alloc_bits``.
+    the activation with the cache's ``LayerHalf`` of it, which the call
+    fills on the level's first quantized forward and reuses on every later
+    one, at any width of the same fit; a 32-bit layer runs its dense
+    weight on it, as one BLAS ``matmul``.  README's determinism contract
+    says what the result's bits depend on; in particular a row of a batch
+    may differ from that row forwarded alone.  A cached activation is the
+    very array an earlier forward in the same scope computed from the same
+    input through the same layers, and a cached half was computed from that
+    array by the same operations, so every layer sees the inputs a full
+    forward would give it and the result is bit-identical to a forward on
+    a fresh cache.  The scope is ``frozen(xs)``: ``xs`` itself if it is
+    frozen already (a calibration set's input matrix), otherwise a new
+    copy, so an input that can still be written never resumes an earlier
+    forward.  ``xs`` is checked once, here: it must be a finite matrix of
+    the model's input width (InvalidDimensionError otherwise), and
+    ``alloc`` by ``alloc_bits``.
     """
     xs = frozen(as_matrix(xs))
     if xs.shape[1] != model.dims[0]:
@@ -411,15 +424,18 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
         start += 1
     xs = cache.acts[start]
     del cache.acts[start + 1:]
+    del cache.halves[start + 1:]
     del cache.bits[start:]
     for i in range(start, n):
         if bits[i] == PASSTHROUGH_BITS:
             xs = xs @ model.weights[i].T
         else:
-            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs)
+            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs, cache.halves[i])
         if i < n - 1:
-            xs = np.maximum(xs, LEAKY_SLOPE * xs)  # the leaky rectifier, 0 < slope < 1
+            # the leaky rectifier (0 < slope < 1), in place on the layer's fresh output
+            np.maximum(xs, LEAKY_SLOPE * xs, out=xs)
             cache.acts.append(xs)
+            cache.halves.append(LayerHalf())
             cache.bits.append(bits[i])
     return xs
 

@@ -87,7 +87,7 @@ class TestSensitivity:
         bad = quantized_layer(model, 3, 4)
         run = toymodel.forward_quantized_batch
         monkeypatch.setattr(toymodel, "forward_quantized_batch",
-                            lambda layer, xs: run(layer, xs) * (factor if layer is bad else 1.0))
+                            lambda layer, xs, half: run(layer, xs, half) * (factor if layer is bad else 1.0))
         with pytest.raises(InvalidDimensionError, match=f"layer 3 at 4 bits.*{named}"):
             sensitivity_tables(model, calib)
 
@@ -137,7 +137,7 @@ class TestSensitivity:
         worse = quantized_layer(model, 2, 5)
         run = toymodel.forward_quantized_batch
         monkeypatch.setattr(toymodel, "forward_quantized_batch",
-                            lambda layer, xs: run(layer, xs) * (4.0 if layer is worse else 1.0))
+                            lambda layer, xs, half: run(layer, xs, half) * (4.0 if layer is worse else 1.0))
         with pytest.warns(UserWarning) as caught:
             sensitivity_tables(model, calib)
         messages = sorted(str(w.message).split(":")[0] for w in caught)

@@ -595,6 +595,19 @@ class TestExactResidualProduct:
         assert np.all(want == 1 << 24)
         assert got.tobytes() == want.astype(np.float64).tobytes()
 
+    def test_float32_grid_at_the_bound_equals_the_int64_product(self):
+        # the forward's grid is float32, and so is the product: at 8 bits and
+        # width 1024, both grids all -128, every row sum is 2^24 exactly
+        grid = np.full((4, 1024), -128.0, dtype=np.float32)
+        q = np.full((3, 1024), -128, dtype=np.int8)
+        weight = WeightGrid(q=q, scale=np.array([0.7, 1.3, 2.9]), delta=0.0307, bits=8)
+        step = np.array([0.11, 0.5, 3.3, 1e-3])
+        got = residual_product(grid, step, weight)
+        ints = grid.astype(np.int64) @ q.astype(np.int64).T
+        assert np.all(ints == 1 << 24)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (ints * step[:, None] * weight.step).tobytes()
+
     def test_steps_scale_tokens_and_rows(self):
         grid = np.array([[1.0, -2.0], [3.0, 0.0]])
         q = np.array([[1, 1], [-1, 2]], dtype=np.int8)

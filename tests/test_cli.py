@@ -311,6 +311,24 @@ class TestSearch:
         assert "internal error" not in err
 
 
+# 24 layers of width 8: the search's root frontier tops out at 2.5417 bits,
+# below the default target of 3 by more than BUDGET_TOLERANCE
+DEEP_NARROW = {"model": {"n_layers": 24, "dims": [8] * 25}}
+BUDGET_MISS = (
+    "error: the search missed its budget: it picked mean_bits=2.5417 against target 3 "
+    "(tolerance 0.25); its root frontier spans 2.0000-2.5417 bits"
+)
+
+
+@pytest.mark.parametrize("command", ["search", "baseline"])
+def test_budget_miss_exits_2_writing_nothing(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(DEEP_NARROW, output_dir=str(tmp_path / "out"))))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == BUDGET_MISS
+    assert not (tmp_path / "out").exists()
+
+
 class TestDispatchRobustness:
     """The default ``treeq search`` under other SIMD targets, BLAS thread
     counts and BLAS kernels.

@@ -18,6 +18,8 @@ from treeq.quantizer import (
     default_delta_table,
     quantize_rotated_batch,
     quantize_weight_channelwise,
+    round_tokens,
+    token_rms,
 )
 
 from conftest import dense
@@ -255,6 +257,23 @@ class TestRotatedBatch:
         safe = np.where(sigma == 0.0, 1.0, sigma)
         assert np.array_equal(grid, sign_floor_grid(y / safe[:, None] / delta, bits))
         assert np.array_equal(step, safe * delta)
+
+    def test_grid_is_float32_and_the_two_steps_compose(self):
+        # the grid is written straight into float32, which holds every
+        # level exactly; the sigma step alone leaves its input unchanged
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal((5, 64)) * 4.0
+        y[2] = 0.0
+        unit, sigma = token_rms(y)
+        kept = unit.copy()
+        for bits in QUANT_BITS:
+            delta = default_delta_table()[bits]
+            grid, step = quantize_rotated_batch(y, bits, delta)
+            assert grid.dtype == np.float32 and step.dtype == np.float64
+            again, again_step = round_tokens(unit, sigma, bits, delta)
+            assert again.tobytes() == grid.tobytes() and again_step.tobytes() == step.tobytes()
+            assert np.array_equal(grid, sign_floor_grid(y / sigma[:, None] / delta, bits))
+        assert unit.tobytes() == kept.tobytes()
 
 
 class TestChannelwise:

@@ -827,8 +827,8 @@ class TestEndToEndMse:
         alloc = {0: 2, 1: 3, 2: 4, 3: 5}
         run = toymodel.forward_quantized_batch
 
-        def nan_at_layer_3(layer, xs):
-            out = run(layer, xs)
+        def nan_at_layer_3(layer, xs, half):
+            out = run(layer, xs, half)
             if layer is quantized_layer(m, 3, 5):
                 out[0, 0] = np.nan
             return out
@@ -957,18 +957,69 @@ class TestEvalCache:
         end_to_end_mse(m, a, c)
         run = toymodel.forward_quantized_batch
 
-        def fail_at_layer_2(layer, xs):
+        def fail_at_layer_2(layer, xs, half):
             if layer is quantized_layer(m, 2, 5):
                 raise RuntimeError("fit failed")
-            return run(layer, xs)
+            return run(layer, xs, half)
 
         monkeypatch.setattr(toymodel, "forward_quantized_batch", fail_at_layer_2)
         with pytest.raises(RuntimeError):
             end_to_end_mse(m, b, c)
         monkeypatch.undo()
         assert len(m.eval_cache.acts) == len(m.eval_cache.bits) + 1
+        assert len(m.eval_cache.halves) == len(m.eval_cache.acts)
         for alloc in (b, a):
             assert end_to_end_mse(m, alloc, c) == end_to_end_mse(_fresh(m), alloc, c)
+
+    def test_resumed_forward_equals_fresh_at_every_level_and_width(self):
+        # each evaluation resumes at level j from the activation and the
+        # half an evaluation at another width left there
+        m = gen_model(ModelSpec(n_layers=6, dims=(32,) * 7, seed=4,
+                                outlier_fraction=0.02, outlier_scale=8.0))
+        c = gen_calibration(m, 8, 3)
+        base = {i: 3 for i in range(6)}
+        for j in range(6):
+            for b in (2, 3, 4, 5, 32):
+                forward_batch(m, base, c.input_matrix)
+                alloc = dict(base)
+                alloc[j] = b
+                got = forward_batch(m, alloc, c.input_matrix)
+                want = forward_batch(_fresh(m), alloc, c.input_matrix)
+                assert got.tobytes() == want.tobytes(), (j, b)
+
+    def test_allocations_that_differ_at_one_layer_share_its_half(self, monkeypatch):
+        m = gen_model(exhaustive_spec(2))
+        c = gen_calibration(m, 8, 3)
+        layer_of = {id(quantized_layer(m, i, 3).branches): i for i in range(4)}
+        filled = []
+        fill = branches.LayerHalf.fill
+
+        def counted(half, xs, fit):
+            filled.append(layer_of[id(fit)])
+            fill(half, xs, fit)
+
+        monkeypatch.setattr(branches.LayerHalf, "fill", counted)
+        for j in range(4):
+            fresh = _fresh(m)
+            filled.clear()
+            for b in (2, 3, 4, 5):
+                end_to_end_mse(fresh, {i: b if i == j else 3 for i in range(4)}, c)
+            # layers up to j fill their half once, layer j's serving all four
+            # widths, and each later layer fills one per width, on a new input
+            assert [filled.count(i) for i in range(4)] == [1] * (j + 1) + [4] * (3 - j)
+            assert fresh.eval_cache.halves[j].xs is fresh.eval_cache.acts[j]
+
+    def test_never_holds_more_halves_than_activations(self):
+        m = gen_model(exhaustive_spec(2))
+        calibs = [gen_calibration(m, 8, 3), gen_calibration(m, 8, 4)]
+        cache = m.eval_cache
+        rng = np.random.default_rng(2)
+        for _ in range(60):
+            alloc = {i: int(rng.choice((2, 3, 5, 32))) for i in range(4)}
+            end_to_end_mse(m, alloc, calibs[int(rng.integers(2))])
+            assert len(cache.halves) == len(cache.acts) == len(cache.bits) + 1
+            for act, half in zip(cache.acts, cache.halves):
+                assert half.xs is None or half.xs is act
 
     def test_holds_one_scope_after_searches(self, monkeypatch):
         m = gen_model(ModelSpec(n_layers=3, dims=(16,) * 4, seed=1))
