@@ -20,10 +20,7 @@ from those factors (``factor_pair``): together the LRB and the GMB have
 rank at most r + n_o * n_i, so the branch term is two thin BLAS products.
 A GMB placed before the rotation has its rows folded through H once, so
 every layer adds one branch term, on the rotated activation.  The
-quantized forward splits where bits enter: its first half, a
-``LayerHalf`` (the rotation, the per-token RMS and the branch term),
-serves every width of one fit, and its second rounds the activation at
-the layer's bits and multiplies the two integer grids in float32.
+quantized forward splits where bits enter (``forward_quantized_batch``).
 README's determinism contract says what the forward's bits depend on;
 the residual product is exact on any build (see ``residual_product``).
 """
@@ -384,15 +381,17 @@ def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
 
     ``grid`` holds the activations' integers as float32 (one token per
     row) and ``step`` their float64 per-token steps.  The integer product
-    runs as one BLAS ``matmul`` in float32, on a float32 copy of the int8
-    weight grid made for the call.  Every term is an integer of magnitude
-    at most 2^7 * 2^7 = 2^14, and every row sum and partial sum at most
-    1024 * 2^14 = 2^24 at the widest layer ``ModelSpec`` accepts: float32
-    holds every integer up to 2^24, so the product is exact in any order
-    (README's determinism contract).  Multiplying it by the float64 steps
-    promotes it to float64 exactly.
+    is one float32 BLAS ``matmul`` by a float32 copy of the column-major
+    int8 weight grid, made per call, whose transpose is row-major.  Every
+    term is an integer of magnitude at most 2^7 * 2^7 = 2^14, and every row
+    sum and partial sum at most 1024 * 2^14 = 2^24 at the widest layer
+    ``ModelSpec`` accepts: float32 holds every integer up to 2^24, so the
+    product is exact in any order and operand layout (README's determinism
+    contract).  It becomes float64 exactly and is scaled in place, by the
+    token steps, then the weight's.
     """
-    out = np.matmul(grid, weight.q.astype(np.float32).T) * step[:, None]
+    out = np.matmul(grid, weight.q.astype(np.float32).T).astype(np.float64)
+    out *= step[:, None]
     out *= weight.step
     return out
 
@@ -401,16 +400,13 @@ class LayerHalf:
     """The half of a quantized layer's forward that no bit-width enters.
 
     For an input ``xs`` and its rotation y = xs @ H, the half is the
-    per-token RMS ``sigma`` of y (1 for a zero row), the unit rows
-    ``unit`` = y / sigma (``quantizer.token_rms``), and the branch term
-    ``branch`` = (y @ down.T) @ up.T of one ``Branches``' pair.  y itself
-    is not kept.  A half starts empty; ``fill`` computes it, and
-    ``forward_quantized_batch`` refills a half it is given only when it was
-    not filled from the same ``xs`` and the same ``Branches``, both by
-    identity.  Every width of one fit shares one ``Branches``, so one half
-    serves a layer at every width.  A filled half holds two arrays of
-    ``xs``'s rows, ``unit`` as wide as the layer's input and ``branch`` as
-    its output.
+    per-token RMS ``sigma`` of y and the unit rows ``unit`` = y / sigma
+    (``quantizer.token_rms``), and the branch term ``branch`` = (y @
+    down.T) @ up.T of one ``Branches``' pair; y itself is not kept.  A half
+    starts empty and ``fill`` computes it.  Every width of one fit shares
+    one ``Branches``, so one half serves a layer at every width.  A filled
+    half holds two arrays of ``xs``'s rows, ``unit`` as wide as the
+    layer's input and ``branch`` as its output.
     """
 
     __slots__ = ("xs", "branches", "unit", "sigma", "branch")
@@ -429,26 +425,20 @@ class LayerHalf:
 def forward_quantized_batch(layer: QuantizedLinear, xs, half: LayerHalf | None = None):
     """Quantized forward of the activation matrix ``xs``, one token per row.
 
-    It runs in two halves.  The first, a ``LayerHalf``, rotates ``xs`` by
-    the Hadamard matrix of its width, takes each token's RMS sigma and the
-    unit rows, and the branch term from ``branches.pair``; bits do not
-    enter it.  ``half``, if given, is filled here unless it already holds
-    that half of ``xs`` under the layer's ``Branches``, so a caller that
-    keeps it beside ``xs`` pays for it once over all widths.  The second
-    half rounds the unit rows at the weight's bit-width and step ``delta``
-    (``quantizer.round_tokens``), multiplies the two integer grids exactly,
-    scales row i, column c by step_a[i] * step_w[c] (``residual_product``)
-    and adds the branch term.  ``xs`` is not checked for non-finite
-    entries: ``forward_batch`` checks its input once per forward.
+    It runs in two halves.  The first is a ``LayerHalf`` of ``xs`` under
+    the layer's ``Branches``: ``half``, if given, is refilled only when it
+    was not filled from the same ``xs`` and ``Branches``, both by identity,
+    so a caller that keeps it beside ``xs`` pays for it once over all
+    widths.  The second rounds the unit rows at the weight's bit-width and
+    step (``quantizer.round_tokens``), multiplies the two integer grids
+    exactly and scales them (``residual_product``), and adds the branch
+    term.  ``xs`` is not checked for non-finite entries: ``forward_batch``
+    checks its input once, as it enters the eval cache's scope.
     """
-    weight = layer.weight
-    n = weight.q.shape[1]
+    weight, n = layer.weight, layer.weight.q.shape[1]
     if xs.shape[-1] != n:
-        raise InvalidDimensionError(
-            f"activation width {xs.shape[-1]} does not match layer width {n}"
-        )
-    if half is None:
-        half = LayerHalf()
+        raise InvalidDimensionError(f"activation width {xs.shape[-1]} does not match layer width {n}")
+    half = LayerHalf() if half is None else half
     if half.xs is not xs or half.branches is not layer.branches:
         half.fill(xs, layer.branches)
     grid, step = round_tokens(half.unit, half.sigma, weight.bits, weight.delta)

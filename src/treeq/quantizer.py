@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidBitsError, InvalidDimensionError
-from .linalg import as_matrix
+from .linalg import as_matrix, is_int
 
 QUANT_BITS = (2, 3, 4, 5, 6, 7, 8)
 _DELTA_BRACKET = (1e-4, 4.0)
@@ -31,8 +31,9 @@ _CONST_ROW_RTOL = 1e-12
 
 
 def check_bits(bits) -> None:
-    """InvalidBitsError unless ``bits`` is one of QUANT_BITS."""
-    if bits not in QUANT_BITS:
+    """InvalidBitsError unless ``bits`` is one of QUANT_BITS, an integer by
+    ``is_int``'s rule: ``3.0`` and ``True`` are refused though ``in`` takes them."""
+    if not (is_int(bits) and bits in QUANT_BITS):
         raise InvalidBitsError(f"bits must be one of {QUANT_BITS}, got {bits}")
 
 
@@ -42,13 +43,15 @@ def _grid(t, bits: int, out=None):
 
     Halves round away from zero (unlike banker's rounding), as
     trunc(t + copysign(1/2, t)); a zero, or anything that rounds to zero,
-    keeps its sign.  The clamp is the two's-complement range
-    [-2^(bits-1), 2^(bits-1) - 1], whose integers float32 holds exactly.
+    keeps its sign.  The truncation lands in ``out`` and the clamp to the
+    two's-complement range [-2^(bits-1), 2^(bits-1) - 1] runs there (float32
+    holds those integers exactly; past its range numpy warns of overflow).
     """
+    out = t if out is None else out
     t += np.copysign(0.5, t)
-    np.trunc(t, out=t)
-    np.maximum(t, -(1 << (bits - 1)), out=t)
-    return np.minimum(t, (1 << (bits - 1)) - 1, out=t if out is None else out)
+    np.trunc(t, out=out)
+    np.maximum(out, -(1 << (bits - 1)), out=out)
+    return np.minimum(out, (1 << (bits - 1)) - 1, out=out)
 
 
 def _stationarity(delta: float, bits: int) -> float:
@@ -112,11 +115,12 @@ def default_delta_table() -> Mapping[int, float]:
 def token_rms(y):
     """The sigma step of activation quantization: ``(y / sigma, sigma)``,
     with sigma the RMS of each row of the float64 matrix ``y`` (1 for a zero
-    row).  It does not depend on bits."""
+    row, replaced only when there is one).  It does not depend on bits."""
     # np.mean's own sum and division, without its Python-level wrapper
     sigma = np.sqrt(np.add.reduce(y * y, axis=1) / y.shape[1])
-    safe = np.where(sigma == 0.0, 1.0, sigma)
-    return y / safe[:, None], safe
+    if not sigma.all():
+        sigma = np.where(sigma == 0.0, 1.0, sigma)
+    return y / sigma[:, None], sigma
 
 
 def round_tokens(unit, sigma, bits: int, delta: float):
@@ -152,7 +156,8 @@ class WeightGrid:
     """A weight quantized row by row: an integer grid plus one scale per row.
 
     Entry (c, j) stands for ``scale[c] * (q[c, j] * delta)``.  ``q`` is int8,
-    which holds every grid from 2 to 8 bits.
+    which holds every grid from 2 to 8 bits, and column-major, so that the
+    float32 copy ``residual_product`` takes of ``q.T`` is row-major.
     """
 
     q: np.ndarray
@@ -189,7 +194,7 @@ def quantize_weight_channelwise(w) -> dict:
     safe = np.where(scale == 0.0, 1.0, scale)
     unit = w / safe[:, None]
     return {
-        bits: WeightGrid(q=_grid(unit / delta, bits).astype(np.int8), scale=safe, delta=delta,
-                         bits=bits)
+        bits: WeightGrid(q=_grid(unit / delta, bits).astype(np.int8, order="F"), scale=safe,
+                         delta=delta, bits=bits)
         for bits, delta in default_delta_table().items()
     }

@@ -49,12 +49,13 @@ from .branches import (
 )
 from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
 from .linalg import as_int, as_matrix, frozen, is_int, splitmix64
-from .quantizer import QUANT_BITS
+from .quantizer import QUANT_BITS, check_bits
 
 LEAKY_SLOPE = 0.1
 # a layer at this width runs its dense weight: the noise-free environment
 PASSTHROUGH_BITS = 32
 ALLOWED_BITS = QUANT_BITS + (PASSTHROUGH_BITS,)
+_ALLOWED = frozenset(ALLOWED_BITS)
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -173,11 +174,10 @@ class EvalCache:
     by identity), keyed by bit tuple.  A level holds one activation-sized
     array, and two more once its half is filled: the unit rows and the
     branch term.  A half is truncated with its activation, and entering a
-    new scope drops all of it, so the cache never holds more than one
-    scope.  Identity is sound because no caller can make a ``frozen`` array
-    writable again: an array that is the scope holds the values it held
-    when it was entered, and the cache owns every other activation and
-    every half.
+    new scope drops all of it.  Identity is sound because no caller can
+    make a ``frozen`` array writable again: the scope holds the values it
+    held when it was entered (and checked, by ``_scope_input``), and the
+    cache owns every other activation and every half.
     """
 
     def __init__(self):
@@ -351,13 +351,13 @@ def quantized_layer(model: ToyModel, i: int, bits: int, ctx: QuantContext = Quan
     The first layer asked for under a branch context fits every layer of
     the model under it and quantizes each at every width (see
     ``fit_all``); every later call is a lookup that returns the same
-    object.  ``i`` must be an integer layer index (InvalidDimensionError).
+    object.  ``i`` must be an integer layer index (InvalidDimensionError),
+    and ``bits`` pass ``check_bits`` (InvalidBitsError).
     """
     i = as_int(i, "layer")
     if not (0 <= i < model.n_layers):
         raise InvalidDimensionError(f"layer {i} out of range")
-    if bits not in QUANT_BITS:
-        raise InvalidBitsError(f"bits {bits} not in {QUANT_BITS}")
+    check_bits(bits)
     return _layer_for(model, i, bits, ctx)
 
 
@@ -367,21 +367,38 @@ def alloc_bits(model: ToyModel, alloc: Mapping[int, int]) -> tuple:
     values widths of ALLOWED_BITS, all integers by ``as_int``'s rule
     (``is_int``), which refuses ``True``, ``1.0`` and ``3.0`` although a
     dict takes them for 1 and 3.  InvalidBitsError names the first key or
-    layer at fault."""
+    layer at fault.  A dict of ``int`` keys and values is checked in a few
+    set operations, and any other allocation key by key."""
+    n = model.n_layers
+    if type(alloc) is dict and len(alloc) == n:
+        bits = tuple(map(alloc.get, range(n)))
+        if {*map(type, alloc), *map(type, bits)} == {int} and _ALLOWED.issuperset(bits):
+            return bits
     for key in alloc:
-        if not (is_int(key) and 0 <= key < model.n_layers):
+        if not (is_int(key) and 0 <= key < n):
             raise InvalidBitsError(f"allocation names unknown layer {key!r}")
-    bits = []
-    for i in range(model.n_layers):
+    for i in range(n):
         if i not in alloc:
             raise InvalidBitsError(f"allocation missing layer {i}")
-        b = alloc[i]
-        if not is_int(b):
-            raise InvalidBitsError(f"layer {i} bits must be an integer, got {b!r}")
-        if b not in ALLOWED_BITS:
-            raise InvalidBitsError(f"layer {i} bits {b} not in {ALLOWED_BITS}")
-        bits.append(int(b))
-    return tuple(bits)
+        if not is_int(alloc[i]):
+            raise InvalidBitsError(f"layer {i} bits must be an integer, got {alloc[i]!r}")
+        if alloc[i] not in ALLOWED_BITS:
+            raise InvalidBitsError(f"layer {i} bits {alloc[i]} not in {ALLOWED_BITS}")
+    return tuple(int(alloc[i]) for i in range(n))
+
+
+def _scope_input(model: ToyModel, xs) -> np.ndarray:
+    """``frozen(xs)``, checked to be a finite matrix of the model's input
+    width (InvalidDimensionError otherwise), or ``xs`` itself, unchecked,
+    when it is the ``eval_cache``'s scope: only a checked input enters it."""
+    cache = model.eval_cache
+    if cache.acts and cache.acts[0] is xs:
+        return xs
+    xs = frozen(as_matrix(xs))
+    if xs.shape[1] != model.dims[0]:
+        raise InvalidDimensionError(f"input width {xs.shape[1]} does not match model width "
+                                    f"{model.dims[0]}")
+    return xs
 
 
 def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()) -> np.ndarray:
@@ -389,32 +406,21 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
 
     (``xs``, ``ctx``) becomes the scope of the model's ``eval_cache``, and
     the forward resumes from the longest prefix of layers whose bits match
-    the cache's last forward: it starts from the cached activation
-    entering the first differing layer (the last layer's output is not
-    cached, so that layer always runs) and caches the activations of the
-    layers it runs.  A quantized layer runs ``forward_quantized_batch`` on
-    the activation with the cache's ``LayerHalf`` of it, which the call
-    fills on the level's first quantized forward and reuses on every later
-    one, at any width of the same fit; a 32-bit layer runs its dense
-    weight on it, as one BLAS ``matmul``.  README's determinism contract
-    says what the result's bits depend on; in particular a row of a batch
-    may differ from that row forwarded alone.  A cached activation is the
-    very array an earlier forward in the same scope computed from the same
-    input through the same layers, and a cached half was computed from that
-    array by the same operations, so every layer sees the inputs a full
-    forward would give it and the result is bit-identical to a forward on
-    a fresh cache.  The scope is ``frozen(xs)``: ``xs`` itself if it is
-    frozen already (a calibration set's input matrix), otherwise a new
-    copy, so an input that can still be written never resumes an earlier
-    forward.  ``xs`` is checked once, here: it must be a finite matrix of
-    the model's input width (InvalidDimensionError otherwise), and
-    ``alloc`` by ``alloc_bits``.
+    the cache's last forward (the last layer always runs), caching the
+    activations of the layers it runs.  A quantized layer runs
+    ``forward_quantized_batch`` with the cache's ``LayerHalf`` of its
+    input, filled once per level and reused at every width of the same
+    fit; a 32-bit layer runs its dense weight, as one BLAS ``matmul``.  A
+    cached activation or half is the very array an earlier forward of the
+    scope computed by the same operations, so the result is bit-identical
+    to a forward on a fresh cache (README's determinism contract says what
+    its bits depend on; a row of a batch may differ from that row alone).
+    The scope is ``xs`` if it is frozen, else a frozen copy, so an input
+    that can still be written never resumes an earlier forward.  ``xs``
+    must be a finite matrix of the model's input width, checked as it
+    enters the scope (``_scope_input``), and ``alloc`` pass ``alloc_bits``.
     """
-    xs = frozen(as_matrix(xs))
-    if xs.shape[1] != model.dims[0]:
-        raise InvalidDimensionError(
-            f"input width {xs.shape[1]} does not match model width {model.dims[0]}"
-        )
+    xs = _scope_input(model, xs)
     bits = alloc_bits(model, alloc)
     n = model.n_layers
     cache = model.eval_cache
@@ -487,24 +493,23 @@ def end_to_end_mse(model: ToyModel, alloc, calib: CalibrationSet, ctx: QuantCont
     This is the search's performance indicator once environment bits are
     folded into ``alloc``.  Results are memoized in the model's
     ``EvalCache`` by the tuple ``alloc_bits`` returns, for one scope only:
-    the calibration's (``frozen``) input matrix and ``ctx``, with its
-    output matrix as the memo's target, the matrices by identity.  The
-    allocation is checked first, so a hit and a miss accept and reject the
-    same allocations; then the call enters that scope and looks the tuple
-    up once.  A miss runs ``forward_batch``, which resumes from the
-    longest layer prefix shared with the previous evaluation of the same
-    scope, so it gives the value a full forward gives, bit for bit.  A
-    value that is not finite (the quantized forward overflowed) raises
+    the calibration's (``frozen``) input matrix, checked as it enters, and
+    ``ctx``, with its output matrix as the memo's target, the matrices by
+    identity.  The allocation is checked first, so a hit and a miss accept
+    the same allocations.  A miss runs ``forward_batch``, which resumes from
+    the longest layer prefix shared with the scope's previous evaluation,
+    so it gives the value a full forward gives, bit for bit.  A value that
+    is not finite (the quantized forward overflowed) raises
     InvalidDimensionError naming the allocation, and is not memoized.
     """
     key = alloc_bits(model, alloc)
-    memo = model.eval_cache.enter(calib.input_matrix, ctx, calib.output_matrix)
+    xs = _scope_input(model, calib.input_matrix)
+    memo = model.eval_cache.enter(xs, ctx, calib.output_matrix)
     if key in memo:
         return memo[key]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = forward_batch(model, alloc, calib.input_matrix, ctx)
-        diff = out - calib.output_matrix
-        mse = float(np.mean(diff * diff))
+        diff = forward_batch(model, alloc, xs, ctx) - calib.output_matrix
+        mse = float(np.add.reduce(diff * diff, axis=None) / diff.size)  # np.mean, unwrapped
     if not math.isfinite(mse):
         raise InvalidDimensionError(
             f"the quantized forward of allocation {list(key)} gives a non-finite MSE ({mse})"

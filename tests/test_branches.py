@@ -42,6 +42,7 @@ from treeq.quantizer import (
     WeightGrid,
     default_delta_table,
     quantize_rotated_batch,
+    quantize_weight_channelwise,
 )
 
 from conftest import seeded_matrix
@@ -608,6 +609,24 @@ class TestExactResidualProduct:
         assert got.dtype == np.float64
         assert got.tobytes() == (ints * step[:, None] * weight.step).tobytes()
 
+    def test_column_major_grid_equals_the_int64_product(self):
+        # the forward's weight grids are column-major, so the float32 copy
+        # of q.T is row-major; at width 1024 and 8 bits the product keeps
+        # the int64 reference's bytes, on a quantized grid and at the bound
+        rng = np.random.default_rng(24)
+        weight = quantize_weight_channelwise(rng.standard_normal((96, 1024)))[8]
+        assert weight.q.T.flags.c_contiguous
+        bound = WeightGrid(q=np.full((3, 1024), -128, dtype=np.int8, order="F"),
+                           scale=np.array([0.7, 1.3, 2.9]), delta=0.0307, bits=8)
+        for weight, grid in [
+            (weight, rng.integers(-128, 128, size=(64, 1024)).astype(np.float32)),
+            (bound, np.full((4, 1024), -128.0, dtype=np.float32)),
+        ]:
+            step = rng.uniform(0.01, 3.0, size=len(grid))
+            ints = grid.astype(np.int64) @ weight.q.astype(np.int64).T
+            got = residual_product(grid, step, weight)
+            assert got.tobytes() == (ints * step[:, None] * weight.step).tobytes()
+
     def test_steps_scale_tokens_and_rows(self):
         grid = np.array([[1.0, -2.0], [3.0, 0.0]])
         q = np.array([[1, 1], [-1, 2]], dtype=np.int8)
@@ -699,6 +718,17 @@ class TestSerialization:
         assert np.array_equal(back.branches.gmb.u, layer.branches.gmb.u)
         assert np.array_equal(back.branches.gmb.v, layer.branches.gmb.v)
         assert (back.weight.bits, back.weight.q.shape) == (3, (8, 8))
+
+    def test_w_grid_is_row_major(self):
+        # the grid is stored column-major, but its document lists it row by
+        # row, as quantize.json always has
+        layer = make_layer(seeded_matrix(8, 16, seed=26), 3, 2, 2)
+        q = layer.weight.q
+        assert q.T.flags.c_contiguous and not q.flags.c_contiguous
+        doc = self._written(layer)["w_grid"]
+        assert (doc["rows"], doc["cols"]) == (8, 16)
+        assert doc["data"] == [int(v) for row in q.tolist() for v in row]
+        assert np.array(doc["data"], dtype=np.int8).tobytes() == np.ascontiguousarray(q).tobytes()
 
     def test_round_trip_forward_identical(self):
         layer = self._layer()

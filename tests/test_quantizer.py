@@ -79,6 +79,20 @@ class TestSpec:
             with pytest.raises(InvalidBitsError):
                 quantize_rotated_batch(np.ones((1, 8)), bits, 1.0)
 
+    @pytest.mark.parametrize("bits", [3.0, np.float64(3.0), True], ids=["3.0", "np.float64", "True"])
+    def test_bits_must_be_an_integer(self, bits):
+        # `in` takes 3.0 for 3 and True for 1; each would then fail in a
+        # shift with TypeError, or quantize at a width no one asked for
+        y = np.ones((1, 8))
+        for call in (lambda: quantizer.check_bits(bits), lambda: calibrate_delta(bits),
+                     lambda: quantize_rotated_batch(y, bits, 1.0)):
+            with pytest.raises(InvalidBitsError, match="bits must be one of"):
+                call()
+
+    def test_numpy_integer_bits(self):
+        quantizer.check_bits(np.int64(3))
+        assert calibrate_delta(np.int64(3)) == calibrate_delta(3)
+
 
 class TestUniform:
     # the uniform grid as the activation quantizer applies it, one token per row
@@ -342,3 +356,9 @@ class TestChannelwise:
             assert np.array_equal(g.scale, scale)
             assert np.array_equal(g.q, sign_floor_grid(w / scale[:, None] / delta, bits))
             assert np.all(g.q[4] == 0)
+
+    def test_grids_are_column_major(self):
+        # residual_product then multiplies by a row-major float32 copy of q.T
+        grids = quantize_weight_channelwise(np.random.default_rng(20).standard_normal((24, 64)))
+        for g in grids.values():
+            assert g.q.T.flags.c_contiguous and not g.q.flags.c_contiguous

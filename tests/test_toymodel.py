@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from treeq.toymodel import (
     QuantContext,
     ToyModel,
     _gen_block,
+    alloc_bits,
     end_to_end_mse,
     fit_all,
     forward_batch,
@@ -352,6 +354,40 @@ class TestForward:
         got = forward_batch(m, {np.int64(i): 3 for i in range(4)}, xs)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, 3.0], ids=["True", "np.True_", "1.0", "3.0"])
+    def test_alloc_bits_refuses_what_is_not_an_int(self, bad):
+        # each allocation below has one entry per layer and keys equal to
+        # 0..3, so only a check of every key's and value's type refuses it
+        m = gen_model(exhaustive_spec(1))
+        as_key = {i: 3 for i in range(4) if i != int(bad)}
+        as_key[bad] = 3
+        assert len(as_key) == 4 and set(as_key) == {0, 1, 2, 3}
+        with pytest.raises(InvalidBitsError, match=f"unknown layer {bad!r}"):
+            alloc_bits(m, as_key)
+        with pytest.raises(InvalidBitsError, match=r"layer 1 bits must be an integer"):
+            alloc_bits(m, {0: 3, 1: bad, 2: 3, 3: 3})
+
+    def test_alloc_bits_refuses_a_missing_or_extra_layer(self):
+        m = gen_model(exhaustive_spec(1))
+        for alloc, message in [
+            ({0: 3, 1: 3, 2: 3}, "missing layer 3"),
+            ({0: 3, 1: 3, 2: 3, 3: 3, 4: 3}, "unknown layer 4"),
+            ({0: 3, 1: 3, 2: 3, 4: 3}, "unknown layer 4"),
+            ({0: 3, 1: 3, 2: 3, 3: 16}, "layer 3 bits 16 not in"),
+        ]:
+            with pytest.raises(InvalidBitsError, match=message):
+                alloc_bits(m, alloc)
+
+    def test_alloc_bits_returns_ints(self):
+        m = gen_model(exhaustive_spec(1))
+        for alloc in [
+            {3: 32, 2: 5, 1: 3, 0: 2},
+            {np.int64(i): np.int32(b) for i, b in enumerate((2, 3, 5, 32))},
+            MappingProxyType({0: 2, 1: 3, 2: 5, 3: 32}),
+        ]:
+            bits = alloc_bits(m, alloc)
+            assert bits == (2, 3, 5, 32) and all(type(b) is int for b in bits)
+
     def test_bytes_do_not_depend_on_blas_threads(self):
         # A 256-wide quantized layer and a 32-bit layer forward one fixed
         # batch in two child processes; the environment variables reach
@@ -425,6 +461,14 @@ class TestLayerCache:
         with pytest.raises(InvalidBitsError):
             self.AT_32_BITS[call](m)
         assert all(32 not in layers for layers in m.fits.values())
+
+    @pytest.mark.parametrize("bits", [3.0, np.float64(3.0), True], ids=["3.0", "np.float64", "True"])
+    def test_bits_must_be_an_integer(self, bits):
+        # as alloc_bits refuses them: `in` takes 3.0 for 3 bits
+        m = gen_model(exhaustive_spec(7))
+        with pytest.raises(InvalidBitsError, match="bits must be one of"):
+            quantized_layer(m, 0, bits)
+        assert m.fits == {}
 
     def test_contexts_that_share_a_fit_share_its_layers(self):
         # ``ablate gmb``'s r=4 row fits what the default context fits on a
@@ -904,6 +948,34 @@ def _shared_prefix(a, b):
 
 
 class TestEvalCache:
+    def test_a_warm_scope_still_checks_every_other_input(self):
+        # forward_batch skips the input check only for the scope's own
+        # matrix, which was checked when it entered the scope
+        m = gen_model(exhaustive_spec(2))
+        c = gen_calibration(m, 8, 3)
+        alloc = {i: 3 for i in range(4)}
+        end_to_end_mse(m, alloc, c)
+        assert m.eval_cache.acts[0] is c.input_matrix
+        nan = c.input_matrix.copy()
+        nan[2, 5] = np.nan
+        for xs, message in [(nan, "non-finite"), (c.input_matrix[:, :16], "input width 16"),
+                            (np.ones((8, 64)), "input width 64")]:
+            with pytest.raises(InvalidDimensionError, match=message):
+                forward_batch(m, alloc, xs)
+        want = forward_batch(_fresh(m), alloc, c.input_matrix)
+        assert np.array_equal(forward_batch(m, alloc, c.input_matrix), want)
+        assert np.array_equal(forward_batch(m, alloc, c.input_matrix.copy()), want)
+
+    def test_a_calibration_input_is_checked_when_it_enters(self):
+        m = gen_model(exhaustive_spec(2))
+        c = gen_calibration(m, 8, 3)
+        nan = c.input_matrix.copy()
+        nan[0, 0] = np.inf
+        for xs, message in [(nan, "non-finite"), (np.ones((8, 16)), "input width 16")]:
+            bad = CalibrationSet(input_matrix=xs, output_matrix=c.output_matrix, seed=0)
+            with pytest.raises(InvalidDimensionError, match=message):
+                end_to_end_mse(m, {i: 3 for i in range(4)}, bad)
+
     def test_bit_identical_to_fresh_model(self, monkeypatch):
         m = gen_model(exhaustive_spec(2))
         calibs = [gen_calibration(m, 8, 3), gen_calibration(m, 8, 4)]
