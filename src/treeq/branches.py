@@ -445,41 +445,3 @@ def forward_quantized_batch(layer: QuantizedLinear, xs, half: LayerHalf | None =
     out = residual_product(grid, step, weight)
     out += half.branch
     return out
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    """A 2-D matrix as its row and column counts and its row-major entries."""
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": m.ravel().tolist(),
-    }
-
-
-def qlinear_doc(layer: QuantizedLinear) -> dict:
-    """The layer's JSON document; ``bits_a`` and ``n`` restate the grid's bits and width."""
-    weight, lrb, gmb = layer.weight, layer.branches.lrb, layer.branches.gmb
-    doc = {
-        "bits_w": weight.bits,
-        "bits_a": weight.bits,
-        "n": weight.q.shape[1],
-        "lrb": {
-            "a": matrix_to_json(lrb.a),
-            "b": matrix_to_json(lrb.b),
-        },
-        "gmb": None,
-        "w_grid": matrix_to_json(weight.q),
-        "w_scale": [float(v) for v in weight.scale],
-        "w_delta": weight.delta,
-    }
-    if gmb is not None:
-        doc["gmb"] = {
-            "n_o": gmb.n_o,
-            "n_i": gmb.n_i,
-            "sigma": [[float(v) for v in row] for row in gmb.sigma],
-            "u": [[list(map(float, vec)) for vec in row] for row in gmb.u],
-            "v": [[list(map(float, vec)) for vec in row] for row in gmb.v],
-        }
-    if layer.branches.placement != "post":
-        doc["gmb_placement"] = layer.branches.placement
-    return doc

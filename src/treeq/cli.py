@@ -1,6 +1,9 @@
 """Command-line front end: generate models, calibrate, search, compare.
 
-All machine-readable outputs are JSON files under the output directory.
+All machine-readable outputs are JSON files under the output directory,
+and this module builds every one of them.  A command (``COMMANDS``)
+returns its file name, its document and the report to print after the
+path, and ``main`` hands the three to one emitter, ``_emit``.
 Rerunning a command with the same config reproduces the files byte for
 byte except for the wall_ms timing fields.
 """
@@ -12,27 +15,28 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .baselines import ip_allocate, sensitivity_tables, uniform_allocate
-from .branches import GMB_ORDERS, GMB_PLACEMENTS, qlinear_doc
+from .branches import GMB_ORDERS, GMB_PLACEMENTS
 from .errors import ConvergenceError
 from .linalg import is_int
 from .quantizer import default_delta_table
-from .search import BUDGET_TOLERANCE, SearchParams, SearchResult, result_doc, tss_search
+from .search import BUDGET_TOLERANCE, SearchParams, SearchResult, tss_search
 from .toymodel import (
     TAG_DERIVE,
     ModelSpec,
     QuantContext,
+    QuantizedLinear,
+    ToyModel,
     check_calibration,
     end_to_end_mse,
     fit_all,
     gen_calibration,
     gen_model,
     mean_bitwidth,
-    model_to_json,
     quantized_layer,
     substream,
 )
@@ -134,35 +138,56 @@ def load_run_config(args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         output_dir = args.out
 
-    try:
-        spec = ModelSpec(**cfg["model"])
-    except ValueError as e:
-        raise ConfigError(f"invalid model config: {e}")
-    try:
-        quant = QuantContext(**cfg["quant"])
-    except ValueError as e:
-        raise ConfigError(f"invalid quant config: {e}")
-    try:
-        check_calibration(**cfg["calib"])
-    except ValueError as e:
-        raise ConfigError(f"invalid calib config: {e}")
-    try:
-        search = SearchParams(calib=None, **cfg["search"])
-    except ValueError as e:
-        raise ConfigError(f"invalid search config: {e}")
-    return RunConfig(spec, search, quant, cfg["calib"], output_dir)
+    built = {}  # in this order, so that quant can pose its chains on the model
+    for section, build in (
+        ("model", lambda fields: ModelSpec(**fields)),
+        ("quant", lambda fields: _posed(QuantContext(**fields), built["model"])),
+        ("calib", lambda fields: check_calibration(**fields)),
+        ("search", lambda fields: SearchParams(calib=None, **fields)),
+    ):
+        try:
+            built[section] = build(cfg[section])
+        except ValueError as e:
+            raise ConfigError(f"invalid {section} config: {e}")
+    return RunConfig(built["model"], built["search"], built["quant"], cfg["calib"], output_dir)
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> str:
+def _posed(quant: QuantContext, spec: ModelSpec) -> QuantContext:
+    """``quant`` once its chain is posed on every layer shape of ``spec``:
+    a GMB rank whose grid does not divide a layer's shape raises here, as
+    the config loads, so that it stops every command before it runs."""
+    for rows, cols in zip(spec.dims[1:], spec.dims):
+        quant.chain(rows, cols)
+    return quant
+
+
+def _emit(cfg: RunConfig, name: str, doc, report: str, started: float | None) -> None:
+    """Write a command's output file ``name`` and print ``wrote <path>``
+    followed by the command's ``report``.
+
+    ``doc`` is a document, dumped with sorted keys and given the
+    ``wall_ms`` since ``started`` unless that is None, or a ready string.
+    """
+    if isinstance(doc, dict):
+        if started is not None:
+            doc["wall_ms"] = (time.perf_counter() - started) * 1e3
+        doc = json.dumps(doc, sort_keys=True)
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, name)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return path
+        fh.write(doc + "\n")
+    print(f"wrote {path}{report}")
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)
+def _lines(lines) -> str:
+    """A report of whole lines, each after the ``wrote`` line."""
+    return "".join(f"\n{line}" for line in lines)
+
+
+def _draw(cfg: RunConfig):
+    """The config's model and its calibration set."""
+    model = gen_model(cfg.model)
+    return model, gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
 
 
 def _uniform_bits(cfg: RunConfig) -> int:
@@ -170,26 +195,85 @@ def _uniform_bits(cfg: RunConfig) -> int:
     return min(cfg.search.candidates, key=lambda b: (abs(b - target), b))
 
 
-def cmd_gen_model(cfg: RunConfig, args) -> int:
+def matrix_to_json(m: np.ndarray) -> dict:
+    """A 2-D matrix as its row and column counts and its row-major entries."""
+    return {
+        "rows": int(m.shape[0]),
+        "cols": int(m.shape[1]),
+        "data": m.ravel().tolist(),
+    }
+
+
+def model_to_json(model: ToyModel) -> str:
+    """``model.json``: the spec, the FLOPs and every weight, in that key order."""
+    return json.dumps(
+        {
+            "spec": asdict(model.spec),
+            "flops": list(model.flops),
+            "weights": [matrix_to_json(w) for w in model.weights],
+        }
+    )
+
+
+def qlinear_doc(layer: QuantizedLinear) -> dict:
+    """The layer's JSON document; ``bits_a`` and ``n`` restate the grid's bits and width."""
+    weight, lrb, gmb = layer.weight, layer.branches.lrb, layer.branches.gmb
+    doc = {
+        "bits_w": weight.bits,
+        "bits_a": weight.bits,
+        "n": weight.q.shape[1],
+        "lrb": {
+            "a": matrix_to_json(lrb.a),
+            "b": matrix_to_json(lrb.b),
+        },
+        "gmb": None,
+        "w_grid": matrix_to_json(weight.q),
+        "w_scale": [float(v) for v in weight.scale],
+        "w_delta": weight.delta,
+    }
+    if gmb is not None:
+        doc["gmb"] = {
+            "n_o": gmb.n_o,
+            "n_i": gmb.n_i,
+            "sigma": [[float(v) for v in row] for row in gmb.sigma],
+            "u": [[list(map(float, vec)) for vec in row] for row in gmb.u],
+            "v": [[list(map(float, vec)) for vec in row] for row in gmb.v],
+        }
+    if layer.branches.placement != "post":
+        doc["gmb_placement"] = layer.branches.placement
+    return doc
+
+
+def result_doc(result: SearchResult) -> dict:
+    """The search's JSON document: settings, final allocation and counts."""
+    return {
+        "target": result.target,
+        "env_bits": result.env_bits,
+        "k": result.k,
+        "candidates": list(result.candidates),
+        "final_alloc": {str(i): result.final[i] for i in sorted(result.final)},
+        "mean_bits": result.mean_bits,
+        "indicator": result.indicator,
+        "evals": result.evals,
+        "merge_trace": list(result.merge_trace),
+    }
+
+
+def cmd_gen_model(cfg: RunConfig, args) -> tuple:
     model = gen_model(cfg.model)
-    path = _write(cfg, "model.json", model_to_json(model))
-    print(f"wrote {path}")
-    print(f"{'layer':>5} {'d_in':>6} {'d_out':>6} {'flops':>10}")
-    for i in range(model.n_layers):
-        print(
-            f"{i:>5} {model.dims[i]:>6} {model.dims[i + 1]:>6} {model.flops[i]:>10}"
-        )
-    return 0
+    table = [f"{'layer':>5} {'d_in':>6} {'d_out':>6} {'flops':>10}"]
+    table += [
+        f"{i:>5} {model.dims[i]:>6} {model.dims[i + 1]:>6} {model.flops[i]:>10}"
+        for i in range(model.n_layers)
+    ]
+    return "model.json", model_to_json(model), _lines(table)
 
 
-def cmd_calibrate_delta(cfg: RunConfig, args) -> int:
+def cmd_calibrate_delta(cfg: RunConfig, args) -> tuple:
     table = default_delta_table()
-    path = _write(cfg, "delta.json", json.dumps({str(b): table[b] for b in sorted(table)}))
-    print(f"wrote {path}")
-    print(f"{'bits':>4} {'delta':>12}")
-    for b in sorted(table):
-        print(f"{b:>4} {table[b]:>12.6f}")
-    return 0
+    text = json.dumps({str(b): table[b] for b in sorted(table)})
+    report = [f"{'bits':>4} {'delta':>12}"] + [f"{b:>4} {table[b]:>12.6f}" for b in sorted(table)]
+    return "delta.json", text, _lines(report)
 
 
 def _run_search(cfg: RunConfig, model, calib, **overrides):
@@ -209,42 +293,30 @@ def _check_budget(result: SearchResult) -> None:
         )
 
 
-def cmd_search(cfg: RunConfig, args) -> int:
-    started = time.perf_counter()
-    model = gen_model(cfg.model)
-    calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
-    result = _run_search(cfg, model, calib)
+def cmd_search(cfg: RunConfig, args) -> tuple:
+    result = _run_search(cfg, *_draw(cfg))
     _check_budget(result)
-    doc = result_doc(result)
-    doc["wall_ms"] = (time.perf_counter() - started) * 1e3
-    path = _write(cfg, "search.json", _dump(doc))
-    print(f"wrote {path}")
     alloc = " ".join(str(result.final[i]) for i in sorted(result.final))
-    print(f"allocation: {alloc}")
-    print(
-        f"mean_bits={result.mean_bits:.4f} indicator={result.indicator:.6e} "
-        f"evals={result.evals}"
-    )
-    return 0
+    report = [
+        f"allocation: {alloc}",
+        f"mean_bits={result.mean_bits:.4f} indicator={result.indicator:.6e} evals={result.evals}",
+    ]
+    return "search.json", result_doc(result), _lines(report)
 
 
-def cmd_quantize(cfg: RunConfig, args) -> int:
-    started = time.perf_counter()
+def cmd_quantize(cfg: RunConfig, args) -> tuple:
     model = gen_model(cfg.model)
     bits = _uniform_bits(cfg)
     alloc = uniform_allocate(model.n_layers, bits)
-    layers = [
-        qlinear_doc(quantized_layer(model, i, alloc[i], cfg.quant)) for i in range(model.n_layers)
-    ]
     doc = {
         "bits": bits,
         "mean_bits": mean_bitwidth(alloc, model),
-        "layers": layers,
-        "wall_ms": (time.perf_counter() - started) * 1e3,
+        "layers": [
+            qlinear_doc(quantized_layer(model, i, alloc[i], cfg.quant))
+            for i in range(model.n_layers)
+        ],
     }
-    path = _write(cfg, "quantize.json", _dump(doc))
-    print(f"wrote {path} (uniform {bits}-bit, {model.n_layers} layers)")
-    return 0
+    return "quantize.json", doc, f" (uniform {bits}-bit, {model.n_layers} layers)"
 
 
 def _load_alloc(path: str) -> dict:
@@ -272,29 +344,20 @@ def _load_alloc(path: str) -> dict:
     return alloc
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
-    started = time.perf_counter()
-    model = gen_model(cfg.model)
+def cmd_eval(cfg: RunConfig, args) -> tuple:
     alloc = _load_alloc(args.alloc)
-    calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
+    model, calib = _draw(cfg)
     mse = end_to_end_mse(model, alloc, calib, cfg.quant)
     doc = {
         "mse": mse,
         "mean_bits": mean_bitwidth(alloc, model),
         "per_layer_bits": [alloc[i] for i in range(model.n_layers)],
-        "wall_ms": (time.perf_counter() - started) * 1e3,
     }
-    path = _write(cfg, "eval.json", _dump(doc))
-    print(f"wrote {path}")
-    print(f"mse={mse:.6e} mean_bits={doc['mean_bits']:.4f}")
-    return 0
+    return "eval.json", doc, _lines([f"mse={mse:.6e} mean_bits={doc['mean_bits']:.4f}"])
 
 
-def cmd_baseline(cfg: RunConfig, args) -> int:
-    started = time.perf_counter()
-    model = gen_model(cfg.model)
-    ctx = cfg.quant
-    calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
+def cmd_baseline(cfg: RunConfig, args) -> tuple:
+    model, calib = _draw(cfg)
     # sensitivity tables get a 4x larger, disjoint calibration draw
     sens_calib = gen_calibration(
         model, 4 * cfg.calib["count"], substream(cfg.calib["seed"], TAG_DERIVE, 1)
@@ -304,83 +367,65 @@ def cmd_baseline(cfg: RunConfig, args) -> int:
     # the search first, so that a missed budget exits before the tables
     result = _run_search(cfg, model, calib)
     _check_budget(result)
-    allocs = {"uniform": uniform_allocate(model.n_layers, _uniform_bits(cfg))}
-    tables = sensitivity_tables(model, sens_calib, ctx, candidates)
-    for metric, label in (("L1", "ip_l1"), ("L2", "ip_l2")):
-        allocs[label] = ip_allocate(tables[metric], model.flops, target, candidates)
-    allocs["tss"] = result.final
-
-    rows = []
-    for method in ("uniform", "ip_l1", "ip_l2", "tss"):
-        alloc = allocs[method]
-        mean = mean_bitwidth(alloc, model)
-        rows.append(
-            {
-                "method": method,
-                "mse": end_to_end_mse(model, alloc, calib, ctx),
-                "mean_bits": mean,
-                "within_budget": abs(mean - target) <= BUDGET_TOLERANCE,
-            }
-        )
-    doc = {
-        "target": target,
-        "env_bits": cfg.search.env_bits,
-        "rows": rows,
-        "wall_ms": (time.perf_counter() - started) * 1e3,
+    tables = sensitivity_tables(model, sens_calib, cfg.quant, candidates)
+    allocs = {
+        "uniform": uniform_allocate(model.n_layers, _uniform_bits(cfg)),
+        "ip_l1": ip_allocate(tables["L1"], model.flops, target, candidates),
+        "ip_l2": ip_allocate(tables["L2"], model.flops, target, candidates),
+        "tss": result.final,
     }
-    path = _write(cfg, "baseline.json", _dump(doc))
-    print(f"wrote {path}")
-    print(f"{'method':<8} {'mse':>14} {'mean_bits':>10} {'budget':>7}")
-    for row in rows:
+    rows, report = [], [f"{'method':<8} {'mse':>14} {'mean_bits':>10} {'budget':>7}"]
+    for method, alloc in allocs.items():
+        mean = mean_bitwidth(alloc, model)
+        row = {
+            "method": method,
+            "mse": end_to_end_mse(model, alloc, calib, cfg.quant),
+            "mean_bits": mean,
+            "within_budget": abs(mean - target) <= BUDGET_TOLERANCE,
+        }
+        rows.append(row)
         flag = "ok" if row["within_budget"] else "OVER"
-        print(
-            f"{row['method']:<8} {row['mse']:>14.6e} {row['mean_bits']:>10.4f} {flag:>7}"
-        )
-    tss_mse = rows[-1]["mse"]
-    if any(r["mse"] < tss_mse for r in rows[1:3]):
-        print("note: an IP baseline beat TSS on this seed (soft expectation)")
-    return 0
+        report.append(f"{method:<8} {row['mse']:>14.6e} {mean:>10.4f} {flag:>7}")
+    if any(r["mse"] < rows[-1]["mse"] for r in rows[1:3]):
+        report.append("note: an IP baseline beat TSS on this seed (soft expectation)")
+    doc = {"target": target, "env_bits": cfg.search.env_bits, "rows": rows}
+    return "baseline.json", doc, _lines(report)
+
+
+def _timed_rows(items, row) -> list:
+    """``row(item)`` for each item, with the ``wall_ms`` that it took."""
+    rows = []
+    for item in items:
+        started = time.perf_counter()
+        rows.append({**row(item), "wall_ms": (time.perf_counter() - started) * 1e3})
+    return rows
 
 
 def _ablate_k(cfg: RunConfig, model, calib) -> list:
-    rows = []
-    for k in (4, 8, 16, 32):
-        started = time.perf_counter()
+    def row(k):
         result = _run_search(cfg, model, calib, k=k)
-        rows.append(
-            {
-                "k": k,
-                "mse": result.indicator,
-                "evals": result.evals,
-                "wall_ms": (time.perf_counter() - started) * 1e3,
-            }
-        )
-    return rows
+        return {"k": k, "mse": result.indicator, "evals": result.evals}
+
+    return _timed_rows((4, 8, 16, 32), row)
 
 
 def _ablate_calib(cfg: RunConfig, model, calib) -> list:
-    draws = 8
-    bits = _uniform_bits(cfg)
-    alloc = uniform_allocate(model.n_layers, bits)
-    rows = []
-    for count in (4, 8, 16, 32, 64):
-        started = time.perf_counter()
-        values = []
-        for j in range(draws):
-            draw = gen_calibration(
-                model, count, substream(cfg.calib["seed"], TAG_DERIVE, 100 + j)
-            )
-            values.append(end_to_end_mse(model, alloc, draw, cfg.quant))
-        rows.append(
-            {
-                "count": count,
-                "mse": float(np.mean(values)),
-                "indicator_std": float(np.std(values)),
-                "evals": draws,
-                "wall_ms": (time.perf_counter() - started) * 1e3,
-            }
-        )
-    return rows
+    alloc = uniform_allocate(model.n_layers, _uniform_bits(cfg))
+    seeds = [substream(cfg.calib["seed"], TAG_DERIVE, 100 + j) for j in range(8)]
+
+    def row(count):
+        values = [
+            end_to_end_mse(model, alloc, gen_calibration(model, count, seed), cfg.quant)
+            for seed in seeds
+        ]
+        return {
+            "count": count,
+            "mse": float(np.mean(values)),
+            "indicator_std": float(np.std(values)),
+            "evals": len(seeds),
+        }
+
+    return _timed_rows((4, 8, 16, 32, 64), row)
 
 
 def _gmb_settings(quant: QuantContext) -> list:
@@ -399,42 +444,49 @@ def _ablate_gmb(cfg: RunConfig, model, calib) -> list:
     ``fit_all`` call, so the settings share their stacked fits; a row's
     ``wall_ms`` times its evaluation only.
     """
-    bits = _uniform_bits(cfg)
-    alloc = uniform_allocate(model.n_layers, bits)
+    alloc = uniform_allocate(model.n_layers, _uniform_bits(cfg))
     settings = _gmb_settings(cfg.quant)
     fit_all(model, [setting_ctx for _, setting_ctx in settings])
-    rows = []
-    for label, setting_ctx in settings:
-        started = time.perf_counter()
-        rows.append(
-            {
-                "setting": label,
-                "mse": end_to_end_mse(model, alloc, calib, setting_ctx),
-                "evals": 1,
-                "wall_ms": (time.perf_counter() - started) * 1e3,
-            }
-        )
-    return rows
+    return _timed_rows(
+        settings,
+        lambda setting: {
+            "setting": setting[0],
+            "mse": end_to_end_mse(model, alloc, calib, setting[1]),
+            "evals": 1,
+        },
+    )
 
 
-def cmd_ablate(cfg: RunConfig, args) -> int:
-    model = gen_model(cfg.model)
-    calib = gen_calibration(model, cfg.calib["count"], cfg.calib["seed"])
-    runner = {"k": _ablate_k, "calib": _ablate_calib, "gmb": _ablate_gmb}[args.axis]
-    rows = runner(cfg, model, calib)
-    doc = {"axis": args.axis, "rows": rows}
-    path = _write(cfg, f"ablate_{args.axis}.json", _dump(doc))
-    print(f"wrote {path}")
+ABLATIONS = {"k": _ablate_k, "calib": _ablate_calib, "gmb": _ablate_gmb}
+
+
+def cmd_ablate(cfg: RunConfig, args) -> tuple:
+    rows = ABLATIONS[args.axis](cfg, *_draw(cfg))
     keys = [k for k in rows[0] if k != "wall_ms"]
-    print(" ".join(f"{k:>14}" for k in keys))
-    for row in rows:
-        print(
-            " ".join(
-                f"{row[k]:>14.6e}" if isinstance(row[k], float) else f"{row[k]!s:>14}"
-                for k in keys
-            )
+    report = [" ".join(f"{k:>14}" for k in keys)]
+    report += [
+        " ".join(
+            f"{row[k]:>14.6e}" if isinstance(row[k], float) else f"{row[k]!s:>14}"
+            for k in keys
         )
-    return 0
+        for row in rows
+    ]
+    return f"ablate_{args.axis}.json", {"axis": args.axis, "rows": rows}, _lines(report)
+
+
+# subcommand -> (its function, whether its document gets wall_ms, its
+# positional argument as (name, add_argument keywords) or None)
+COMMANDS = {
+    "gen-model": (cmd_gen_model, False, None),
+    "calibrate-delta": (cmd_calibrate_delta, False, None),
+    "search": (cmd_search, True, None),
+    "quantize": (cmd_quantize, True, None),
+    "eval": (
+        cmd_eval, True, ("alloc", {"help": "allocation JSON (search output or layer->bits map)"})
+    ),
+    "baseline": (cmd_baseline, True, None),
+    "ablate": (cmd_ablate, False, ("axis", {"choices": tuple(ABLATIONS)})),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,19 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-widths on a seeded synthetic network.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-model", parents=[common]).set_defaults(func=cmd_gen_model)
-    sub.add_parser("calibrate-delta", parents=[common]).set_defaults(
-        func=cmd_calibrate_delta
-    )
-    sub.add_parser("search", parents=[common]).set_defaults(func=cmd_search)
-    sub.add_parser("quantize", parents=[common]).set_defaults(func=cmd_quantize)
-    p_eval = sub.add_parser("eval", parents=[common])
-    p_eval.add_argument("alloc", help="allocation JSON (search output or layer->bits map)")
-    p_eval.set_defaults(func=cmd_eval)
-    sub.add_parser("baseline", parents=[common]).set_defaults(func=cmd_baseline)
-    p_ablate = sub.add_parser("ablate", parents=[common])
-    p_ablate.add_argument("axis", choices=("k", "calib", "gmb"))
-    p_ablate.set_defaults(func=cmd_ablate)
+    for name, (func, timed, positional) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common])
+        if positional is not None:
+            command.add_argument(positional[0], **positional[1])
+        command.set_defaults(func=func, timed=timed)
     return parser
 
 
@@ -472,13 +516,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args)
-        return args.func(cfg, args)
-    except (ConfigError, ValueError, OSError) as e:
+        started = time.perf_counter() if args.timed else None
+        _emit(cfg, *args.func(cfg, args), started)
+        return 0
+    except (ConfigError, ValueError, OSError, ConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ConvergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(e, ConvergenceError) else 2
     except Exception as e:  # pragma: no cover - internal failure path
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

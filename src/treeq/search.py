@@ -249,18 +249,3 @@ def tss_search(model: ToyModel, params: SearchParams, ctx: QuantContext = QuantC
         mean_bits=best.mean_bits,
         indicator=best.indicator,
     )
-
-
-def result_doc(result: SearchResult) -> dict:
-    """The search's JSON document: settings, final allocation and counts."""
-    return {
-        "target": result.target,
-        "env_bits": result.env_bits,
-        "k": result.k,
-        "candidates": list(result.candidates),
-        "final_alloc": {str(i): result.final[i] for i in sorted(result.final)},
-        "mean_bits": result.mean_bits,
-        "indicator": result.indicator,
-        "evals": result.evals,
-        "merge_trace": list(result.merge_trace),
-    }

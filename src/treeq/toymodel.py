@@ -30,9 +30,8 @@ relative.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -44,7 +43,6 @@ from .branches import (
     branch_decomposition,
     forward_quantized_batch,
     fit_plan,
-    matrix_to_json,
     quantize_fit,
 )
 from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
@@ -529,13 +527,3 @@ def mean_bitwidth(alloc, model: ToyModel) -> float:
     """FLOPs-weighted average bit-width over the full allocation (``alloc_bits``)."""
     alloc_bits(model, alloc)
     return module_mean_bits(alloc, model)
-
-
-def model_to_json(model: ToyModel) -> str:
-    return json.dumps(
-        {
-            "spec": asdict(model.spec),
-            "flops": list(model.flops),
-            "weights": [matrix_to_json(w) for w in model.weights],
-        }
-    )

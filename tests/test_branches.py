@@ -27,10 +27,10 @@ from treeq.branches import (
     forward_quantized_batch,
     gmb_budget_partitions,
     gmb_reconstruct_blocks,
-    qlinear_doc,
     quantize_fit,
     residual_product,
 )
+from treeq.cli import qlinear_doc
 from treeq.errors import (
     InvalidDimensionError,
     InvalidPartitionError,
@@ -559,6 +559,20 @@ class TestQuantizedLayer:
             y = forward_quantized_batch(layer, xs)
             worst = max(worst, float(np.max(np.abs(y - raw)) / np.max(np.abs(y))))
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize("r_gmb,placement", [(0, "post"), (2, "post"), (2, "pre")])
+    def test_pair_keeps_its_layouts(self, r_gmb, placement):
+        # a float64 product's bits follow its operands' memory layouts, since
+        # OpenBLAS's NN and NT kernels round differently: a Fortran-ordered
+        # down moves a forward's last bits without failing any pinned value
+        layer = make_layer(seeded_matrix(16, 16, seed=40), 3, 2, r_gmb, placement=placement)
+        down, up = layer.branches.pair
+        assert down.flags.c_contiguous
+        if r_gmb == 0:
+            assert up.flags.c_contiguous
+        else:
+            # factor_pair fills the transpose of up row by row
+            assert up.T.flags.c_contiguous and not up.flags.c_contiguous
 
     def test_width_mismatch(self):
         layer = make_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)

@@ -123,6 +123,19 @@ class TestConfigHandling:
         assert f"invalid quant config: {field} must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["gen-model", "search"])
+    def test_quant_section_checked_against_every_layer_shape(self, tmp_path, capsys, command):
+        # r_gmb 3 is capped at 1 on the 64 x 16 first layer and divides it,
+        # but not the 64 x 64 second one: the load poses the chain on each
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"model": {"n_layers": 2, "dims": [16, 64, 64]},
+                                 "quant": {"r_gmb": 3}}))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: invalid quant config: r 3 must divide both dimensions (64, 64)"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_number_fields_are_stored_as_floats(self, cfg_path, tmp_path):
         raw = read_json(cfg_path)
         raw["search"]["target"] = 3
@@ -327,6 +340,27 @@ def test_budget_miss_exits_2_writing_nothing(tmp_path, capsys, command):
     assert main([command, "--config", str(path)]) == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == BUDGET_MISS
     assert not (tmp_path / "out").exists()
+
+
+def test_every_command_reports_the_file_it_wrote(cfg_path, capsys):
+    # (arguments, output file, rest of the wrote line, lines printed)
+    out = read_json(cfg_path)["output_dir"]
+    commands = [
+        (["gen-model"], "model.json", "", 6),
+        (["calibrate-delta"], "delta.json", "", 9),
+        (["search"], "search.json", "", 3),
+        (["quantize"], "quantize.json", " (uniform 3-bit, 4 layers)", 1),
+        (["eval", f"{out}/search.json"], "eval.json", "", 2),
+        (["baseline"], "baseline.json", "", 6),
+        (["ablate", "k"], "ablate_k.json", "", 6),
+        (["ablate", "calib"], "ablate_calib.json", "", 7),
+        (["ablate", "gmb"], "ablate_gmb.json", "", 10),
+    ]
+    for argv, name, note, count in commands:
+        assert main(argv + ["--config", cfg_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote {out}/{name}{note}" and len(lines) == count
+    assert sorted(os.listdir(out)) == sorted(name for _, name, _, _ in commands)
 
 
 class TestDispatchRobustness:
@@ -584,6 +618,41 @@ class TestAblate:
     def test_requires_axis(self, cfg_path):
         with pytest.raises(SystemExit):
             main(["ablate", "--config", cfg_path])
+
+
+def test_check_reference_script(tmp_path):
+    # tests/check_reference.py, which CI runs on its LRB-only 4 x 64 and
+    # 2 x 1024 outputs, here on an LRB-only search and a 1 x 32 ablate gmb
+    runs = {
+        "lrb": ({"n_layers": 3, "dims": [32] * 4}, {"r_gmb": 0}, [["search"]]),
+        "one": ({"n_layers": 1, "dims": [32, 32]}, {}, [["search"], ["ablate", "gmb"]]),
+    }
+    for name, (model, quant, commands) in runs.items():
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "config.json"
+        path.write_text(json.dumps({"model": model, "quant": quant, "calib": SMALL_CFG["calib"],
+                                    "output_dir": str(tmp_path / name)}))
+        for command in commands:
+            assert main(command + ["--config", str(path)]) == 0
+    script = os.path.join(os.path.dirname(__file__), "check_reference.py")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(linalg.__file__)), env.get("PYTHONPATH")])
+    )
+
+    def check():
+        return subprocess.run([sys.executable, script, *(str(tmp_path / n) for n in runs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    run = check()
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.count("errors: none") == 3
+    # an indicator one ulp off the search's own fails the check
+    doc = read_json(tmp_path / "lrb" / "search.json")
+    doc["indicator"] = float(np.nextafter(doc["indicator"], 1.0))
+    (tmp_path / "lrb" / "search.json").write_text(json.dumps(doc))
+    run = check()
+    assert run.returncode == 1 and "evals or indicator differ from search.json" in run.stdout
 
 
 class TestPackage:

@@ -127,6 +127,12 @@ class TestHadamard:
     def test_numpy_integer_order(self):
         assert hadamard(np.int64(8)) is hadamard(8)
 
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_is_c_contiguous(self, n):
+        # the forward's rotation operand: its layout selects the BLAS kernel,
+        # and so the last bits of every rotated activation
+        assert hadamard(n).flags.c_contiguous
+
     def test_cache_is_shared_and_read_only(self):
         a = hadamard(8)
         want = a.copy()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from treeq import search
+from treeq.cli import result_doc
 from treeq.errors import InvalidBitsError, InvalidSpanError
 from treeq.search import (
     ParetoEntry,
@@ -23,7 +24,6 @@ from treeq.search import (
     leaf_queue,
     merge,
     module_mean_bits,
-    result_doc,
     select_entry,
     tss_search,
 )

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from treeq import branches, linalg, quantizer, toymodel
-from treeq.cli import _gmb_settings
+from treeq.cli import _gmb_settings, model_to_json
 from treeq.errors import (
     ConvergenceError,
     InvalidBitsError,
@@ -49,7 +49,6 @@ from treeq.toymodel import (
     gen_calibration,
     gen_model,
     mean_bitwidth,
-    model_to_json,
     quantized_layer,
     substream,
     uniform_stream,
@@ -261,6 +260,12 @@ class TestGenModel:
             3.0194909342061056, abs=1e-12
         )
         assert m.weights[0][0, 0] == pytest.approx(-0.05545128, abs=1e-7)
+
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.1])
+    def test_weights_are_c_contiguous(self, outlier_fraction):
+        # the dense forward's operands: their layout selects the BLAS kernel
+        spec = ModelSpec(n_layers=2, dims=(16, 32, 8), seed=4, outlier_fraction=outlier_fraction)
+        assert all(w.flags.c_contiguous for w in gen_model(spec).weights)
 
     def test_weights_are_read_only(self):
         # the model's fits are keyed by layer index: an edited weight would
