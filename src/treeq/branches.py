@@ -20,7 +20,9 @@ from those factors (``factor_pair``): together the LRB and the GMB have
 rank at most r + n_o * n_i, so the branch term is two thin BLAS products.
 A GMB placed before the rotation has its rows folded through H once, so
 every layer adds one branch term, on the rotated activation.  The
-quantized forward splits where bits enter (``forward_quantized_batch``).
+quantized forward splits where bits enter (``forward_quantized_batch``):
+the half that no bit-width enters is one ``LayerHalf`` value
+(``layer_half``), which the eval cache keeps for every width.
 README's determinism contract says what the forward's bits depend on;
 the residual product is exact on any build (see ``residual_product``).
 """
@@ -62,21 +64,22 @@ class LrbFactors:
         return self.a.shape[1]
 
 
-def fit_lrbs(w_h, r: int) -> list:
+def fit_lrbs(w_h, r: int):
     """Rank-r LRB of every matrix of a (B, m, n) stack, in one truncated SVD call.
 
     a absorbs the singular values (a = U_r diag(s_r), b = V_r^T).  r = 0
-    gives empty factors whose product is the zero matrix.
+    gives empty factors whose product is the zero matrix.  Returns the B
+    fits and their (B, m, n) images a @ b, as ``fit_gmbs`` does.
     """
     count, rows, cols = w_h.shape
     if r == 0:
-        return [LrbFactors(a=np.zeros((rows, 0)), b=np.zeros((0, cols)))] * count
+        return [LrbFactors(a=np.zeros((rows, 0)), b=np.zeros((0, cols)))] * count, np.zeros(w_h.shape)
     if r < 0 or r > min(rows, cols):
         raise InvalidRankError(f"LRB rank {r} invalid for shape {(rows, cols)}")
     t = truncated_svd(w_h, r)
     a = t.u * t.sigma[:, None, :]
     b = np.swapaxes(t.v, 1, 2).copy()
-    return [LrbFactors(a=a[k], b=b[k]) for k in range(count)]
+    return [LrbFactors(a=a[k], b=b[k]) for k in range(count)], np.einsum("bir,brj->bij", a, b)
 
 
 @dataclass(frozen=True)
@@ -256,29 +259,17 @@ class QuantContext:
         A step is ("lrb", r) or ("gmb", grid, placement).  With scale_ranks
         on, the ranks are capped per layer, r_lrb at N/4 and r_gmb at N/16
         (floor 1, N = min(rows, cols)), so small layers keep proportionate
-        branches; off, r_lrb is capped at N.  A GMB rank of 0 fits the LRB
+        branches; off, both are capped at N.  A GMB rank of 0 fits the LRB
         alone.  Otherwise the LRB is fitted first, on W_H, only in the
         default order and placement, and second in the others.  A GMB rank
         whose grid does not divide the shape raises here
-        (``gmb_budget_partitions``).  A context works out each shape's chain
-        once and keeps it.
+        (``gmb_budget_partitions``).  The chain is worked out on each call.
         """
-        chains = self._chains
-        key = (rows, cols)
-        if key not in chains:
-            chains[key] = self._pose(rows, cols)
-        return chains[key]
-
-    @cached_property
-    def _chains(self) -> dict:
-        return {}  # (rows, cols) -> chain; outside the fields, so not compared or hashed
-
-    def _pose(self, rows: int, cols: int) -> tuple:
         n = min(rows, cols)
         if self.scale_ranks:
             r_lrb, r_gmb = min(self.r_lrb, max(1, n // 4)), min(self.r_gmb, max(1, n // 16))
         else:
-            r_lrb, r_gmb = min(self.r_lrb, n), self.r_gmb
+            r_lrb, r_gmb = min(self.r_lrb, n), min(self.r_gmb, n)
         lrb = ("lrb", r_lrb)
         if r_gmb == 0:
             return (lrb,)
@@ -318,20 +309,22 @@ def branch_decomposition(w, chains):
     W instead (its output then feeds on x, not H^T x).
 
     All chains are fitted at once, one stacked call per ``fit_plan`` call,
-    for both branch kinds alike.  A problem's source is W_H (W for a "pre"
-    GMB) when it starts its chain, and W_H less its parent's image
-    otherwise; its image is the dense product of its factors, a "pre"
-    GMB's taken through H.  A problem that several chains pose is fitted
-    once: chains that differ only in GMB rank share the LRB fitted on W_H,
-    and chains that fit the same GMB first share it across LRB ranks.  A
-    call stacks its problems for all B weights, and every product is one
-    stacked ``einsum``, so each weight's fit under each chain is
-    bit-identical to fitting that weight alone under that chain alone.
+    for both branch kinds alike: each fitter returns its fits and their
+    dense images.  A problem's source is its parent's residual, W_H at the
+    start of a chain (the raw W for a "pre" GMB that starts one), and its
+    residual is its parent's less its image, a "pre" GMB's image taken
+    through H.  A problem that several chains pose is fitted once: chains
+    that differ only in GMB rank share the LRB fitted on W_H, and chains
+    that fit the same GMB first share it across LRB ranks.  A call stacks
+    its problems for all B weights, and every product is one stacked
+    ``einsum``, so each weight's fit under each chain is bit-identical to
+    fitting that weight alone under that chain alone.
 
     Returns, per chain, a list of B pairs (branches, w_res): the fitted
     ``Branches``, whose placement is the chain's GMB placement ("post"
-    with no GMB), and w_res, W_H less each image of the chain in order,
-    the leftover handed to the residual quantizer.
+    with no GMB), and w_res, the residual of the chain's last problem (W_H
+    less each image of the chain in order), handed to the residual
+    quantizer.
     """
     stack = as_stack(w)
     if stack.ndim != 3:
@@ -339,33 +332,23 @@ def branch_decomposition(w, chains):
     count = stack.shape[0]
     h = hadamard(stack.shape[2])
     w_h = np.einsum("bij,jk->bik", stack, h)
-    fitted = {}  # problem -> its B fits and their (B, m, n) images
+    fitted = {(): (None, w_h)}  # problem -> its B fits and its (B, m, n) residual
     for (kind, arg), problems in fit_plan(chains):
-        # a problem's source: W_H less its parent's image, or, at the start
-        # of a chain, W_H (the raw W for a "pre" GMB, outside the rotation)
+        # a problem's source: its parent's residual, or the raw W for a "pre" GMB starting a chain
         joined = np.concatenate([
-            w_h - fitted[p[:-1]][1] if len(p) > 1 else stack if p[-1][-1] == "pre" else w_h
-            for p in problems
+            stack if len(p) == 1 and p[0][-1] == "pre" else fitted[p[:-1]][1] for p in problems
         ])
-        if kind == "lrb":
-            fits = fit_lrbs(joined, arg)
-            images = np.einsum("bir,brj->bij", np.stack([f.a for f in fits]),
-                               np.stack([f.b for f in fits]))
-        else:
-            fits, images = fit_gmbs(joined, *arg)
+        fits, images = fit_lrbs(joined, arg) if kind == "lrb" else fit_gmbs(joined, *arg)
         for k, p in enumerate(problems):
             part = slice(k * count, (k + 1) * count)
-            if p[-1][-1] == "pre":
-                images[part] = np.einsum("bij,jk->bik", images[part], h)
-            fitted[p] = fits[part], images[part]
+            image = np.einsum("bij,jk->bik", images[part], h) if p[-1][-1] == "pre" else images[part]
+            fitted[p] = fits[part], fitted[p[:-1]][1] - image
     out = []
     for chain in chains:
-        branch, w_res = {}, w_h
-        for depth, (kind, *_) in enumerate(chain):
-            branch[kind], image = fitted[chain[: depth + 1]]
-            w_res = w_res - image
+        branch = {kind: fitted[chain[: depth + 1]][0] for depth, (kind, *_) in enumerate(chain)}
         gmb = branch.get("gmb", [None] * count)
         placement = "pre" if any(step[-1] == "pre" for step in chain) else "post"
+        w_res = fitted[chain][1]
         out.append([(Branches(branch["lrb"][k], gmb[k], placement), w_res[k]) for k in range(count)])
     return out
 
@@ -396,51 +379,50 @@ def residual_product(grid, step, weight: WeightGrid) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
 class LayerHalf:
     """The half of a quantized layer's forward that no bit-width enters.
 
     For an input ``xs`` and its rotation y = xs @ H, the half is the
     per-token RMS ``sigma`` of y and the unit rows ``unit`` = y / sigma
     (``quantizer.token_rms``), and the branch term ``branch`` = (y @
-    down.T) @ up.T of one ``Branches``' pair; y itself is not kept.  A half
-    starts empty and ``fill`` computes it.  Every width of one fit shares
-    one ``Branches``, so one half serves a layer at every width.  A filled
-    half holds two arrays of ``xs``'s rows, ``unit`` as wide as the
-    layer's input and ``branch`` as its output.
+    down.T) @ up.T of one ``Branches``' pair; y itself is not kept
+    (``layer_half``).  Every width of one fit shares one ``Branches``, so
+    one half serves a layer at every width.  A half holds two arrays of
+    ``xs``'s rows, ``unit`` as wide as the layer's input and ``branch`` as
+    its output.
     """
 
-    __slots__ = ("xs", "branches", "unit", "sigma", "branch")
+    unit: np.ndarray
+    sigma: np.ndarray
+    branch: np.ndarray
 
-    def __init__(self):
-        self.xs = self.branches = None
 
-    def fill(self, xs, branches: Branches) -> None:
-        rotated = xs @ hadamard(xs.shape[1])
-        self.unit, self.sigma = token_rms(rotated)
-        down, up = branches.pair
-        self.branch = (rotated @ down.T) @ up.T
-        self.xs, self.branches = xs, branches
+def layer_half(xs, branches: Branches) -> LayerHalf:
+    """The ``LayerHalf`` of the activation matrix ``xs`` under ``branches``."""
+    rotated = xs @ hadamard(xs.shape[1])
+    unit, sigma = token_rms(rotated)
+    down, up = branches.pair
+    return LayerHalf(unit, sigma, (rotated @ down.T) @ up.T)
 
 
 def forward_quantized_batch(layer: QuantizedLinear, xs, half: LayerHalf | None = None):
     """Quantized forward of the activation matrix ``xs``, one token per row.
 
-    It runs in two halves.  The first is a ``LayerHalf`` of ``xs`` under
-    the layer's ``Branches``: ``half``, if given, is refilled only when it
-    was not filled from the same ``xs`` and ``Branches``, both by identity,
-    so a caller that keeps it beside ``xs`` pays for it once over all
-    widths.  The second rounds the unit rows at the weight's bit-width and
-    step (``quantizer.round_tokens``), multiplies the two integer grids
-    exactly and scales them (``residual_product``), and adds the branch
-    term.  ``xs`` is not checked for non-finite entries: ``forward_batch``
-    checks its input once, as it enters the eval cache's scope.
+    It runs in two halves.  The first is the ``LayerHalf`` of ``xs`` under
+    the layer's ``Branches``: ``half``, if given, must be that half (the
+    eval cache computes it once per activation and hands it to every
+    width), and is computed here otherwise.  The second rounds the unit
+    rows at the weight's bit-width and step (``quantizer.round_tokens``),
+    multiplies the two integer grids exactly and scales them
+    (``residual_product``), and adds the branch term.  ``xs`` is not
+    checked for non-finite entries: ``forward_batch`` checks its input
+    once, as it enters the eval cache's scope.
     """
     weight, n = layer.weight, layer.weight.q.shape[1]
     if xs.shape[-1] != n:
         raise InvalidDimensionError(f"activation width {xs.shape[-1]} does not match layer width {n}")
-    half = LayerHalf() if half is None else half
-    if half.xs is not xs or half.branches is not layer.branches:
-        half.fill(xs, layer.branches)
+    half = layer_half(xs, layer.branches) if half is None else half
     grid, step = round_tokens(half.unit, half.sigma, weight.bits, weight.delta)
     out = residual_product(grid, step, weight)
     out += half.branch

@@ -401,7 +401,9 @@ def _timed_rows(items, row) -> list:
     return rows
 
 
-def _ablate_k(cfg: RunConfig, model, calib) -> list:
+def _ablate_k(cfg: RunConfig) -> list:
+    model, calib = _draw(cfg)
+
     def row(k):
         result = _run_search(cfg, model, calib, k=k)
         return {"k": k, "mse": result.indicator, "evals": result.evals}
@@ -409,7 +411,11 @@ def _ablate_k(cfg: RunConfig, model, calib) -> list:
     return _timed_rows((4, 8, 16, 32), row)
 
 
-def _ablate_calib(cfg: RunConfig, model, calib) -> list:
+def _ablate_calib(cfg: RunConfig) -> list:
+    """One row per calibration count: the uniform allocation's MSE over
+    eight sets of that count, each drawn for its row (the config's own set
+    goes unused, so it is not drawn)."""
+    model = gen_model(cfg.model)
     alloc = uniform_allocate(model.n_layers, _uniform_bits(cfg))
     seeds = [substream(cfg.calib["seed"], TAG_DERIVE, 100 + j) for j in range(8)]
 
@@ -429,7 +435,9 @@ def _ablate_calib(cfg: RunConfig, model, calib) -> list:
 
 
 def _gmb_settings(quant: QuantContext) -> list:
-    """The eight (label, context) rows of ``ablate gmb``, each a change to ``quant``."""
+    """The eight (label, context) rows of ``ablate gmb``, each a change to
+    ``quant``.  The r rows turn rank scaling off, so a layer narrower than
+    r fits its GMB at r = N, its narrower dimension (``QuantContext.chain``)."""
     return [
         *((f"r={r}", replace(quant, r_gmb=r, scale_ranks=False)) for r in (0, 4, 8, 16)),
         *((f"order={o}", replace(quant, gmb_order=o)) for o in GMB_ORDERS),
@@ -437,13 +445,14 @@ def _gmb_settings(quant: QuantContext) -> list:
     ]
 
 
-def _ablate_gmb(cfg: RunConfig, model, calib) -> list:
+def _ablate_gmb(cfg: RunConfig) -> list:
     """One row per ``_gmb_settings`` context: the uniform allocation's MSE under it.
 
     Every layer is fitted under all eight contexts first, in one
     ``fit_all`` call, so the settings share their stacked fits; a row's
     ``wall_ms`` times its evaluation only.
     """
+    model, calib = _draw(cfg)
     alloc = uniform_allocate(model.n_layers, _uniform_bits(cfg))
     settings = _gmb_settings(cfg.quant)
     fit_all(model, [setting_ctx for _, setting_ctx in settings])
@@ -461,7 +470,7 @@ ABLATIONS = {"k": _ablate_k, "calib": _ablate_calib, "gmb": _ablate_gmb}
 
 
 def cmd_ablate(cfg: RunConfig, args) -> tuple:
-    rows = ABLATIONS[args.axis](cfg, *_draw(cfg))
+    rows = ABLATIONS[args.axis](cfg)
     keys = [k for k in rows[0] if k != "wall_ms"]
     report = [" ".join(f"{k:>14}" for k in keys)]
     report += [

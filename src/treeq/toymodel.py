@@ -37,12 +37,12 @@ from typing import Mapping
 import numpy as np
 
 from .branches import (
-    LayerHalf,
     QuantContext,
     QuantizedLinear,
     branch_decomposition,
     forward_quantized_batch,
     fit_plan,
+    layer_half,
     quantize_fit,
 )
 from .errors import ConvergenceError, InvalidBitsError, InvalidDimensionError
@@ -160,36 +160,34 @@ class EvalCache:
     MSE memo of one scope.
 
     A scope is one ``frozen`` input matrix (by identity) under one context
-    (by value).  For it the cache keeps the activations entering each
-    layer of the last forward (``acts[0]`` is the input matrix itself,
-    ``acts[j + 1]`` the output of layer j after the leaky rectifier), the
-    bits of the layers that produced them (``bits[j]`` for ``acts[j + 1]``,
-    so ``len(acts) == len(bits) + 1`` holds even if a forward raises part
-    way), beside each activation the ``LayerHalf`` of the layer it enters
-    (``halves[j]`` for ``acts[j]``, empty until a quantized layer runs on
-    it, so ``len(halves) == len(acts)``), and the MSE of every allocation
-    evaluated against one ``target`` (a ``frozen`` matrix of dense outputs,
-    by identity), keyed by bit tuple.  A level holds one activation-sized
-    array, and two more once its half is filled: the unit rows and the
-    branch term.  A half is truncated with its activation, and entering a
-    new scope drops all of it.  Identity is sound because no caller can
-    make a ``frozen`` array writable again: the scope holds the values it
-    held when it was entered (and checked, by ``_scope_input``), and the
-    cache owns every other activation and every half.
+    (by value).  For it the cache keeps one level per layer entered by the
+    last forward: ``levels[j]`` is the pair (activation entering layer j,
+    that layer's ``LayerHalf`` of it or None until a quantized layer runs
+    on it), where ``levels[0]``'s activation is the input matrix itself and
+    ``levels[j + 1]``'s the output of layer j after the leaky rectifier.
+    Beside them it keeps the bits of the layers that produced them
+    (``bits[j]`` for ``levels[j + 1]``, so ``len(levels) == len(bits) + 1``
+    holds even if a forward raises part way), and the MSE of every
+    allocation evaluated against one ``target`` (a ``frozen`` matrix of
+    dense outputs, by identity), keyed by bit tuple.  A level holds one
+    activation-sized array, and two more once its half is computed: the
+    unit rows and the branch term.  A half goes with its level, and
+    entering a new scope drops all of it.  Identity is sound because no
+    caller can make a ``frozen`` array writable again: the scope holds the
+    values it held when it was entered (and checked, by ``_scope_input``),
+    and the cache owns every other activation and every half.
     """
 
     def __init__(self):
-        self.ctx, self.bits, self.acts, self.halves, self.target, self.mse = (
-            None, [], [], [], None, {})
+        self.ctx, self.bits, self.levels, self.target, self.mse = None, [], [], None, {}
 
     def enter(self, xs: np.ndarray, ctx: QuantContext, target: np.ndarray | None = None) -> dict:
         """Make (``xs``, ``ctx``) the scope, dropping any other one, and
         return the scope's MSE memo.  A ``target`` other than the memo's
         drops the memo and becomes its target; with none, as from a
         forward, the memo stays as it is."""
-        if not (self.acts and self.acts[0] is xs and self.ctx == ctx):
-            self.ctx, self.bits, self.acts, self.halves, self.target, self.mse = (
-                ctx, [], [xs], [LayerHalf()], None, {})
+        if not (self.levels and self.levels[0][0] is xs and self.ctx == ctx):
+            self.ctx, self.bits, self.levels, self.target, self.mse = ctx, [], [(xs, None)], None, {}
         if target is not None and target is not self.target:
             self.target, self.mse = target, {}
         return self.mse
@@ -389,8 +387,8 @@ def _scope_input(model: ToyModel, xs) -> np.ndarray:
     """``frozen(xs)``, checked to be a finite matrix of the model's input
     width (InvalidDimensionError otherwise), or ``xs`` itself, unchecked,
     when it is the ``eval_cache``'s scope: only a checked input enters it."""
-    cache = model.eval_cache
-    if cache.acts and cache.acts[0] is xs:
+    levels = model.eval_cache.levels
+    if levels and levels[0][0] is xs:
         return xs
     xs = frozen(as_matrix(xs))
     if xs.shape[1] != model.dims[0]:
@@ -406,17 +404,18 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     the forward resumes from the longest prefix of layers whose bits match
     the cache's last forward (the last layer always runs), caching the
     activations of the layers it runs.  A quantized layer runs
-    ``forward_quantized_batch`` with the cache's ``LayerHalf`` of its
-    input, filled once per level and reused at every width of the same
-    fit; a 32-bit layer runs its dense weight, as one BLAS ``matmul``.  A
-    cached activation or half is the very array an earlier forward of the
-    scope computed by the same operations, so the result is bit-identical
-    to a forward on a fresh cache (README's determinism contract says what
-    its bits depend on; a row of a batch may differ from that row alone).
-    The scope is ``xs`` if it is frozen, else a frozen copy, so an input
-    that can still be written never resumes an earlier forward.  ``xs``
-    must be a finite matrix of the model's input width, checked as it
-    enters the scope (``_scope_input``), and ``alloc`` pass ``alloc_bits``.
+    ``forward_quantized_batch`` with the ``LayerHalf`` of its input's
+    level, computed (``layer_half``) the first time a quantized layer runs
+    on that level and reused at every width of the same fit; a 32-bit
+    layer runs its dense weight, as one BLAS ``matmul``.  A cached
+    activation or half is the very array an earlier forward of the scope
+    computed by the same operations, so the result is bit-identical to a
+    forward on a fresh cache (README's determinism contract says what its
+    bits depend on; a row of a batch may differ from that row alone).  The
+    scope is ``xs`` if it is frozen, else a frozen copy, so an input that
+    can still be written never resumes an earlier forward.  ``xs`` must be
+    a finite matrix of the model's input width, checked as it enters the
+    scope (``_scope_input``), and ``alloc`` pass ``alloc_bits``.
     """
     xs = _scope_input(model, xs)
     bits = alloc_bits(model, alloc)
@@ -426,20 +425,21 @@ def forward_batch(model: ToyModel, alloc, xs, ctx: QuantContext = QuantContext()
     start = 0
     while start < len(cache.bits) and bits[start] == cache.bits[start]:
         start += 1
-    xs = cache.acts[start]
-    del cache.acts[start + 1:]
-    del cache.halves[start + 1:]
+    del cache.levels[start + 1:]
     del cache.bits[start:]
+    xs = cache.levels[start][0]
     for i in range(start, n):
         if bits[i] == PASSTHROUGH_BITS:
             xs = xs @ model.weights[i].T
         else:
-            xs = forward_quantized_batch(_layer_for(model, i, bits[i], ctx), xs, cache.halves[i])
+            layer = _layer_for(model, i, bits[i], ctx)
+            if cache.levels[i][1] is None:
+                cache.levels[i] = xs, layer_half(xs, layer.branches)
+            xs = forward_quantized_batch(layer, xs, cache.levels[i][1])
         if i < n - 1:
             # the leaky rectifier (0 < slope < 1), in place on the layer's fresh output
             np.maximum(xs, LEAKY_SLOPE * xs, out=xs)
-            cache.acts.append(xs)
-            cache.halves.append(LayerHalf())
+            cache.levels.append((xs, None))
             cache.bits.append(bits[i])
     return xs
 
@@ -473,7 +473,7 @@ def gen_calibration(model: ToyModel, count: int, seed: int) -> CalibrationSet:
     all32 = {i: PASSTHROUGH_BITS for i in range(model.n_layers)}
     with np.errstate(over="ignore", invalid="ignore"):
         fp = forward_batch(model, all32, xs)
-    for j, act in enumerate(model.eval_cache.acts + [fp]):
+    for j, act in enumerate([act for act, _ in model.eval_cache.levels] + [fp]):
         peak = float(np.max(np.abs(act)))
         if not peak <= DENSE_BOUND:
             where = f"entering layer {j}" if j < model.n_layers else "at the output"

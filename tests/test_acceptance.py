@@ -176,7 +176,7 @@ def test_criterion_3_gmb_correctness(suite_models, ctx):
         m = seeded_matrix(*shape, seed=1000 + idx)
         (f,), _ = fit_gmbs(m[None], *grid)
         # the (down, up) pair the forward applies is the block assembly exactly
-        down, up = factor_pair(fit_lrbs(m[None], 0)[0], f)
+        down, up = factor_pair(fit_lrbs(m[None], 0)[0][0], f)
         exact_pairs += np.array_equal(up @ down, gmb_reconstruct_blocks(f))
         b_o, b_i = shape[0] // grid[0], shape[1] // grid[1]
         for j in range(grid[0]):

@@ -5,6 +5,7 @@ the factor pair the forward applies is checked against the dense block
 assembly it must equal.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from treeq.branches import (
     forward_quantized_batch,
     gmb_budget_partitions,
     gmb_reconstruct_blocks,
+    layer_half,
     quantize_fit,
     residual_product,
 )
@@ -111,27 +113,32 @@ class TestLrb:
 
     def test_rank_zero_is_empty(self):
         stack = np.stack([seeded_matrix(4, 6, seed=k) for k in range(2)])
-        for f in fit_lrbs(stack, 0):
+        fits, images = fit_lrbs(stack, 0)
+        for f in fits:
             assert f.rank == 0
             assert np.array_equal(f.a @ f.b, np.zeros((4, 6)))
+        assert np.array_equal(images, np.zeros((2, 4, 6)))
 
     def test_full_rank_recovers_matrix(self):
         stack = np.stack([seeded_matrix(5, 5, seed=1 + 10 * k) for k in range(3)])
-        for m, f in zip(stack, fit_lrbs(stack, 5)):
+        fits, images = fit_lrbs(stack, 5)
+        for m, f, image in zip(stack, fits, images):
             assert np.allclose(f.a @ f.b, m, atol=1e-10)
+            # the image is the fit's own product, as the fit forms it
+            assert np.array_equal(image, np.einsum("ir,rj->ij", f.a, f.b))
 
     def test_truncation_error_is_optimal(self):
         # Eckart-Young: no rank-r matrix comes closer in Frobenius norm.
         stack = np.stack([seeded_matrix(8, 8, seed=2 + 10 * k) for k in range(3)])
         for r in (1, 3, 5):
-            for m, f in zip(stack, fit_lrbs(stack, r)):
+            for m, f in zip(stack, fit_lrbs(stack, r)[0]):
                 sig = np.linalg.svd(m, compute_uv=False)
                 err = np.linalg.norm(m - f.a @ f.b)
                 assert err == pytest.approx(np.sqrt(np.sum(sig[r:] ** 2)), abs=1e-9)
 
     def test_a_absorbs_singular_values(self):
         stack = np.stack([seeded_matrix(6, 4, seed=3 + 10 * k) for k in range(2)])
-        for m, f in zip(stack, fit_lrbs(stack, 3)):
+        for m, f in zip(stack, fit_lrbs(stack, 3)[0]):
             sig = np.linalg.svd(m, compute_uv=False)
             assert np.allclose(np.linalg.norm(f.a, axis=0), sig[:3], atol=1e-10)
             # b rows stay unit length
@@ -230,13 +237,13 @@ class TestGmbFactored:
     def test_factored_equals_assembly(self, shape, grid):
         m = seeded_matrix(*shape, seed=shape[0] * 10 + grid[0])
         (f,), _ = fit_gmbs(m[None], *grid)
-        (empty,) = fit_lrbs(m[None], 0)
+        (empty,), _ = fit_lrbs(m[None], 0)
         down, up = factor_pair(empty, f)
         assert np.array_equal(up @ down, gmb_reconstruct_blocks(f))
 
     def test_factor_shapes(self):
         (f,), _ = fit_gmbs(seeded_matrix(12, 8, seed=7)[None], 4, 2)
-        (lrb,) = fit_lrbs(seeded_matrix(12, 8, seed=8)[None], 3)
+        (lrb,), _ = fit_lrbs(seeded_matrix(12, 8, seed=8)[None], 3)
         down, up = factor_pair(lrb, f)
         assert down.shape == (3 + 8, 8)  # (r + n_o*n_i, n_in)
         assert up.shape == (12, 3 + 8)  # (n_out, r + n_o*n_i)
@@ -573,6 +580,21 @@ class TestQuantizedLayer:
         else:
             # factor_pair fills the transpose of up row by row
             assert up.T.flags.c_contiguous and not up.flags.c_contiguous
+
+    def test_a_half_is_a_value_that_serves_every_width(self):
+        # the half holds three arrays and nothing else, cannot be reassigned,
+        # and a forward handed it gives the bits of one that computes its own
+        w = seeded_matrix(16, 16, seed=41)
+        fit, w_res = fit_one(w, 2, 2)
+        layers = quantize_fit(w_res, fit)
+        xs = seeded_matrix(6, 16, seed=42)
+        half = layer_half(xs, fit)
+        assert [f.name for f in dataclasses.fields(half)] == ["unit", "sigma", "branch"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            half.unit = half.branch
+        for layer in layers.values():
+            assert same_bits(forward_quantized_batch(layer, xs, half),
+                             forward_quantized_batch(layer, xs))
 
     def test_width_mismatch(self):
         layer = make_layer(seeded_matrix(8, 8, seed=24), 3, 1, 1)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from treeq import linalg, toymodel
+from treeq import cli, linalg, toymodel
 from treeq.cli import _gmb_settings, main
 from treeq.quantizer import default_delta_table
 from treeq.toymodel import ModelSpec, QuantContext
@@ -363,6 +363,37 @@ def test_every_command_reports_the_file_it_wrote(cfg_path, capsys):
     assert sorted(os.listdir(out)) == sorted(name for _, name, _, _ in commands)
 
 
+# narrow and uneven shapes that ModelSpec accepts: an 8-wide model, a
+# 16-wide one and a chain whose widths run from 8 to 1024 and back
+EDGE_MODELS = {
+    "2x8": {"n_layers": 2, "dims": [8, 8, 8]},
+    "3x16": {"n_layers": 3, "dims": [16, 16, 16, 16]},
+    "8-1024-16-8": {"n_layers": 3, "dims": [8, 1024, 16, 8]},
+}
+
+
+@pytest.mark.parametrize("model", EDGE_MODELS.values(), ids=EDGE_MODELS)
+def test_every_command_runs_on_edge_shapes(tmp_path, capsys, model):
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model, "output_dir": str(out)}))
+    commands = [
+        (["gen-model"], "model.json"),
+        (["calibrate-delta"], "delta.json"),
+        (["search"], "search.json"),
+        (["quantize"], "quantize.json"),
+        (["eval", str(out / "search.json")], "eval.json"),
+        (["baseline"], "baseline.json"),
+        (["ablate", "k"], "ablate_k.json"),
+        (["ablate", "calib"], "ablate_calib.json"),
+        (["ablate", "gmb"], "ablate_gmb.json"),
+    ]
+    for argv, name in commands:
+        assert main(argv + ["--config", str(path)]) == 0, (argv, capsys.readouterr().err)
+        assert (out / name).is_file()
+    assert sorted(os.listdir(out)) == sorted(name for _, name in commands)
+
+
 class TestDispatchRobustness:
     """The default ``treeq search`` under other SIMD targets, BLAS thread
     counts and BLAS kernels.
@@ -586,6 +617,32 @@ class TestAblate:
             "order=lrb_first", "order=gmb_first",
             "placement=post", "placement=pre",
         }
+
+    def test_calib_sweep_draws_only_its_own_sets(self, cfg_path, monkeypatch):
+        # five counts of eight sets each; the config's own set goes unused
+        counts = []
+        draw = cli.gen_calibration
+
+        def counted(model, count, seed):
+            counts.append(count)
+            return draw(model, count, seed)
+
+        monkeypatch.setattr(cli, "gen_calibration", counted)
+        assert main(["ablate", "calib", "--config", cfg_path]) == 0
+        assert len(counts) == 5 * 8
+        assert sorted(set(counts)) == [4, 8, 16, 32, 64]
+
+    def test_gmb_sweep_caps_r_at_a_narrow_layer(self, tmp_path):
+        # unscaled, r=16 fits an 8-wide layer at r = 8, the row of r=8
+        cfg = {"model": {"n_layers": 2, "dims": [8, 8, 8]}, "calib": {"count": 8, "seed": 5},
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["ablate", "gmb", "--config", str(path)]) == 0
+        rows = read_out(str(path), "ablate_gmb.json")["rows"]
+        assert [row["setting"] for row in rows] == [label for label, _ in _gmb_settings(QuantContext())]
+        by = {row["setting"]: row["mse"] for row in rows}
+        assert by["r=16"] == by["r=8"] != by["r=4"]
 
     def test_gmb_sweep_honours_the_quant_section(self, tmp_path):
         def rows(name, quant):

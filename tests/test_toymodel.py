@@ -202,7 +202,7 @@ class TestQuantContext:
         ((64, 32), {"gmb_placement": "pre"}, (("gmb", (2, 2), "pre"), ("lrb", 8))),
         ((64, 32), {"gmb_order": "gmb_first", "gmb_placement": "pre"},
          (("gmb", (2, 2), "pre"), ("lrb", 8))),
-        # scaled ranks are capped at N/4 and N/16 (floor 1), unscaled the LRB at N
+        # scaled ranks are capped at N/4 and N/16 (floor 1), unscaled at N
         ((64, 32), {"scale_ranks": False}, (("lrb", 16), ("gmb", (4, 4), "post"))),
         ((64, 32), {"r_lrb": 64, "r_gmb": 32}, (("lrb", 8), ("gmb", (2, 2), "post"))),
         ((64, 32), {"r_lrb": 64, "r_gmb": 32, "scale_ranks": False},
@@ -210,9 +210,19 @@ class TestQuantContext:
         ((8, 8), {}, (("lrb", 2), ("gmb", (1, 1), "post"))),
         ((8, 8), {"gmb_order": "gmb_first", "scale_ranks": False},
          (("gmb", (4, 4), "post"), ("lrb", 8))),
+        # unscaled, the GMB rank too is capped at N, as ablate gmb's r=16 row asks
+        ((8, 8), {"r_gmb": 16, "scale_ranks": False}, (("lrb", 8), ("gmb", (8, 8), "post"))),
+        ((1024, 8), {"r_gmb": 16, "scale_ranks": False},
+         (("lrb", 8), ("gmb", (8, 8), "post"))),
     ])
     def test_chain(self, shape, fields, chain):
         assert QuantContext(**fields).chain(*shape) == chain
+
+    def test_holds_only_its_fields(self):
+        # a chain is worked out on each call: posing one keeps nothing
+        ctx = QuantContext()
+        assert ctx.chain(64, 32) == ctx.chain(64, 32)
+        assert vars(ctx).keys() == {f.name for f in dataclasses.fields(ctx)}
 
     def test_chain_rejects_a_grid_that_does_not_divide(self):
         with pytest.raises(InvalidPartitionError, match="must divide both dimensions"):
@@ -785,7 +795,7 @@ class TestCalibration:
     def test_dense_forward_leaves_the_input_matrix_as_scope(self):
         m = gen_model(exhaustive_spec(1))
         c = gen_calibration(m, 4, 5)
-        assert np.array_equal(m.eval_cache.acts[0], c.input_matrix)
+        assert np.array_equal(m.eval_cache.levels[0][0], c.input_matrix)
 
     def test_rejects_empty(self):
         m = gen_model(exhaustive_spec(1))
@@ -960,7 +970,7 @@ class TestEvalCache:
         c = gen_calibration(m, 8, 3)
         alloc = {i: 3 for i in range(4)}
         end_to_end_mse(m, alloc, c)
-        assert m.eval_cache.acts[0] is c.input_matrix
+        assert m.eval_cache.levels[0][0] is c.input_matrix
         nan = c.input_matrix.copy()
         nan[2, 5] = np.nan
         for xs, message in [(nan, "non-finite"), (c.input_matrix[:, :16], "input width 16"),
@@ -1043,8 +1053,9 @@ class TestEvalCache:
         with pytest.raises(RuntimeError):
             end_to_end_mse(m, b, c)
         monkeypatch.undo()
-        assert len(m.eval_cache.acts) == len(m.eval_cache.bits) + 1
-        assert len(m.eval_cache.halves) == len(m.eval_cache.acts)
+        assert len(m.eval_cache.levels) == len(m.eval_cache.bits) + 1
+        assert all(half is None or isinstance(half, branches.LayerHalf)
+                   for _, half in m.eval_cache.levels)
         for alloc in (b, a):
             assert end_to_end_mse(m, alloc, c) == end_to_end_mse(_fresh(m), alloc, c)
 
@@ -1068,23 +1079,27 @@ class TestEvalCache:
         m = gen_model(exhaustive_spec(2))
         c = gen_calibration(m, 8, 3)
         layer_of = {id(quantized_layer(m, i, 3).branches): i for i in range(4)}
-        filled = []
-        fill = branches.LayerHalf.fill
+        computed = []
+        layer_half = toymodel.layer_half
 
-        def counted(half, xs, fit):
-            filled.append(layer_of[id(fit)])
-            fill(half, xs, fit)
+        def counted(xs, fit):
+            computed.append(layer_of[id(fit)])
+            return layer_half(xs, fit)
 
-        monkeypatch.setattr(branches.LayerHalf, "fill", counted)
+        monkeypatch.setattr(toymodel, "layer_half", counted)
         for j in range(4):
             fresh = _fresh(m)
-            filled.clear()
+            computed.clear()
             for b in (2, 3, 4, 5):
                 end_to_end_mse(fresh, {i: b if i == j else 3 for i in range(4)}, c)
-            # layers up to j fill their half once, layer j's serving all four
-            # widths, and each later layer fills one per width, on a new input
-            assert [filled.count(i) for i in range(4)] == [1] * (j + 1) + [4] * (3 - j)
-            assert fresh.eval_cache.halves[j].xs is fresh.eval_cache.acts[j]
+            # layers up to j compute their half once, layer j's serving all four
+            # widths, and each later layer one per width, on a new input
+            assert [computed.count(i) for i in range(4)] == [1] * (j + 1) + [4] * (3 - j)
+            # the half kept at level j is the half of that level's activation
+            act, half = fresh.eval_cache.levels[j]
+            want = layer_half(act, quantized_layer(m, j, 3).branches)
+            assert half.unit.tobytes() == want.unit.tobytes()
+            assert half.branch.tobytes() == want.branch.tobytes()
 
     def test_never_holds_more_halves_than_activations(self):
         m = gen_model(exhaustive_spec(2))
@@ -1094,9 +1109,13 @@ class TestEvalCache:
         for _ in range(60):
             alloc = {i: int(rng.choice((2, 3, 5, 32))) for i in range(4)}
             end_to_end_mse(m, alloc, calibs[int(rng.integers(2))])
-            assert len(cache.halves) == len(cache.acts) == len(cache.bits) + 1
-            for act, half in zip(cache.acts, cache.halves):
-                assert half.xs is None or half.xs is act
+            assert len(cache.levels) == len(cache.bits) + 1
+            for j, (act, half) in enumerate(cache.levels):
+                if half is not None:
+                    want = branches.layer_half(act, quantized_layer(m, j, 3).branches)
+                    assert half.unit.tobytes() == want.unit.tobytes()
+                    assert half.sigma.tobytes() == want.sigma.tobytes()
+                    assert half.branch.tobytes() == want.branch.tobytes()
 
     def test_holds_one_scope_after_searches(self, monkeypatch):
         m = gen_model(ModelSpec(n_layers=3, dims=(16,) * 4, seed=1))
@@ -1106,8 +1125,8 @@ class TestEvalCache:
             calib = gen_calibration(m, 8, seed)
             forwards.clear()
             tss_search(m, SearchParams(calib=calib, k=4))
-            assert np.array_equal(cache.acts[0], calib.input_matrix)
-            assert len(cache.acts) <= m.n_layers
+            assert np.array_equal(cache.levels[0][0], calib.input_matrix)
+            assert len(cache.levels) <= m.n_layers
             # the memo holds this search's evaluations and nothing older
             assert len(cache.mse) == len(forwards) > 0
 
@@ -1153,7 +1172,7 @@ class TestEvalCache:
         m = gen_model(ModelSpec(n_layers=3, dims=(16,) * 4, seed=1))
         c = gen_calibration(m, 8, 2)
         tss_search(m, SearchParams(calib=c, k=4))
-        assert m.eval_cache.acts[0] is c.input_matrix
+        assert m.eval_cache.levels[0][0] is c.input_matrix
         assert m.eval_cache.target is c.output_matrix
 
     def test_equal_inputs_with_other_targets_do_not_alias(self):
